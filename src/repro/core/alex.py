@@ -13,7 +13,9 @@ b'payload'
 >>> index.range_scan(40.0, limit=10)  # doctest: +SKIP
 
 Keys must be unique (the paper's datasets contain no duplicates and
-Section 7 lists duplicates as an open limitation).
+Section 7 lists duplicates as an open limitation) and finite: +inf is the
+gapped array's gap sentinel and NaN has no order, so every write entry
+point raises :class:`ValueError` on either before touching the index.
 
 **Batch API.**  Point reads come in batch form — :meth:`AlexIndex.lookup_many`,
 :meth:`AlexIndex.get_many`, and :meth:`AlexIndex.contains_many` accept whole
@@ -41,6 +43,7 @@ NumPy constant overhead.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -102,21 +105,11 @@ class AlexIndex:
         """Build an index over ``keys`` (need not be pre-sorted).
 
         ``payloads[i]`` is stored with ``keys[i]``; payloads default to
-        ``None``.  Raises :class:`DuplicateKeyError` on repeated keys.
+        ``None``.  Raises :class:`DuplicateKeyError` on repeated keys and
+        :class:`ValueError` on NaN or infinite keys.
         """
         index = cls(config, policy=policy)
-        keys = np.asarray(keys, dtype=np.float64)
-        if payloads is None:
-            payloads = [None] * len(keys)
-        elif len(payloads) != len(keys):
-            raise ValueError("payloads length must match keys length")
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        payloads = [payloads[i] for i in order]
-        if len(keys) > 1:
-            dup = np.flatnonzero(np.diff(keys) == 0)
-            if len(dup):
-                raise DuplicateKeyError(float(keys[dup[0]]))
+        keys, payloads = cls._normalize_batch(keys, payloads)
         if index.config.rmi_mode == ADAPTIVE_RMI:
             root, _ = build_adaptive_rmi(keys, payloads, index.config,
                                          index.counters, index.policy)
@@ -163,10 +156,12 @@ class AlexIndex:
     @staticmethod
     def _normalize_batch(keys, payloads: Optional[list]):
         """Normalize a write batch: float64 keys sorted stably with their
-        payloads aligned (``None``-filled when omitted), raising on length
-        mismatch or in-batch duplicates.  Shared by the single-index and
-        sharded batch-insert paths."""
+        payloads aligned (``None``-filled when omitted), raising on
+        non-finite keys, length mismatch or in-batch duplicates.  Shared
+        by bulk load and the single-index and sharded batch-insert
+        paths."""
         keys = np.asarray(keys, dtype=np.float64)
+        AlexIndex._check_finite(keys)
         if payloads is None:
             payloads = [None] * len(keys)
         elif len(payloads) != len(keys):
@@ -179,6 +174,15 @@ class AlexIndex:
             if len(dup):
                 raise DuplicateKeyError(float(keys[dup[0]]))
         return keys, payloads
+
+    @staticmethod
+    def _check_finite(keys: np.ndarray) -> None:
+        """Raise :class:`ValueError` on the first NaN or infinite key: +inf
+        is the gap sentinel (it would read as already present) and NaN
+        breaks the sorted-key invariant."""
+        bad = np.flatnonzero(~np.isfinite(keys))
+        if bad.size:
+            raise ValueError(f"key {float(keys[bad[0]])!r} is not finite")
 
     @staticmethod
     def _normalize_delete_batch(keys) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -245,8 +249,11 @@ class AlexIndex:
         insert (when the adaptive RMI has splitting enabled or the index
         is cold-started), exactly the classic behaviour; the cost-model
         policy may instead expand in place, split sideways, or retrain.
+        Raises :class:`ValueError` on a NaN or infinite key.
         """
         key = float(key)
+        if not math.isfinite(key):
+            raise ValueError(f"key {key!r} is not finite")
         leaf, parent = self._route(key)
         action = self.policy.choose_insert_smo(leaf, parent, self)
         if action != SMO_NONE and self._apply_leaf_smo(action, leaf, parent):
@@ -680,6 +687,8 @@ class AlexIndex:
     def upsert(self, key: float, payload) -> None:
         """Insert ``key`` or update its payload when already present
         (Section 3.2: key-preserving updates are lookup + write)."""
+        if not math.isfinite(float(key)):
+            raise ValueError(f"key {float(key)!r} is not finite")
         try:
             self.update(key, payload)
         except KeyNotFoundError:

@@ -16,10 +16,6 @@ pluggable (``backend="thread" | "process"``):
   long-lived worker process, ships batches through shared memory
   (zero-copy reads), and achieves real multi-core wall-clock scaling.
 
-Writes to different shards hold different locks, so they never serialize
-the way the single coarse-locked
-:class:`~repro.ext.concurrent.ConcurrentAlexIndex` forces them to.
-
 Locking granularity (two levels, identical under both backends):
 
 * a *structure* reader/writer lock, held shared by every operation and
@@ -27,13 +23,25 @@ Locking granularity (two levels, identical under both backends):
   change under an in-flight request;
 * one *shard* reader/writer lock per shard — lookups and scans share it,
   inserts/deletes/updates take it exclusively — acquired only for the
-  shards a request actually touches.
+  shards a request actually touches, always in shard order.
 
-Cross-shard batch inserts and deletes stay all-or-nothing under both
-backends (two-phase): the write locks of every involved shard are taken
-(in shard order, so concurrent batches cannot deadlock), all sub-batches
-are *validated* on every involved shard executor, and only then does any
-shard *apply* its sub-batch.
+**One read path.**  Every read shape — point, batch, scan and range —
+builds one job per touched shard and hands the jobs to
+:meth:`ShardedAlexIndex._route_reads`.  When the read's
+:class:`~repro.serve.options.ReadOptions` allow it, each job first tries
+its shard's replica; the jobs whose replica is stale, missing or dead
+fall back to the primaries as one scatter under their shared locks.
+
+**One write path.**  Every write, scalar or batch, goes through
+:meth:`ShardedAlexIndex._write`: the keys are carved and their shards
+write-locked, then *validated* on every involved shard, then *logged*
+(one WAL frame per written shard), and only then *applied*.  A failed
+validation leaves no frame and no mutation, so cross-shard batches stay
+all-or-nothing; and no shard ever shows a write whose frame does not
+exist yet, so a worker that dies mid-apply is settled by WAL replay or
+replica promotion.  Writes to different shards hold different locks, so
+they never serialize the way the single coarse-locked
+:class:`~repro.ext.concurrent.ConcurrentAlexIndex` forces them to.
 
 Serving-tier structural adaptation routes through the same
 :class:`~repro.core.policy.AdaptationPolicy` object the shards' trees
@@ -54,6 +62,7 @@ from __future__ import annotations
 
 import os
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -91,6 +100,31 @@ _REPLICA_FALLBACKS = (ReplicaStaleError, ReplicaUnavailableError,
 #: carrying raw counts into a layout they no longer describe, and instead
 #: of being wiped entirely (which would blind the next policy evaluation).
 STATS_DECAY = 0.5
+
+
+def _expect(present: bool, error):
+    """A :meth:`ShardedAlexIndex._write` validation predicate requiring
+    every key's membership to equal ``present`` (raising ``error`` on the
+    first key that differs); every group is then written."""
+    def check(keys: np.ndarray, groups: list, hits: list) -> list:
+        for (_, lo, _), shard_hits in zip(groups, hits):
+            bad = np.flatnonzero(shard_hits != present)
+            if bad.size:
+                raise error(float(keys[lo + int(bad[0])]))
+        return [(group, group[2] - group[1]) for group in groups]
+    return check
+
+
+#: Inserts need every key absent, deletes and updates every key present.
+_all_absent = _expect(False, DuplicateKeyError)
+_all_present = _expect(True, KeyNotFoundError)
+
+
+def _present_groups(keys: np.ndarray, groups: list, hits: list) -> list:
+    """The erase predicate: write only the groups holding at least one
+    of their keys, each tallied by the keys it loses."""
+    counts = [int(np.count_nonzero(shard_hits)) for shard_hits in hits]
+    return [(group, count) for group, count in zip(groups, counts) if count]
 
 
 @dataclass
@@ -415,10 +449,10 @@ class ShardedAlexIndex:
 
     def _log_groups(self, op: int, groups: list, keys: np.ndarray,
                     payloads: Optional[list] = None) -> Dict[int, int]:
-        """Append one WAL frame per involved shard (write-ahead: called
-        after validation, before the apply scatter, under the shards'
-        write locks).  Returns ``{shard: lsn}`` of the appended frames
-        (empty without durability) — the raw material of the
+        """Append one WAL frame per written shard (step 3 of
+        :meth:`_write`: after validation, before the apply, under the
+        shards' write locks).  Returns ``{shard: lsn}`` of the appended
+        frames (empty without durability) — the raw material of the
         :class:`WriteToken` acked back to the client."""
         lsns: Dict[int, int] = {}
         if self._durability is None:
@@ -428,14 +462,6 @@ class ShardedAlexIndex:
                 s, op, keys[lo:hi],
                 None if payloads is None else payloads[lo:hi])
         return lsns
-
-    def _log_scalar(self, shard: int, op: int, key: float,
-                    payloads: Optional[list] = None) -> int:
-        if self._durability is None:
-            return 0
-        return self._durability.log(shard, op,
-                                    np.array([key], dtype=np.float64),
-                                    payloads)
 
     def _persist_writer(self, shard: int):
         """A ``write_snapshot`` callback persisting shard ``shard``
@@ -694,72 +720,75 @@ class ShardedAlexIndex:
             else:
                 self._shard_locks[s].release_read()
 
-    def _locked_scatter_batch(self, batch: np.ndarray, groups: list,
-                              method: str, extra: tuple = (),
-                              write: bool = False) -> list:
-        """Hold the involved shard locks around one backend scatter of the
-        carved ``batch`` (the shared body of every single-phase batch
-        operation)."""
-        shard_ids = [s for s, _, _ in groups]
-        jobs = [(s, method, lo, hi, extra) for s, lo, hi in groups]
-        self._acquire_shards(shard_ids, write)
+    # ------------------------------------------------------------------
+    # Reads: one replica-or-primary routing path
+    # ------------------------------------------------------------------
+
+    def _route_reads(self, opts: ReadOptions, jobs: list,
+                     batch: Optional[np.ndarray] = None) -> list:
+        """Run one read job per shard and return the results in job order
+        — the routing path every read shape shares.
+
+        ``jobs`` are backend calls ``(shard, method, args)`` or, with
+        ``batch``, carvings ``(shard, method, lo, hi, extra)`` of that
+        sorted key batch, in ascending shard order (the lock order).  When
+        ``opts`` allow a replica read and replicas exist, each job first
+        tries its shard's replica; jobs whose replica is stale, missing or
+        dead fall back to the primaries, which run as one scatter under
+        their shared locks (carvings through ``scatter_batch``, so large
+        batches stay zero-copy).  The caller holds the structure lock.
+        """
+        results: list = [None] * len(jobs)
+        fallback = list(range(len(jobs)))
+        if opts.wants_replica and self._replicate:
+            fallback = []
+            for i, job in enumerate(jobs):
+                shard, method = job[0], job[1]
+                args = (job[2] if batch is None
+                        else (batch[job[2]:job[3]],) + job[4])
+                try:
+                    results[i] = self._try_replica(shard, method, args,
+                                                   opts)
+                except _REPLICA_FALLBACKS:
+                    obs.inc("serve.replica_fallbacks")
+                    fallback.append(i)
+        if not fallback:
+            return results
+        primary = [jobs[i] for i in fallback]
+        shard_ids = [job[0] for job in primary]
+        self._acquire_shards(shard_ids, write=False)
         try:
-            return self._retry_dead(
-                lambda: self._backend.scatter_batch(batch, jobs),
+            gathered = self._retry_dead(
+                lambda: (self._backend.scatter(primary) if batch is None
+                         else self._backend.scatter_batch(batch, primary)),
                 involved=shard_ids)
         finally:
-            self._release_shards(shard_ids, write)
-
-    @staticmethod
-    def _sort_batch(keys) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        return AlexIndex._sort_batch(keys)
-
-    # ------------------------------------------------------------------
-    # Batch reads (scatter-gather through the per-shard batch engines)
-    # ------------------------------------------------------------------
+            self._release_shards(shard_ids, write=False)
+        for i, result in zip(fallback, gathered):
+            results[i] = result
+        return results
 
     def _scatter_read(self, skeys: np.ndarray, method: str, *extra,
                       options: Optional[ReadOptions] = None):
-        """The shared scatter-read skeleton: carve the sorted batch into
-        per-shard groups, run ``shard.<method>(sub_batch, *extra)`` on
-        each executor — the primary under the shared locks, or the
-        shard's replica when ``options`` allows it — and return
-        ``(groups, results)``."""
+        """The batch point reads: carve the sorted batch into per-shard
+        groups, route ``shard.<method>(sub_batch, *extra)`` per group,
+        and return ``(groups, results)``."""
         opts = resolve_read_options(options)
         with self._structure_lock.read():
             groups = list(self.router.split_batch(skeys))
-            if opts.wants_replica and self._replicate:
-                results = self._replica_scatter(skeys, groups, method,
-                                                extra, opts)
-            else:
-                results = self._locked_scatter_batch(skeys, groups, method,
-                                                     extra)
             for s, lo, hi in groups:
                 self.stats[s].add(reads=hi - lo)
-            return groups, results
+            return groups, self._route_reads(
+                opts, [(s, method, lo, hi, extra) for s, lo, hi in groups],
+                batch=skeys)
 
-    def _replica_scatter(self, skeys: np.ndarray, groups: list,
-                         method: str, extra: tuple,
-                         opts: ReadOptions) -> list:
-        """Serve a carved batch from the shards' replicas; groups whose
-        replica is stale, missing, or dead fall back to the primary
-        scatter path (per group — one lagging replica does not drag the
-        whole batch to the primaries)."""
-        results: list = [None] * len(groups)
-        fallback: List[int] = []
-        for i, (s, lo, hi) in enumerate(groups):
-            try:
-                results[i] = self._try_replica(
-                    s, method, (skeys[lo:hi],) + extra, opts)
-            except _REPLICA_FALLBACKS:
-                obs.inc("serve.replica_fallbacks")
-                fallback.append(i)
-        if fallback:
-            sub = self._locked_scatter_batch(
-                skeys, [groups[i] for i in fallback], method, extra)
-            for i, res in zip(fallback, sub):
-                results[i] = res
-        return results
+    def _scalar_read(self, key: float, method: str, options):
+        opts = resolve_read_options(options)
+        with self._structure_lock.read():
+            s = self.router.shard_for(key)
+            # Misses are accesses too: tally before the probe.
+            self.stats[s].add(reads=1)
+            return self._route_reads(opts, [(s, method, (key,))])[0]
 
     @staticmethod
     def _stitch(groups: list, results: list, out: list,
@@ -779,7 +808,7 @@ class ShardedAlexIndex:
         :meth:`AlexIndex.lookup_many` over the same data.  ``options``
         (a :class:`ReadOptions` or consistency-level string) routes the
         read to the shards' replicas; omitted, it reads the primaries."""
-        skeys, order = self._sort_batch(keys)
+        skeys, order = AlexIndex._sort_batch(keys)
         if len(skeys) == 0:
             return []
         groups, results = self._scatter_read(skeys, "lookup_many",
@@ -790,7 +819,7 @@ class ShardedAlexIndex:
     def get_many(self, keys, default=None, *,
                  options: "ReadOptions | str | None" = None) -> list:
         """Batch :meth:`AlexIndex.get_many` across shards."""
-        skeys, order = self._sort_batch(keys)
+        skeys, order = AlexIndex._sort_batch(keys)
         if len(skeys) == 0:
             return []
         groups, results = self._scatter_read(skeys, "get_many", default,
@@ -802,7 +831,7 @@ class ShardedAlexIndex:
                       options: "ReadOptions | str | None" = None
                       ) -> np.ndarray:
         """Vectorized membership test across shards."""
-        skeys, order = self._sort_batch(keys)
+        skeys, order = AlexIndex._sort_batch(keys)
         n = len(skeys)
         result = np.zeros(n, dtype=bool)
         if n == 0:
@@ -816,241 +845,13 @@ class ShardedAlexIndex:
                 result[order[lo:hi]] = hits
         return result
 
-    # ------------------------------------------------------------------
-    # Batch writes
-    # ------------------------------------------------------------------
-
-    @trace.traced("serve.insert_many")
-    def insert_many(self, keys,
-                    payloads: Optional[list] = None) -> WriteToken:
-        """Batch insert across shards, all-or-nothing.
-
-        The batch is sorted once, carved into per-shard sub-batches, and
-        validated against *every* involved shard before *any* shard
-        mutates (two-phase, on whichever backend hosts the shards); each
-        sub-batch then executes through the shard's batched insert engine
-        under its shard's write lock.  Shards not touched by the batch
-        keep serving reads and writes throughout.
-
-        Returns a :class:`WriteToken` covering the batch's WAL frames —
-        pass it to a later ``read_your_writes`` read to guarantee the
-        replica serving it has applied this write (empty, and equally
-        valid, without durability).
-        """
-        keys, payloads = AlexIndex._normalize_batch(keys, payloads)
-        if len(keys) == 0:
-            return WriteToken.empty()
-
-        with self._structure_lock.read():
-            groups = list(self.router.split_batch(keys))
-            shard_ids = [s for s, _, _ in groups]
-            self._acquire_shards(shard_ids, write=True)
-            try:
-                # One published batch serves both phases (the process
-                # backend copies the keys to shared memory exactly once).
-                with self._backend.publish(keys) as batch:
-                    # Phase 1: validate on every involved shard executor.
-                    present_per_shard = self._retry_dead(
-                        lambda: self._backend.scatter_batch(
-                            batch, [(s, "contains_many", lo, hi, ())
-                                    for s, lo, hi in groups]),
-                        involved=shard_ids)
-                    for (s, lo, hi), present in zip(groups,
-                                                    present_per_shard):
-                        hit = np.flatnonzero(present)
-                        if hit.size:
-                            raise DuplicateKeyError(
-                                float(keys[lo + int(hit[0])]))
-
-                    # Write-ahead point: the validated sub-batches hit
-                    # each shard's WAL before any shard mutates, so a
-                    # worker that dies mid-apply recovers *with* its
-                    # sub-batch (no retry — the replay settles it).
-                    lsns = self._log_groups(OP_INSERT, groups, keys,
-                                            payloads)
-
-                    # Phase 2: apply.  Sorted, deduplicated, and
-                    # validated above — the unchecked path skips a second
-                    # routed validation.
-                    self._retry_dead(
-                        lambda: self._backend.scatter_batch(
-                            batch, [(s, "insert_sorted_unchecked", lo, hi,
-                                     (payloads[lo:hi],))
-                                    for s, lo, hi in groups]),
-                        retry=False, involved=shard_ids)
-                for s, lo, hi in groups:
-                    self.stats[s].add(writes=hi - lo)
-                    self._maybe_checkpoint(s)
-                return self._token(lsns)
-            finally:
-                self._release_shards(shard_ids, write=True)
-
-    @trace.traced("serve.delete_many")
-    def delete_many(self, keys) -> WriteToken:
-        """Batch delete across shards, all-or-nothing.
-
-        The mirror of :meth:`insert_many` for the delete-heavy half of a
-        workload: the batch is sorted once, carved into per-shard
-        sub-batches, validated against *every* involved shard (a missing
-        key, or an in-batch duplicate whose second removal could not
-        succeed, raises :class:`KeyNotFoundError` before any shard
-        mutates), and then applied through each shard's batched delete
-        engine under its write lock.  Returns the batch's
-        :class:`WriteToken` (see :meth:`insert_many`).
-        """
-        keys, _ = AlexIndex._normalize_delete_batch(keys)
-        if len(keys) == 0:
-            return WriteToken.empty()
-
-        with self._structure_lock.read():
-            groups = list(self.router.split_batch(keys))
-            shard_ids = [s for s, _, _ in groups]
-            self._acquire_shards(shard_ids, write=True)
-            try:
-                with self._backend.publish(keys) as batch:
-                    present_per_shard = self._retry_dead(
-                        lambda: self._backend.scatter_batch(
-                            batch, [(s, "contains_many", lo, hi, ())
-                                    for s, lo, hi in groups]),
-                        involved=shard_ids)
-                    for (s, lo, hi), present in zip(groups,
-                                                    present_per_shard):
-                        miss = np.flatnonzero(~present)
-                        if miss.size:
-                            raise KeyNotFoundError(
-                                float(keys[lo + int(miss[0])]))
-
-                    # Write-ahead point (see insert_many).
-                    lsns = self._log_groups(OP_DELETE, groups, keys)
-
-                    self._retry_dead(
-                        lambda: self._backend.scatter_batch(
-                            batch,
-                            [(s, "delete_sorted_unchecked", lo, hi, ())
-                             for s, lo, hi in groups]),
-                        retry=False, involved=shard_ids)
-                for s, lo, hi in groups:
-                    self.stats[s].add(writes=hi - lo)
-                    self._maybe_checkpoint(s)
-                return self._token(lsns)
-            finally:
-                self._release_shards(shard_ids, write=True)
-
-    @trace.traced("serve.erase_many")
-    def erase_many(self, keys) -> int:
-        """Like :meth:`delete_many` but absent keys are skipped; returns
-        the number of keys removed across all shards.
-
-        Runs the same validate → write-ahead → apply shape as the strict
-        batch writes: the membership pass (exact under the held write
-        locks) determines which shards actually lose keys, only those
-        shards get a WAL frame (no-op erases leave no trace in the log
-        and trigger no checkpoints), and the apply scatter settles
-        through the WAL replay if a worker dies mid-apply.  The returned
-        count comes from the membership pass, so it stays exact even
-        across a worker crash.  (This is the one batch write that keeps
-        its count return instead of a :class:`WriteToken`; use
-        :meth:`write_token` after it for a read-your-writes barrier.)
-        """
-        keys = np.unique(np.asarray(keys, dtype=np.float64))
-        if len(keys) == 0:
-            return 0
-        with self._structure_lock.read():
-            groups = list(self.router.split_batch(keys))
-            shard_ids = [s for s, _, _ in groups]
-            self._acquire_shards(shard_ids, write=True)
-            try:
-                with self._backend.publish(keys) as batch:
-                    present_per_shard = self._retry_dead(
-                        lambda: self._backend.scatter_batch(
-                            batch, [(s, "contains_many", lo, hi, ())
-                                    for s, lo, hi in groups]),
-                        involved=shard_ids)
-                    removed_per_shard = [
-                        int(np.count_nonzero(present))
-                        for present in present_per_shard]
-                    touched = [(group, removed)
-                               for group, removed in zip(groups,
-                                                         removed_per_shard)
-                               if removed]
-                    if not touched:
-                        return 0
-                    self._log_groups(OP_ERASE,
-                                     [group for group, _ in touched],
-                                     keys)
-                    self._retry_dead(
-                        lambda: self._backend.scatter_batch(
-                            batch, [(s, "erase_many", lo, hi, ())
-                                    for (s, lo, hi), _ in touched]),
-                        retry=False, involved=shard_ids)
-                for (s, _, _), removed in touched:
-                    self.stats[s].add(writes=removed)
-                    self._maybe_checkpoint(s)
-            finally:
-                self._release_shards(shard_ids, write=True)
-            return sum(removed_per_shard)
-
-    # ------------------------------------------------------------------
-    # Scalar operations (single-shard touch under the same locks)
-    # ------------------------------------------------------------------
-
-    def _shard_of(self, key: float) -> int:
-        return self.router.shard_for(key)
-
-    def _scalar_write(self, key: float, method: str, args: tuple,
-                      op: int,
-                      payloads: Optional[list] = None) -> WriteToken:
-        """Shared scalar-write body: execute on the owning shard, append
-        the WAL frame on success (apply-then-log: only operations that
-        succeeded reach the log, so replay can never fail), ack with the
-        frame's :class:`WriteToken`."""
-        with self._structure_lock.read():
-            s = self._shard_of(key)
-            with self._shard_locks[s].write():
-                self._retry_dead(
-                    lambda: self._backend.call(s, method, *args),
-                    involved=[s])
-                lsn = self._log_scalar(s, op, key, payloads)
-                self.stats[s].add(writes=1)
-                self._maybe_checkpoint(s)
-                return self._token({s: lsn} if lsn else {})
-
-    @trace.traced("serve.insert")
-    def insert(self, key: float, payload=None) -> WriteToken:
-        """Insert one key (exclusive lock on its shard only).  Returns
-        the write's :class:`WriteToken` (see :meth:`insert_many`)."""
-        key = float(key)
-        return self._scalar_write(key, "insert", (key, payload), OP_INSERT,
-                                  [payload])
-
-    @trace.traced("serve.delete")
-    def delete(self, key: float) -> WriteToken:
-        """Remove one key; raises :class:`KeyNotFoundError` when absent."""
-        key = float(key)
-        return self._scalar_write(key, "delete", (key,), OP_DELETE)
-
-    @trace.traced("serve.update")
-    def update(self, key: float, payload) -> WriteToken:
-        """Replace the payload of an existing key."""
-        key = float(key)
-        return self._scalar_write(key, "update", (key, payload), OP_UPSERT,
-                                  [payload])
-
-    @trace.traced("serve.upsert")
-    def upsert(self, key: float, payload) -> WriteToken:
-        """Insert or update one key."""
-        key = float(key)
-        return self._scalar_write(key, "upsert", (key, payload), OP_UPSERT,
-                                  [payload])
-
     @trace.traced("serve.lookup")
     def lookup(self, key: float, *,
                options: "ReadOptions | str | None" = None):
         """Single-key lookup on the owning shard — shared-lock on the
         primary, or lock-free on its replica when ``options`` allows a
         (bounded-staleness or read-your-writes) replica read."""
-        key = float(key)
-        return self._scalar_read(key, "lookup", options)
+        return self._scalar_read(float(key), "lookup", options)
 
     def get(self, key: float, default=None, *,
             options: "ReadOptions | str | None" = None):
@@ -1064,60 +865,24 @@ class ShardedAlexIndex:
     def contains(self, key: float, *,
                  options: "ReadOptions | str | None" = None) -> bool:
         """Whether ``key`` is present."""
-        key = float(key)
-        return self._scalar_read(key, "contains", options)
-
-    def _scalar_read(self, key: float, method: str, options):
-        opts = resolve_read_options(options)
-        with self._structure_lock.read():
-            s = self._shard_of(key)
-            if opts.wants_replica and self._replicate:
-                try:
-                    result = self._try_replica(s, method, (key,), opts)
-                    self.stats[s].add(reads=1)
-                    return result
-                except _REPLICA_FALLBACKS:
-                    obs.inc("serve.replica_fallbacks")
-            with self._shard_locks[s].read():
-                # Tally before the probe: misses are accesses too, exactly
-                # as the batch reads count them.
-                self.stats[s].add(reads=1)
-                return self._retry_dead(
-                    lambda: self._backend.call(s, method, key),
-                    involved=[s])
-
-    # ------------------------------------------------------------------
-    # Range operations
-    # ------------------------------------------------------------------
+        return self._scalar_read(float(key), "contains", options)
 
     @trace.traced("serve.range_scan")
     def range_scan(self, start_key: float, limit: int, *,
                    options: "ReadOptions | str | None" = None) -> list:
         """Up to ``limit`` pairs with key >= ``start_key``, in key order,
-        continuing across shard boundaries as needed."""
+        continuing across shard boundaries as needed (one routed read
+        per shard step)."""
         start_key = float(start_key)
         opts = resolve_read_options(options)
         out: list = []
         with self._structure_lock.read():
-            first = self._shard_of(start_key)
-            for s in range(first, self.num_shards):
-                chunk = None
-                if opts.wants_replica and self._replicate:
-                    try:
-                        chunk = self._try_replica(
-                            s, "range_scan",
-                            (start_key, limit - len(out)), opts)
-                    except _REPLICA_FALLBACKS:
-                        obs.inc("serve.replica_fallbacks")
-                if chunk is None:
-                    with self._shard_locks[s].read():
-                        chunk = self._retry_dead(
-                            lambda s=s: self._backend.call(
-                                s, "range_scan", start_key,
-                                limit - len(out)),
-                            involved=[s])
+            for s in range(self.router.shard_for(start_key),
+                           self.num_shards):
                 self.stats[s].add(scans=1)
-                out.extend(chunk)
+                out.extend(self._route_reads(
+                    opts, [(s, "range_scan",
+                            (start_key, limit - len(out)))])[0])
                 if len(out) >= limit:
                     break
         return out
@@ -1134,33 +899,11 @@ class ShardedAlexIndex:
         opts = resolve_read_options(options)
         with self._structure_lock.read():
             first, last = self.router.shard_span(lo, hi)
-            shard_ids = list(range(first, last + 1))
-            chunks: list = [None] * len(shard_ids)
-            fallback = list(shard_ids)
-            if opts.wants_replica and self._replicate:
-                fallback = []
-                for i, s in enumerate(shard_ids):
-                    try:
-                        chunks[i] = self._try_replica(
-                            s, "range_query", (lo, hi), opts)
-                    except _REPLICA_FALLBACKS:
-                        obs.inc("serve.replica_fallbacks")
-                        fallback.append(s)
-            if fallback:
-                self._acquire_shards(fallback, write=False)
-                try:
-                    primary = self._retry_dead(
-                        lambda: self._backend.scatter(
-                            [(s, "range_query", (lo, hi))
-                             for s in fallback]),
-                        involved=fallback)
-                finally:
-                    self._release_shards(fallback, write=False)
-                pos = {s: i for i, s in enumerate(shard_ids)}
-                for s, chunk in zip(fallback, primary):
-                    chunks[pos[s]] = chunk
-            for s in shard_ids:
+            for s in range(first, last + 1):
                 self.stats[s].add(scans=1)
+            chunks = self._route_reads(
+                opts, [(s, "range_query", (lo, hi))
+                       for s in range(first, last + 1)])
         out: list = []
         for chunk in chunks:
             out.extend(chunk)
@@ -1189,42 +932,183 @@ class ShardedAlexIndex:
         with self._structure_lock.read():
             lo_shards = self.router.shard_for_many(los)
             hi_shards = self.router.shard_for_many(np.maximum(los, his))
-            jobs = []
+            touched, jobs = [], []
             for s in range(self.num_shards):
-                touched = np.flatnonzero((lo_shards <= s) & (hi_shards >= s))
-                if touched.size:
-                    jobs.append((s, touched))
-            results: list = [None] * len(jobs)
-            fallback = list(range(len(jobs)))
-            if opts.wants_replica and self._replicate:
-                fallback = []
-                for i, (s, t) in enumerate(jobs):
-                    try:
-                        results[i] = self._try_replica(
-                            s, "range_query_many", (los[t], his[t]), opts)
-                    except _REPLICA_FALLBACKS:
-                        obs.inc("serve.replica_fallbacks")
-                        fallback.append(i)
-            if fallback:
-                shard_ids = [jobs[i][0] for i in fallback]
-                self._acquire_shards(shard_ids, write=False)
-                try:
-                    primary = self._retry_dead(
-                        lambda: self._backend.scatter(
-                            [(jobs[i][0], "range_query_many",
-                              (los[jobs[i][1]], his[jobs[i][1]]))
-                             for i in fallback]),
-                        involved=shard_ids)
-                finally:
-                    self._release_shards(shard_ids, write=False)
-                for i, sub in zip(fallback, primary):
-                    results[i] = sub
-            for s, touched in jobs:
-                self.stats[s].add(scans=len(touched))
-        for (_, touched), sub in zip(jobs, results):  # shards in key order
-            for q, chunk in zip(touched.tolist(), sub):
+                queries = np.flatnonzero((lo_shards <= s) & (hi_shards >= s))
+                if queries.size:
+                    self.stats[s].add(scans=len(queries))
+                    touched.append(queries)
+                    jobs.append((s, "range_query_many",
+                                 (los[queries], his[queries])))
+            results = self._route_reads(opts, jobs)
+        for queries, sub in zip(touched, results):  # shards in key order
+            for q, chunk in zip(queries.tolist(), sub):
                 out[q].extend(chunk)
         return out
+
+    # ------------------------------------------------------------------
+    # Writes: one validate → log → apply path
+    # ------------------------------------------------------------------
+
+    def _write(self, keys: np.ndarray, op: int, method: str, check=None,
+               payloads: Optional[list] = None,
+               args: Optional[tuple] = None) -> Tuple[WriteToken, list]:
+        """The one write path.  Every facade write, scalar or batch, runs
+        these steps in this order under the structure read lock:
+
+        1. carve the sorted, duplicate-free ``keys`` into per-shard groups
+           and take their write locks in shard order;
+        2. validate: one membership scatter (re-run if a worker dies)
+           feeds ``check(keys, groups, present)``, which raises
+           :class:`DuplicateKeyError` / :class:`KeyNotFoundError` or
+           returns the ``((shard, lo, hi), writes)`` pairs to write —
+           without ``check`` (upserts) every group is written;
+        3. log one WAL frame per written group, before any shard mutates;
+        4. apply — ``method`` over each written group's key slice (plus
+           its payload slice), or for a scalar write (``args`` given) the
+           scalar shard method ``method(*args)`` — *not* re-run if a
+           worker dies: the WAL replay or replica promotion that repairs
+           it applies the frame;
+        5. tally the shard stats, checkpoint the shards due one, and
+           return ``(token, written)``.
+
+        A batch write pins its keys with ``publish`` so both scatters
+        share one shared-memory segment; a scalar write's one-key
+        validation travels inline.  Non-finite keys raise
+        :class:`ValueError` before step 1.
+        """
+        AlexIndex._check_finite(keys)
+        with self._structure_lock.read():
+            groups = list(self.router.split_batch(keys))
+            shard_ids = [s for s, _, _ in groups]
+            self._acquire_shards(shard_ids, write=True)
+            try:
+                pin = self._backend.publish if args is None else nullcontext
+                with pin(keys) as batch:
+                    written = [(g, g[2] - g[1]) for g in groups]
+                    if check is not None:
+                        present = self._retry_dead(
+                            lambda: self._backend.scatter_batch(
+                                batch, [(s, "contains_many", lo, hi, ())
+                                        for s, lo, hi in groups]),
+                            involved=shard_ids)
+                        written = check(keys, groups, present)
+                    if not written:
+                        return WriteToken.empty(), written
+                    lsns = self._log_groups(op, [g for g, _ in written],
+                                            keys, payloads)
+
+                    def apply():
+                        if args is not None:
+                            return self._backend.call(shard_ids[0], method,
+                                                      *args)
+                        return self._backend.scatter_batch(batch, [
+                            (s, method, lo, hi,
+                             () if payloads is None else (payloads[lo:hi],))
+                            for (s, lo, hi), _ in written])
+                    self._retry_dead(apply, retry=False, involved=shard_ids)
+                for (s, _, _), count in written:
+                    self.stats[s].add(writes=count)
+                    self._maybe_checkpoint(s)
+                return self._token(lsns), written
+            finally:
+                self._release_shards(shard_ids, write=True)
+
+    @trace.traced("serve.insert_many")
+    def insert_many(self, keys,
+                    payloads: Optional[list] = None) -> WriteToken:
+        """Batch insert across shards, all-or-nothing.
+
+        The batch is sorted once, carved into per-shard sub-batches, and
+        validated against *every* involved shard before *any* shard
+        mutates (two-phase, on whichever backend hosts the shards); each
+        sub-batch then executes through the shard's batched insert engine
+        under its shard's write lock.  Shards not touched by the batch
+        keep serving reads and writes throughout.
+
+        Returns a :class:`WriteToken` covering the batch's WAL frames —
+        pass it to a later ``read_your_writes`` read to guarantee the
+        replica serving it has applied this write (empty, and equally
+        valid, without durability).
+        """
+        keys, payloads = AlexIndex._normalize_batch(keys, payloads)
+        if len(keys) == 0:
+            return WriteToken.empty()
+        # Sorted, deduplicated, and validated by _write — the unchecked
+        # apply skips a second routed validation.
+        return self._write(keys, OP_INSERT, "insert_sorted_unchecked",
+                           _all_absent, payloads)[0]
+
+    @trace.traced("serve.delete_many")
+    def delete_many(self, keys) -> WriteToken:
+        """Batch delete across shards, all-or-nothing.
+
+        The mirror of :meth:`insert_many` for the delete-heavy half of a
+        workload: the batch is sorted once, carved into per-shard
+        sub-batches, validated against *every* involved shard (a missing
+        key, or an in-batch duplicate whose second removal could not
+        succeed, raises :class:`KeyNotFoundError` before any shard
+        mutates), and then applied through each shard's batched delete
+        engine under its write lock.  Returns the batch's
+        :class:`WriteToken` (see :meth:`insert_many`).
+        """
+        keys, _ = AlexIndex._normalize_delete_batch(keys)
+        if len(keys) == 0:
+            return WriteToken.empty()
+        return self._write(keys, OP_DELETE, "delete_sorted_unchecked",
+                           _all_present)[0]
+
+    @trace.traced("serve.erase_many")
+    def erase_many(self, keys) -> int:
+        """Like :meth:`delete_many` but absent keys are skipped; returns
+        the number of keys removed across all shards.
+
+        Runs the same validate → write-ahead → apply shape as the strict
+        batch writes: the membership pass (exact under the held write
+        locks) determines which shards actually lose keys, only those
+        shards get a WAL frame (no-op erases leave no trace in the log
+        and trigger no checkpoints), and the apply scatter settles
+        through the WAL replay if a worker dies mid-apply.  The returned
+        count comes from the membership pass, so it stays exact even
+        across a worker crash.  (This is the one batch write that keeps
+        its count return instead of a :class:`WriteToken`; use
+        :meth:`write_token` after it for a read-your-writes barrier.)
+        """
+        keys = np.unique(np.asarray(keys, dtype=np.float64))
+        if len(keys) == 0:
+            return 0
+        _, written = self._write(keys, OP_ERASE, "erase_many",
+                                 _present_groups)
+        return sum(count for _, count in written)
+
+    @trace.traced("serve.insert")
+    def insert(self, key: float, payload=None) -> WriteToken:
+        """Insert one key (exclusive lock on its shard only).  Returns
+        the write's :class:`WriteToken` (see :meth:`insert_many`)."""
+        key = float(key)
+        return self._write(np.array([key]), OP_INSERT, "insert",
+                           _all_absent, [payload], (key, payload))[0]
+
+    @trace.traced("serve.delete")
+    def delete(self, key: float) -> WriteToken:
+        """Remove one key; raises :class:`KeyNotFoundError` when absent."""
+        key = float(key)
+        return self._write(np.array([key]), OP_DELETE, "delete",
+                           _all_present, None, (key,))[0]
+
+    @trace.traced("serve.update")
+    def update(self, key: float, payload) -> WriteToken:
+        """Replace the payload of an existing key."""
+        key = float(key)
+        return self._write(np.array([key]), OP_UPSERT, "update",
+                           _all_present, [payload], (key, payload))[0]
+
+    @trace.traced("serve.upsert")
+    def upsert(self, key: float, payload) -> WriteToken:
+        """Insert or update one key."""
+        key = float(key)
+        return self._write(np.array([key]), OP_UPSERT, "upsert", None,
+                           [payload], (key, payload))[0]
 
     # ------------------------------------------------------------------
     # Shard statistics and the hot-shard rebalance hook

@@ -133,11 +133,11 @@ def _worker_main(conn, config: AlexConfig, policy: AdaptationPolicy,
     next request.
 
     Ops: ``("load", view, seed_counters)`` builds the index from a
-    shared-memory view; ``("call", method, args)`` runs a shard op;
+    shared-memory view; ``("call", method, args)`` runs a shard op (a
+    small sub-batch shipped inline in the frame arrives this way, as the
+    first argument — the serving fast path, no segment);
     ``("batch", handle, method, lo, hi, extra)`` runs a batch method over
-    a zero-copy slice of the shared request segment; ``("ibatch",
-    method, sub, extra)`` runs a batch method over a small sub-batch
-    shipped inline in the frame (the serving fast path — no segment);
+    a zero-copy slice of the shared request segment;
     ``("snapshot",)`` packs the shard's contents into a fresh view the
     parent unlinks; ``("close",)`` acks and exits.
 
@@ -205,13 +205,6 @@ def _worker_main(conn, config: AlexConfig, policy: AdaptationPolicy,
                         # would outlive the parent's unlink.
                         handle.close()
                     reply = (req_id, "ok", result)
-                elif op == "ibatch":
-                    # The sub-batch arrived by value inside the frame, so
-                    # this process owns it outright — no segment to
-                    # unmap, and mutating methods need no defensive copy.
-                    method, sub, extra = message[3:]
-                    reply = (req_id, "ok",
-                             run_shard_op(index, method, sub, *extra))
                 elif op == "snapshot":
                     view = ShardStorageView.pack(*export_arrays(index))
                     view.close()
@@ -624,10 +617,12 @@ class ProcessBackend(ExecutionBackend):
         if batch.nbytes <= INLINE_BATCH_BYTES:
             # Serving-sized batches skip shared memory entirely: a
             # segment create + per-worker mmap + unlink costs far more
-            # than pickling a few KiB into the frames themselves.
+            # than pickling a few KiB into the frames themselves.  The
+            # worker owns the by-value sub-batch outright, so a plain
+            # call needs no segment unmap and no defensive copy.
             obs.inc("rpc.inline_batches")
             return self._multi([
-                (shard, ("ibatch", method, batch[lo:hi], extra))
+                (shard, ("call", method, (batch[lo:hi],) + extra))
                 for shard, method, lo, hi, extra in jobs
             ])
         handle = SharedArray.create(batch)

@@ -228,19 +228,50 @@ class TestFacadeRouting:
         finally:
             service.close()
 
-    def test_zero_staleness_bound_falls_back_to_primary(self, tmp_path):
+    #: Every read shape: ``read(service, options, boundary)`` and the
+    #: number of shards it touches on the two-shard ``_service``.
+    READ_SHAPES = {
+        "lookup": (lambda svc, o, b: svc.lookup(4242.5, options=o), 1),
+        "contains": (lambda svc, o, b: svc.contains(4242.5, options=o), 1),
+        "lookup_many": (lambda svc, o, b: svc.lookup_many(
+            [4242.5, 1.0], options=o), 2),
+        "get_many": (lambda svc, o, b: svc.get_many(
+            [1.0, 4242.5, 10**9], "absent", options=o), 2),
+        "contains_many": (lambda svc, o, b: svc.contains_many(
+            [1.0, 10**9], options=o).tolist(), 2),
+        "range_scan": (lambda svc, o, b: svc.range_scan(
+            b - 5, 10, options=o), 2),
+        "range_query": (lambda svc, o, b: svc.range_query(
+            b - 5, b + 5, options=o), 2),
+        "range_query_many": (lambda svc, o, b: svc.range_query_many(
+            [0.0, b - 2], [4.0, b + 2], options=o), 2),
+    }
+
+    @pytest.mark.parametrize("shape", list(READ_SHAPES))
+    def test_zero_staleness_bound_falls_back_to_primary(self, tmp_path,
+                                                         shape):
         service = _service(tmp_path, replicate=True)
+        read, touched = self.READ_SHAPES[shape]
+        boundary = float(service.router.boundaries[0])
+
+        def fallbacks():
+            return service.metrics_snapshot()["merged"]["counters"].get(
+                "serve.replica_fallbacks", 0)
+
         try:
             # An unsatisfiable bound must degrade to a primary read, not
             # fail: the answer stays correct and fresh.
             token = service.insert(4242.5, "fresh")
             assert token.lsns
             opts = ReadOptions.replica_ok(max_staleness_s=0.0)
-            assert service.lookup(4242.5, options=opts) == "fresh"
+            before = fallbacks()
+            got = read(service, opts, boundary)
+            after = fallbacks()
+            assert got == read(service, None, boundary)
+            if shape == "lookup":
+                assert got == "fresh"
             if obs.enabled():   # counters are no-ops under REPRO_OBS=off
-                fallbacks = service.metrics_snapshot()["merged"][
-                    "counters"].get("serve.replica_fallbacks", 0)
-                assert fallbacks >= 1
+                assert after - before == touched
         finally:
             service.close()
 
