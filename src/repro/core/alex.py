@@ -155,24 +155,37 @@ class AlexIndex:
 
     @staticmethod
     def _normalize_batch(keys, payloads: Optional[list]):
-        """Normalize a write batch: float64 keys sorted stably with their
-        payloads aligned (``None``-filled when omitted), raising on
+        """Normalize a write batch: float64 keys sorted with their payloads
+        aligned in a list (``None``-filled when omitted), raising on
         non-finite keys, length mismatch or in-batch duplicates.  Shared
         by bulk load and the single-index and sharded batch-insert
-        paths."""
+        paths.
+
+        Strictly increasing keys — every worker load and every
+        ``recover()`` hands in sorted parts — skip the sort and the
+        payload gather entirely."""
         keys = np.asarray(keys, dtype=np.float64)
         AlexIndex._check_finite(keys)
+        n = len(keys)
         if payloads is None:
-            payloads = [None] * len(keys)
-        elif len(payloads) != len(keys):
+            payloads = [None] * n
+        elif len(payloads) != n:
             raise ValueError("payloads length must match keys length")
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        payloads = [payloads[i] for i in order]
-        if len(keys) > 1:
+        if n > 1 and not bool((keys[1:] > keys[:-1]).all()):
+            # Introsort, not stable: duplicates raise below, so stability
+            # buys nothing here (see _sort_batch).
+            order = np.argsort(keys)
+            keys = keys[order]
+            # One gather through an object array, not a list indexed by n
+            # numpy ints (or by n Python ints, which would briefly hold a
+            # second n-element list of ints beside the payloads).
+            payloads = np.fromiter(payloads, dtype=object,
+                                   count=n)[order].tolist()
             dup = np.flatnonzero(np.diff(keys) == 0)
             if len(dup):
                 raise DuplicateKeyError(float(keys[dup[0]]))
+        elif not isinstance(payloads, list):
+            payloads = list(payloads)
         return keys, payloads
 
     @staticmethod

@@ -336,11 +336,23 @@ class ShardStorageView:
     @classmethod
     def pack(cls, keys: np.ndarray,
              payloads: Optional[list]) -> "ShardStorageView":
-        """Copy one shard's contents into fresh shared segments."""
+        """Copy one shard's contents into fresh shared segments.  A
+        payload that does not encode (say, a lambda) raises with no
+        segment left behind."""
         keys_handle = SharedArray.create(
             np.asarray(keys, dtype=np.float64))
+        try:
+            kind, data = cls._encode_payloads(payloads)
+        except BaseException:
+            keys_handle.unlink()
+            raise
+        return cls(keys_handle, kind, data)
+
+    @staticmethod
+    def _encode_payloads(payloads: Optional[list]
+                         ) -> Tuple[str, Optional[SharedArray]]:
         if payloads is None or all(p is None for p in payloads):
-            return cls(keys_handle, PAYLOAD_NONE, None)
+            return PAYLOAD_NONE, None
         # Only a *homogeneous* int or float column takes the array path,
         # so every payload round-trips with its exact Python type.
         if {type(p) for p in payloads} in ({int}, {float}):
@@ -350,11 +362,10 @@ class ShardStorageView:
                 column = None  # e.g. ints beyond int64
             if (column is not None and column.ndim == 1
                     and column.dtype.kind in "if"):
-                return cls(keys_handle, PAYLOAD_NUMERIC,
-                           SharedArray.create(column))
+                return PAYLOAD_NUMERIC, SharedArray.create(column)
         blob = np.frombuffer(pickle.dumps(payloads, protocol=-1),
                              dtype=np.uint8)
-        return cls(keys_handle, PAYLOAD_PICKLE, SharedArray.create(blob))
+        return PAYLOAD_PICKLE, SharedArray.create(blob)
 
     def keys_view(self) -> np.ndarray:
         """The key array, mapped zero-copy (valid until :meth:`close`)."""

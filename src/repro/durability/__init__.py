@@ -27,7 +27,8 @@ from .durable import DEFAULT_CHECKPOINT_EVERY, DurableAlexIndex
 from .recover import RecoveryResult, apply_frame, recover_index
 from .service import ShardedDurability, service_manifest_kind
 from .wal import (FSYNC_POLICIES, OP_DELETE, OP_ERASE, OP_INSERT,
-                  OP_UPSERT, WALFrame, WriteAheadLog, iter_frames)
+                  OP_UPSERT, WALFrame, WriteAheadLog, encode_payloads,
+                  iter_frames)
 
 __all__ = [
     "CheckpointManager",
@@ -43,6 +44,7 @@ __all__ = [
     "WALFrame",
     "WriteAheadLog",
     "apply_frame",
+    "encode_payloads",
     "iter_frames",
     "recover_index",
     "service_manifest_kind",

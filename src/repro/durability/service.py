@@ -188,9 +188,9 @@ class ShardedDurability:
     # Logging and checkpoints
     # ------------------------------------------------------------------
 
-    def log(self, shard: int, op: int, keys,
-            payloads: Optional[list] = None) -> int:
-        """Append one frame to the shard's WAL; returns its LSN."""
+    def log(self, shard: int, op: int, keys, payloads=None) -> int:
+        """Append one frame to the shard's WAL; returns its LSN.
+        ``payloads`` may be pre-encoded (see :func:`.wal.encode_payloads`)."""
         state = self._shards[shard]
         lsn = state.wal.append(op, keys, payloads)
         state.ops_since_checkpoint += len(keys)

@@ -114,10 +114,20 @@ def _segment_name(seq: int) -> str:
     return f"wal-{seq:08d}.seg"
 
 
-def _encode_frame(lsn: int, op: int, keys: np.ndarray,
-                  payloads: Optional[list]) -> bytes:
+def encode_payloads(payloads) -> bytes:
+    """A frame's payload body: the pickled list, ``b""`` for none.  Bytes
+    this function returned pass through unchanged, so a caller can encode
+    several frames' payloads before appending any of them."""
+    if payloads is None:
+        return b""
+    if isinstance(payloads, bytes):
+        return payloads
+    return pickle.dumps(payloads, protocol=-1)
+
+
+def _encode_frame(lsn: int, op: int, keys: np.ndarray, payloads) -> bytes:
     keys = np.ascontiguousarray(keys, dtype=np.float64)
-    blob = b"" if payloads is None else pickle.dumps(payloads, protocol=-1)
+    blob = encode_payloads(payloads)
     header = np.zeros(1, dtype=_FRAME_HEADER)
     header["magic"] = _FRAME_MAGIC
     header["lsn"] = lsn
@@ -378,6 +388,7 @@ class WriteAheadLog:
 
     def append(self, op: int, keys, payloads: Optional[list] = None) -> int:
         """Append one frame (one batched mutation); returns its LSN.
+        ``payloads`` may also be what :func:`encode_payloads` made of them.
 
         The acknowledgement contract: when this returns, the frame is in
         the OS (policies ``always``/``batch``) and on stable storage

@@ -31,7 +31,7 @@ import abc
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from threading import Lock
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -231,9 +231,10 @@ class ExecutionBackend(abc.ABC):
     # promotes on primary death; backends without the capability keep
     # the defaults, which make every replica read fall back to primary.
 
-    def add_replica(self, shard: int, root: str) -> None:
-        """Attach a replica for ``shard`` tailing durability dir
-        ``root``.  Blocks until the replica has bootstrapped."""
+    def add_replicas(self, roots: Dict[int, str]) -> None:
+        """Attach a replica per ``{shard: durability dir}`` entry, each
+        tailing its directory.  Blocks until every replica has
+        bootstrapped."""
         raise NotImplementedError(
             f"the {self.name!r} backend does not host replicas")
 
@@ -442,11 +443,12 @@ class ThreadBackend(ExecutionBackend):
 
     # -- replication ---------------------------------------------------
 
-    def add_replica(self, shard: int, root: str) -> None:
+    def add_replicas(self, roots: Dict[int, str]) -> None:
         from repro.replication import Replica
-        self.drop_replica(shard)
-        self._replicas[shard] = Replica(root, config=self._config,
-                                        policy=self._policy).start()
+        for shard, root in roots.items():
+            self.drop_replica(shard)
+            self._replicas[shard] = Replica(root, config=self._config,
+                                            policy=self._policy).start()
 
     def has_replica(self, shard: int) -> bool:
         return (shard < len(self._replicas)

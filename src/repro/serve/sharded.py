@@ -62,9 +62,10 @@ from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,7 +82,7 @@ from repro.core.policy import (AdaptationPolicy, HeuristicPolicy,
 from repro.core.stats import Counters
 from repro.durability import (DEFAULT_CHECKPOINT_EVERY, OP_DELETE,
                               OP_ERASE, OP_INSERT, OP_UPSERT,
-                              ShardedDurability)
+                              ShardedDurability, encode_payloads)
 from repro.ext.concurrent import ReadWriteLock
 
 from .backend import ExecutionBackend, WorkerDiedError, make_backend
@@ -273,24 +274,28 @@ class ShardedAlexIndex:
         if max_workers is None:
             max_workers = min(num_shards, os.cpu_count() or 1)
         self.max_workers = max(1, max_workers)
-        self._backend = make_backend(backend, config=self.config,
-                                     policy=self.policy,
-                                     max_workers=self.max_workers,
-                                     max_inflight=max_inflight)
         if shards is not None and parts is not None:
             raise ValueError("pass prebuilt shards or raw parts, not both")
-        if shards is not None:
-            if len(shards) != num_shards:
-                raise ValueError(f"{len(shards)} shards for a "
-                                 f"{num_shards}-range router")
-            self._backend.adopt(shards)
-        else:
-            if parts is None:
-                parts = [(np.empty(0), None)] * num_shards
-            elif len(parts) != num_shards:
-                raise ValueError(f"{len(parts)} parts for a "
-                                 f"{num_shards}-range router")
-            self._backend.provision(parts)
+        if shards is not None and len(shards) != num_shards:
+            raise ValueError(f"{len(shards)} shards for a "
+                             f"{num_shards}-range router")
+        if parts is None:
+            parts = [(np.empty(0), None)] * num_shards
+        elif len(parts) != num_shards:
+            raise ValueError(f"{len(parts)} parts for a "
+                             f"{num_shards}-range router")
+        if durability is not None and durability_dir is not None:
+            raise ValueError(
+                "pass an attached durability object or a directory, "
+                "not both")
+        if durability is not None and durability.num_shards != num_shards:
+            raise PersistenceError(
+                f"durability tree holds {durability.num_shards} "
+                f"shards but the router expects {num_shards}")
+        if replicate and durability is None and durability_dir is None:
+            raise ValueError(
+                "replicate=True needs durability (a replica is a "
+                "WAL follower — pass durability_dir=)")
         self._shard_locks: List[ReadWriteLock] = [
             ReadWriteLock() for _ in range(num_shards)
         ]
@@ -299,35 +304,39 @@ class ShardedAlexIndex:
                                         for _ in range(num_shards)]
         #: How each shard was reconstructed (set by :meth:`recover`).
         self.last_recovery = None
-        if durability is not None and durability_dir is not None:
-            raise ValueError(
-                "pass an attached durability object or a directory, "
-                "not both")
         self._durability = durability
-        if durability is not None:
-            if durability.num_shards != num_shards:
-                raise PersistenceError(
-                    f"durability tree holds {durability.num_shards} "
-                    f"shards but the router expects {num_shards}")
-        elif durability_dir is not None:
-            self._durability = ShardedDurability(
-                durability_dir, fsync=fsync,
-                checkpoint_every=checkpoint_every)
-            self._durability.create(self.router.boundaries)
-            # Generation-zero checkpoints: the freshly provisioned
-            # contents (e.g. the bulk load) recover from snapshots, never
-            # from WAL replay.
-            for s in range(num_shards):
-                self._checkpoint_shard(s)
         self._replicate = bool(replicate)
         self._replica_repair_lock = threading.Lock()
         self._closing = False
-        if self._replicate:
-            if self._durability is None:
-                raise ValueError(
-                    "replicate=True needs durability (a replica is a "
-                    "WAL follower — pass durability_dir=)")
-            self._attach_all_replicas()
+        self._backend = make_backend(backend, config=self.config,
+                                     policy=self.policy,
+                                     max_workers=self.max_workers,
+                                     max_inflight=max_inflight)
+        try:
+            # Every shard executor starts at once: the process backend
+            # boots and loads all its workers in parallel.
+            if shards is not None:
+                self._backend.adopt(shards)
+            else:
+                self._backend.provision(parts)
+            if durability_dir is not None:
+                self._durability = ShardedDurability(
+                    durability_dir, fsync=fsync,
+                    checkpoint_every=checkpoint_every)
+                self._durability.create(self.router.boundaries)
+                # Generation-zero checkpoints: the freshly provisioned
+                # contents (e.g. the bulk load) recover from snapshots,
+                # never from WAL replay.  Shards' durability states are
+                # independent, so every shard's snapshot is written at
+                # once.
+                with ThreadPoolExecutor(max_workers=num_shards) as pool:
+                    list(pool.map(self._checkpoint_shard,
+                                  range(num_shards)))
+            if self._replicate:
+                self._attach_replicas(range(num_shards))
+        except BaseException:
+            self.close()
+            raise
 
     @classmethod
     def bulk_load(cls, keys, payloads: Optional[list] = None,
@@ -349,8 +358,12 @@ class ShardedAlexIndex:
         skewed distributions still produce balanced shards.  Raises
         :class:`DuplicateKeyError` on repeated keys, like
         :meth:`AlexIndex.bulk_load`.  With ``backend="process"`` each
-        shard bulk-loads inside its own worker process (the parts travel
-        through shared memory, and the per-shard builds run in parallel).
+        shard bulk-loads inside its own worker process, and the builds
+        run in parallel: every worker starts, then every part is packed
+        into shared memory and sent, and only then is any build awaited.
+        With ``durability_dir`` the shards' generation-zero checkpoints
+        are written at once too, and with ``replicate`` every replica
+        bootstraps before any is awaited.
         """
         keys, payloads = AlexIndex._normalize_batch(keys, payloads)
         router = ShardRouter.fit(keys, num_shards)
@@ -457,10 +470,13 @@ class ShardedAlexIndex:
         lsns: Dict[int, int] = {}
         if self._durability is None:
             return lsns
-        for s, lo, hi in groups:
-            lsns[s] = self._durability.log(
-                s, op, keys[lo:hi],
-                None if payloads is None else payloads[lo:hi])
+        # Every frame's payloads are encoded before any frame is
+        # appended: a payload that does not pickle raises with no shard's
+        # log moved, so recovery can never resurrect part of the batch.
+        blobs = [None if payloads is None else encode_payloads(
+                     payloads[lo:hi]) for _, lo, hi in groups]
+        for (s, lo, hi), blob in zip(groups, blobs):
+            lsns[s] = self._durability.log(s, op, keys[lo:hi], blob)
         return lsns
 
     def _persist_writer(self, shard: int):
@@ -534,15 +550,13 @@ class ShardedAlexIndex:
                     self._durability.shard_state(s).wal.last_lsn
                 for s in range(self.num_shards)})
 
-    def _attach_replica(self, shard: int) -> None:
-        """Start (or restart) shard ``shard``'s replica, tailing the
-        shard's own durability directory."""
-        self._backend.add_replica(shard, self._durability.shard_dir(shard))
-        obs.inc("serve.replica_attached")
-
-    def _attach_all_replicas(self) -> None:
-        for s in range(self.num_shards):
-            self._attach_replica(s)
+    def _attach_replicas(self, shards: Sequence[int]) -> None:
+        """Start (or restart) the replicas of ``shards``, each tailing
+        its shard's own durability directory.  Every replica bootstraps
+        before any is awaited."""
+        self._backend.add_replicas({s: self._durability.shard_dir(s)
+                                    for s in shards})
+        obs.inc("serve.replica_attached", len(shards))
 
     def _replica_constraints(self, opts: ReadOptions,
                              shard: int) -> Tuple[int, Optional[float]]:
@@ -594,7 +608,7 @@ class ShardedAlexIndex:
                     or not self._backend.has_replica(shard)):
                 try:
                     self._backend.drop_replica(shard)
-                    self._attach_replica(shard)
+                    self._attach_replicas([shard])
                 except Exception:     # noqa: BLE001 - reads just fall back
                     obs.emit("replica.repair_failed", shard=shard)
                 else:
@@ -1256,8 +1270,7 @@ class ShardedAlexIndex:
         if self._replicate:
             # The replace() dropped the victim's replica; follow the two
             # fresh generation-zero durability dirs.
-            self._attach_replica(shard)
-            self._attach_replica(shard + 1)
+            self._attach_replicas([shard, shard + 1])
         obs.inc("serve.shard_splits")
         obs.emit("shard.split", shard=shard, boundary=median,
                  keys=len(keys))
@@ -1314,7 +1327,7 @@ class ShardedAlexIndex:
         ]
         self._rewrite_durability(shard, shard + 2, 1)
         if self._replicate:
-            self._attach_replica(shard)
+            self._attach_replicas([shard])
         obs.inc("serve.shard_merges")
         obs.emit("shard.merge", shard=shard,
                  keys=len(left_keys) + len(right_keys))

@@ -410,21 +410,64 @@ class ProcessBackend(ExecutionBackend):
             daemon=True,
             name=("alex-replica-worker" if replica_root
                   else "alex-shard-worker"))
-        process.start()
-        child_conn.close()
+        try:
+            process.start()
+        except BaseException:
+            parent_conn.close()
+            if ring is not None:
+                ring.unlink()
+            raise
+        finally:
+            child_conn.close()
         return _WorkerHandle(process, parent_conn, ring, shard,
                              self.max_inflight)
 
-    def _spawn(self, keys: np.ndarray, payloads: Optional[list],
-               seed: Optional[Counters] = None,
-               shard: int = -1) -> _WorkerHandle:
-        worker = self._spawn_handle(shard)
-        view = ShardStorageView.pack(keys, payloads)
+    def _launch(self, shards: Sequence[int],
+                parts: Optional[Sequence[tuple]] = None,
+                seeds: Optional[Sequence[Optional[Counters]]] = None,
+                roots: Optional[Sequence[str]] = None
+                ) -> List[_WorkerHandle]:
+        """Bring up one worker per position in ``shards``, all at once.
+
+        Three sweeps: start every process; then submit each its first
+        request — a ``load`` of ``parts[i]`` packed into shared memory
+        (with counter seed ``seeds[i]``), or for a replica tailing
+        ``roots[i]`` the ``rstatus`` bootstrap barrier; then wait on
+        every reply.  The processes boot and build (or bootstrap) in
+        parallel, and each worker builds while the parent packs the next
+        part.  On any failure — a process that will not start, a payload
+        that does not pickle, a load the worker rejects — every started
+        worker is released and every packed view unlinked before the
+        first error propagates.
+        """
+        workers: List[_WorkerHandle] = []
+        views: List[ShardStorageView] = []
         try:
-            self._request(worker, ("load", view, seed))
+            for i, shard in enumerate(shards):
+                workers.append(self._spawn_handle(
+                    shard, None if roots is None else roots[i]))
+            futures = []
+            for i, worker in enumerate(workers):
+                if parts is None:
+                    futures.append(self._submit(worker, ("rstatus",)))
+                    continue
+                view = ShardStorageView.pack(*parts[i])
+                views.append(view)
+                futures.append(self._submit(worker, (
+                    "load", view, None if seeds is None else seeds[i])))
+                # The worker maps the segments by name; unmapping them
+                # here keeps one packed part resident in the parent at a
+                # time (the unlink below still destroys them).
+                view.close()
+            self._gather(futures)
+        except BaseException:
+            for worker in workers:
+                self._release(worker)
+            raise
         finally:
-            view.unlink()
-        return worker
+            for view in views:
+                view.unlink()
+        return workers
 
     def _renumber(self) -> None:
         """Refresh each handle's shard position after the worker list
@@ -433,23 +476,20 @@ class ProcessBackend(ExecutionBackend):
         for shard, worker in enumerate(self._workers):
             worker.shard = shard
 
+    def _install(self, workers: List[_WorkerHandle]) -> None:
+        self._workers = workers
+        self._replica_workers = [None] * len(workers)
+
     def provision(self, parts: Sequence[tuple]) -> None:
-        self._workers = [self._spawn(keys, payloads)
-                         for keys, payloads in parts]
-        self._replica_workers = [None] * len(self._workers)
-        self._renumber()
+        self._install(self._launch(range(len(parts)), parts))
 
     def adopt(self, indexes: List[AlexIndex]) -> None:
         # Prebuilt in-process shards move wholesale into workers; their
         # work-counter history seeds the workers' counters so aggregate
         # tallies stay monotone across the handoff.
-        self._workers = [
-            self._spawn(*export_arrays(index),
-                        seed=index.counters.snapshot())
-            for index in indexes
-        ]
-        self._replica_workers = [None] * len(self._workers)
-        self._renumber()
+        self._install(self._launch(
+            range(len(indexes)), [export_arrays(i) for i in indexes],
+            seeds=[index.counters.snapshot() for index in indexes]))
 
     def _retire(self, worker: _WorkerHandle) -> None:
         """Ask one worker to exit and reap its process, ring, and reader
@@ -476,6 +516,14 @@ class ProcessBackend(ExecutionBackend):
         worker.reader.join(timeout=5)
         if worker.ring is not None:
             worker.ring.unlink()
+
+    def _release(self, worker: _WorkerHandle) -> None:
+        """Retire a live worker through the close handshake; reap a dead
+        one."""
+        if worker.process.is_alive():
+            self._retire(worker)
+        else:
+            self._reap(worker)
 
     def close(self) -> None:
         if self._closed:
@@ -582,17 +630,23 @@ class ProcessBackend(ExecutionBackend):
                     worker.settle(req_id, WorkerDiedError(
                         shard, f"on send ({exc!r})"), is_error=True)
                 futures.append(future)
-            results, first_error = [], None
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except BaseException as exc:
-                    if first_error is None:
-                        first_error = exc
-                    results.append(None)
-            if first_error is not None:
-                raise first_error
-            return results
+            return self._gather(futures)
+
+    @staticmethod
+    def _gather(futures: Sequence[Future]) -> list:
+        """Every future's result, in order; all are awaited before the
+        first exception propagates."""
+        results, first_error = [], None
+        for future in futures:
+            try:
+                results.append(future.result())
+            except BaseException as exc:
+                if first_error is None:
+                    first_error = exc
+                results.append(None)
+        if first_error is not None:
+            raise first_error
+        return results
 
     # -- execution ----------------------------------------------------
 
@@ -692,8 +746,8 @@ class ProcessBackend(ExecutionBackend):
         """
         with self._respawn_guard:
             self._reap(self._workers[shard])
-            self._workers[shard] = self._spawn(keys, payloads, seed,
-                                               shard=shard)
+            self._workers[shard] = self._launch(
+                [shard], [(keys, payloads)], seeds=[seed])[0]
 
     def _reap(self, old: _WorkerHandle) -> None:
         """Force out a worker observed dead (no close handshake: the
@@ -726,8 +780,8 @@ class ProcessBackend(ExecutionBackend):
             for old in sources:
                 seed.merge(self.counters(old))
             seeds.append(seed if sources else None)
-        fresh = [self._spawn(keys, payloads, seed)
-                 for (keys, payloads), seed in zip(parts, seeds)]
+        fresh = self._launch(range(start, start + len(parts)), parts,
+                             seeds=seeds)
         # Outgoing replicas tail durability dirs the SMO deletes next;
         # retire them before the splice (the facade re-attaches fresh
         # ones once the rewritten dirs exist) and keep the replica list
@@ -809,24 +863,22 @@ class ProcessBackend(ExecutionBackend):
 
     # -- replication ---------------------------------------------------
 
-    def add_replica(self, shard: int, root: str) -> None:
-        """Spawn a replica worker tailing durability dir ``root``.  The
-        ``rstatus`` round trip makes this a bootstrap barrier: when it
-        returns, the replica has loaded checkpoint + tail and is
-        applying."""
-        self.drop_replica(shard)
-        worker = self._spawn_handle(shard, replica_root=root)
-        try:
-            self._request(worker, ("rstatus",))
-        except BaseException:
-            self._reap(worker)
-            raise
-        try:
-            self._replica_workers[shard] = worker
-        except IndexError:
-            # close() emptied the slots while we bootstrapped (replica
-            # repair runs on a background thread); reap the orphan.
-            self._retire(worker)
+    def add_replicas(self, roots: Dict[int, str]) -> None:
+        """Spawn a replica worker per ``{shard: durability dir}`` entry,
+        all at once.  The ``rstatus`` round trips are the bootstrap
+        barrier: when this returns, every replica has loaded checkpoint
+        + tail and is applying."""
+        for shard in roots:
+            self.drop_replica(shard)
+        shards = list(roots)
+        workers = self._launch(shards, roots=[roots[s] for s in shards])
+        for shard, worker in zip(shards, workers):
+            try:
+                self._replica_workers[shard] = worker
+            except IndexError:
+                # close() emptied the slots while we bootstrapped (replica
+                # repair runs on a background thread); retire the orphan.
+                self._retire(worker)
 
     def has_replica(self, shard: int) -> bool:
         return (shard < len(self._replica_workers)
@@ -878,10 +930,7 @@ class ProcessBackend(ExecutionBackend):
         if worker is None:
             return
         self._replica_workers[shard] = None
-        if worker.process.is_alive():
-            self._retire(worker)
-        else:
-            self._reap(worker)
+        self._release(worker)
 
     def dead_replicas(self) -> list:
         """Positions whose *replica* worker process died (primary deaths

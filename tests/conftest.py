@@ -1,0 +1,37 @@
+"""Shared fixtures for the test suite."""
+
+import multiprocessing
+import os
+
+import pytest
+
+#: Process names the process backend gives its shard and replica workers.
+WORKER_NAMES = ("alex-shard-worker", "alex-replica-worker")
+SHM_DIR = "/dev/shm"
+
+
+def live_workers() -> list:
+    """Shard and replica worker children of this process still alive."""
+    return [p.name for p in multiprocessing.active_children()
+            if p.name in WORKER_NAMES]
+
+
+def shm_segments() -> set:
+    """The named shared-memory segments that exist right now."""
+    try:
+        return set(os.listdir(SHM_DIR))
+    except FileNotFoundError:
+        return set()
+
+
+@pytest.fixture
+def leak_guard():
+    """Fail the test if it leaves a shard or replica worker process alive
+    or a shared-memory segment it created behind."""
+    before = shm_segments()
+    yield
+    workers = live_workers()
+    segments = sorted(shm_segments() - before)
+    if workers or segments:
+        pytest.fail(f"leaked worker processes {workers} and shared-memory "
+                    f"segments {segments}")

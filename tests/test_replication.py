@@ -202,6 +202,7 @@ class TestLogShipper:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("leak_guard")
 class TestFacadeRouting:
     def test_replicate_requires_durability(self):
         with pytest.raises(ValueError):
