@@ -16,55 +16,65 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured results of every table and figure.
 """
 
-from .core import (
-    ADAPTIVE_RMI,
-    ALL_VARIANTS,
-    AdaptationPolicy,
-    AlexConfig,
-    AlexIndex,
-    CostModelPolicy,
-    Counters,
-    DuplicateKeyError,
-    GAPPED_ARRAY,
-    HeuristicPolicy,
-    KeyNotFoundError,
-    LinearModel,
-    PACKED_MEMORY_ARRAY,
-    STATIC_RMI,
-    ga_armi,
-    ga_srmi,
-    pma_armi,
-    pma_srmi,
-)
-from .baselines import BPlusTree, LearnedIndex
-from .analysis import CostModel, DEFAULT_COST_MODEL
-from .serve import ShardRouter, ShardedAlexIndex
+import importlib
+import sys
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "ADAPTIVE_RMI",
-    "ALL_VARIANTS",
-    "AdaptationPolicy",
-    "AlexConfig",
-    "AlexIndex",
-    "BPlusTree",
-    "CostModel",
-    "CostModelPolicy",
-    "Counters",
-    "DEFAULT_COST_MODEL",
-    "DuplicateKeyError",
-    "GAPPED_ARRAY",
-    "HeuristicPolicy",
-    "KeyNotFoundError",
-    "LearnedIndex",
-    "LinearModel",
-    "PACKED_MEMORY_ARRAY",
-    "STATIC_RMI",
-    "ShardRouter",
-    "ShardedAlexIndex",
-    "ga_armi",
-    "ga_srmi",
-    "pma_armi",
-    "pma_srmi",
-]
+
+def _lazy_exports(package: str, exports: dict):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for ``package``: each name
+    in ``exports`` (public name -> defining module, relative to
+    ``package``) is imported on first access and then bound in the
+    package, so later lookups skip the hook."""
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(exports[name], package),
+                        name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(exports))
+
+    return __getattr__, __dir__
+
+
+#: Every public name and the subpackage that defines it.  Each one is
+#: imported on first access (PEP 562), so a process that needs only part
+#: of the package — a shard worker runs ``repro.serve.worker`` — never
+#: loads the baselines, the analysis models or the serving front end.
+_EXPORTS = {
+    "ADAPTIVE_RMI": ".core",
+    "ALL_VARIANTS": ".core",
+    "AdaptationPolicy": ".core",
+    "AlexConfig": ".core",
+    "AlexIndex": ".core",
+    "BPlusTree": ".baselines",
+    "CostModel": ".analysis",
+    "CostModelPolicy": ".core",
+    "Counters": ".core",
+    "DEFAULT_COST_MODEL": ".analysis",
+    "DuplicateKeyError": ".core",
+    "GAPPED_ARRAY": ".core",
+    "HeuristicPolicy": ".core",
+    "KeyNotFoundError": ".core",
+    "LearnedIndex": ".baselines",
+    "LinearModel": ".core",
+    "PACKED_MEMORY_ARRAY": ".core",
+    "STATIC_RMI": ".core",
+    "ShardRouter": ".serve",
+    "ShardedAlexIndex": ".serve",
+    "ga_armi": ".core",
+    "ga_srmi": ".core",
+    "pma_armi": ".core",
+    "pma_srmi": ".core",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

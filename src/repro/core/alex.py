@@ -61,6 +61,7 @@ from .policy import (AdaptationPolicy, EV_DELETE, EV_INSERT, EV_READ,
                      SMO_SPLIT_SIDEWAYS)
 from .rmi import (InnerNode, NODE_METADATA_BYTES, build_static_rmi,
                   make_data_node, route_batch)
+from .shm import numeric_column
 from .stats import Counters
 
 
@@ -154,7 +155,8 @@ class AlexIndex:
         return route_batch(self._root, sorted_keys)
 
     @staticmethod
-    def _normalize_batch(keys, payloads: Optional[list]):
+    def _normalize_batch(keys, payloads: Optional[list],
+                         column: bool = False):
         """Normalize a write batch: float64 keys sorted with their payloads
         aligned in a list (``None``-filled when omitted), raising on
         non-finite keys, length mismatch or in-batch duplicates.  Shared
@@ -163,7 +165,11 @@ class AlexIndex:
 
         Strictly increasing keys — every worker load and every
         ``recover()`` hands in sorted parts — skip the sort and the
-        payload gather entirely."""
+        payload gather entirely.  With ``column=True`` a payload list
+        :func:`~repro.core.shm.numeric_column` accepts comes back as
+        that column instead, gathered in numpy (the sharded bulk load
+        ships its slices to the shards as is); any other payloads still
+        come back as a list."""
         keys = np.asarray(keys, dtype=np.float64)
         AlexIndex._check_finite(keys)
         n = len(keys)
@@ -171,19 +177,26 @@ class AlexIndex:
             payloads = [None] * n
         elif len(payloads) != n:
             raise ValueError("payloads length must match keys length")
+        order = None
         if n > 1 and not bool((keys[1:] > keys[:-1]).all()):
             # Introsort, not stable: duplicates raise below, so stability
             # buys nothing here (see _sort_batch).
             order = np.argsort(keys)
             keys = keys[order]
+            # Before any payload gather, so no gathered copy is alive
+            # beside np.diff's temporaries.
+            dup = np.flatnonzero(np.diff(keys) == 0)
+            if len(dup):
+                raise DuplicateKeyError(float(keys[dup[0]]))
+        numeric = numeric_column(payloads) if column else None
+        if numeric is not None:
+            return keys, numeric if order is None else numeric[order]
+        if order is not None:
             # One gather through an object array, not a list indexed by n
             # numpy ints (or by n Python ints, which would briefly hold a
             # second n-element list of ints beside the payloads).
             payloads = np.fromiter(payloads, dtype=object,
                                    count=n)[order].tolist()
-            dup = np.flatnonzero(np.diff(keys) == 0)
-            if len(dup):
-                raise DuplicateKeyError(float(keys[dup[0]]))
         elif not isinstance(payloads, list):
             payloads = list(payloads)
         return keys, payloads

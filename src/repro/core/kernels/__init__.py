@@ -198,29 +198,31 @@ def _numpy() -> KernelBackend:
     return _CACHE["numpy"]
 
 
-def _try_numba() -> Optional[KernelBackend]:
+def _try_numba(warn: bool = True) -> Optional[KernelBackend]:
     if "numba" in _CACHE:
         return _CACHE["numba"]
     try:
         from .numba_backend import NumbaKernels
         backend: KernelBackend = NumbaKernels()
     except Exception as exc:  # ImportError or a jit-compile failure
-        _warn_once("numba", "numba kernel backend unavailable "
-                            f"({exc!r}); falling back to numpy kernels")
+        if warn:
+            _warn_once("numba", "numba kernel backend unavailable "
+                                f"({exc!r}); falling back to numpy kernels")
         return None
     _CACHE["numba"] = backend
     return backend
 
 
-def _try_cffi() -> Optional[KernelBackend]:
+def _try_cffi(warn: bool = True) -> Optional[KernelBackend]:
     if "cffi" in _CACHE:
         return _CACHE["cffi"]
     try:
         from .cffi_backend import CffiKernels
         backend: KernelBackend = CffiKernels()
     except Exception as exc:  # no cffi, no compiler, compile failure
-        _warn_once("cffi", "cffi kernel backend unavailable "
-                           f"({exc!r}); falling back to numpy kernels")
+        if warn:
+            _warn_once("cffi", "cffi kernel backend unavailable "
+                               f"({exc!r}); falling back to numpy kernels")
         return None
     _CACHE["cffi"] = backend
     return backend
@@ -242,17 +244,9 @@ def get_kernels(name: Optional[str] = None) -> KernelBackend:
     elif name == "cffi":
         backend = _try_cffi() or _numpy()
     elif name == "auto":
-        backend = None
-        try:  # auto never warns: absence of optional toolchains is fine
-            from .numba_backend import NumbaKernels
-            backend = _CACHE.setdefault("numba", NumbaKernels())
-        except Exception:
-            try:
-                from .cffi_backend import CffiKernels
-                backend = _CACHE.setdefault("cffi", CffiKernels())
-            except Exception:
-                backend = None
-        backend = backend or _numpy()
+        # Absence of optional toolchains is fine here: nothing warns.
+        backend = (_try_numba(warn=False) or _try_cffi(warn=False)
+                   or _numpy())
     else:
         raise ValueError(f"unknown kernel backend {name!r}; "
                          f"choose one of {BACKEND_NAMES}")
@@ -263,11 +257,13 @@ def get_kernels(name: Optional[str] = None) -> KernelBackend:
 def available_backends() -> Tuple[str, ...]:
     """Names that resolve to a *distinct, working* backend right now
     (``numpy`` always; ``numba`` / ``cffi`` when their toolchains work).
-    The test matrices parameterize over this."""
+    The test matrices parameterize over this.  Probing is silent: nothing
+    falls back here, and the one-time warning stays with the first
+    explicit selection that does."""
     names = ["numpy"]
-    if _try_numba() is not None:
+    if _try_numba(warn=False) is not None:
         names.append("numba")
-    if _try_cffi() is not None:
+    if _try_cffi(warn=False) is not None:
         names.append("cffi")
     return tuple(names)
 

@@ -18,6 +18,17 @@ payloads take the cheapest faithful encoding:
 * ``pickle``  — arbitrary objects, pickled into a byte segment (one copy,
   but still transported out-of-band of the pipe).
 
+:func:`numeric_column` decides ``numeric``, here and for reply rings, by
+an *exact-kind* rule: a list of Python ``int`` only must become an
+``int64`` column and a list of Python ``float`` only a ``float64`` one.
+Anything else is pickled — ``bool`` or numpy scalars, mixed ``1`` /
+``1.0``, and ints numpy would widen to ``uint64``, ``float64`` (any value
+in ``[2**63, 2**64)``) or ``object`` — so every payload comes back with
+its exact Python type and value.  A caller that already holds the column
+(the sharded bulk load gathers it once, in numpy, with the key order)
+hands it to :meth:`ShardStorageView.pack`, which copies it into the
+segment as is.
+
 :class:`ReplyRing` is the reverse direction: a long-lived
 single-producer/single-consumer byte ring, one per shard worker, through
 which *numeric replies* (hit masks, homogeneous payload columns) return
@@ -157,31 +168,46 @@ REPLY_ARRAY = "array"
 REPLY_LIST = "list"
 
 
+def numeric_column(values) -> Optional[np.ndarray]:
+    """``values`` as a 1-D ``int64`` or ``float64`` array whose
+    ``tolist()`` restores it exactly, or ``None`` when it has no such
+    column: only a non-empty list of Python ``int`` only (and in int64
+    range) or of Python ``float`` only qualifies (see the module
+    docstring's exact-kind rule)."""
+    if (not isinstance(values, list) or not values
+            or type(values[0]) not in (int, float)):
+        return None
+    kinds = {type(v) for v in values}
+    if kinds == {int}:
+        kind = "i"
+    elif kinds == {float}:
+        kind = "f"
+    else:
+        return None
+    try:
+        column = np.asarray(values)
+    except (ValueError, OverflowError):
+        return None
+    # numpy widens an int beyond int64 to uint64, float64 or object.
+    return column if column.dtype.kind == kind else None
+
+
 def encode_reply(result):
     """``(column, kind)`` when ``result`` can travel through a reply
     ring, else ``None``.
 
     Eligible results are numeric/bool ndarrays (``contains_many`` hit
-    masks, counts) and *homogeneous* int-or-float lists (``get_many`` /
-    ``lookup_many`` payload columns) — the same strictness as
-    :class:`ShardStorageView`'s numeric payload path, so every value
-    round-trips with its exact Python type.  Everything else (mixed
-    payloads, ``None`` defaults, arbitrary objects) stays on the pickle
-    pipe.
+    masks, counts) and the payload lists (``get_many`` / ``lookup_many``)
+    that :func:`numeric_column` accepts, so every value round-trips with
+    its exact Python type.  Everything else (mixed payloads, ``None``
+    defaults, arbitrary objects) stays on the pickle pipe.
     """
     if isinstance(result, np.ndarray):
         if result.ndim == 1 and result.dtype.kind in "biuf":
             return result, REPLY_ARRAY
         return None
-    if (isinstance(result, list) and result
-            and {type(p) for p in result} in ({int}, {float})):
-        try:
-            column = np.asarray(result)
-        except (ValueError, OverflowError):
-            return None
-        if column.ndim == 1 and column.dtype.kind in "if":
-            return column, REPLY_LIST
-    return None
+    column = numeric_column(result)
+    return None if column is None else (column, REPLY_LIST)
 
 
 def decode_reply(column: np.ndarray, kind: str):
@@ -335,10 +361,12 @@ class ShardStorageView:
 
     @classmethod
     def pack(cls, keys: np.ndarray,
-             payloads: Optional[list]) -> "ShardStorageView":
-        """Copy one shard's contents into fresh shared segments.  A
-        payload that does not encode (say, a lambda) raises with no
-        segment left behind."""
+             payloads: Optional[list | np.ndarray]) -> "ShardStorageView":
+        """Copy one shard's contents into fresh shared segments.
+        ``payloads`` is a list, ``None``, or a column
+        :func:`numeric_column` made, which is copied in as is.  A payload
+        that does not encode (say, a lambda) raises with no segment left
+        behind."""
         keys_handle = SharedArray.create(
             np.asarray(keys, dtype=np.float64))
         try:
@@ -349,20 +377,15 @@ class ShardStorageView:
         return cls(keys_handle, kind, data)
 
     @staticmethod
-    def _encode_payloads(payloads: Optional[list]
+    def _encode_payloads(payloads: Optional[list | np.ndarray]
                          ) -> Tuple[str, Optional[SharedArray]]:
+        if isinstance(payloads, np.ndarray):
+            return PAYLOAD_NUMERIC, SharedArray.create(payloads)
         if payloads is None or all(p is None for p in payloads):
             return PAYLOAD_NONE, None
-        # Only a *homogeneous* int or float column takes the array path,
-        # so every payload round-trips with its exact Python type.
-        if {type(p) for p in payloads} in ({int}, {float}):
-            try:
-                column = np.asarray(payloads)
-            except (ValueError, OverflowError):
-                column = None  # e.g. ints beyond int64
-            if (column is not None and column.ndim == 1
-                    and column.dtype.kind in "if"):
-                return PAYLOAD_NUMERIC, SharedArray.create(column)
+        column = numeric_column(payloads)
+        if column is not None:
+            return PAYLOAD_NUMERIC, SharedArray.create(column)
         blob = np.frombuffer(pickle.dumps(payloads, protocol=-1),
                              dtype=np.uint8)
         return PAYLOAD_PICKLE, SharedArray.create(blob)

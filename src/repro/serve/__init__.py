@@ -77,35 +77,34 @@ of the cold checkpoint-replay respawn — and a dead replica is respawned
 behind the primary's back without touching the read path's guarantees.
 """
 
-from .backend import (ExecutionBackend, ThreadBackend, WorkerDiedError,
-                      make_backend)
-from .ingress import (MISSING, AsyncIngress, IngressRunner,
-                      ServiceOverloadedError)
-from .options import (CONSISTENCY_LEVELS, PRIMARY, READ_YOUR_WRITES,
-                      REPLICA_OK, ReadOptions, WriteToken,
-                      resolve_read_options)
-from .router import ShardRouter
-from .sharded import ShardedAlexIndex, ShardStats
-from .worker import ProcessBackend
+from repro import _lazy_exports
 
-__all__ = [
-    "CONSISTENCY_LEVELS",
-    "MISSING",
-    "PRIMARY",
-    "READ_YOUR_WRITES",
-    "REPLICA_OK",
-    "AsyncIngress",
-    "ExecutionBackend",
-    "IngressRunner",
-    "ProcessBackend",
-    "ReadOptions",
-    "ServiceOverloadedError",
-    "ShardRouter",
-    "ShardStats",
-    "ShardedAlexIndex",
-    "ThreadBackend",
-    "WorkerDiedError",
-    "WriteToken",
-    "make_backend",
-    "resolve_read_options",
-]
+#: Every public name and the module that defines it, imported on first
+#: access (PEP 562): a shard worker imports ``repro.serve.worker`` and
+#: with it only ``repro.serve.backend``, never the facade or the asyncio
+#: front end.
+_EXPORTS = {
+    "CONSISTENCY_LEVELS": ".options",
+    "MISSING": ".ingress",
+    "PRIMARY": ".options",
+    "READ_YOUR_WRITES": ".options",
+    "REPLICA_OK": ".options",
+    "AsyncIngress": ".ingress",
+    "ExecutionBackend": ".backend",
+    "IngressRunner": ".ingress",
+    "ProcessBackend": ".worker",
+    "ReadOptions": ".options",
+    "ServiceOverloadedError": ".ingress",
+    "ShardRouter": ".router",
+    "ShardStats": ".sharded",
+    "ShardedAlexIndex": ".sharded",
+    "ThreadBackend": ".backend",
+    "WorkerDiedError": ".backend",
+    "WriteToken": ".options",
+    "make_backend": ".backend",
+    "resolve_read_options": ".options",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -157,7 +157,9 @@ class ExecutionBackend(abc.ABC):
 
     @abc.abstractmethod
     def provision(self, parts: Sequence[tuple]) -> None:
-        """Create one shard executor per ``(keys, payloads)`` part."""
+        """Create one shard executor per ``(keys, payloads)`` part;
+        ``payloads`` may also be a slice of the column
+        :func:`~repro.core.shm.numeric_column` made."""
 
     @abc.abstractmethod
     def adopt(self, indexes: List[AlexIndex]) -> None:
@@ -343,9 +345,12 @@ class ThreadBackend(ExecutionBackend):
     # -- lifecycle ----------------------------------------------------
 
     def provision(self, parts: Sequence[tuple]) -> None:
-        self.indexes = [build_shard(keys, payloads, self._config,
-                                    self._policy)
-                        for keys, payloads in parts]
+        self.indexes = []
+        for keys, payloads in parts:
+            if isinstance(payloads, np.ndarray):  # a numeric column slice
+                payloads = payloads.tolist()
+            self.indexes.append(build_shard(keys, payloads, self._config,
+                                            self._policy))
         self._replicas = [None] * len(self.indexes)
 
     def adopt(self, indexes: List[AlexIndex]) -> None:

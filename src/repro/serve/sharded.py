@@ -365,7 +365,11 @@ class ShardedAlexIndex:
         are written at once too, and with ``replicate`` every replica
         bootstraps before any is awaited.
         """
-        keys, payloads = AlexIndex._normalize_batch(keys, payloads)
+        # A numeric payload list becomes one column, gathered in numpy
+        # with the key order; each part is a slice of it, which the
+        # process backend copies straight into shared memory.
+        keys, payloads = AlexIndex._normalize_batch(keys, payloads,
+                                                    column=True)
         router = ShardRouter.fit(keys, num_shards)
         edges = ([0] + np.searchsorted(keys, router.boundaries,
                                        side="left").tolist() + [len(keys)])

@@ -297,6 +297,18 @@ class TestNumbaAbsentFallback:
             warnings.simplefilter("error")
             assert K.get_kernels("numba").name == "numpy"
 
+    def test_probes_are_silent_and_keep_the_warning(self, no_numba):
+        # Probing falls back to nothing, so it must not warn, nor use up
+        # the one-time warning of a selection that really falls back.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert "numba" not in K.available_backends()
+            assert "numba" not in K.describe_runtime()[
+                "available_kernel_backends"]
+        with pytest.warns(RuntimeWarning, match="numba kernel backend "
+                                                "unavailable"):
+            assert K.get_kernels("numba").name == "numpy"
+
     def test_index_still_works_on_fallback(self, no_numba):
         rng = np.random.default_rng(5)
         keys = np.unique(rng.uniform(0, 1e6, 800))
