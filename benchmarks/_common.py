@@ -25,7 +25,7 @@ def runtime_meta() -> dict:
     """Self-describing runtime facts stamped into every bench artifact:
     the host's core count plus the active kernel-backend configuration
     (which backend is the default, which could run here, and the
-    numba/cffi/numpy versions involved).  Future baselines then carry
+    cffi/numpy versions involved).  Future baselines then carry
     enough context to be compared honestly — or refused (see
     ``check_regression.py``'s core-count guard)."""
     from repro.core.kernels import describe_runtime

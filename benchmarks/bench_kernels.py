@@ -1,4 +1,4 @@
-"""Kernel-backend bench: compiled hot-loop kernels vs the numpy fallback.
+"""Kernel-backend bench: the cffi hot-loop kernels vs the numpy fallback.
 
 Measures the pluggable kernel layer (``repro.core.kernels``) at two
 levels, for every backend that can run on this host:
@@ -16,11 +16,10 @@ levels, for every backend that can run on this host:
   Results are verified identical across backends before timing counts.
 
 The regression gate (``check_regression.py``) gates the end-to-end
-batch-lookup speedup of the best compiled backend over numpy — the
-number the compiled-kernels work exists to move.  When no compiled
-backend is available (no numba, no C toolchain) the bench still runs
-and records numpy alone; the gate then skips the metric rather than
-failing.
+batch-lookup speedup of the compiled backend (cffi, the only one) over
+numpy — the number the compiled-kernels work exists to move.  When cffi
+cannot run (no cffi, no C toolchain) the bench still runs and records
+numpy alone; the gate then skips the metric rather than failing.
 
 Run: ``python benchmarks/bench_kernels.py [--keys N] [--probes M]
 [--inserts K] [--backends numpy cffi ...] [--out BENCH_kernels.json]

@@ -45,7 +45,8 @@ from .bench import (
 )
 from .core.alex import AlexIndex
 from .core.config import ALL_VARIANTS, ga_armi
-from .core.kernels import BACKEND_NAMES, describe_runtime
+from .core.kernels import (BACKEND_NAMES, check_backend_name,
+                           default_backend_name, describe_runtime)
 from .core.policy import CostModelPolicy, HeuristicPolicy
 from .datasets import DATASETS, linear_fit_error, load, local_nonlinearity
 from .workloads import WORKLOADS
@@ -53,6 +54,11 @@ from .workloads.adaptation import SCENARIOS, run_adaptation_scenario
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    try:
+        check_backend_name(default_backend_name())
+    except ValueError as exc:
+        print(f"error: $REPRO_KERNEL_BACKEND: {exc}", file=sys.stderr)
+        return 2
     print(f"repro {__version__} — ALEX reproduction (SIGMOD 2020)")
     print(f"ALEX variants: {', '.join(ALL_VARIANTS)}")
     print(f"systems:       {', '.join(SYSTEMS)}")

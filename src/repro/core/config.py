@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .kernels import BACKEND_NAMES, default_backend_name
+from .kernels import check_backend_name, default_backend_name
 
 GAPPED_ARRAY = "gapped_array"
 PACKED_MEMORY_ARRAY = "pma"
@@ -63,10 +63,9 @@ class AlexConfig:
         Payload bytes per record, used only for space accounting.
     kernel_backend:
         Which hot-loop kernel implementation the index's nodes use:
-        ``"numpy"`` (pure-NumPy reference, always available), ``"numba"``
-        (JIT, falls back to numpy with a warning when numba is absent),
-        ``"cffi"`` (C via the system compiler, same fallback), or
-        ``"auto"`` (best available).  Defaults to the
+        ``"numpy"`` (pure-NumPy reference, always available) or ``"cffi"``
+        (C via the system compiler; falls back to numpy with a warning
+        when cffi or a C compiler is absent).  Defaults to the
         ``REPRO_KERNEL_BACKEND`` environment variable, or ``"numpy"``.
     """
 
@@ -90,10 +89,7 @@ class AlexConfig:
     kernel_backend: str = field(default_factory=default_backend_name)
 
     def __post_init__(self) -> None:
-        if self.kernel_backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown kernel backend {self.kernel_backend!r}; "
-                f"choose one of {BACKEND_NAMES}")
+        check_backend_name(self.kernel_backend)
         if self.node_layout not in (GAPPED_ARRAY, PACKED_MEMORY_ARRAY):
             raise ValueError(f"unknown node layout {self.node_layout!r}")
         if self.rmi_mode not in (STATIC_RMI, ADAPTIVE_RMI):

@@ -5,33 +5,27 @@ The honest batch-vs-scalar ratio of the pure-NumPy engine is ~1.4x
 ceiling on every read and write.  This package moves the three loops the
 profile is made of — (1) linear-model predict + clamp, (2) lock-step
 exponential/binary search over leaf key arrays, and (3) the gapped-array /
-PMA shift-and-insert — behind one narrow kernel interface with multiple
+PMA shift-and-insert — behind one narrow kernel interface with two
 implementations:
 
 ``numpy``
     The existing pure-NumPy/pure-Python code, extracted verbatim.  Always
-    available; the reference every other backend is property-tested
+    available; the reference the compiled backend is property-tested
     against.
-``numba``
-    ``@njit(nogil=True, cache=True)`` per-lane loops.  Lazily imported;
-    when numba is not installed (or a kernel fails to compile) the
-    resolver degrades to ``numpy`` with a one-time warning.
 ``cffi``
     The same loops as C compiled on first use with the system C compiler
     (via :mod:`cffi`) and cached on disk keyed by a source hash.  CFFI
-    releases the GIL around every call, so these kernels — like numba's
-    ``nogil`` ones — let the thread backend scale on cores.
-``auto``
-    Best available: ``numba`` if importable, else ``cffi`` if a C
-    compiler works, else ``numpy``.
+    releases the GIL around every call, so these kernels let the thread
+    backend scale on cores.  When cffi or a C compiler is missing the
+    resolver degrades to ``numpy`` with a one-time warning.
 
 Selection is per-index via ``CoreConfig.kernel_backend``
 (:class:`repro.core.config.AlexConfig`), defaulting to the
 ``REPRO_KERNEL_BACKEND`` environment variable (or ``numpy``).  Backends
 are process-wide singletons: resolving the same name twice returns the
 same object, and compilation happens at most once per process (serving
-workers call :meth:`KernelBackend.warm` at provisioning so no JIT ever
-runs on the request path).
+workers call :meth:`KernelBackend.warm` at provisioning so no compile
+ever runs on the request path).
 
 Every kernel returns its work tallies (search probes, gap-fill writes)
 instead of touching :class:`~repro.core.stats.Counters` directly; the
@@ -51,11 +45,7 @@ import numpy as np
 from repro import obs
 
 #: Recognized ``kernel_backend`` spellings.
-BACKEND_NAMES = ("numpy", "numba", "cffi", "auto")
-
-
-class KernelUnavailableError(RuntimeError):
-    """A requested kernel backend cannot run in this environment."""
+BACKEND_NAMES = ("numpy", "cffi")
 
 
 class KernelBackend:
@@ -81,8 +71,8 @@ class KernelBackend:
     def warm(self) -> None:
         """Force all one-time compilation/loading now (no-op for numpy).
 
-        Long-lived serving workers call this at provisioning so JIT
-        warmup is paid before the first request, never on it.
+        Long-lived serving workers call this at provisioning so
+        compilation is paid before the first request, never on it.
         """
 
     def compile_events(self) -> int:
@@ -184,33 +174,11 @@ def default_backend_name() -> str:
     return os.environ.get(_DEFAULT_ENV, "numpy")
 
 
-def _warn_once(key: str, message: str) -> None:
-    if key in _WARNED:
-        return
-    _WARNED.add(key)
-    warnings.warn(message, RuntimeWarning, stacklevel=3)
-
-
 def _numpy() -> KernelBackend:
     if "numpy" not in _CACHE:
         from .numpy_backend import NumpyKernels
         _CACHE["numpy"] = NumpyKernels()
     return _CACHE["numpy"]
-
-
-def _try_numba(warn: bool = True) -> Optional[KernelBackend]:
-    if "numba" in _CACHE:
-        return _CACHE["numba"]
-    try:
-        from .numba_backend import NumbaKernels
-        backend: KernelBackend = NumbaKernels()
-    except Exception as exc:  # ImportError or a jit-compile failure
-        if warn:
-            _warn_once("numba", "numba kernel backend unavailable "
-                                f"({exc!r}); falling back to numpy kernels")
-        return None
-    _CACHE["numba"] = backend
-    return backend
 
 
 def _try_cffi(warn: bool = True) -> Optional[KernelBackend]:
@@ -220,57 +188,52 @@ def _try_cffi(warn: bool = True) -> Optional[KernelBackend]:
         from .cffi_backend import CffiKernels
         backend: KernelBackend = CffiKernels()
     except Exception as exc:  # no cffi, no compiler, compile failure
-        if warn:
-            _warn_once("cffi", "cffi kernel backend unavailable "
-                               f"({exc!r}); falling back to numpy kernels")
+        if warn and "cffi" not in _WARNED:
+            _WARNED.add("cffi")
+            warnings.warn("cffi kernel backend unavailable "
+                          f"({exc!r}); falling back to numpy kernels",
+                          RuntimeWarning, stacklevel=3)
         return None
     _CACHE["cffi"] = backend
     return backend
 
 
+def check_backend_name(name: str) -> str:
+    """Return ``name`` if it is one of :data:`BACKEND_NAMES`; otherwise
+    raise :class:`ValueError` naming the valid choices."""
+    if name not in BACKEND_NAMES:
+        raise ValueError(f"unknown kernel backend {name!r}; "
+                         f"choose one of {BACKEND_NAMES}")
+    return name
+
+
 def get_kernels(name: Optional[str] = None) -> KernelBackend:
     """Resolve a backend name to its process-wide singleton.
 
-    ``"numba"`` / ``"cffi"`` degrade gracefully to the numpy fallback
-    (with a one-time :class:`RuntimeWarning`) when the toolchain is
-    absent, so selecting a compiled backend is always safe.  ``"auto"``
-    prefers numba, then cffi, then numpy, warning about nothing.
+    ``"cffi"`` degrades gracefully to the numpy fallback (with a
+    one-time :class:`RuntimeWarning`) when cffi or a C compiler is
+    absent, so selecting the compiled backend is always safe.
     """
-    name = name or default_backend_name()
-    if name == "numpy":
-        backend = _numpy()
-    elif name == "numba":
-        backend = _try_numba() or _numpy()
-    elif name == "cffi":
-        backend = _try_cffi() or _numpy()
-    elif name == "auto":
-        # Absence of optional toolchains is fine here: nothing warns.
-        backend = (_try_numba(warn=False) or _try_cffi(warn=False)
-                   or _numpy())
-    else:
-        raise ValueError(f"unknown kernel backend {name!r}; "
-                         f"choose one of {BACKEND_NAMES}")
+    name = check_backend_name(name or default_backend_name())
+    backend = _numpy() if name == "numpy" else _try_cffi() or _numpy()
     obs.inc("kernel.dispatch." + backend.name)
     return backend
 
 
 def available_backends() -> Tuple[str, ...]:
     """Names that resolve to a *distinct, working* backend right now
-    (``numpy`` always; ``numba`` / ``cffi`` when their toolchains work).
-    The test matrices parameterize over this.  Probing is silent: nothing
-    falls back here, and the one-time warning stays with the first
-    explicit selection that does."""
-    names = ["numpy"]
-    if _try_numba(warn=False) is not None:
-        names.append("numba")
-    if _try_cffi(warn=False) is not None:
-        names.append("cffi")
-    return tuple(names)
+    (``numpy`` always; ``cffi`` when its toolchain works).  The test
+    matrices parameterize over this.  Probing is silent: nothing falls
+    back here, and the one-time warning stays with the first explicit
+    selection that does."""
+    if _try_cffi(warn=False) is None:
+        return ("numpy",)
+    return BACKEND_NAMES
 
 
 def clear_cache() -> None:
     """Drop resolved backends and warning dedup state (test hook: the
-    numba-absent fallback test re-resolves after monkeypatching the
+    cffi-absent fallback test re-resolves after monkeypatching the
     import machinery)."""
     _CACHE.clear()
     _WARNED.clear()
@@ -280,11 +243,6 @@ def describe_runtime() -> dict:
     """Self-describing kernel metadata for bench artifacts: what could
     run here and what versions were involved."""
     try:
-        import numba
-        numba_version: Optional[str] = numba.__version__
-    except Exception:
-        numba_version = None
-    try:
         import cffi
         cffi_version: Optional[str] = cffi.__version__
     except Exception:
@@ -292,7 +250,6 @@ def describe_runtime() -> dict:
     return {
         "default_kernel_backend": default_backend_name(),
         "available_kernel_backends": list(available_backends()),
-        "numba_version": numba_version,
         "cffi_version": cffi_version,
         "numpy_version": np.__version__,
     }

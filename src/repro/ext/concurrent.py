@@ -3,27 +3,20 @@
 The paper sketches the locking protocol a DBMS integration needs: shared
 locks on leaf data nodes for lookups, exclusive locks for inserts, and
 lock-coupling while traversing an adaptive RMI whose structure can change
-under node splitting.  This module provides:
+under node splitting.  This module provides the lock itself,
+:class:`ReadWriteLock`, a writer-preferring reader/writer lock.
 
-* :class:`ReadWriteLock` — a writer-preferring reader/writer lock;
-* :class:`ConcurrentAlexIndex` — a thread-safe facade over
-  :class:`~repro.core.alex.AlexIndex`.
-
-The facade uses a single index-wide reader/writer lock: all read
-operations (lookups, scans, size queries) share it; all mutations
-(insert/delete/update) take it exclusively.  This is the coarse end of the
-paper's design space — correct for any workload, with the read-side
-scaling of shared locks.  Per-leaf lock-coupling (the fine end) changes
-the core node code and is left as the paper leaves it: future work.
+The thread-safe index is :class:`repro.serve.ShardedAlexIndex`: it holds
+one such lock per shard plus a structure lock, so a one-shard
+thread-backend instance is the coarse end of the paper's design space
+(every read shares one lock, every write takes it exclusively).
+Per-leaf lock-coupling (the fine end) changes the core node code and is
+left as the paper leaves it: future work.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Optional
-
-from repro.core.alex import AlexIndex
-from repro.core.config import AlexConfig
 
 
 class ReadWriteLock:
@@ -103,132 +96,3 @@ class ReadWriteLock:
         """Context manager acquiring the lock exclusive."""
         return self._WriteGuard(self)
 
-
-class ConcurrentAlexIndex:
-    """Thread-safe wrapper around :class:`AlexIndex`.
-
-    Construction mirrors the plain index: either start empty or
-    :meth:`bulk_load`.  Every public operation of the underlying index is
-    exposed with the appropriate lock mode.
-    """
-
-    def __init__(self, config: Optional[AlexConfig] = None):
-        self._index = AlexIndex(config)
-        self._lock = ReadWriteLock()
-
-    @classmethod
-    def bulk_load(cls, keys, payloads=None,
-                  config: Optional[AlexConfig] = None) -> "ConcurrentAlexIndex":
-        """Build from keys (single-threaded; returns a thread-safe index)."""
-        wrapper = cls.__new__(cls)
-        wrapper._index = AlexIndex.bulk_load(keys, payloads, config)
-        wrapper._lock = ReadWriteLock()
-        return wrapper
-
-    # -- reads (shared) -------------------------------------------------
-
-    def lookup(self, key: float):
-        """Shared-lock lookup."""
-        with self._lock.read():
-            return self._index.lookup(key)
-
-    def get(self, key: float, default=None):
-        """Shared-lock :meth:`AlexIndex.get`."""
-        with self._lock.read():
-            return self._index.get(key, default)
-
-    def contains(self, key: float) -> bool:
-        """Shared-lock membership test."""
-        with self._lock.read():
-            return self._index.contains(key)
-
-    def lookup_many(self, keys) -> list:
-        """Shared-lock batch lookup: one lock acquisition and one batch
-        traversal for the whole key array (see
-        :meth:`AlexIndex.lookup_many`)."""
-        with self._lock.read():
-            return self._index.lookup_many(keys)
-
-    def get_many(self, keys, default=None) -> list:
-        """Shared-lock batch :meth:`AlexIndex.get_many`."""
-        with self._lock.read():
-            return self._index.get_many(keys, default)
-
-    def contains_many(self, keys):
-        """Shared-lock batch membership test."""
-        with self._lock.read():
-            return self._index.contains_many(keys)
-
-    def range_scan(self, start_key: float, limit: int) -> list:
-        """Shared-lock range scan (consistent snapshot of the chain)."""
-        with self._lock.read():
-            return self._index.range_scan(start_key, limit)
-
-    def range_query(self, lo: float, hi: float) -> list:
-        """Shared-lock inclusive range query."""
-        with self._lock.read():
-            return self._index.range_query(lo, hi)
-
-    def range_query_many(self, los, his) -> list:
-        """Shared-lock batch range query: one lock acquisition and one
-        routed descent for all lower bounds (see
-        :meth:`AlexIndex.range_query_many`)."""
-        with self._lock.read():
-            return self._index.range_query_many(los, his)
-
-    def __len__(self) -> int:
-        with self._lock.read():
-            return len(self._index)
-
-    def __contains__(self, key) -> bool:
-        return self.contains(float(key))
-
-    def snapshot_items(self) -> list:
-        """All ``(key, payload)`` pairs under one shared hold."""
-        with self._lock.read():
-            return list(self._index.items())
-
-    # -- writes (exclusive) ---------------------------------------------
-
-    def insert(self, key: float, payload=None) -> None:
-        """Exclusive-lock insert (may expand or split nodes safely)."""
-        with self._lock.write():
-            self._index.insert(key, payload)
-
-    def insert_many(self, keys, payloads=None) -> None:
-        """Exclusive-lock batch insert: one lock acquisition and one routed
-        traversal for the whole batch (see :meth:`AlexIndex.insert_many`);
-        all-or-nothing on duplicates."""
-        with self._lock.write():
-            self._index.insert_many(keys, payloads)
-
-    def delete(self, key: float) -> None:
-        """Exclusive-lock delete."""
-        with self._lock.write():
-            self._index.delete(key)
-
-    def update(self, key: float, payload) -> None:
-        """Exclusive-lock payload update."""
-        with self._lock.write():
-            self._index.update(key, payload)
-
-    def upsert(self, key: float, payload) -> None:
-        """Exclusive-lock insert-or-update."""
-        with self._lock.write():
-            self._index.upsert(key, payload)
-
-    # -- maintenance ------------------------------------------------------
-
-    def validate(self) -> None:
-        """Exclusive-lock structural validation (quiesces the index)."""
-        with self._lock.write():
-            self._index.validate()
-
-    @property
-    def counters(self):
-        """The underlying (unsynchronized) operation counters."""
-        return self._index.counters
-
-    def unwrap(self) -> AlexIndex:
-        """The wrapped index — for read-only inspection while quiesced."""
-        return self._index

@@ -1,10 +1,10 @@
 """The sharded index service: ALEX scaled out by key-range partitioning.
 
 The paper's Section 7 sketches how ALEX lives inside a DBMS — concurrent
-access under locks — and :mod:`repro.ext.concurrent` provides the coarse
-end of that design space: one index, one reader/writer lock, every write
-serialized.  This subsystem is the scale-out end: a
-:class:`ShardedAlexIndex` partitions the key space into N independent
+access under locks.  A :class:`ShardedAlexIndex` covers that design
+space: with one thread-backend shard it is the coarse end (one index,
+one reader/writer lock, every write serialized); with N shards it
+partitions the key space into N independent
 :class:`~repro.core.alex.AlexIndex` shards and scatter-gathers batched
 reads, writes, and range scans across them, so traffic to different key
 ranges proceeds in parallel.

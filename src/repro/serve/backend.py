@@ -337,7 +337,7 @@ class ThreadBackend(ExecutionBackend):
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_guard = Lock()
         # Kernel warmup belongs to provisioning, not the first request;
-        # nogil compiled kernels are also what lets this backend's pool
+        # GIL-releasing compiled kernels are also what lets this backend's pool
         # actually scale across cores.
         with obs.span("kernel.warm"):
             get_kernels(config.kernel_backend).warm()

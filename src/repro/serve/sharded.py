@@ -40,8 +40,7 @@ validation leaves no frame and no mutation, so cross-shard batches stay
 all-or-nothing; and no shard ever shows a write whose frame does not
 exist yet, so a worker that dies mid-apply is settled by WAL replay or
 replica promotion.  Writes to different shards hold different locks, so
-they never serialize the way the single coarse-locked
-:class:`~repro.ext.concurrent.ConcurrentAlexIndex` forces them to.
+they never serialize against each other.
 
 Serving-tier structural adaptation routes through the same
 :class:`~repro.core.policy.AdaptationPolicy` object the shards' trees

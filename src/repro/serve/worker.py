@@ -156,7 +156,7 @@ def _worker_main(conn, config: AlexConfig, policy: AdaptationPolicy,
     policy.decisions.clear()
     policy.smo_counts.clear()
     # Kernel warmup belongs to provisioning: a long-lived worker pays any
-    # JIT/C compilation (or cache load) now, never on a request.  The
+    # C compilation (or cache load) now, never on a request.  The
     # worker's obs registry starts here too (spawn shipped REPRO_OBS over
     # in the environment); the parent reads it via the obs_snapshot op.
     with obs.span("kernel.warm"):

@@ -8,7 +8,7 @@ RMI modes, cold-started and bulk-loaded indexes, and batch sizes
 `route_many` / the vectorized model-based build against scalar execution.
 
 The whole module additionally runs once per *available kernel backend*
-(numpy always; numba/cffi when their toolchains work): the autouse
+(numpy always; cffi when its toolchain works): the autouse
 fixture below sets the process-default backend, which every config built
 by these tests inherits, so scalar/batch equivalence — results and
 counters — is asserted under the compiled kernels too.

@@ -29,6 +29,14 @@ class TestInfo:
         assert "BPlusTree" in out
         assert "ycsb" in out
 
+    @pytest.mark.parametrize("name", ["bogus", "numba", "auto"])
+    def test_invalid_env_backend_fails(self, name, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", name)
+        assert main(["info"]) != 0
+        err = capsys.readouterr().err
+        assert repr(name) in err
+        assert "('numpy', 'cffi')" in err
+
 
 class TestDatasets:
     def test_prints_table1(self, capsys):

@@ -1,4 +1,7 @@
-"""Tests for the concurrency extension (Section 7, concurrency control)."""
+"""Tests for Section 7 concurrency control: the reader/writer lock, and
+the thread-safe index it guards — a one-shard thread-backend
+:class:`~repro.serve.ShardedAlexIndex`, the coarse end of the paper's
+locking design space."""
 
 import threading
 import time
@@ -7,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core.errors import DuplicateKeyError, KeyNotFoundError
-from repro.ext.concurrent import ConcurrentAlexIndex, ReadWriteLock
+from repro.ext.concurrent import ReadWriteLock
+from repro.serve import ShardedAlexIndex
 
 
 class TestReadWriteLock:
@@ -74,9 +78,25 @@ class TestReadWriteLock:
         assert result[0] == "wrote"  # writer preference
 
 
-class TestConcurrentAlexIndex:
-    def test_single_thread_api(self):
-        index = ConcurrentAlexIndex.bulk_load(np.arange(100.0))
+@pytest.fixture
+def one_shard():
+    """Builds thread-safe indexes: one shard, one reader/writer lock, in
+    process; closed after the test."""
+    services = []
+
+    def build(keys):
+        services.append(ShardedAlexIndex.bulk_load(keys, num_shards=1,
+                                                   backend="thread"))
+        return services[-1]
+
+    yield build
+    for service in services:
+        service.close()
+
+
+class TestOneShardThreadIndex:
+    def test_single_thread_api(self, one_shard):
+        index = one_shard(np.arange(100.0))
         index.insert(100.5, "x")
         assert index.lookup(100.5) == "x"
         assert index.contains(50.0)
@@ -91,17 +111,17 @@ class TestConcurrentAlexIndex:
         assert len(index.range_query(0.0, 4.0)) == 5
         index.validate()
 
-    def test_errors_propagate(self):
-        index = ConcurrentAlexIndex.bulk_load([1.0, 2.0])
+    def test_errors_propagate(self, one_shard):
+        index = one_shard([1.0, 2.0])
         with pytest.raises(DuplicateKeyError):
             index.insert(1.0)
         with pytest.raises(KeyNotFoundError):
             index.lookup(9.0)
 
-    def test_concurrent_readers_and_writer(self):
+    def test_concurrent_readers_and_writer(self, one_shard):
         rng = np.random.default_rng(0)
         init = np.unique(rng.uniform(0, 1e6, 3000))
-        index = ConcurrentAlexIndex.bulk_load(init)
+        index = one_shard(init)
         new_keys = np.setdiff1d(np.unique(rng.uniform(0, 1e6, 3000)), init)
         errors = []
         stop = threading.Event()
@@ -136,8 +156,8 @@ class TestConcurrentAlexIndex:
         assert len(index) == len(init) + len(new_keys)
         index.validate()
 
-    def test_concurrent_writers_disjoint_keys(self):
-        index = ConcurrentAlexIndex.bulk_load(np.arange(0.0, 100.0))
+    def test_concurrent_writers_disjoint_keys(self, one_shard):
+        index = one_shard(np.arange(0.0, 100.0))
         errors = []
 
         def writer(offset):
@@ -157,14 +177,14 @@ class TestConcurrentAlexIndex:
         assert len(index) == 100 + 8 * 500
         index.validate()
 
-    def test_snapshot_items_consistent_length(self):
-        index = ConcurrentAlexIndex.bulk_load(np.arange(500.0))
+    def test_items_snapshot_consistent_length(self, one_shard):
+        index = one_shard(np.arange(500.0))
         snapshots = []
         done = threading.Event()
 
         def snapshotter():
             while not done.is_set():
-                snapshots.append(len(index.snapshot_items()))
+                snapshots.append(len(list(index.items())))
 
         t = threading.Thread(target=snapshotter)
         t.start()

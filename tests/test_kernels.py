@@ -2,17 +2,18 @@
 
 Three concerns:
 
-* **Parity** — every available backend must produce bit-identical
+* **Parity** — the compiled backend must produce bit-identical
   positions, states, *and work charges* to the pure-numpy reference, on
   randomized node layouts including every edge (empty nodes, all-gap
   nodes, boundary targets, cold-start vs model-hinted search).
-* **Resolution** — selecting an absent compiled backend degrades to
-  numpy with a one-time warning; ``auto`` never warns; unknown names
+* **Resolution** — selecting the compiled backend when its toolchain is
+  absent degrades to numpy with a one-time warning; unknown names
   raise; resolution returns process-wide singletons.
 * **Warmup** — a provisioned backend performs zero compile/load events
   on the request path (the serving tier warms kernels at provisioning).
 """
 
+import re
 import sys
 import warnings
 
@@ -21,7 +22,7 @@ import pytest
 
 from repro.core import kernels as K
 from repro.core.alex import AlexIndex
-from repro.core.config import ga_armi
+from repro.core.config import AlexConfig, ga_armi
 from repro.core.data_node import GAP_SENTINEL
 from repro.core.gapped_array import GappedArrayNode
 from repro.core.stats import Counters
@@ -243,26 +244,27 @@ class TestResolution:
             assert K.get_kernels(name) is K.get_kernels(name)
             assert K.get_kernels(name).name == name
 
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            K.get_kernels("fortran")
+    def test_backend_names(self):
+        assert K.BACKEND_NAMES == ("numpy", "cffi")
+
+    @pytest.mark.parametrize("name", ["fortran", "numba", "auto"])
+    def test_unknown_name_raises(self, name):
+        message = re.escape(f"{name!r}; choose one of ('numpy', 'cffi')")
+        with pytest.raises(ValueError, match=message):
+            K.get_kernels(name)
+        with pytest.raises(ValueError, match=message):
+            AlexConfig(kernel_backend=name)
 
     def test_default_comes_from_environment(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
         assert K.default_backend_name() == "numpy"
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-        assert K.default_backend_name() == "auto"
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        assert K.default_backend_name() == "cffi"
 
     def test_numpy_always_available(self):
         assert "numpy" in AVAILABLE
         assert not NUMPY.compiled
         assert NUMPY.compile_events() == 0
-
-    def test_auto_resolves_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            backend = K.get_kernels("auto")
-        assert backend.name in K.BACKEND_NAMES
 
     def test_describe_runtime_shape(self):
         meta = K.describe_runtime()
@@ -271,60 +273,62 @@ class TestResolution:
         assert meta["numpy_version"] == np.__version__
 
 
-class TestNumbaAbsentFallback:
-    """With numba unimportable the whole stack must run on the numpy
-    fallback: selecting ``numba`` warns once, then stays silent."""
+class TestCffiAbsentFallback:
+    """With cffi unimportable the whole stack must run on the numpy
+    fallback: selecting ``cffi`` warns once, then stays silent."""
 
     @pytest.fixture
-    def no_numba(self, monkeypatch):
-        # Simulate an environment without numba even when it is
-        # installed: a None entry makes ``import numba`` raise
-        # ImportError, and dropping the backend module forces a fresh
-        # import attempt through that block.
-        monkeypatch.setitem(sys.modules, "numba", None)
-        monkeypatch.delitem(sys.modules, "repro.core.kernels.numba_backend",
-                            raising=False)
+    def no_cffi(self, monkeypatch):
+        # Simulate an environment without cffi: a None entry makes
+        # ``import cffi`` (inside CffiKernels.warm) raise ImportError, and
+        # clearing the registry forces a fresh resolution through it.
+        monkeypatch.setitem(sys.modules, "cffi", None)
         K.clear_cache()
         yield
         K.clear_cache()
 
-    def test_degrades_to_numpy_with_one_warning(self, no_numba):
-        with pytest.warns(RuntimeWarning, match="numba kernel backend "
+    def test_degrades_to_numpy_with_one_warning(self, no_cffi):
+        with pytest.warns(RuntimeWarning, match="cffi kernel backend "
                                                 "unavailable"):
-            backend = K.get_kernels("numba")
+            backend = K.get_kernels("cffi")
         assert backend.name == "numpy"
         with warnings.catch_warnings():  # second resolve: silent
             warnings.simplefilter("error")
-            assert K.get_kernels("numba").name == "numpy"
+            assert K.get_kernels("cffi").name == "numpy"
 
-    def test_probes_are_silent_and_keep_the_warning(self, no_numba):
+    def test_probes_are_silent_and_keep_the_warning(self, no_cffi):
         # Probing falls back to nothing, so it must not warn, nor use up
         # the one-time warning of a selection that really falls back.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert "numba" not in K.available_backends()
-            assert "numba" not in K.describe_runtime()[
-                "available_kernel_backends"]
-        with pytest.warns(RuntimeWarning, match="numba kernel backend "
+            assert K.available_backends() == ("numpy",)
+            meta = K.describe_runtime()
+            assert meta["available_kernel_backends"] == ["numpy"]
+            assert meta["cffi_version"] is None
+        with pytest.warns(RuntimeWarning, match="cffi kernel backend "
                                                 "unavailable"):
-            assert K.get_kernels("numba").name == "numpy"
+            assert K.get_kernels("cffi").name == "numpy"
 
-    def test_index_still_works_on_fallback(self, no_numba):
+    def test_index_still_works_on_fallback(self, no_cffi):
         rng = np.random.default_rng(5)
         keys = np.unique(rng.uniform(0, 1e6, 800))
         with pytest.warns(RuntimeWarning):
             index = AlexIndex.bulk_load(
-                keys, config=ga_armi(kernel_backend="numba"))
+                keys, config=ga_armi(kernel_backend="cffi"))
         assert index.contains_many(keys[:50]).all()
         assert [index.contains(float(k)) for k in keys[:20]] == [True] * 20
         index.insert(keys.max() + 1.0, "new")
         index.validate()
 
-    def test_auto_still_resolves_silently(self, no_numba):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            backend = K.get_kernels("auto")
-        assert backend.name in ("cffi", "numpy")
+    def test_process_default_falls_back_too(self, no_cffi, monkeypatch):
+        # $REPRO_KERNEL_BACKEND=cffi is how CI and the benchmark pick the
+        # compiled backend; without cffi it must reach the same fallback.
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        assert AlexConfig().kernel_backend == "cffi"
+        with pytest.warns(RuntimeWarning, match="cffi kernel backend "
+                                                "unavailable"):
+            backend = K.get_kernels()
+        assert backend is K.get_kernels("numpy")
 
 
 @pytest.mark.parametrize("name", COMPILED)
