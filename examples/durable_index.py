@@ -91,5 +91,5 @@ def main() -> None:
     print("done.")
 
 
-if __name__ == "__main__":  # required: spawn-context workers re-import us
+if __name__ == "__main__":  # required: forkserver workers re-import us
     main()

@@ -1,9 +1,9 @@
 """``python -m repro`` dispatches to the CLI.
 
 The ``__main__`` guard matters here: the process shard backend uses the
-``multiprocessing`` spawn context, whose children re-import the parent's
-main module (as ``__mp_main__``) — without the guard every worker would
-re-run the CLI.
+``multiprocessing`` forkserver context, whose children re-import the
+parent's main module (as ``__mp_main__``) — without the guard every
+worker would re-run the CLI.
 """
 
 import sys

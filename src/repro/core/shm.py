@@ -55,8 +55,9 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 
     Python 3.13 grew ``track=False`` so attaching does not register the
     segment with the resource tracker at all.  On older versions the
-    attach *does* register — but every attacher here is a spawn child of
-    the segment creator, so both talk to the same tracker process and the
+    attach *does* register — but every attacher here is a worker the
+    segment creator launched (the forkserver hands each one the
+    creator's tracker), so both talk to the same tracker process and the
     re-registration is an idempotent set-add; the creator's single
     ``unlink`` keeps the bookkeeping exact.  (Do **not** unregister
     manually on attach: with a shared tracker that would erase the

@@ -78,8 +78,9 @@ def recover_index(root: str, config: Optional[AlexConfig] = None,
     ``root``: load the manifest's checkpoint (or start empty) and replay
     the WAL frames past its LSN.
 
-    ``config``/``policy`` only matter when there is no checkpoint to
-    load (the checkpoint archive carries its own config).
+    ``config`` only matters when there is no checkpoint to load (the
+    checkpoint archive carries its own config); ``policy`` drives the
+    recovered index and every one of its leaves either way.
     """
     if not os.path.isdir(root):
         raise PersistenceError(f"{root}: no such durability directory")
@@ -92,9 +93,7 @@ def recover_index(root: str, config: Optional[AlexConfig] = None,
     if latest is not None:
         from repro.ext.persistence import load_index
         path, checkpoint_lsn = latest
-        index = load_index(path)
-        if policy is not None:
-            index.policy = policy
+        index = load_index(path, policy=policy)
     else:
         checkpoint_lsn = 0
         index = AlexIndex(config, policy=policy)

@@ -1,12 +1,25 @@
 """Persistence: save and load an ALEX index to a single file.
 
 A practical library needs its indexes to survive restarts.  The format is
-deliberately simple and inspectable: one ``.npz`` archive containing
+deliberately simple and inspectable: one uncompressed ``.npz`` archive
+(format version 3) holding a handful of whole-index columns:
 
-* a JSON header (config, version, tree structure as a preorder list of
-  nodes with child-slot runs), and
-* per-leaf numpy arrays (keys, occupancy bitmap) plus the payload lists
-  (pickled inside the npz, since payloads are arbitrary objects).
+* ``header`` — JSON: config, version, the tree structure (inner nodes in
+  a table, each with its model and child-slot references) and, per leaf,
+  its capacity, key count, model and ``[lo, hi)`` slot range in the
+  columns below;
+* ``keys`` / ``occupied`` — every leaf's slot arrays, concatenated in
+  leaf-chain order;
+* the occupied slots' payloads, in the same order: ``payload_column``, a
+  numeric column, when :func:`repro.core.shm.numeric_column` accepts
+  them (its exact-type rule, so every value comes back with its Python
+  type), else ``payload_pickle``, one pickled list.
+
+Checkpoints sit on the set-up and recovery path of the durable service,
+so the archive is written uncompressed: zlib cost about ten times the
+rest of the save for about a third of the bytes.  Archives of versions 1
+and 2 — three compressed members per leaf — still load, so existing
+durability directories recover.
 
 Loading rebuilds the exact same tree: same models, same slot layouts, same
 leaf chain — so prediction behaviour (and therefore performance) is
@@ -19,7 +32,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
-from typing import List
+from itertools import chain, compress
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,20 +43,22 @@ from repro.core.data_node import DataNode
 from repro.core.errors import PersistenceError
 from repro.core.kernels import get_kernels
 from repro.core.linear_model import LinearModel
+from repro.core.policy import AdaptationPolicy
 from repro.core.rmi import InnerNode, link_leaves, make_data_node
+from repro.core.shm import numeric_column
 from repro.core.stats import Counters
 
 #: Identifies our archives among arbitrary ``.npz`` files (stamped into
 #: the JSON header alongside the version).
 FORMAT_MAGIC = "repro-alex-index"
 
-#: Current on-disk format version.  Version 2 added the ``format`` magic
-#: stamp; version-1 archives (written before the stamp existed) are still
-#: readable.
-FORMAT_VERSION = 2
+#: Current on-disk format version.  Version 3 stores whole-index columns
+#: uncompressed; versions 1 and 2 stored three compressed members per
+#: leaf, and version 2 added the ``format`` magic stamp.  All three load.
+FORMAT_VERSION = 3
 
 #: Versions :func:`load_index` knows how to decode.
-SUPPORTED_VERSIONS = (1, 2)
+SUPPORTED_VERSIONS = (1, 2, 3)
 
 
 def save_index(index: AlexIndex, path: str) -> None:
@@ -83,30 +99,73 @@ def save_index(index: AlexIndex, path: str) -> None:
         "config": dataclasses.asdict(index.config),
         "tree": encode_node(index._root),
         "inners": inner_table,
-        "leaves": [
-            {
-                "capacity": leaf.capacity,
-                "num_keys": leaf.num_keys,
-                "model": ([leaf.model.slope, leaf.model.intercept]
-                          if leaf.model is not None else None),
-            }
-            for leaf in leaves
-        ],
+        "leaves": [],
     }
+    lo = 0
+    for leaf in leaves:
+        header["leaves"].append({
+            "capacity": leaf.capacity,
+            "num_keys": leaf.num_keys,
+            "model": ([leaf.model.slope, leaf.model.intercept]
+                      if leaf.model is not None else None),
+            "slots": [lo, lo + len(leaf.keys)],
+        })
+        lo += len(leaf.keys)
 
-    arrays = {"header": np.frombuffer(
-        json.dumps(header).encode("utf-8"), dtype=np.uint8)}
-    for i, leaf in enumerate(leaves):
-        arrays[f"keys_{i}"] = leaf.keys
-        arrays[f"occ_{i}"] = leaf.occupied
-        payload_blob = pickle.dumps(leaf.payloads)
-        arrays[f"payloads_{i}"] = np.frombuffer(payload_blob, dtype=np.uint8)
+    arrays = {
+        "header": np.frombuffer(json.dumps(header).encode("utf-8"),
+                                dtype=np.uint8),
+        "keys": np.concatenate([leaf.keys for leaf in leaves]),
+        "occupied": np.concatenate([leaf.occupied for leaf in leaves]),
+    }
+    payloads = list(chain.from_iterable(
+        compress(leaf.payloads, leaf.occupied.tolist()) for leaf in leaves))
+    column = numeric_column(payloads)
+    if column is not None:
+        arrays["payload_column"] = column
+    else:
+        arrays["payload_pickle"] = np.frombuffer(pickle.dumps(payloads),
+                                                 dtype=np.uint8)
     with open(path, "wb") as f:
-        np.savez_compressed(f, **arrays)
+        np.savez(f, **arrays)
 
 
-def load_index(path: str) -> AlexIndex:
+def _leaf_slots(archive, header: dict
+                ) -> Iterator[Tuple[np.ndarray, np.ndarray, list]]:
+    """Each leaf's ``(keys, occupied, payloads)`` slot arrays, in leaf
+    order: sliced out of the version-3 columns, or read from the
+    per-leaf members of a version-1/2 archive."""
+    if header["version"] < 3:
+        for i in range(len(header["leaves"])):
+            yield (archive[f"keys_{i}"].copy(), archive[f"occ_{i}"].copy(),
+                   pickle.loads(bytes(archive[f"payloads_{i}"])))
+        return
+    keys, occupied = archive["keys"], archive["occupied"]
+    if "payload_column" in archive.files:
+        values = archive["payload_column"].astype(object)
+    else:
+        values = pickle.loads(bytes(archive["payload_pickle"]))
+        values = np.fromiter(values, dtype=object, count=len(values))
+    start = 0
+    for meta in header["leaves"]:
+        lo, hi = meta["slots"]
+        occ = occupied[lo:hi]
+        # Unoccupied slots hold None; numpy scatters the occupied ones
+        # element by element, so sequence payloads stay whole objects.
+        slots = np.empty(hi - lo, dtype=object)
+        stop = start + int(np.count_nonzero(occ))
+        slots[occ] = values[start:stop]
+        start = stop
+        yield keys[lo:hi].copy(), occ.copy(), slots.tolist()
+
+
+def load_index(path: str,
+               policy: Optional[AdaptationPolicy] = None) -> AlexIndex:
     """Deserialize an index saved by :func:`save_index`.
+
+    ``policy`` becomes the index's adaptation policy and every leaf's,
+    as :meth:`AlexIndex.bulk_load` would set it (``None``: the index
+    default).
 
     Raises :class:`~repro.core.errors.PersistenceError` when ``path`` is
     not one of our archives (missing header), carries an unknown format
@@ -139,13 +198,14 @@ def load_index(path: str) -> AlexIndex:
                 f"{header.get('version')!r} (supported: "
                 f"{', '.join(map(str, SUPPORTED_VERSIONS))})")
         config = AlexConfig(**header["config"])
+        index = AlexIndex(config, policy=policy)
         counters = Counters()
         leaves: List[DataNode] = []
-        for i, meta in enumerate(header["leaves"]):
-            leaf = make_data_node(config, counters)
-            leaf.keys = archive[f"keys_{i}"].copy()
-            leaf.occupied = archive[f"occ_{i}"].copy()
-            leaf.payloads = pickle.loads(bytes(archive[f"payloads_{i}"]))
+        for meta, (keys, occupied, payloads) in zip(
+                header["leaves"], _leaf_slots(archive, header)):
+            leaf = make_data_node(config, counters, index.policy)
+            leaf.keys, leaf.occupied, leaf.payloads = (keys, occupied,
+                                                       payloads)
             leaf.capacity = int(meta["capacity"])
             leaf.num_keys = int(meta["num_keys"])
             if meta["model"] is not None:
@@ -170,7 +230,6 @@ def load_index(path: str) -> AlexIndex:
         return node
 
     tree_spec = header["tree"]
-    index = AlexIndex(config)
     index.counters = counters
     if tree_spec["kind"] == "leaf":
         index._root = leaves[tree_spec["leaf"]]

@@ -20,8 +20,9 @@ whole layer at import: ``span()`` returns the shared no-op span (one
 singleton — identity-testable), and every record/emit helper returns
 without touching the registry.  :func:`set_enabled` flips the switch at
 runtime (how ``bench_obs.py`` measures instrumented-vs-disabled in one
-process).  Worker processes inherit the environment, so the switch
-covers the whole service under the process backend.
+process).  Every worker process installs its parent's environment and
+re-runs :func:`init_from_env`, so the switch covers the whole service
+under the process backend.
 
 Aggregation
 -----------
@@ -53,9 +54,9 @@ __all__ = [
     "NUM_OCTAVES", "PERCENTILES", "SUB_BUCKETS", "Span", "bucket_index",
     "bucket_value", "describe", "emit", "empty_snapshot", "enabled",
     "exemplar_for_percentile", "get_registry", "histogram_summary", "inc",
-    "merge_many", "merge_snapshots", "observe", "percentile_from_snapshot",
-    "record_ns", "reset", "set_enabled", "set_gauge", "snapshot", "span",
-    "timed", "trace",
+    "init_from_env", "merge_many", "merge_snapshots", "observe",
+    "percentile_from_snapshot", "record_ns", "reset", "set_enabled",
+    "set_gauge", "snapshot", "span", "timed", "trace",
 ]
 
 #: Environment variable holding the global kill switch.
@@ -69,8 +70,18 @@ def _enabled_from_env(value: Optional[str]) -> bool:
     return (value or "on").strip().lower() not in _DISABLED_VALUES
 
 
-_enabled = _enabled_from_env(os.environ.get(ENV_VAR))
-_registry = MetricsRegistry()
+def init_from_env() -> None:
+    """Derive the kill switch and a fresh registry (its event-log limit
+    included) from the current environment.  Import runs it; so does a
+    shard worker, whose module state was derived in the preloaded
+    server it forked from, once it has installed its parent's
+    environment."""
+    global _enabled, _registry
+    _enabled = _enabled_from_env(os.environ.get(ENV_VAR))
+    _registry = MetricsRegistry()
+
+
+init_from_env()
 
 
 def enabled() -> bool:

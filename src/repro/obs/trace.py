@@ -85,13 +85,6 @@ def _int_env(name: str, default: int) -> int:
         return default
 
 
-_sample_rate = min(1.0, max(0.0, _float_env(ENV_SAMPLE, 1.0)))
-_slow_ns = _float_env(ENV_SLOW_MS, 5.0) * 1e6
-#: Stamped into every span record; safe as a module constant because
-#: worker processes start via the spawn context (fresh interpreter).
-_PID = os.getpid()
-
-
 def set_sample_rate(rate: float) -> None:
     """Override the head-sampling rate at runtime (the env var only
     sets the initial value).  0 disables new roots entirely."""
@@ -264,7 +257,21 @@ class FlightRecorder:
             self._slow.clear()
 
 
-_recorder = FlightRecorder()
+def init_from_env() -> None:
+    """Derive the head-sampling rate, the slow threshold, the pid
+    stamped into every span record, and a fresh flight recorder (its
+    capacities included) from the current environment and process.
+    Import runs it; so does a shard worker, which forks from a preloaded
+    server and must neither stamp the server's pid nor keep its
+    settings."""
+    global _sample_rate, _slow_ns, _PID, _recorder
+    _sample_rate = min(1.0, max(0.0, _float_env(ENV_SAMPLE, 1.0)))
+    _slow_ns = _float_env(ENV_SLOW_MS, 5.0) * 1e6
+    _PID = os.getpid()
+    _recorder = FlightRecorder()
+
+
+init_from_env()
 
 
 def recorder() -> FlightRecorder:

@@ -12,7 +12,8 @@ shard operation goes through an :class:`ExecutionBackend`, which decides
   work is GIL-serialized, so multi-core hardware only helps the NumPy
   kernels.
 * :class:`~repro.serve.worker.ProcessBackend` — each shard lives in a
-  long-lived worker process (``multiprocessing`` spawn context).  Batches
+  long-lived worker process, forked from one preloaded
+  ``multiprocessing`` forkserver.  Batches
   travel through :mod:`multiprocessing.shared_memory` segments
   (:mod:`repro.core.shm`), carved sub-batches are dispatched over
   pipe-based RPC, and the workers execute truly in parallel — real

@@ -51,7 +51,7 @@ access tallies and applies the SMO it picks — a hot-shard median *split*
 inverse, folding an adjacent pair whose combined traffic fell far below a
 fair share).  Either SMO re-provisions the affected shard executors
 through the backend (the process backend retires the old workers and
-spawns fresh ones over new shared segments).  After either SMO the access
+starts fresh ones over new shared segments).  After either SMO the access
 windows decay rather than reset, and a split divides the victim's tallies
 between its halves, so the next policy evaluation is never biased by
 stale or wiped windows.

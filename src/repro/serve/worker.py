@@ -5,9 +5,26 @@ work, so its critical-path speedups only materialize as wall clock inside
 NumPy kernels.  :class:`ProcessBackend` hosts each shard's ALEX tree in a
 **long-lived worker process** instead:
 
-* workers are spawned once (``multiprocessing`` *spawn* context — no
-  forked locks, no inherited arenas) and live until the service closes or
-  a shard split/merge re-provisions them;
+* workers fork from one **preloaded forkserver** (``multiprocessing``
+  *forkserver* context): the server is an interpreter started lazily on
+  the first launch that imports :data:`_PRELOAD` — numpy and every
+  ``repro`` module a worker runs — once, and each primary, replica,
+  respawn and split/merge worker is a fork of it, so none pays an
+  interpreter boot or those imports.  The server is single-threaded and
+  never touches the parent's locks or arenas; it idles (about 36 MB
+  resident) until the parent exits.  A fork inherits the *server's*
+  environment and module state, so every launch ships the parent's
+  ``os.environ`` and the worker installs it, then re-derives the obs and
+  trace state that depends on it or on the pid, before anything else.
+  The preload is an optimization only: a parent run under ``-E`` or
+  ``-I`` (whose server then ignores ``PYTHONPATH``), or a forkserver that
+  other code in the process started first, leaves workers to import what
+  they run after the fork — correct, only slower.  The server reports
+  its workers' exit status, so if it dies every worker it forked reads
+  as dead to :meth:`ProcessBackend.dead_shards` while still serving over
+  its pipe; the next launch starts a new preloaded server;
+* workers live until the service closes or a shard split/merge
+  re-provisions them;
 * whole-shard contents move through :class:`repro.core.shm
   .ShardStorageView` shared-memory segments — provisioning, snapshots,
   and re-provisioning never push key/payload arrays through a pipe;
@@ -60,6 +77,7 @@ import threading
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import contextmanager
+from multiprocessing import forkserver
 from multiprocessing.reduction import ForkingPickler
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -107,6 +125,70 @@ DEFAULT_REPLY_RING_BYTES = 1 << 22
 INLINE_BATCH_BYTES = 1 << 14
 
 
+#: The modules the forkserver imports before it forks any worker: the
+#: shard RPC loop, the replica applier, the checkpoint writer and both
+#: kernel backends (which the kernel registry would otherwise import on
+#: each worker's first resolve), and with them numpy and every ``repro``
+#: module a primary or replica worker runs.  Importing them starts no
+#: thread (forking a process with threads could copy a held lock).
+_PRELOAD = ("repro.serve.worker", "repro.replication.replica",
+            "repro.ext.persistence", "repro.core.kernels.numpy_backend",
+            "repro.core.kernels.cffi_backend")
+
+_forkserver_lock = threading.Lock()
+
+
+def _forkserver_running() -> bool:
+    """Whether multiprocessing's forkserver is up.  Its pid is private to
+    :mod:`multiprocessing.forkserver`; ``WNOWAIT`` leaves a dead server
+    unreaped, for ``ensure_running`` to reap before it starts another."""
+    pid = forkserver._forkserver._forkserver_pid
+    return pid is not None and os.waitid(
+        os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+
+
+@contextmanager
+def _preload_import_path():
+    """Put the directory holding ``repro`` on ``PYTHONPATH`` while the
+    forkserver starts.  The server is a fresh interpreter that imports
+    its preload from its own default ``sys.path`` (Python 3.11 ignores
+    the parent's), and multiprocessing swallows a preload's
+    ``ImportError``.  When the directory is already listed, nothing is
+    touched; otherwise the process-global environment carries it only
+    for the server's start, once per server."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    saved = os.environ.get("PYTHONPATH")
+    listed = [os.path.abspath(path)
+              for path in (saved or "").split(os.pathsep) if path]
+    if root in listed:
+        yield
+        return
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        path for path in (root, saved) if path)
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = saved
+
+
+def _forkserver_context():
+    """The ``forkserver`` context, its server started with
+    :data:`_PRELOAD` imported whenever none is running: on the first
+    launch, and again after a server death, which multiprocessing would
+    otherwise mend on its own with a server that imports nothing."""
+    ctx = mp.get_context("forkserver")
+    with _forkserver_lock:
+        if not _forkserver_running():
+            ctx.set_forkserver_preload(list(_PRELOAD))
+            with _preload_import_path():
+                forkserver.ensure_running()
+    return ctx
+
+
 def _default_max_inflight() -> int:
     try:
         return max(1, int(os.environ.get("REPRO_MAX_INFLIGHT", "")))
@@ -114,10 +196,16 @@ def _default_max_inflight() -> int:
         return DEFAULT_MAX_INFLIGHT
 
 
-def _worker_main(conn, config: AlexConfig, policy: AdaptationPolicy,
-                 ring: Optional[ReplyRing],
+def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
+                 policy: AdaptationPolicy, ring: Optional[ReplyRing],
                  replica_root: Optional[str] = None) -> None:
-    """One shard's RPC loop (the spawn target; runs until ``close``).
+    """One shard's RPC loop (the process target; runs until ``close``).
+
+    ``environ`` is the parent's environment at launch.  The worker forked
+    from the preloaded server, whose environment and env- or pid-derived
+    module state it inherited, so it installs ``environ`` first and has
+    :mod:`repro.obs` and :mod:`repro.obs.trace` re-derive their state
+    from it (kill switch, registry, sampling, the pid on span records).
 
     Every request frame is ``(req_id, tctx, op, ...)`` — ``tctx`` the
     sender's trace context in wire form (``None`` for untraced
@@ -150,22 +238,26 @@ def _worker_main(conn, config: AlexConfig, policy: AdaptationPolicy,
     installs the caught-up index as this worker's shard, after which
     every normal op works and the worker *is* the primary.
     """
-    # This process's policy copy arrived through spawn pickling with the
-    # facade's full configuration; only the parent's decision history is
-    # dropped — this worker's log should describe this shard.
+    os.environ.clear()
+    os.environ.update(environ)
+    obs.init_from_env()
+    trace.init_from_env()
+    # This process's policy copy arrived pickled with the facade's full
+    # configuration; only the parent's decision history is dropped —
+    # this worker's log should describe this shard.
     policy.decisions.clear()
     policy.smo_counts.clear()
     # Kernel warmup belongs to provisioning: a long-lived worker pays any
-    # C compilation (or cache load) now, never on a request.  The
-    # worker's obs registry starts here too (spawn shipped REPRO_OBS over
-    # in the environment); the parent reads it via the obs_snapshot op.
+    # C compilation (or cache load) now, never on a request.  The parent
+    # reads the registry started above via the obs_snapshot op.
     with obs.span("kernel.warm"):
         get_kernels(config.kernel_backend).warm()
     index: Optional[AlexIndex] = None
     replica = None
     if replica_root is not None:
         # Deferred import: replication imports serve lazily and vice
-        # versa; by spawn time both packages resolve cleanly.
+        # versa; by launch time both packages resolve cleanly (the
+        # forkserver preloaded it).
         from repro.replication.replica import Replica
         replica = Replica(replica_root, config=config,
                           policy=policy).start()
@@ -374,7 +466,7 @@ class ProcessBackend(ExecutionBackend):
                  use_reply_ring: bool = True):
         self._config = config
         # The configured policy instance itself travels to every worker
-        # (spawn pickles it; AdaptationPolicy excludes its lock), so
+        # (each launch pickles it; AdaptationPolicy excludes its lock), so
         # cost-model parameters, drift factors, and reserves survive the
         # process boundary — each worker unpickles an independent copy.
         self._policy = policy
@@ -383,7 +475,6 @@ class ProcessBackend(ExecutionBackend):
                              else _default_max_inflight())
         self.reply_ring_bytes = reply_ring_bytes
         self.use_reply_ring = use_reply_ring
-        self._ctx = mp.get_context("spawn")
         self._workers: List[_WorkerHandle] = []
         #: Per-shard replica worker slot, spliced in lockstep with
         #: ``_workers`` by :meth:`replace` so positions stay aligned
@@ -396,17 +487,18 @@ class ProcessBackend(ExecutionBackend):
 
     # -- lifecycle ----------------------------------------------------
 
-    def _spawn_handle(self, shard: int,
+    def _start_handle(self, shard: int,
                       replica_root: Optional[str] = None) -> _WorkerHandle:
         """Start one worker process (primary or replica) and its
         parent-side handle; primaries still need their ``load``."""
-        parent_conn, child_conn = self._ctx.Pipe()
+        ctx = _forkserver_context()
+        parent_conn, child_conn = ctx.Pipe()
         ring = (ReplyRing.create(self.reply_ring_bytes)
                 if self.use_reply_ring else None)
-        process = self._ctx.Process(
+        process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._config, self._policy, ring,
-                  replica_root),
+            args=(child_conn, dict(os.environ), self._config, self._policy,
+                  ring, replica_root),
             daemon=True,
             name=("alex-replica-worker" if replica_root
                   else "alex-shard-worker"))
@@ -444,7 +536,7 @@ class ProcessBackend(ExecutionBackend):
         views: List[ShardStorageView] = []
         try:
             for i, shard in enumerate(shards):
-                workers.append(self._spawn_handle(
+                workers.append(self._start_handle(
                     shard, None if roots is None else roots[i]))
             futures = []
             for i, worker in enumerate(workers):
@@ -471,7 +563,7 @@ class ProcessBackend(ExecutionBackend):
 
     def _renumber(self) -> None:
         """Refresh each handle's shard position after the worker list
-        changed (spawn/replace/respawn run under the facade's exclusive
+        changed (launch/replace/respawn run under the facade's exclusive
         structure lock, so no request observes a stale id mid-flight)."""
         for shard, worker in enumerate(self._workers):
             worker.shard = shard
@@ -772,7 +864,7 @@ class ProcessBackend(ExecutionBackend):
                 inherit: Sequence[Sequence[int]]) -> None:
         """Re-provision the shard SMO's affected workers: seed counters
         are collected from the outgoing workers, fresh workers are
-        spawned over the parts' shared segments, and the outgoing
+        started over the parts' shared segments, and the outgoing
         processes (and their segments) are retired."""
         seeds = []
         for sources in inherit:
@@ -864,7 +956,7 @@ class ProcessBackend(ExecutionBackend):
     # -- replication ---------------------------------------------------
 
     def add_replicas(self, roots: Dict[int, str]) -> None:
-        """Spawn a replica worker per ``{shard: durability dir}`` entry,
+        """Start a replica worker per ``{shard: durability dir}`` entry,
         all at once.  The ``rstatus`` round trips are the bootstrap
         barrier: when this returns, every replica has loaded checkpoint
         + tail and is applying."""

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from repro.core.alex import AlexIndex
+from repro.core.config import ga_armi
 from repro.core.errors import (DuplicateKeyError, KeyNotFoundError,
                                PersistenceError, WALCorruptionError)
+from repro.core.policy import CostModelPolicy
 from repro.durability import (CheckpointManager, DurableAlexIndex,
                               OP_DELETE, OP_INSERT, WriteAheadLog,
                               iter_frames, recover_index)
@@ -251,6 +253,26 @@ class TestDurableAlexIndex:
         assert result.index is not durable.index
         assert list(result.index.items()) == live
         result.index.validate()
+
+    def test_recovered_leaves_run_on_the_recovery_policy(self, tmp_path):
+        """Every leaf of a recovered index — not just the index — runs
+        its contraction and SMO bookkeeping on the recovery's policy,
+        and so do the leaves the WAL replay's SMOs create."""
+        durable, _ = build_durable(
+            tmp_path, config=ga_armi(max_keys_per_node=256))
+        durable.insert_many(np.arange(2e6, 2e6 + 2000))
+        durable.close()
+        policy = CostModelPolicy()
+        result = recover_index(str(tmp_path / "dur"), policy=policy)
+        leaves = list(result.index.leaves())
+        assert len(leaves) > 1
+        assert result.index.policy is policy
+        assert all(leaf.policy is policy for leaf in leaves)
+        reopened = DurableAlexIndex.open(str(tmp_path / "dur"),
+                                         policy=policy, fsync="off")
+        assert all(leaf.policy is policy
+                   for leaf in reopened.index.leaves())
+        reopened.close()
 
     def test_reads_delegate(self, tmp_path):
         durable, keys = build_durable(tmp_path, n=500)

@@ -1,7 +1,9 @@
 """Tests for index persistence (save/load round trips)."""
 
 import dataclasses
+import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +15,31 @@ from repro.core.errors import PersistenceError
 from repro.ext.persistence import (FORMAT_MAGIC, FORMAT_VERSION,
                                    load_index, save_index,
                                    save_load_roundtrip_equal)
+
+
+def write_per_leaf_archive(index, path, version):
+    """Write ``index`` in the pre-column layout of format versions 1 and
+    2: three compressed members per leaf (keys, occupancy bitmap, the
+    pickled full-capacity payload list); version 1 carries no format
+    stamp.  The tree header is the current writer's, minus the leaves'
+    slot ranges."""
+    save_index(index, path)
+    with np.load(path) as archive:
+        header = json.loads(bytes(archive["header"]).decode())
+    header["version"] = version
+    if version == 1:
+        del header["format"]
+    for meta in header["leaves"]:
+        del meta["slots"]
+    arrays = {"header": np.frombuffer(json.dumps(header).encode(),
+                                      dtype=np.uint8)}
+    for i, leaf in enumerate(index.leaves()):
+        arrays[f"keys_{i}"] = leaf.keys
+        arrays[f"occ_{i}"] = leaf.occupied
+        arrays[f"payloads_{i}"] = np.frombuffer(pickle.dumps(leaf.payloads),
+                                                dtype=np.uint8)
+    with open(path, "wb") as f:
+        np.savez_compressed(f, **arrays)
 
 
 @pytest.fixture
@@ -56,6 +83,48 @@ class TestRoundTrip:
                               alex_prediction_errors(loaded))
 
 
+class TestColumnLayout:
+    @pytest.mark.parametrize("payloads, member", [
+        (lambda n: [i * 0.5 for i in range(n)], "payload_column"),
+        (lambda n: list(range(-n, 0)), "payload_column"),
+        (lambda n: [2 ** 63 + i for i in range(n)], "payload_pickle"),
+        (lambda n: [None if i % 3 else float(i) for i in range(n)],
+         "payload_pickle"),
+        (lambda n: [(i, "t") for i in range(n)], "payload_pickle"),
+    ], ids=["floats", "ints", "beyond-int64", "mixed-none", "tuples"])
+    def test_payloads_round_trip_with_their_types(self, tmp_path, keys,
+                                                  payloads, member):
+        values = payloads(len(keys))
+        index = AlexIndex.bulk_load(keys, values,
+                                    config=ga_armi(max_keys_per_node=256))
+        path = str(tmp_path / "p.npz")
+        save_index(index, path)
+        with np.load(path) as archive:
+            assert sorted(archive.files) == sorted(
+                ["header", "keys", "occupied", member])
+        loaded = load_index(path)
+        loaded.validate()
+        got = [payload for _, payload in loaded.items()]
+        assert got == values
+        assert [type(p) for p in got] == [type(p) for p in values]
+
+    def test_slot_layout_preserved(self, tmp_path, keys):
+        index = AlexIndex.bulk_load(keys, config=pma_armi(
+            max_keys_per_node=256))
+        for key in np.linspace(1.0, 9e5, 300):
+            index.insert(float(key) + 0.25)
+        path = str(tmp_path / "slots.npz")
+        save_index(index, path)
+        loaded = load_index(path)
+        pairs = list(zip(index.leaves(), loaded.leaves()))
+        assert len(pairs) == index.num_leaves() == loaded.num_leaves()
+        for before, after in pairs:
+            assert np.array_equal(before.keys, after.keys)
+            assert np.array_equal(before.occupied, after.occupied)
+            assert (before.capacity, before.num_keys) == (after.capacity,
+                                                          after.num_keys)
+
+
 class TestStructuralEdgeCases:
     def test_empty_index(self, tmp_path):
         index = AlexIndex.bulk_load([])
@@ -85,7 +154,6 @@ class TestStructuralEdgeCases:
         assert save_load_roundtrip_equal(index, path)
 
     def _rewrite_header(self, path, mutate):
-        import json
         with np.load(path) as archive:
             arrays = {name: archive[name] for name in archive.files}
         header = json.loads(bytes(arrays["header"]).decode())
@@ -102,7 +170,6 @@ class TestStructuralEdgeCases:
         return path
 
     def test_format_is_version_stamped(self, tmp_path, keys):
-        import json
         path = self._saved(tmp_path, keys, "v.npz")
         with np.load(path) as archive:
             header = json.loads(bytes(archive["header"]).decode())
@@ -126,11 +193,24 @@ class TestStructuralEdgeCases:
 
     def test_version_1_archive_without_stamp_still_loads(self, tmp_path,
                                                          keys):
-        path = self._saved(tmp_path, keys, "v1.npz")
-        self._rewrite_header(
-            path, lambda h: (h.pop("format"), h.update(version=1)))
+        index = AlexIndex.bulk_load(keys, [f"p{i}" for i in range(len(keys))],
+                                    config=ga_armi(max_keys_per_node=256))
+        path = str(tmp_path / "v1.npz")
+        write_per_leaf_archive(index, path, version=1)
         loaded = load_index(path)
-        assert len(loaded) == 100
+        loaded.validate()
+        assert list(loaded.items()) == list(index.items())
+
+    def test_version_2_archive_still_loads(self, tmp_path, keys):
+        index = AlexIndex.bulk_load(keys, np.arange(len(keys)).tolist(),
+                                    config=pma_armi(max_keys_per_node=256))
+        path = str(tmp_path / "v2.npz")
+        write_per_leaf_archive(index, path, version=2)
+        loaded = load_index(path)
+        loaded.validate()
+        assert list(loaded.items()) == list(index.items())
+        assert np.array_equal(alex_prediction_errors(index),
+                              alex_prediction_errors(loaded))
 
     def test_foreign_npz_raises_persistence_error_not_keyerror(
             self, tmp_path):
@@ -150,5 +230,7 @@ class TestStructuralEdgeCases:
         index = AlexIndex.bulk_load(keys)
         path = str(tmp_path / "size.npz")
         save_index(index, path)
-        # Compressed file should be within a few x of the raw key bytes.
+        # The uncompressed slot columns (8-byte keys plus a 1-byte
+        # occupancy flag per slot, gaps included) stay within a few x of
+        # the raw key bytes.
         assert os.path.getsize(path) < 40 * len(keys)

@@ -18,8 +18,9 @@ from repro.serve.sharded import ShardStats
 def obs_on(monkeypatch):
     """Force the layer on with a clean registry, restoring the prior
     switch state (the suite may run under REPRO_OBS=off).  The env var
-    is patched too: spawn-context shard workers read it at import, so
-    without it a process-backend test would get silent workers."""
+    is patched too: shard workers read the parent's environment at
+    launch, so without it a process-backend test would get silent
+    workers."""
     was = obs.enabled()
     monkeypatch.setenv(obs.ENV_VAR, "on")
     obs.set_enabled(True)

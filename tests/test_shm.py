@@ -216,7 +216,7 @@ class TestReplyRing:
             ring.unlink()
 
     def test_pickles_as_an_attachment_handle(self):
-        """The worker's copy arrives through spawn pickling: same
+        """The worker's copy arrives pickled with its launch: same
         segment, not an owner (unlink stays the parent's job)."""
         ring = ReplyRing.create(capacity=1 << 12)
         try:

@@ -25,7 +25,8 @@ from repro.serve import IngressRunner, ShardedAlexIndex
 def obs_on(monkeypatch):
     """Observability on, clean registry and recorder, trace knobs at
     their defaults — restored afterwards (the suite may run under
-    REPRO_OBS=off; spawn-context workers read the env var at import)."""
+    REPRO_OBS=off; process workers read the parent's environment at
+    launch)."""
     was = obs.enabled()
     monkeypatch.setenv(obs.ENV_VAR, "on")
     obs.set_enabled(True)
@@ -274,6 +275,30 @@ class TestServiceTracing:
                 assert s["parent"] is None or s["parent"] in ids
         finally:
             service.close()
+
+    def test_worker_spans_carry_their_own_pid(self, obs_on):
+        """Workers fork from one preloaded server: every span a worker
+        records names that worker's pid, not the server's, and no two
+        workers mint the same span id."""
+        keys = np.arange(4000, dtype=np.float64)
+        service = ShardedAlexIndex.bulk_load(keys, num_shards=2,
+                                             backend="process")
+        try:
+            for i in range(20):
+                with trace.start("test.root"):
+                    service.lookup_many(keys[i::50])
+            pids = service.backend.worker_pids()
+            drains = service.backend.trace_snapshots()
+        finally:
+            service.close()
+        assert len(set(pids)) == 2
+        span_ids = []
+        for pid, drain in zip(pids, drains):
+            spans = drain["spans"]
+            assert spans
+            assert {s["pid"] for s in spans} == {pid}
+            span_ids.append({s["span"] for s in spans})
+        assert not span_ids[0] & span_ids[1]
 
     def test_wal_and_replica_read_spans_join_the_trace(
             self, obs_on, tmp_path):
