@@ -3,13 +3,16 @@
 Measures the pluggable kernel layer (``repro.core.kernels``) at two
 levels, for every backend that can run on this host:
 
-* **Per-kernel microbenchmarks** of the three hot loops behind the
-  interface — (1) linear-model predict + clamp over a large key batch,
-  (2) the lock-step model-hinted search (``find_keys_many``) over a
-  single large leaf, and (3) the gapped-array shift-and-insert path
+* **Per-kernel microbenchmarks** of three of the four hot loops behind
+  the interface — (1) linear-model predict + clamp over a large key
+  batch, (2) the lock-step model-hinted search (``find_keys_many``) over
+  a single large leaf, and (3) the gapped-array shift-and-insert path
   (``closest_gaps`` + shift + ``place_fill``) driven through
   ``GappedArrayNode.insert`` — reported as ops/second plus the speedup
-  over the numpy reference.
+  over the numpy reference.  The fourth, (4) the model-based placement
+  of a leaf build (``model_place``), has no microbenchmark row: it runs
+  inside every bulk load and ``insert_many`` merge-rebuild, so the
+  end-to-end rows below include it.
 * **End-to-end throughput** on a bulk-loaded 1M-key ``AlexIndex``:
   ``lookup_many`` over uniform-random hits and ``insert_many`` of fresh
   keys, per backend, best-of-``--repeat`` to damp scheduler noise.

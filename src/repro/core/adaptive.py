@@ -42,30 +42,37 @@ def build_adaptive_rmi(keys: np.ndarray, payloads: list, config: AlexConfig,
     keys = np.asarray(keys, dtype=np.float64)
     policy = policy or DEFAULT_POLICY
     leaves: List[DataNode] = []
-    root = _initialize(keys, payloads, config, counters, policy, leaves,
+    root = _initialize(keys, payloads, 0, config, counters, policy, leaves,
                        depth=0)
     link_leaves(leaves)
     return root, leaves
 
 
-def _initialize(keys: np.ndarray, payloads: list, config: AlexConfig,
-                counters: Counters, policy, leaves: List[DataNode],
-                depth: int):
-    """Recursive body of Algorithm 4; appends created leaves in key order."""
+def _initialize(keys: np.ndarray, payloads: list, offset: int,
+                config: AlexConfig, counters: Counters, policy,
+                leaves: List[DataNode], depth: int):
+    """Recursive body of Algorithm 4; appends created leaves in key order.
+
+    ``keys`` is a view of the whole key array starting at ``offset``;
+    ``payloads`` is the whole payload list, sliced only per leaf.
+    """
     n = len(keys)
     max_keys = config.max_keys_per_node
     if n <= max_keys or depth >= _MAX_DEPTH:
-        return _make_leaf(keys, payloads, config, counters, policy, leaves)
+        return _make_leaf(keys, payloads, offset, config, counters, policy,
+                          leaves)
 
     num_partitions = policy.initial_fanout(n, depth, config)
     model = LinearModel.train_cdf(keys, num_partitions)
     counters.retrains += 1
-    bounds = partition_by_model(keys, model, num_partitions)
+    kernels = get_kernels(config.kernel_backend)
+    bounds = partition_by_model(keys, model, num_partitions, kernels)
     sizes = np.diff(bounds)
     if int(sizes.max()) == n:
         # Degenerate: the model routes every key to one partition, so
         # recursing cannot make progress.  Accept an oversized leaf.
-        return _make_leaf(keys, payloads, config, counters, policy, leaves)
+        return _make_leaf(keys, payloads, offset, config, counters, policy,
+                          leaves)
 
     children: List[object] = [None] * num_partitions
     s = 0
@@ -73,8 +80,9 @@ def _initialize(keys: np.ndarray, payloads: list, config: AlexConfig,
         size = int(sizes[s])
         if size > max_keys:
             lo, hi = int(bounds[s]), int(bounds[s + 1])
-            children[s] = _initialize(keys[lo:hi], payloads[lo:hi], config,
-                                      counters, policy, leaves, depth + 1)
+            children[s] = _initialize(keys[lo:hi], payloads, offset + lo,
+                                      config, counters, policy, leaves,
+                                      depth + 1)
             s += 1
             continue
         # Merge this partition with its successors until just below the
@@ -85,21 +93,21 @@ def _initialize(keys: np.ndarray, payloads: list, config: AlexConfig,
             acc += int(sizes[e])
             e += 1
         lo, hi = int(bounds[s]), int(bounds[e])
-        leaf = _make_leaf(keys[lo:hi], payloads[lo:hi], config, counters,
-                          policy, leaves)
+        leaf = _make_leaf(keys[lo:hi], payloads, offset + lo, config,
+                          counters, policy, leaves)
         for slot in range(s, e):
             children[slot] = leaf
         s = e
-    return InnerNode(model, children, counters,
-                     kernels=get_kernels(config.kernel_backend))
+    return InnerNode(model, children, counters, kernels=kernels)
 
 
-def _make_leaf(keys: np.ndarray, payloads: list, config: AlexConfig,
-               counters: Counters, policy,
+def _make_leaf(keys: np.ndarray, payloads: list, offset: int,
+               config: AlexConfig, counters: Counters, policy,
                leaves: List[DataNode]) -> DataNode:
-    """Build one data node and register it in the in-order leaf list."""
+    """Build one data node over ``keys`` (payloads from ``offset`` on)
+    and register it in the in-order leaf list."""
     leaf = make_data_node(config, counters, policy)
-    leaf.build(keys, list(payloads))
+    leaf.build(keys, payloads[offset:offset + len(keys)])
     leaves.append(leaf)
     return leaf
 
@@ -160,7 +168,7 @@ def split_leaf(leaf: DataNode, parent: Optional[InnerNode],
     else:
         model = LinearModel.train_cdf(keys, fanout)
         counters.retrains += 1
-    bounds = partition_by_model(keys, model, fanout)
+    bounds = partition_by_model(keys, model, fanout, leaf.kernels)
     sizes = np.diff(bounds)
     if len(keys) > 0 and int(sizes.max()) == len(keys):
         return None

@@ -53,7 +53,7 @@ from repro import obs
 from .adaptive import (build_adaptive_rmi, merge_leaves, split_leaf,
                        split_leaf_sideways, split_until_fits)
 from .config import ADAPTIVE_RMI, AlexConfig
-from .data_node import DataNode
+from .data_node import DataNode, take
 from .errors import DuplicateKeyError, KeyNotFoundError
 from .policy import (AdaptationPolicy, EV_DELETE, EV_INSERT, EV_READ,
                      HeuristicPolicy, PressureEvent, SMO_EXPAND, SMO_MERGE,
@@ -560,7 +560,7 @@ class AlexIndex:
             merged_payloads = old_payloads + payloads[lo:hi]
             merge_order = np.argsort(merged_keys, kind="stable")
             merged_keys = merged_keys[merge_order]
-            merged_payloads = [merged_payloads[j] for j in merge_order]
+            merged_payloads = take(merged_payloads, merge_order)
             leaf._model_based_build(merged_keys, merged_payloads,
                                     leaf._initial_capacity(len(merged_keys)))
             leaf.counters.inserts += count
@@ -681,9 +681,8 @@ class AlexIndex:
             else:
                 keep = leaf.occupied.copy()
                 keep[pos[present]] = False
-                kept = np.flatnonzero(keep)
-                new_keys = leaf.keys[kept].copy()
-                new_payloads = [leaf.payloads[p] for p in kept]
+                new_keys = leaf.keys[keep]
+                new_payloads = take(leaf.payloads, keep)
                 leaf._model_based_build(new_keys, new_payloads,
                                         leaf._initial_capacity(len(new_keys)))
                 leaf.counters.deletes += count

@@ -10,7 +10,9 @@ Array — share everything implemented here:
   (Section 5.2.3);
 * **model-based builds** (Algorithm 3): train a linear model on the keys,
   rescale it to the array size, then place every key at its predicted slot
-  in sorted order, spilling collisions to the first gap on the right;
+  in sorted order, spilling collisions to the first gap on the right (the
+  placement and gap fill are the fourth kernel, ``model_place``, beside
+  predict + clamp, search and shift-and-insert);
 * **lookups** via model prediction + exponential search (Algorithm 3);
 * cold-start behaviour: nodes with very few keys skip the model and use
   plain binary search (Section 3.3.3).
@@ -21,6 +23,8 @@ policy (GA: grow by ``1/d``; PMA: double).
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -36,6 +40,22 @@ from .stats import Counters
 
 GAP_SENTINEL = np.inf
 _BITMAP_WORD_BITS = 64
+
+
+def take(items: list, index: np.ndarray) -> list:
+    """``items`` at a boolean mask or at integer positions, as a new list.
+
+    One C-level pass (:func:`itertools.compress` or
+    :func:`operator.itemgetter`) instead of indexing the list one numpy
+    integer at a time.  Each element is the very object stored, and a
+    sequence element stays whole.
+    """
+    if index.dtype == bool:
+        return list(compress(items, index.tolist()))
+    positions = index.tolist()
+    if len(positions) < 2:  # itemgetter returns a lone item unwrapped
+        return [items[p] for p in positions]
+    return list(itemgetter(*positions)(items))
 
 
 class DataNode:
@@ -95,45 +115,25 @@ class DataNode:
         """
         n = len(keys)
         capacity = max(capacity, n, self.MIN_CAPACITY)
-        new_keys = np.full(capacity, GAP_SENTINEL, dtype=np.float64)
-        new_payloads: list = [None] * capacity
-        new_occupied = np.zeros(capacity, dtype=bool)
-
+        # The fit stays in numpy (its pairwise mean and BLAS dot fix the
+        # model's exact bits); the placement and gap fill are one kernel
+        # call, and one scatter places the payloads.
+        model = None
         if n >= self.config.min_keys_for_model:
             model = LinearModel.train_cdf(keys, capacity)
             self.counters.retrains += 1
-            predicted = model.predict_pos_vec(keys, capacity)
             self.counters.model_inferences += n
-        else:
-            model = None
-            # Without a model, spread the keys uniformly (a degenerate
-            # "model-based" placement with the identity spacing).
-            predicted = ((np.arange(n, dtype=np.float64) * capacity) // max(n, 1)).astype(np.int64)
-
-        if n:
-            # Vectorized collision resolution, equivalent to the sequential
-            # "place at max(predicted, last + 1), capped to leave room for
-            # the rest" loop: the running max(predicted[j] + i - j) gives
-            # each key its shifted slot, and because the room cap increases
-            # by exactly one per key, applying it after the accumulate
-            # yields the same positions the sequential loop would.
-            ar = np.arange(n, dtype=np.int64)
-            pos = np.maximum.accumulate(predicted - ar) + ar
-            pos = np.minimum(pos, capacity - n + ar)
-            new_keys[pos] = keys
-            new_occupied[pos] = True
-            if any(p is not None for p in payloads):
-                for p, payload in zip(pos.tolist(), payloads):
-                    new_payloads[p] = payload
-
-        self.keys = new_keys
-        self.payloads = new_payloads
-        self.occupied = new_occupied
+        self.model = model
+        has_model, slope, intercept = self._model_params()
+        self.keys, self.occupied, positions, fills = self.kernels.model_place(
+            keys, has_model, slope, intercept, capacity)
+        slots = np.empty(capacity, dtype=object)
+        slots[positions] = np.fromiter(payloads, dtype=object, count=n)
+        self.payloads = slots.tolist()
         self.capacity = capacity
         self.num_keys = n
-        self.model = model
         self.counters.build_moves += n
-        self._refill_gap_keys(0, capacity)
+        self.counters.gap_fill_writes += fills
         # Every rebuild — bulk build, expansion, contraction, retrain,
         # batch merge-rebuild — lands here, so this is the one place the
         # adaptation policy's per-node drift window is invalidated.
@@ -428,10 +428,7 @@ class DataNode:
 
     def export_sorted(self) -> Tuple[np.ndarray, list]:
         """Return ``(keys, payloads)`` of the real elements in key order."""
-        positions = np.flatnonzero(self.occupied)
-        keys = self.keys[positions].copy()
-        payloads = [self.payloads[p] for p in positions]
-        return keys, payloads
+        return self.keys[self.occupied], take(self.payloads, self.occupied)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,12 +1,13 @@
-"""Pluggable compiled kernels for the three innermost hot loops.
+"""Pluggable compiled kernels for the four innermost hot loops.
 
 The honest batch-vs-scalar ratio of the pure-NumPy engine is ~1.4x
 (BENCH_batch.json): interpreter dispatch, not memory bandwidth, is the
-ceiling on every read and write.  This package moves the three loops the
+ceiling on every read and write.  This package moves the four loops the
 profile is made of — (1) linear-model predict + clamp, (2) lock-step
-exponential/binary search over leaf key arrays, and (3) the gapped-array /
-PMA shift-and-insert — behind one narrow kernel interface with two
-implementations:
+exponential/binary search over leaf key arrays, (3) the gapped-array /
+PMA shift-and-insert, and (4) the model-based placement every leaf
+build, expansion, contraction, retrain, split and merge runs (Algorithm
+3) — behind one narrow kernel interface with two implementations:
 
 ``numpy``
     The existing pure-NumPy/pure-Python code, extracted verbatim.  Always
@@ -156,6 +157,25 @@ class KernelBackend:
         """Clear slot ``pos`` and rewrite the now-extended gap run ending
         at ``pos`` with ``right_key``.  Returns the number of gap-fill
         writes (always >= 1: slot ``pos`` itself is rewritten)."""
+        raise NotImplementedError
+
+    # -- kernel 4: model-based placement (leaf build) -----------------
+
+    def model_place(self, keys: np.ndarray, has_model: bool, slope: float,
+                    intercept: float, capacity: int
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Algorithm 3's model-based insert of sorted ``keys`` into a
+        fresh array of ``capacity >= len(keys)`` slots.
+
+        Key ``i`` goes to ``max(predicted, previous slot + 1)``, capped
+        at ``capacity - n + i`` so the remaining keys still fit.  The
+        prediction is :meth:`predict_clamp`'s with a model, or the
+        uniform spread ``(i * capacity) // n`` without one.  Returns
+        ``(slot_keys, occupied, positions, gap_fills)``: the gap-filled
+        key array (each gap mirrors its nearest real right neighbour,
+        trailing gaps hold ``+inf``), the occupancy bitmap, each key's
+        slot, and the number of gap slots written.
+        """
         raise NotImplementedError
 
 

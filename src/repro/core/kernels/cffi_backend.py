@@ -1,8 +1,11 @@
-"""C kernel backend: the hot loops compiled with the system C compiler.
+"""C kernel backend: the four hot loops compiled with the system C compiler.
 
-The kernels are the per-lane scalar algorithms (identical control flow to
-the extracted NumPy reference, so positions *and* counter charges match
-bit-for-bit), compiled through :mod:`cffi` in API mode.  The extension is
+The kernels — predict + clamp, exponential/binary search, shift-and-insert,
+and the model-based placement of a leaf build — are the per-lane scalar
+algorithms (identical control flow to the extracted NumPy reference, so
+positions *and* counter charges match bit-for-bit; the placement runs
+the sequential loop the reference vectorizes), compiled through
+:mod:`cffi` in API mode.  The extension is
 built once per machine into a cache directory keyed by a hash of the C
 source (``$REPRO_KERNEL_CACHE`` or ``~/.cache/repro-kernels``) and loaded
 from there afterwards, so only the first process on a machine ever pays
@@ -54,9 +57,13 @@ void k_shift_left(double *keys, uint8_t *occ, int64_t gap, int64_t ip);
 int64_t k_place_fill(double *keys, uint8_t *occ, int64_t pos, double key);
 int64_t k_erase_fill(double *keys, uint8_t *occ, int64_t pos,
                      double right_key);
+int64_t k_model_place(const double *keys, int64_t n, int has_model,
+                      double slope, double intercept, int64_t cap,
+                      double *slot_keys, uint8_t *occ, int64_t *pos);
 """
 
 _SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -266,6 +273,41 @@ int64_t k_erase_fill(double *keys, uint8_t *occ, int64_t pos,
     }
     return fills;
 }
+
+/* Algorithm 3's model-based insert in one pass: key i goes to
+ * max(predicted, last + 1), capped at cap - n + i so the remaining keys
+ * still fit (the cold-start prediction is the uniform spread
+ * (i * cap) / n).  A backward pass then mirrors each gap's nearest real
+ * right neighbour into it, +inf for trailing gaps.  Returns the number
+ * of gap slots written. */
+int64_t k_model_place(const double *keys, int64_t n, int has_model,
+                      double slope, double intercept, int64_t cap,
+                      double *slot_keys, uint8_t *occ, int64_t *pos)
+{
+    int64_t i, last = -1, fills = 0;
+    double fill = INFINITY;
+    memset(occ, 0, (size_t)cap);
+    for (i = 0; i < n; i++) {
+        int64_t p = has_model ? predict_1(slope, intercept, keys[i], cap)
+                              : (i * cap) / n;
+        if (p <= last)
+            p = last + 1;
+        if (p > cap - n + i)
+            p = cap - n + i;
+        slot_keys[p] = keys[i];
+        occ[p] = 1;
+        pos[i] = last = p;
+    }
+    for (i = cap - 1; i >= 0; i--) {
+        if (occ[i]) {
+            fill = slot_keys[i];
+        } else {
+            slot_keys[i] = fill;
+            fills++;
+        }
+    }
+    return fills;
+}
 """
 
 
@@ -427,3 +469,20 @@ class CffiKernels(KernelBackend):
         return int(self._lib.k_erase_fill(self._dbuf(keys),
                                           self._obuf(occupied), pos,
                                           right_key))
+
+    # -- kernel 4: model-based placement (leaf build) -----------------
+
+    def model_place(self, keys: np.ndarray, has_model: bool, slope: float,
+                    intercept: float, capacity: int
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        keys = np.ascontiguousarray(keys, dtype=np.float64)
+        n = len(keys)
+        if n > capacity:
+            raise ValueError(f"{n} keys do not fit {capacity} slots")
+        slot_keys = np.empty(capacity, dtype=np.float64)
+        occupied = np.empty(capacity, dtype=bool)
+        pos = np.empty(n, dtype=np.int64)
+        fills = self._lib.k_model_place(
+            self._dbuf(keys), n, int(has_model), slope, intercept, capacity,
+            self._dbuf(slot_keys), self._obuf(occupied), self._ibuf(pos))
+        return slot_keys, occupied, pos, int(fills)

@@ -3,7 +3,8 @@
 This is the code the compiled backends are property-tested against —
 every routine here is the pre-kernel implementation from
 :mod:`repro.core.search`, :mod:`repro.core.linear_model` and
-:mod:`repro.core.data_node`, extracted behind the
+:mod:`repro.core.data_node` (kernel 4 is ``DataNode``'s former
+model-based build and its full-array gap refill), extracted behind the
 :class:`~repro.core.kernels.KernelBackend` interface with counter
 charges returned instead of applied.
 """
@@ -166,3 +167,40 @@ class NumpyKernels(KernelBackend):
             fills += 1
             i -= 1
         return fills
+
+    # -- kernel 4: model-based placement (leaf build) -----------------
+
+    def model_place(self, keys: np.ndarray, has_model: bool, slope: float,
+                    intercept: float, capacity: int
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        n = len(keys)
+        if n > capacity:
+            raise ValueError(f"{n} keys do not fit {capacity} slots")
+        slot_keys = np.full(capacity, np.inf, dtype=np.float64)
+        occupied = np.zeros(capacity, dtype=bool)
+        if has_model:
+            predicted = self.predict_clamp(slope, intercept, keys, capacity)
+        else:
+            # Without a model, spread the keys uniformly (a degenerate
+            # "model-based" placement with the identity spacing).
+            predicted = ((np.arange(n, dtype=np.float64) * capacity)
+                         // max(n, 1)).astype(np.int64)
+        # Vectorized collision resolution, equivalent to the sequential
+        # "place at max(predicted, last + 1), capped to leave room for
+        # the rest" loop: the running max(predicted[j] + i - j) gives
+        # each key its shifted slot, and because the room cap increases
+        # by exactly one per key, applying it after the accumulate
+        # yields the same positions the sequential loop would.
+        ar = np.arange(n, dtype=np.int64)
+        pos = np.maximum.accumulate(predicted - ar) + ar
+        pos = np.minimum(pos, capacity - n + ar)
+        slot_keys[pos] = keys
+        occupied[pos] = True
+        # Backward gap fill: each gap takes the key of the first real
+        # slot to its right; trailing gaps keep +inf.
+        idx = np.where(occupied, np.arange(capacity), capacity)
+        suffix = np.minimum.accumulate(idx[::-1])[::-1]
+        src = np.minimum(suffix, capacity - 1)
+        filled = np.where(suffix < capacity, slot_keys[src], np.inf)
+        slot_keys = np.where(occupied, slot_keys, filled)
+        return slot_keys, occupied, pos, capacity - n

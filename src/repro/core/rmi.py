@@ -195,16 +195,20 @@ def link_leaves(leaves: List[DataNode]) -> None:
 
 
 def partition_by_model(keys: np.ndarray, model: LinearModel,
-                       num_slots: int) -> np.ndarray:
+                       num_slots: int,
+                       kernels: KernelBackend) -> np.ndarray:
     """Boundaries of the contiguous key runs each model slot receives.
 
     Returns an array ``bounds`` of length ``num_slots + 1`` such that slot
     ``s`` receives ``keys[bounds[s]:bounds[s+1]]``.  Relies on the model
-    being monotone non-decreasing so slot assignments are sorted.
+    being monotone non-decreasing so slot assignments are sorted.  The
+    slots come from ``kernels.predict_clamp``.
     """
     if len(keys) == 0:
         return np.zeros(num_slots + 1, dtype=np.int64)
-    slots = model.predict_pos_vec(np.asarray(keys, dtype=np.float64), num_slots)
+    slots = kernels.predict_clamp(model.slope, model.intercept,
+                                  np.asarray(keys, dtype=np.float64),
+                                  num_slots)
     bounds = np.searchsorted(slots, np.arange(num_slots + 1))
     return bounds.astype(np.int64)
 
@@ -225,7 +229,8 @@ def build_static_rmi(keys: np.ndarray, payloads: list, config: AlexConfig,
     keys = np.asarray(keys, dtype=np.float64)
     root_model = LinearModel.train_cdf(keys, num_models)
     counters.retrains += 1
-    bounds = partition_by_model(keys, root_model, num_models)
+    kernels = get_kernels(config.kernel_backend)
+    bounds = partition_by_model(keys, root_model, num_models, kernels)
     leaves: List[DataNode] = []
     children: List[object] = []
     for s in range(num_models):
@@ -235,6 +240,5 @@ def build_static_rmi(keys: np.ndarray, payloads: list, config: AlexConfig,
         leaves.append(leaf)
         children.append(leaf)
     link_leaves(leaves)
-    root = InnerNode(root_model, children, counters,
-                     kernels=get_kernels(config.kernel_backend))
+    root = InnerNode(root_model, children, counters, kernels=kernels)
     return root, leaves

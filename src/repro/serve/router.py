@@ -2,10 +2,10 @@
 
 A :class:`ShardRouter` owns the interior boundaries that cut the key space
 into ``num_shards`` contiguous ranges.  Boundaries are *fitted at bulk
-load*: the empirical CDF of the loaded keys (:func:`repro.datasets.cdf
-.empirical_cdf`) is sampled at equal-mass quantiles, so every shard starts
-with the same number of keys no matter how skewed the distribution is.
-This is the same piecewise view of the CDF that ALEX's adaptive RMI builds
+load*: the empirical CDF of the loaded keys is sampled at equal-mass
+quantiles (the keys' order statistics at the cut ranks), so every shard
+starts with the same number of keys no matter how skewed the distribution
+is.  This is the same piecewise view of the CDF that ALEX's adaptive RMI builds
 dynamically — equal-mass shard boundaries hand every shard a near-linear
 CDF segment, which keeps the per-shard trees shallow and their models
 accurate.
@@ -27,7 +27,6 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from repro.core.linear_model import LinearModel
-from repro.datasets.cdf import empirical_cdf
 
 
 class ShardRouter:
@@ -61,12 +60,14 @@ class ShardRouter:
         """
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        sorted_keys, _ = empirical_cdf(keys)
-        n = len(sorted_keys)
+        keys = np.asarray(keys, dtype=np.float64)
+        n = len(keys)
         if n == 0 or num_shards == 1:
             return cls(np.empty(0))
         cut_ranks = [(s * n) // num_shards for s in range(1, num_shards)]
-        boundaries = np.unique(sorted_keys[cut_ranks])
+        # Only the cut ranks' order statistics matter: a partial
+        # partition finds them exactly, without a full sort.
+        boundaries = np.unique(np.partition(keys, cut_ranks)[cut_ranks])
         return cls(boundaries)
 
     @property

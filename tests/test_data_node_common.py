@@ -4,8 +4,9 @@ arrays, bitmaps, leaf chaining, size accounting."""
 import numpy as np
 import pytest
 
-from repro.core.config import AlexConfig
-from repro.core.data_node import GAP_SENTINEL
+from repro.core.alex import AlexIndex
+from repro.core.config import AlexConfig, ga_armi
+from repro.core.data_node import GAP_SENTINEL, take
 from repro.core.errors import KeyNotFoundError
 from repro.core.gapped_array import GappedArrayNode
 from repro.core.pma import PMANode
@@ -85,6 +86,46 @@ class TestExportAndIteration:
         node, keys = any_node
         got = [k for k, _ in node.iter_items()]
         assert got == keys.tolist()
+
+
+class TestPayloadIdentity:
+    """Builds and rebuild-path gathers store the very payload objects
+    they were given; a sequence payload is never unpacked."""
+
+    PAYLOADS = [(1, 2), [3], "s", np.float64(2.5), None, (7,), ()]
+
+    def test_take_keeps_sequences_whole(self):
+        items = list(self.PAYLOADS)
+        for index in (np.array([0]), np.array([5]), np.array([6, 0]),
+                      np.array([], dtype=np.int64),
+                      np.array([True] + [False] * 6),
+                      np.arange(7)[::-1]):
+            got = take(items, index)
+            want = ([items[i] for i in np.flatnonzero(index)]
+                    if index.dtype == bool else [items[i] for i in index])
+            assert len(got) == len(want)
+            assert all(g is w for g, w in zip(got, want))
+
+    def test_rebuild_paths_store_the_given_objects(self):
+        payloads = self.PAYLOADS * 20
+        keys = np.arange(len(payloads), dtype=np.float64)
+        index = AlexIndex.bulk_load(keys, payloads,
+                                    config=ga_armi(max_keys_per_node=64))
+        # Batch merge-rebuilds, then batch-delete rebuilds, then exports.
+        extra = keys[:40] + 0.5
+        index.insert_many(extra, payloads[:40])
+        index.delete_many(keys[1::3])
+        expected = {float(k): p for k, p in zip(keys, payloads)}
+        expected.update({float(k): p for k, p in zip(extra, payloads)})
+        for k in keys[1::3]:
+            del expected[float(k)]
+        stored = dict(index.items())
+        assert stored.keys() == expected.keys()
+        assert all(stored[k] is expected[k] for k in expected)
+        for leaf in index.leaves():
+            leaf_keys, leaf_payloads = leaf.export_sorted()
+            assert all(p is expected[k]
+                       for k, p in zip(leaf_keys.tolist(), leaf_payloads))
 
 
 class TestLeafChainScan:

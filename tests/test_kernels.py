@@ -5,7 +5,8 @@ Three concerns:
 * **Parity** — the compiled backend must produce bit-identical
   positions, states, *and work charges* to the pure-numpy reference, on
   randomized node layouts including every edge (empty nodes, all-gap
-  nodes, boundary targets, cold-start vs model-hinted search).
+  nodes, boundary targets, cold-start vs model-hinted search), and the
+  same leaf layouts from the model-based placement.
 * **Resolution** — selecting the compiled backend when its toolchain is
   absent degrades to numpy with a one-time warning; unknown names
   raise; resolution returns process-wide singletons.
@@ -25,6 +26,7 @@ from repro.core.alex import AlexIndex
 from repro.core.config import AlexConfig, ga_armi
 from repro.core.data_node import GAP_SENTINEL
 from repro.core.gapped_array import GappedArrayNode
+from repro.core.linear_model import LinearModel
 from repro.core.stats import Counters
 
 NUMPY = K.get_kernels("numpy")
@@ -207,6 +209,111 @@ class TestWriteKernelParity:
             assert f1 == f2 >= 1
             assert k1.tolist() == k2.tolist()
             assert o1.tolist() == o2.tolist()
+
+
+def sequential_place(keys, has_model, slope, intercept, capacity):
+    """Algorithm 3's placement as the plain loop the kernels implement."""
+    n = len(keys)
+    slot_keys = [GAP_SENTINEL] * capacity
+    occupied = [False] * capacity
+    positions, last = [], -1
+    for i, key in enumerate(keys.tolist()):
+        if has_model:
+            pred = int(NUMPY.predict_clamp(slope, intercept,
+                                           np.array([key]), capacity)[0])
+        else:
+            pred = (i * capacity) // n
+        pos = min(max(pred, last + 1), capacity - n + i)
+        slot_keys[pos], occupied[pos] = key, True
+        positions.append(pos)
+        last = pos
+    fill, fills = GAP_SENTINEL, 0
+    for pos in range(capacity - 1, -1, -1):
+        if occupied[pos]:
+            fill = slot_keys[pos]
+        else:
+            slot_keys[pos] = fill
+            fills += 1
+    return slot_keys, occupied, positions, fills
+
+
+@backend_params()
+class TestModelPlaceParity:
+    """Kernel 4 (the leaf build's placement and gap fill) against the
+    numpy reference and the sequential loop it vectorizes."""
+
+    def check(self, backend, keys, has_model, slope, intercept, capacity):
+        keys = np.asarray(keys, dtype=np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = backend.model_place(keys, has_model, slope, intercept,
+                                      capacity)
+            ref = NUMPY.model_place(keys, has_model, slope, intercept,
+                                    capacity)
+            loop = sequential_place(keys, has_model, slope, intercept,
+                                    capacity)
+        slot_keys, occupied, positions, fills = got
+        assert slot_keys.dtype == np.float64 and occupied.dtype == bool
+        assert positions.dtype == np.int64
+        for result in (ref, loop):
+            assert slot_keys.tolist() == list(result[0])
+            assert occupied.tolist() == list(result[1])
+            assert positions.tolist() == list(result[2])
+            assert fills == result[3]
+        return got
+
+    def test_empty(self, backend):
+        slot_keys, occupied, positions, fills = self.check(
+            backend, [], False, 0.0, 0.0, 8)
+        assert slot_keys.tolist() == [GAP_SENTINEL] * 8
+        assert not occupied.any() and positions.tolist() == [] and fills == 8
+
+    def test_cold_start_spread(self, backend):
+        # Below min_keys_for_model the build places without a model.
+        for n in range(1, AlexConfig().min_keys_for_model):
+            for capacity in (n, n + 1, 2 * n + 3):
+                self.check(backend, np.arange(n) * 3.0, False, 0.0, 0.0,
+                           capacity)
+
+    def test_full_capacity(self, backend):
+        keys = np.sort(np.random.default_rng(3).uniform(0, 1e3, 40))
+        _, occupied, positions, fills = self.check(
+            backend, keys, True, 0.01, 0.0, 40)
+        assert occupied.all() and positions.tolist() == list(range(40))
+        assert fills == 0
+        self.check(backend, keys, False, 0.0, 0.0, 40)
+
+    def test_zero_slope(self, backend):
+        keys = np.arange(20.0)
+        for intercept in (0.0, 5.5, 49.0, 1e9):
+            self.check(backend, keys, True, 0.0, intercept, 50)
+
+    def test_predictions_past_both_edges(self, backend):
+        keys = np.linspace(-100.0, 100.0, 30)
+        for slope, intercept in ((1.0, 0.0), (10.0, 30.0), (0.5, -200.0),
+                                 (3.0, 500.0), (-1.0, 10.0)):
+            self.check(backend, keys, True, slope, intercept, 64)
+
+    def test_non_finite_predictions(self, backend):
+        keys = np.array([-1e300, -1.0, 0.0, 1.0, 1e300])
+        for slope, intercept in ((1e300, 0.0), (0.0, np.nan), (np.inf, 0.0),
+                                 (-np.inf, 3.0), (0.0, np.inf)):
+            self.check(backend, keys, True, slope, intercept, 16)
+
+    def test_random_sorted_keys(self, backend):
+        rng = np.random.default_rng(21)
+        for trial in range(40):
+            n = int(rng.integers(1, 300))
+            keys = np.unique(rng.lognormal(0, 2, n))
+            n = len(keys)
+            capacity = n + int(rng.integers(0, 3 * n))
+            has_model = trial % 4 != 0
+            model = LinearModel.train_cdf(keys, capacity)
+            self.check(backend, keys, has_model, model.slope,
+                       model.intercept, capacity)
+
+    def test_rejects_more_keys_than_slots(self, backend):
+        with pytest.raises(ValueError):
+            backend.model_place(np.arange(5.0), False, 0.0, 0.0, 4)
 
 
 @pytest.mark.parametrize("name", COMPILED or ["numpy"])

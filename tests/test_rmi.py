@@ -1,8 +1,10 @@
 """Unit tests for repro.core.rmi (inner nodes, static RMI builder)."""
 
 import numpy as np
+import pytest
 
 from repro.core.config import AlexConfig, STATIC_RMI, PACKED_MEMORY_ARRAY
+from repro.core.kernels import available_backends, get_kernels
 from repro.core.linear_model import LinearModel
 from repro.core.pma import PMANode
 from repro.core.rmi import (
@@ -23,25 +25,27 @@ def build(keys, num_models=8, **overrides):
     return root, leaves, counters
 
 
+@pytest.mark.parametrize("backend", available_backends())
 class TestPartitionByModel:
-    def test_bounds_cover_all_keys(self):
+    def test_bounds_cover_all_keys(self, backend):
         keys = np.sort(np.random.default_rng(0).uniform(0, 100, 200))
         model = LinearModel.train_cdf(keys, 10)
-        bounds = partition_by_model(keys, model, 10)
+        bounds = partition_by_model(keys, model, 10, get_kernels(backend))
         assert bounds[0] == 0
         assert bounds[-1] == len(keys)
         assert (np.diff(bounds) >= 0).all()
 
-    def test_assignment_matches_routing(self):
+    def test_assignment_matches_routing(self, backend):
         keys = np.sort(np.random.default_rng(1).uniform(0, 100, 300))
         model = LinearModel.train_cdf(keys, 16)
-        bounds = partition_by_model(keys, model, 16)
+        bounds = partition_by_model(keys, model, 16, get_kernels(backend))
         for slot in range(16):
             for i in range(int(bounds[slot]), int(bounds[slot + 1])):
                 assert model.predict_pos(float(keys[i]), 16) == slot
 
-    def test_empty_keys(self):
-        bounds = partition_by_model(np.empty(0), LinearModel(), 4)
+    def test_empty_keys(self, backend):
+        bounds = partition_by_model(np.empty(0), LinearModel(), 4,
+                                    get_kernels(backend))
         assert bounds.tolist() == [0, 0, 0, 0, 0]
 
 

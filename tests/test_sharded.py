@@ -118,6 +118,25 @@ class TestShardRouter:
         tiny = ShardRouter.fit(np.array([1.0, 2.0]), 8)
         assert tiny.num_shards <= 3
 
+    @pytest.mark.parametrize("shape", ["sorted", "unsorted", "duplicates",
+                                       "tiny"])
+    def test_boundaries_are_the_sorted_order_statistics(self, shape):
+        # The definition fit must keep: the fully sorted keys at each
+        # equal-mass cut rank, with repeated quantiles collapsed.
+        rng = np.random.default_rng(4)
+        keys = {"sorted": skewed_keys(rng, 10_001),
+                "unsorted": rng.permutation(skewed_keys(rng, 10_001)),
+                "duplicates": rng.integers(0, 5, 3_000).astype(np.float64),
+                "tiny": np.array([3.0, 1.0, 2.0])}[shape]
+        given = keys.copy()
+        for num_shards in (2, 3, 7, 8, 16):
+            n = len(keys)
+            cut_ranks = [(s * n) // num_shards for s in range(1, num_shards)]
+            expected = np.unique(np.sort(keys)[cut_ranks])
+            fitted = ShardRouter.fit(keys, num_shards).boundaries
+            assert fitted.tolist() == expected.tolist()
+        assert keys.tolist() == given.tolist()  # fit leaves its input alone
+
 
 @pytest.mark.parametrize("num_shards,backend", BACKEND_CASES,
                          ids=BACKEND_IDS)
