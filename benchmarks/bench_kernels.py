@@ -9,10 +9,10 @@ levels, for every backend that can run on this host:
   a single large leaf, and (3) the gapped-array shift-and-insert path
   (``closest_gaps`` + shift + ``place_fill``) driven through
   ``GappedArrayNode.insert`` — reported as ops/second plus the speedup
-  over the numpy reference.  The fourth, (4) the model-based placement
-  of a leaf build (``model_place``), has no microbenchmark row: it runs
-  inside every bulk load and ``insert_many`` merge-rebuild, so the
-  end-to-end rows below include it.
+  over the numpy reference.  The fourth, (4) the leaf build (model fit
+  plus model-based placement, ``fit_place``), has no microbenchmark
+  row: it runs inside every bulk load and ``insert_many``
+  merge-rebuild, so the end-to-end rows below include it.
 * **End-to-end throughput** on a bulk-loaded 1M-key ``AlexIndex``:
   ``lookup_many`` over uniform-random hits and ``insert_many`` of fresh
   keys, per backend, best-of-``--repeat`` to damp scheduler noise.

@@ -16,10 +16,10 @@ import numpy as np
 
 from .config import AlexConfig
 from .data_node import DataNode
-from .kernels import get_kernels
+from .kernels import KernelBackend, get_kernels
 from .linear_model import LinearModel
 from .policy import DEFAULT_POLICY
-from .rmi import InnerNode, link_leaves, make_data_node, partition_by_model
+from .rmi import InnerNode, build_leaves, link_leaves, partition_by_model
 from .stats import Counters
 
 #: Hard cap on recursion depth during adaptive initialization; reaching it
@@ -38,78 +38,85 @@ def build_adaptive_rmi(keys: np.ndarray, payloads: list, config: AlexConfig,
     the fixed ``config.inner_partitions`` below the root).  Oversized
     partitions recurse into a deeper inner node; undersized partitions are
     merged with their successors until just below the bound.
+
+    The recursion only plans the leaves (it records where each one's key
+    run starts); one :func:`build_leaves` call then fits and places all
+    of them, and the inner nodes' placeholder slots are pointed at them.
     """
     keys = np.asarray(keys, dtype=np.float64)
     policy = policy or DEFAULT_POLICY
-    leaves: List[DataNode] = []
-    root = _initialize(keys, payloads, 0, config, counters, policy, leaves,
-                       depth=0)
+    kernels = get_kernels(config.kernel_backend)
+    starts: List[int] = []
+    inners: List[InnerNode] = []
+    root = _initialize(keys, 0, config, counters, policy, kernels, starts,
+                       inners, depth=0)
+    leaves = build_leaves(keys, payloads, starts + [len(keys)], config,
+                          counters, policy)
+    for inner in inners:
+        inner.children = [leaves[child] if isinstance(child, int) else child
+                          for child in inner.children]
     link_leaves(leaves)
-    return root, leaves
+    return (leaves[root] if isinstance(root, int) else root), leaves
 
 
-def _initialize(keys: np.ndarray, payloads: list, offset: int,
-                config: AlexConfig, counters: Counters, policy,
-                leaves: List[DataNode], depth: int):
-    """Recursive body of Algorithm 4; appends created leaves in key order.
+def _initialize(keys: np.ndarray, offset: int, config: AlexConfig,
+                counters: Counters, policy, kernels: KernelBackend,
+                starts: List[int], inners: List[InnerNode], depth: int):
+    """Recursive body of Algorithm 4 over ``keys``, a view of the whole
+    key array starting at ``offset``.
 
-    ``keys`` is a view of the whole key array starting at ``offset``;
-    ``payloads`` is the whole payload list, sliced only per leaf.
+    A planned leaf is its ordinal in ``starts``, where its run's offset
+    is appended (runs come in key order); a new inner node is appended
+    to ``inners`` with those ordinals in its slots.  Returns the subtree
+    root: an ordinal or an :class:`InnerNode`.
     """
     n = len(keys)
     max_keys = config.max_keys_per_node
     if n <= max_keys or depth >= _MAX_DEPTH:
-        return _make_leaf(keys, payloads, offset, config, counters, policy,
-                          leaves)
+        return _plan_leaf(offset, starts)
 
     num_partitions = policy.initial_fanout(n, depth, config)
-    model = LinearModel.train_cdf(keys, num_partitions)
+    model = LinearModel(*kernels.fit_cdf(keys, num_partitions))
     counters.retrains += 1
-    kernels = get_kernels(config.kernel_backend)
     bounds = partition_by_model(keys, model, num_partitions, kernels)
-    sizes = np.diff(bounds)
-    if int(sizes.max()) == n:
+    sizes = np.diff(bounds).tolist()
+    if max(sizes) == n:
         # Degenerate: the model routes every key to one partition, so
         # recursing cannot make progress.  Accept an oversized leaf.
-        return _make_leaf(keys, payloads, offset, config, counters, policy,
-                          leaves)
+        return _plan_leaf(offset, starts)
 
+    bounds = bounds.tolist()
     children: List[object] = [None] * num_partitions
     s = 0
     while s < num_partitions:
-        size = int(sizes[s])
+        size = sizes[s]
         if size > max_keys:
-            lo, hi = int(bounds[s]), int(bounds[s + 1])
-            children[s] = _initialize(keys[lo:hi], payloads, offset + lo,
-                                      config, counters, policy, leaves,
-                                      depth + 1)
+            lo, hi = bounds[s], bounds[s + 1]
+            children[s] = _initialize(keys[lo:hi], offset + lo, config,
+                                      counters, policy, kernels, starts,
+                                      inners, depth + 1)
             s += 1
             continue
         # Merge this partition with its successors until just below the
         # bound (Algorithm 4's accumulate-then-drop loop).
         e = s + 1
         acc = size
-        while e < num_partitions and acc + int(sizes[e]) <= max_keys:
-            acc += int(sizes[e])
+        while e < num_partitions and acc + sizes[e] <= max_keys:
+            acc += sizes[e]
             e += 1
-        lo, hi = int(bounds[s]), int(bounds[e])
-        leaf = _make_leaf(keys[lo:hi], payloads, offset + lo, config,
-                          counters, policy, leaves)
+        leaf = _plan_leaf(offset + bounds[s], starts)
         for slot in range(s, e):
             children[slot] = leaf
         s = e
-    return InnerNode(model, children, counters, kernels=kernels)
+    inner = InnerNode(model, children, counters, kernels=kernels)
+    inners.append(inner)
+    return inner
 
 
-def _make_leaf(keys: np.ndarray, payloads: list, offset: int,
-               config: AlexConfig, counters: Counters, policy,
-               leaves: List[DataNode]) -> DataNode:
-    """Build one data node over ``keys`` (payloads from ``offset`` on)
-    and register it in the in-order leaf list."""
-    leaf = make_data_node(config, counters, policy)
-    leaf.build(keys, payloads[offset:offset + len(keys)])
-    leaves.append(leaf)
-    return leaf
+def _plan_leaf(offset: int, starts: List[int]) -> int:
+    """Record a leaf whose key run starts at ``offset``; its ordinal."""
+    starts.append(offset)
+    return len(starts) - 1
 
 
 def split_until_fits(leaf: DataNode, parent: Optional[InnerNode],
@@ -166,19 +173,15 @@ def split_leaf(leaf: DataNode, parent: Optional[InnerNode],
         model = leaf.model.copy()
         model.scale(fanout / leaf.capacity)
     else:
-        model = LinearModel.train_cdf(keys, fanout)
+        model = LinearModel(*leaf.kernels.fit_cdf(keys, fanout))
         counters.retrains += 1
     bounds = partition_by_model(keys, model, fanout, leaf.kernels)
     sizes = np.diff(bounds)
     if len(keys) > 0 and int(sizes.max()) == len(keys):
         return None
 
-    children: List[DataNode] = []
-    for s in range(fanout):
-        lo, hi = int(bounds[s]), int(bounds[s + 1])
-        child = make_data_node(config, counters, leaf.policy)
-        child.build(keys[lo:hi], payloads[lo:hi])
-        children.append(child)
+    children = build_leaves(keys, payloads, bounds, config, counters,
+                            leaf.policy)
 
     # Splice the new leaves into the chain where the old leaf sat.
     first, last = children[0], children[-1]
@@ -192,8 +195,7 @@ def split_leaf(leaf: DataNode, parent: Optional[InnerNode],
         left.next_leaf = right
         right.prev_leaf = left
 
-    inner = InnerNode(model, list(children), counters,
-                      kernels=get_kernels(config.kernel_backend))
+    inner = InnerNode(model, list(children), counters, kernels=leaf.kernels)
     counters.splits += 1
     if parent is not None:
         parent.replace_child(leaf, inner)
@@ -224,7 +226,9 @@ def split_leaf_sideways(leaf: DataNode, parent: Optional[InnerNode],
     keys, payloads = leaf.export_sorted()
     if len(keys) < 2:
         return None
-    slot_of = parent.model.predict_pos_vec(keys, parent.num_slots)
+    slot_of = leaf.kernels.predict_clamp(parent.model.slope,
+                                         parent.model.intercept, keys,
+                                         parent.num_slots)
     # Cut at the slot boundary that divides the keys most evenly.
     cuts = np.searchsorted(slot_of, np.array(slots[1:], dtype=np.int64))
     best = int(np.argmin(np.abs(cuts - len(keys) / 2)))
@@ -232,10 +236,8 @@ def split_leaf_sideways(leaf: DataNode, parent: Optional[InnerNode],
     if cut == 0 or cut == len(keys):
         return None
 
-    left = make_data_node(config, counters, leaf.policy)
-    left.build(keys[:cut], payloads[:cut])
-    right = make_data_node(config, counters, leaf.policy)
-    right.build(keys[cut:], payloads[cut:])
+    left, right = build_leaves(keys, payloads, [0, cut, len(keys)], config,
+                               counters, leaf.policy)
 
     # Chain splice: the pair replaces the single leaf in place.
     left.prev_leaf = leaf.prev_leaf
@@ -287,9 +289,10 @@ def merge_leaves(leaf: DataNode, parent: Optional[InnerNode],
                        else (leaf, sibling))
         left_keys, left_payloads = left.export_sorted()
         right_keys, right_payloads = right.export_sorted()
-        merged = make_data_node(config, counters, leaf.policy)
-        merged.build(np.concatenate([left_keys, right_keys]),
-                     left_payloads + right_payloads)
+        merged_keys = np.concatenate([left_keys, right_keys])
+        merged, = build_leaves(merged_keys, left_payloads + right_payloads,
+                               [0, len(merged_keys)], config, counters,
+                               leaf.policy)
 
         merged.prev_leaf = left.prev_leaf
         if left.prev_leaf is not None:

@@ -11,8 +11,9 @@ Array — share everything implemented here:
 * **model-based builds** (Algorithm 3): train a linear model on the keys,
   rescale it to the array size, then place every key at its predicted slot
   in sorted order, spilling collisions to the first gap on the right (the
-  placement and gap fill are the fourth kernel, ``model_place``, beside
-  predict + clamp, search and shift-and-insert);
+  fit, placement and gap fill are the fourth kernel, ``fit_place``, beside
+  predict + clamp, search and shift-and-insert; one call builds every
+  leaf of a bulk load or split, see :func:`build_runs`);
 * **lookups** via model prediction + exponential search (Algorithm 3);
 * cold-start behaviour: nodes with very few keys skip the model and use
   plain binary search (Section 3.3.3).
@@ -29,16 +30,16 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro import obs
-
 from .config import AlexConfig
 from .errors import DuplicateKeyError, KeyNotFoundError
-from .kernels import get_kernels
+from .kernels import KernelBackend, get_kernels
 from .linear_model import LinearModel
 from .policy import DEFAULT_POLICY, AdaptationPolicy
 from .stats import Counters
 
 GAP_SENTINEL = np.inf
+#: Most slots one payload scatter of :func:`build_runs` covers.
+_PAYLOAD_CHUNK = 1 << 14
 _BITMAP_WORD_BITS = 64
 
 
@@ -58,6 +59,88 @@ def take(items: list, index: np.ndarray) -> list:
     return list(itemgetter(*positions)(items))
 
 
+def build_runs(nodes: list, keys: np.ndarray, payloads: Optional[list],
+               bounds, capacities=None) -> None:
+    """Algorithm 3 for several leaves at once: train, rescale and
+    model-based-insert ``keys[bounds[j]:bounds[j + 1]]`` into
+    ``nodes[j]``.
+
+    ``keys`` are sorted and duplicate-free; ``payloads[i]`` (default
+    ``None``) is stored with ``keys[i]``.  Node ``j`` gets
+    ``capacities[j]`` slots (default: its build density), at least
+    :attr:`DataNode.MIN_CAPACITY` and at least its key count.  Each key
+    lands at its model-predicted slot in sorted order; when that slot is
+    taken it spills to the first gap on the right, and trailing room is
+    reserved so every key fits.  Segments below ``min_keys_for_model``
+    keys get no model (cold start, Section 3.3.3).
+
+    One ``fit_place`` kernel call fits and places every segment; the
+    nodes take views of its shared key and bitmap buffers, and payloads
+    are scattered a chunk of nodes at a time, so no object array the
+    size of a whole bulk load is ever allocated.  Counters are charged
+    once for the whole build, with the per-leaf totals.
+    """
+    first = nodes[0]
+    counters, config = first.counters, first.config
+    bounds = np.asarray(bounds, dtype=np.int64)
+    sizes = np.diff(bounds)
+    if capacities is None:
+        capacities = [node._initial_capacity(n)
+                      for node, n in zip(nodes, sizes.tolist())]
+    capacities = np.maximum(np.maximum(capacities, sizes),
+                            DataNode.MIN_CAPACITY)
+    min_keys = config.min_keys_for_model
+    slot_keys, occupied, slopes, intercepts, fills = (
+        first.kernels.fit_place(keys, bounds, capacities, min_keys))
+    modeled = sizes >= min_keys
+    counters.retrains += int(modeled.sum())
+    counters.model_inferences += int(sizes[modeled].sum())
+    counters.build_moves += int(bounds[-1])
+    counters.gap_fill_writes += fills
+    offsets = [0] + np.cumsum(capacities).tolist()
+    node_slots = _payload_slots(payloads, occupied, bounds.tolist(), offsets)
+    for j, (node, slots) in enumerate(zip(nodes, node_slots)):
+        node.keys = slot_keys[offsets[j]:offsets[j + 1]]
+        node.occupied = occupied[offsets[j]:offsets[j + 1]]
+        node.payloads = slots
+        node.model = (LinearModel(float(slopes[j]), float(intercepts[j]))
+                      if modeled[j] else None)
+        node.capacity = offsets[j + 1] - offsets[j]
+        node.num_keys = int(sizes[j])
+        # Every rebuild — bulk build, expansion, contraction, retrain,
+        # batch merge-rebuild — lands here, so this is the one place the
+        # adaptation policy's per-node drift window is invalidated.
+        node.policy.note_smo(node, "rebuild")
+
+
+def _payload_slots(payloads: Optional[list], occupied: np.ndarray,
+                   bounds: list, offsets: list) -> Iterator[list]:
+    """Yield each segment's payload list: ``payloads`` in key order at
+    the segment's occupied slots, ``None`` in the gaps.
+
+    One object-array scatter serves a chunk of consecutive segments of
+    at most :data:`_PAYLOAD_CHUNK` slots (or one larger segment), so the
+    per-segment cost is a list slice and no object array spans a whole
+    bulk load.  Keys are placed at strictly increasing slots, so the
+    chunk's set bits, in order, are exactly its keys' slots.
+    """
+    m = len(offsets) - 1
+    j = 0
+    while j < m:
+        e = j + 1
+        while e < m and offsets[e + 1] - offsets[j] <= _PAYLOAD_CHUNK:
+            e += 1
+        base, lo, hi = offsets[j], bounds[j], bounds[e]
+        slots = np.empty(offsets[e] - base, dtype=object)
+        if payloads is not None and hi > lo:
+            slots[occupied[base:offsets[e]]] = np.fromiter(
+                payloads[lo:hi], dtype=object, count=hi - lo)
+        flat = slots.tolist()
+        for i in range(j, e):
+            yield flat[offsets[i] - base:offsets[i + 1] - base]
+        j = e
+
+
 class DataNode:
     """Base class for ALEX leaf nodes (gapped key array + bitmap + model)."""
 
@@ -65,13 +148,14 @@ class DataNode:
     MIN_CAPACITY = 8
 
     def __init__(self, config: AlexConfig, counters: Counters,
-                 policy: Optional[AdaptationPolicy] = None):
+                 policy: Optional[AdaptationPolicy] = None,
+                 kernels: Optional[KernelBackend] = None):
         self.config = config
         self.counters = counters
         # The hot-loop implementation (search / predict / shift) for this
         # node; a process-wide singleton, so sharing configs shares kernels.
-        self.kernels = get_kernels(config.kernel_backend)
-        obs.inc("core.leaf_nodes_created")
+        # Builders that create many leaves resolve it once and pass it.
+        self.kernels = kernels or get_kernels(config.kernel_backend)
         # Structural decisions (expand/contract here; splits and merges at
         # the index level) route through the adaptation policy layer.
         self.policy = policy or DEFAULT_POLICY
@@ -98,46 +182,14 @@ class DataNode:
 
     def build(self, keys: np.ndarray, payloads: Optional[list] = None) -> None:
         """(Re)initialize this node with sorted, duplicate-free ``keys``."""
-        keys = np.asarray(keys, dtype=np.float64)
-        if payloads is None:
-            payloads = [None] * len(keys)
-        capacity = self._initial_capacity(len(keys))
-        self._model_based_build(keys, payloads, capacity)
+        build_runs([self], keys, payloads, [0, len(keys)])
 
     def _model_based_build(self, keys: np.ndarray, payloads: list,
                            capacity: int) -> None:
-        """Algorithm 3: train, rescale, and model-based-insert all keys.
-
-        Keys are placed in sorted order at their predicted position; when
-        the model predicts an already-taken slot the key spills to the first
-        gap to the right.  The placement also reserves enough trailing room
-        for the remaining keys so that every key fits.
-        """
-        n = len(keys)
-        capacity = max(capacity, n, self.MIN_CAPACITY)
-        # The fit stays in numpy (its pairwise mean and BLAS dot fix the
-        # model's exact bits); the placement and gap fill are one kernel
-        # call, and one scatter places the payloads.
-        model = None
-        if n >= self.config.min_keys_for_model:
-            model = LinearModel.train_cdf(keys, capacity)
-            self.counters.retrains += 1
-            self.counters.model_inferences += n
-        self.model = model
-        has_model, slope, intercept = self._model_params()
-        self.keys, self.occupied, positions, fills = self.kernels.model_place(
-            keys, has_model, slope, intercept, capacity)
-        slots = np.empty(capacity, dtype=object)
-        slots[positions] = np.fromiter(payloads, dtype=object, count=n)
-        self.payloads = slots.tolist()
-        self.capacity = capacity
-        self.num_keys = n
-        self.counters.build_moves += n
-        self.counters.gap_fill_writes += fills
-        # Every rebuild — bulk build, expansion, contraction, retrain,
-        # batch merge-rebuild — lands here, so this is the one place the
-        # adaptation policy's per-node drift window is invalidated.
-        self.policy.note_smo(self, "rebuild")
+        """Algorithm 3 for this node alone: :func:`build_runs` with one
+        segment (expansion, contraction, retrain, cold-start end, batch
+        merge-rebuild)."""
+        build_runs([self], keys, payloads, [0, len(keys)], [capacity])
 
     def _refill_gap_keys(self, lo: int, hi: int) -> None:
         """Rewrite gap slots in ``[lo, hi)`` with their nearest real right

@@ -74,7 +74,8 @@ def structure_report(index: AlexIndex) -> StructureReport:
         else:
             positions = np.flatnonzero(leaf.occupied)
             if len(positions):
-                predicted = leaf.model.predict_pos_vec(
+                predicted = leaf.kernels.predict_clamp(
+                    leaf.model.slope, leaf.model.intercept,
                     leaf.keys[positions], leaf.capacity)
                 errors.append(np.abs(predicted - positions))
         if isinstance(leaf, GappedArrayNode):

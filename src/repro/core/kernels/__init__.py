@@ -5,9 +5,11 @@ The honest batch-vs-scalar ratio of the pure-NumPy engine is ~1.4x
 ceiling on every read and write.  This package moves the four loops the
 profile is made of — (1) linear-model predict + clamp, (2) lock-step
 exponential/binary search over leaf key arrays, (3) the gapped-array /
-PMA shift-and-insert, and (4) the model-based placement every leaf
-build, expansion, contraction, retrain, split and merge runs (Algorithm
-3) — behind one narrow kernel interface with two implementations:
+PMA shift-and-insert, and (4) the leaf build every bulk load,
+expansion, contraction, retrain, split and merge runs (Algorithm 3): the
+CDF model fit plus the model-based placement, for all the leaves of one
+build in one call — behind one narrow kernel interface with two
+implementations:
 
 ``numpy``
     The existing pure-NumPy/pure-Python code, extracted verbatim.  Always
@@ -33,6 +35,11 @@ instead of touching :class:`~repro.core.stats.Counters` directly; the
 caller charges them.  This keeps the accounting *identical* across
 backends — the scalar/batch equivalence suites run against each backend
 and assert bit-equal results and counter totals.
+
+The model fit is defined with strictly sequential float64 sums (no
+pairwise mean, no BLAS ``dot``), and the C side is compiled without
+multiply-add contraction, so both backends produce the same model bits
+and therefore the same leaf layouts on any CPU.
 """
 
 from __future__ import annotations
@@ -159,24 +166,75 @@ class KernelBackend:
         writes (always >= 1: slot ``pos`` itself is rewritten)."""
         raise NotImplementedError
 
-    # -- kernel 4: model-based placement (leaf build) -----------------
+    # -- kernel 4: model fit + model-based placement (leaf build) -----
 
-    def model_place(self, keys: np.ndarray, has_model: bool, slope: float,
-                    intercept: float, capacity: int
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Algorithm 3's model-based insert of sorted ``keys`` into a
-        fresh array of ``capacity >= len(keys)`` slots.
+    def fit_cdf(self, keys: np.ndarray, size: int) -> Tuple[float, float]:
+        """``(slope, intercept)`` of the least-squares line through the
+        points ``(keys[i], i * (size / n))``: the CDF model of sorted
+        ``keys`` scaled onto ``[0, size)``.
 
-        Key ``i`` goes to ``max(predicted, previous slot + 1)``, capped
-        at ``capacity - n + i`` so the remaining keys still fit.  The
-        prediction is :meth:`predict_clamp`'s with a model, or the
-        uniform spread ``(i * capacity) // n`` without one.  Returns
-        ``(slot_keys, occupied, positions, gap_fills)``: the gap-filled
-        key array (each gap mirrors its nearest real right neighbour,
-        trailing gaps hold ``+inf``), the occupancy bitmap, each key's
-        slot, and the number of gap slots written.
+        Every sum runs sequentially in key order, so both backends give
+        the exact bits of :meth:`LinearModel.train_cdf
+        <repro.core.linear_model.LinearModel.train_cdf>`.  No keys, equal
+        keys, or a non-finite centred sum of squares or slope give the
+        flat model ``(0, mean rank)``.
         """
         raise NotImplementedError
+
+    def fit_place(self, keys: np.ndarray, bounds: np.ndarray,
+                  capacities: np.ndarray, min_keys_for_model: int
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                             np.ndarray, int]:
+        """Algorithm 3's build of many leaves in one call.
+
+        Segment ``j`` is ``keys[bounds[j]:bounds[j + 1]]`` (sorted; the
+        bounds run from 0 to ``len(keys)``) placed into
+        ``capacities[j]`` slots.  A segment of at least
+        ``min_keys_for_model`` keys gets the :meth:`fit_cdf` model over
+        its capacity; a smaller one gets no model (slope and intercept
+        0) and the uniform spread ``(i * capacity) // n``.  Key ``i``
+        goes to ``max(predicted, previous slot + 1)``, capped at
+        ``capacity - n + i`` so the remaining keys still fit; the
+        prediction is :meth:`predict_clamp`'s.
+
+        Returns ``(slot_keys, occupied, slopes, intercepts, fills)``:
+        the segments' gap-filled key arrays (each gap mirrors its nearest
+        real right neighbour, trailing gaps hold ``+inf``) and bitmaps
+        concatenated at offsets ``cumsum(capacities)``, the per-segment
+        model parameters, and the total number of gap slots written.
+        Slots are strictly increasing in key order, so key ``i`` of a
+        segment sits at the segment's ``i``-th set bit; no per-key
+        position array is returned (it would add eight bytes per key at
+        the build's memory peak).
+        """
+        raise NotImplementedError
+
+
+def check_segments(keys: np.ndarray, bounds, capacities
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                              np.ndarray]:
+    """Validate :meth:`KernelBackend.fit_place`'s arguments.
+
+    Returns contiguous ``(keys, bounds, capacities, offsets)`` with
+    ``offsets = [0, cumsum(capacities)]``; raises :class:`ValueError`
+    when the bounds do not cover ``keys`` in order or a segment has
+    more keys than slots.
+    """
+    keys = np.ascontiguousarray(keys, dtype=np.float64)
+    bounds = np.ascontiguousarray(bounds, dtype=np.int64)
+    capacities = np.ascontiguousarray(capacities, dtype=np.int64)
+    if (bounds.ndim != 1 or len(bounds) != len(capacities) + 1
+            or bounds[0] != 0 or bounds[-1] != len(keys)):
+        raise ValueError("segment bounds must run from 0 to len(keys) "
+                         "with one more entry than capacities")
+    sizes = np.diff(bounds)
+    if (sizes < 0).any():
+        raise ValueError("segment bounds must be non-decreasing")
+    if (sizes > capacities).any():
+        raise ValueError("a segment has more keys than slots")
+    offsets = np.zeros(len(bounds), dtype=np.int64)
+    np.cumsum(capacities, out=offsets[1:])
+    return keys, bounds, capacities, offsets
 
 
 # ----------------------------------------------------------------------

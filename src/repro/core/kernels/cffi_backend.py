@@ -1,16 +1,19 @@
 """C kernel backend: the four hot loops compiled with the system C compiler.
 
 The kernels — predict + clamp, exponential/binary search, shift-and-insert,
-and the model-based placement of a leaf build — are the per-lane scalar
+and the leaf build (CDF model fit plus model-based placement, every
+segment of a multi-leaf build in one call) — are the per-lane scalar
 algorithms (identical control flow to the extracted NumPy reference, so
 positions *and* counter charges match bit-for-bit; the placement runs
-the sequential loop the reference vectorizes), compiled through
-:mod:`cffi` in API mode.  The extension is
-built once per machine into a cache directory keyed by a hash of the C
-source (``$REPRO_KERNEL_CACHE`` or ``~/.cache/repro-kernels``) and loaded
-from there afterwards, so only the first process on a machine ever pays
-the compile; CFFI releases the GIL around every call, which lets the
-thread serving backend scale these kernels across cores.
+the sequential loop the reference vectorizes, and the fit runs the same
+sequential sums as the reference's ``np.cumsum``, compiled with
+``-ffp-contract=off`` so no product is fused into a multiply-add),
+compiled through :mod:`cffi` in API mode.  The extension is built once
+per machine into a cache directory keyed by a hash of the C source and
+compile flags (``$REPRO_KERNEL_CACHE`` or ``~/.cache/repro-kernels``)
+and loaded from there afterwards, so only the first process on a
+machine ever pays the compile; CFFI releases the GIL around every call,
+which lets the thread serving backend scale these kernels across cores.
 
 Construction compiles/loads eagerly: if anything is missing (cffi, a C
 compiler) it raises and the registry degrades the caller to the numpy
@@ -29,9 +32,15 @@ from typing import Tuple
 
 import numpy as np
 
-from . import KernelBackend
+from . import KernelBackend, check_segments
 
 _CACHE_ENV = "REPRO_KERNEL_CACHE"
+
+#: Compile flags of the extension (part of its cache key).  Contraction
+#: of ``a * b + c`` into a fused multiply-add is off: the model fit must
+#: round every product exactly as the numpy reference does, whatever
+#: ``-march`` the environment's ``CFLAGS`` add.
+_CFLAGS = ("-O3", "-ffp-contract=off")
 
 _CDEF = """
 void k_predict_clamp(double slope, double intercept, const double *keys,
@@ -57,9 +66,11 @@ void k_shift_left(double *keys, uint8_t *occ, int64_t gap, int64_t ip);
 int64_t k_place_fill(double *keys, uint8_t *occ, int64_t pos, double key);
 int64_t k_erase_fill(double *keys, uint8_t *occ, int64_t pos,
                      double right_key);
-int64_t k_model_place(const double *keys, int64_t n, int has_model,
-                      double slope, double intercept, int64_t cap,
-                      double *slot_keys, uint8_t *occ, int64_t *pos);
+void k_fit_cdf(const double *keys, int64_t n, int64_t size, double *out2);
+int64_t k_fit_place(const double *keys, const int64_t *bounds,
+                    const int64_t *caps, int64_t m, int64_t min_keys,
+                    double *slot_keys, uint8_t *occ, double *slopes,
+                    double *intercepts);
 """
 
 _SOURCE = r"""
@@ -274,15 +285,52 @@ int64_t k_erase_fill(double *keys, uint8_t *occ, int64_t pos,
     return fills;
 }
 
+/* The CDF model of sorted keys[0..n) over [0, size): least squares
+ * against the ranks i * (size / n), every sum strictly sequential so
+ * the bits equal LinearModel.train_cdf's np.cumsum sums (the extension
+ * is compiled with -ffp-contract=off: a fused multiply-add would round
+ * differently).  No keys, equal keys, or a non-finite centred sum of
+ * squares or slope give the flat model (0, mean rank). */
+void k_fit_cdf(const double *keys, int64_t n, int64_t size, double *out2)
+{
+    double scale, key_sum = 0.0, rank_sum = 0.0, key_mean, rank_mean;
+    double den = 0.0, num = 0.0, slope;
+    int64_t i;
+    out2[0] = 0.0;
+    out2[1] = 0.0;
+    if (n == 0)
+        return;
+    scale = (double)size / (double)n;
+    for (i = 0; i < n; i++) {
+        key_sum += keys[i];
+        rank_sum += (double)i * scale;
+    }
+    key_mean = key_sum / (double)n;
+    rank_mean = rank_sum / (double)n;
+    for (i = 0; i < n; i++) {
+        double c = keys[i] - key_mean;
+        den += c * c;
+        num += c * ((double)i * scale - rank_mean);
+    }
+    out2[1] = rank_mean;
+    if (!isfinite(den) || den == 0.0)
+        return;
+    slope = num / den;
+    if (!isfinite(slope))
+        return;
+    out2[0] = slope;
+    out2[1] = rank_mean - slope * key_mean;
+}
+
 /* Algorithm 3's model-based insert in one pass: key i goes to
  * max(predicted, last + 1), capped at cap - n + i so the remaining keys
  * still fit (the cold-start prediction is the uniform spread
  * (i * cap) / n).  A backward pass then mirrors each gap's nearest real
  * right neighbour into it, +inf for trailing gaps.  Returns the number
  * of gap slots written. */
-int64_t k_model_place(const double *keys, int64_t n, int has_model,
-                      double slope, double intercept, int64_t cap,
-                      double *slot_keys, uint8_t *occ, int64_t *pos)
+static int64_t place_1(const double *keys, int64_t n, int has_model,
+                       double slope, double intercept, int64_t cap,
+                       double *slot_keys, uint8_t *occ)
 {
     int64_t i, last = -1, fills = 0;
     double fill = INFINITY;
@@ -296,7 +344,7 @@ int64_t k_model_place(const double *keys, int64_t n, int has_model,
             p = cap - n + i;
         slot_keys[p] = keys[i];
         occ[p] = 1;
-        pos[i] = last = p;
+        last = p;
     }
     for (i = cap - 1; i >= 0; i--) {
         if (occ[i]) {
@@ -308,7 +356,42 @@ int64_t k_model_place(const double *keys, int64_t n, int has_model,
     }
     return fills;
 }
+
+/* The leaf builds of one bulk load, split or rebuild: segment j is
+ * keys[bounds[j]..bounds[j+1]), fitted (when it has min_keys keys) and
+ * placed into caps[j] slots at the running offset of the concatenated
+ * slot_keys / occ buffers.  Returns the total number of gap slots
+ * written. */
+int64_t k_fit_place(const double *keys, const int64_t *bounds,
+                    const int64_t *caps, int64_t m, int64_t min_keys,
+                    double *slot_keys, uint8_t *occ, double *slopes,
+                    double *intercepts)
+{
+    int64_t j, off = 0, fills = 0;
+    for (j = 0; j < m; j++) {
+        int64_t lo = bounds[j], n = bounds[j + 1] - lo;
+        int has_model = n >= min_keys;
+        double fit[2] = {0.0, 0.0};
+        if (has_model)
+            k_fit_cdf(keys + lo, n, caps[j], fit);
+        slopes[j] = fit[0];
+        intercepts[j] = fit[1];
+        fills += place_1(keys + lo, n, has_model, fit[0], fit[1], caps[j],
+                         slot_keys + off, occ + off);
+        off += caps[j];
+    }
+    return fills;
+}
 """
+
+
+def _module_name() -> str:
+    """Cache name of the extension: a digest of everything that decides
+    the machine code (declarations, C source and compile flags), so a
+    change to any of them builds afresh instead of loading a stale
+    ``.so``."""
+    text = "\0".join((_CDEF, _SOURCE) + _CFLAGS)
+    return "_repro_kernels_" + hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _cache_dir() -> Path:
@@ -347,9 +430,7 @@ class CffiKernels(KernelBackend):
                 return
             import cffi  # raises ImportError -> registry falls back
 
-            digest = hashlib.sha256(
-                (_CDEF + _SOURCE).encode()).hexdigest()[:16]
-            modname = f"_repro_kernels_{digest}"
+            modname = _module_name()
             cache_dir = _cache_dir()
             cache_dir.mkdir(parents=True, exist_ok=True)
             built = _find_built(cache_dir, modname)
@@ -357,7 +438,7 @@ class CffiKernels(KernelBackend):
                 ffibuilder = cffi.FFI()
                 ffibuilder.cdef(_CDEF)
                 ffibuilder.set_source(modname, _SOURCE,
-                                      extra_compile_args=["-O3"])
+                                      extra_compile_args=list(_CFLAGS))
                 built = Path(ffibuilder.compile(tmpdir=str(cache_dir)))
                 self._compile_events += 1
             spec = importlib.util.spec_from_file_location(modname, built)
@@ -470,19 +551,27 @@ class CffiKernels(KernelBackend):
                                           self._obuf(occupied), pos,
                                           right_key))
 
-    # -- kernel 4: model-based placement (leaf build) -----------------
+    # -- kernel 4: model fit + model-based placement (leaf build) -----
 
-    def model_place(self, keys: np.ndarray, has_model: bool, slope: float,
-                    intercept: float, capacity: int
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    def fit_cdf(self, keys: np.ndarray, size: int) -> Tuple[float, float]:
         keys = np.ascontiguousarray(keys, dtype=np.float64)
-        n = len(keys)
-        if n > capacity:
-            raise ValueError(f"{n} keys do not fit {capacity} slots")
-        slot_keys = np.empty(capacity, dtype=np.float64)
-        occupied = np.empty(capacity, dtype=bool)
-        pos = np.empty(n, dtype=np.int64)
-        fills = self._lib.k_model_place(
-            self._dbuf(keys), n, int(has_model), slope, intercept, capacity,
-            self._dbuf(slot_keys), self._obuf(occupied), self._ibuf(pos))
-        return slot_keys, occupied, pos, int(fills)
+        out2 = self._ffi.new("double[2]")
+        self._lib.k_fit_cdf(self._dbuf(keys), len(keys), size, out2)
+        return float(out2[0]), float(out2[1])
+
+    def fit_place(self, keys: np.ndarray, bounds: np.ndarray,
+                  capacities: np.ndarray, min_keys_for_model: int
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                             np.ndarray, int]:
+        keys, bounds, capacities, offsets = check_segments(keys, bounds,
+                                                           capacities)
+        m = len(capacities)
+        slot_keys = np.empty(offsets[-1], dtype=np.float64)
+        occupied = np.empty(offsets[-1], dtype=bool)
+        slopes = np.empty(m, dtype=np.float64)
+        intercepts = np.empty(m, dtype=np.float64)
+        fills = self._lib.k_fit_place(
+            self._dbuf(keys), self._ibuf(bounds), self._ibuf(capacities), m,
+            min_keys_for_model, self._dbuf(slot_keys), self._obuf(occupied),
+            self._dbuf(slopes), self._dbuf(intercepts))
+        return slot_keys, occupied, slopes, intercepts, int(fills)

@@ -3,10 +3,14 @@
 This is the code the compiled backends are property-tested against —
 every routine here is the pre-kernel implementation from
 :mod:`repro.core.search`, :mod:`repro.core.linear_model` and
-:mod:`repro.core.data_node` (kernel 4 is ``DataNode``'s former
-model-based build and its full-array gap refill), extracted behind the
+:mod:`repro.core.data_node`, extracted behind the
 :class:`~repro.core.kernels.KernelBackend` interface with counter
-charges returned instead of applied.
+charges returned instead of applied.  Kernel 4 fits each leaf with
+:meth:`LinearModel.train_cdf
+<repro.core.linear_model.LinearModel.train_cdf>` (sequential
+``np.cumsum`` sums, which the C loop reproduces bit for bit) and then
+runs ``DataNode``'s former vectorized placement and full-array gap
+refill, one segment at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from typing import Tuple
 
 import numpy as np
 
-from . import KernelBackend
+from . import KernelBackend, check_segments
+from ..linear_model import LinearModel
 from ..search import (exponential_search_counted,
                       exponential_search_many_counted, lower_bound_counted,
                       lower_bound_many_counted)
@@ -168,16 +173,43 @@ class NumpyKernels(KernelBackend):
             i -= 1
         return fills
 
-    # -- kernel 4: model-based placement (leaf build) -----------------
+    # -- kernel 4: model fit + model-based placement (leaf build) -----
 
-    def model_place(self, keys: np.ndarray, has_model: bool, slope: float,
-                    intercept: float, capacity: int
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    def fit_cdf(self, keys: np.ndarray, size: int) -> Tuple[float, float]:
+        model = LinearModel.train_cdf(keys, size)
+        return model.slope, model.intercept
+
+    def fit_place(self, keys: np.ndarray, bounds: np.ndarray,
+                  capacities: np.ndarray, min_keys_for_model: int
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                             np.ndarray, int]:
+        keys, bounds, capacities, offsets = check_segments(keys, bounds,
+                                                           capacities)
+        m = len(capacities)
+        slot_keys = np.empty(offsets[-1], dtype=np.float64)
+        occupied = np.empty(offsets[-1], dtype=bool)
+        slopes = np.zeros(m, dtype=np.float64)
+        intercepts = np.zeros(m, dtype=np.float64)
+        fills = 0
+        for j in range(m):
+            lo, hi = int(bounds[j]), int(bounds[j + 1])
+            cap = int(capacities[j])
+            has_model = hi - lo >= min_keys_for_model
+            if has_model:
+                slopes[j], intercepts[j] = self.fit_cdf(keys[lo:hi], cap)
+            fills += self._place(
+                keys[lo:hi], has_model, slopes[j], intercepts[j],
+                slot_keys[offsets[j]:offsets[j + 1]],
+                occupied[offsets[j]:offsets[j + 1]])
+        return slot_keys, occupied, slopes, intercepts, fills
+
+    def _place(self, keys: np.ndarray, has_model: bool, slope: float,
+               intercept: float, slot_keys: np.ndarray,
+               occupied: np.ndarray) -> int:
+        """One segment's placement and gap fill, written into the given
+        output views; returns the number of gap slots written."""
         n = len(keys)
-        if n > capacity:
-            raise ValueError(f"{n} keys do not fit {capacity} slots")
-        slot_keys = np.full(capacity, np.inf, dtype=np.float64)
-        occupied = np.zeros(capacity, dtype=bool)
+        capacity = len(slot_keys)
         if has_model:
             predicted = self.predict_clamp(slope, intercept, keys, capacity)
         else:
@@ -194,13 +226,14 @@ class NumpyKernels(KernelBackend):
         ar = np.arange(n, dtype=np.int64)
         pos = np.maximum.accumulate(predicted - ar) + ar
         pos = np.minimum(pos, capacity - n + ar)
-        slot_keys[pos] = keys
+        occupied[:] = False
         occupied[pos] = True
+        slot_keys[pos] = keys
         # Backward gap fill: each gap takes the key of the first real
         # slot to its right; trailing gaps keep +inf.
         idx = np.where(occupied, np.arange(capacity), capacity)
         suffix = np.minimum.accumulate(idx[::-1])[::-1]
         src = np.minimum(suffix, capacity - 1)
         filled = np.where(suffix < capacity, slot_keys[src], np.inf)
-        slot_keys = np.where(occupied, slot_keys, filled)
-        return slot_keys, occupied, pos, capacity - n
+        slot_keys[:] = np.where(occupied, slot_keys, filled)
+        return capacity - n

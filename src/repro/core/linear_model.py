@@ -65,39 +65,48 @@ class LinearModel:
     def train(cls, keys: np.ndarray, positions: np.ndarray) -> "LinearModel":
         """Fit ``positions ≈ slope * keys + intercept`` by least squares.
 
-        Degenerate inputs (fewer than two keys, or all keys equal) produce a
-        flat model that predicts the mean position, which downstream code
-        treats as "model is uninformative" and compensates for with search.
+        Every sum is a strictly sequential float64 sum (``np.cumsum``'s
+        last element, never a pairwise mean or a BLAS ``dot``), so the
+        compiled leaf-build kernel, which runs the same loop in C without
+        multiply-add contraction, reproduces the exact bits.  Degenerate
+        inputs — no keys, all keys equal, or keys so far apart that the
+        centred sum of squares or the slope is not finite — produce a flat
+        model that predicts the mean position, which downstream code
+        treats as "model is uninformative" and compensates for with
+        search.
         """
         n = len(keys)
         if n == 0:
             return cls(0.0, 0.0)
-        if n == 1:
-            return cls(0.0, float(positions[0]))
         keys = np.asarray(keys, dtype=np.float64)
         positions = np.asarray(positions, dtype=np.float64)
-        key_mean = float(keys.mean())
-        pos_mean = float(positions.mean())
-        centered = keys - key_mean
-        denom = float(np.dot(centered, centered))
-        if denom == 0.0:
-            return cls(0.0, pos_mean)
-        slope = float(np.dot(centered, positions - pos_mean)) / denom
-        intercept = pos_mean - slope * key_mean
-        return cls(slope, intercept)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            key_mean = np.cumsum(keys)[-1] / n
+            pos_mean = np.cumsum(positions)[-1] / n
+            centered = keys - key_mean
+            denom = np.cumsum(centered * centered)[-1]
+            num = np.cumsum(centered * (positions - pos_mean))[-1]
+            if not np.isfinite(denom) or denom == 0.0:
+                return cls(0.0, float(pos_mean))
+            slope = num / denom
+            if not np.isfinite(slope):
+                return cls(0.0, float(pos_mean))
+            return cls(float(slope), float(pos_mean - slope * key_mean))
 
     @classmethod
     def train_cdf(cls, keys: np.ndarray, n_positions: int) -> "LinearModel":
         """Fit a model mapping sorted ``keys`` onto ``[0, n_positions)``.
 
         This is the standard "learn the CDF" construction: key ``keys[i]``
-        is regressed against the scaled rank ``i * n_positions / len(keys)``.
+        is regressed against the scaled rank ``i * (n_positions /
+        len(keys))``.  It is the reference for the kernels' ``fit_cdf``
+        and for the fit inside ``fit_place``.
         """
         n = len(keys)
         if n == 0:
             return cls(0.0, 0.0)
         ranks = np.arange(n, dtype=np.float64) * (n_positions / n)
-        return cls.train(np.asarray(keys, dtype=np.float64), ranks)
+        return cls.train(keys, ranks)
 
     @classmethod
     def train_endpoints(cls, lo_key: float, hi_key: float, n_positions: int) -> "LinearModel":

@@ -17,8 +17,10 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro import obs
+
 from .config import AlexConfig, GAPPED_ARRAY
-from .data_node import DataNode
+from .data_node import DataNode, build_runs
 from .gapped_array import GappedArrayNode
 from .kernels import KernelBackend, get_kernels
 from .linear_model import LinearModel
@@ -32,16 +34,36 @@ NODE_METADATA_BYTES = 16
 POINTER_BYTES = 8
 
 
+def make_leaves(count: int, config: AlexConfig, counters: Counters,
+                policy=None) -> List[DataNode]:
+    """Instantiate ``count`` empty leaves of the configured layout.
+
+    ``policy`` is the :class:`repro.core.policy.AdaptationPolicy` the
+    leaves consult for expand/contract decisions (default: the shared
+    heuristic).  The kernel backend is resolved once for all of them,
+    and ``core.leaf_nodes_created`` is charged once, with the count.
+    """
+    layout = GappedArrayNode if config.node_layout == GAPPED_ARRAY else PMANode
+    kernels = get_kernels(config.kernel_backend)
+    obs.inc("core.leaf_nodes_created", count)
+    return [layout(config, counters, policy, kernels) for _ in range(count)]
+
+
 def make_data_node(config: AlexConfig, counters: Counters,
                    policy=None) -> DataNode:
-    """Instantiate an empty leaf of the configured layout.
+    """Instantiate one empty leaf of the configured layout."""
+    return make_leaves(1, config, counters, policy)[0]
 
-    ``policy`` is the :class:`repro.core.policy.AdaptationPolicy` the leaf
-    consults for expand/contract decisions (default: the shared heuristic).
-    """
-    if config.node_layout == GAPPED_ARRAY:
-        return GappedArrayNode(config, counters, policy)
-    return PMANode(config, counters, policy)
+
+def build_leaves(keys: np.ndarray, payloads: list, bounds, config: AlexConfig,
+                 counters: Counters, policy=None) -> List[DataNode]:
+    """One leaf per run ``keys[bounds[j]:bounds[j + 1]]`` (payloads
+    aligned with ``keys``), all fitted and placed by one kernel call
+    (:func:`repro.core.data_node.build_runs`).  Returns the leaves in key
+    order, not yet linked."""
+    leaves = make_leaves(len(bounds) - 1, config, counters, policy)
+    build_runs(leaves, keys, payloads, bounds)
+    return leaves
 
 
 class InnerNode:
@@ -220,25 +242,16 @@ def build_static_rmi(keys: np.ndarray, payloads: list, config: AlexConfig,
     Returns ``(root, leaves)`` where ``root`` is an :class:`InnerNode` with
     ``config.num_models`` slots, one distinct leaf per slot.
     """
-    n = len(keys)
-    num_models = config.num_models
-    if n == 0:
-        leaf = make_data_node(config, counters, policy)
-        leaf.build(np.empty(0), [])
-        return leaf, [leaf]
     keys = np.asarray(keys, dtype=np.float64)
-    root_model = LinearModel.train_cdf(keys, num_models)
-    counters.retrains += 1
+    if len(keys) == 0:
+        leaf, = build_leaves(keys, payloads, [0, 0], config, counters, policy)
+        return leaf, [leaf]
     kernels = get_kernels(config.kernel_backend)
+    num_models = config.num_models
+    root_model = LinearModel(*kernels.fit_cdf(keys, num_models))
+    counters.retrains += 1
     bounds = partition_by_model(keys, root_model, num_models, kernels)
-    leaves: List[DataNode] = []
-    children: List[object] = []
-    for s in range(num_models):
-        lo, hi = int(bounds[s]), int(bounds[s + 1])
-        leaf = make_data_node(config, counters, policy)
-        leaf.build(keys[lo:hi], payloads[lo:hi])
-        leaves.append(leaf)
-        children.append(leaf)
+    leaves = build_leaves(keys, payloads, bounds, config, counters, policy)
     link_leaves(leaves)
-    root = InnerNode(root_model, children, counters, kernels=kernels)
+    root = InnerNode(root_model, list(leaves), counters, kernels=kernels)
     return root, leaves

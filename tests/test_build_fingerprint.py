@@ -10,9 +10,12 @@ count and model parameters, plus the index's ``Counters``.
 The digests below were recorded before the model-based build moved into
 a kernel, so a match proves the kernel changed no layout and no work
 tally, on every kernel backend.  Model parameters enter the digest at
-nine significant digits: they come from numpy's BLAS ``dot``, whose
-last bit depends on the CPU's BLAS kernel.  The cross-backend test
-compares them exactly.
+nine significant digits, because the digests predate the current fit:
+they were recorded when the fit used numpy's pairwise mean and BLAS
+``dot``, whose last bit depended on the CPU's BLAS kernel.  The fit now
+uses strictly sequential sums on both backends (the C side compiled
+without multiply-add contraction), which moved the parameters by a few
+ulps and no layout; the cross-backend test compares them exactly.
 """
 
 import hashlib

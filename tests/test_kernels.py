@@ -6,7 +6,7 @@ Three concerns:
   positions, states, *and work charges* to the pure-numpy reference, on
   randomized node layouts including every edge (empty nodes, all-gap
   nodes, boundary targets, cold-start vs model-hinted search), and the
-  same leaf layouts from the model-based placement.
+  same model bits and leaf layouts from the leaf-build kernel.
 * **Resolution** — selecting the compiled backend when its toolchain is
   absent degrades to numpy with a one-time warning; unknown names
   raise; resolution returns process-wide singletons.
@@ -14,6 +14,7 @@ Three concerns:
   on the request path (the serving tier warms kernels at provisioning).
 """
 
+import math
 import re
 import sys
 import warnings
@@ -26,7 +27,6 @@ from repro.core.alex import AlexIndex
 from repro.core.config import AlexConfig, ga_armi
 from repro.core.data_node import GAP_SENTINEL
 from repro.core.gapped_array import GappedArrayNode
-from repro.core.linear_model import LinearModel
 from repro.core.stats import Counters
 
 NUMPY = K.get_kernels("numpy")
@@ -211,16 +211,43 @@ class TestWriteKernelParity:
             assert o1.tolist() == o2.tolist()
 
 
+def sequential_fit(keys, size):
+    """The CDF fit as the plain float loop both backends implement:
+    sequential sums, ranks ``i * (size / n)``, flat ``(0, mean rank)``
+    on a zero or non-finite denominator or slope."""
+    n = len(keys)
+    if n == 0:
+        return 0.0, 0.0
+    scale = size / n
+    key_sum = rank_sum = 0.0
+    for i, key in enumerate(keys):
+        key_sum += key
+        rank_sum += i * scale
+    key_mean, rank_mean = key_sum / n, rank_sum / n
+    den = num = 0.0
+    for i, key in enumerate(keys):
+        c = key - key_mean
+        den += c * c
+        num += c * (i * scale - rank_mean)
+    if not math.isfinite(den) or den == 0.0:
+        return 0.0, rank_mean
+    slope = num / den
+    if not math.isfinite(slope):
+        return 0.0, rank_mean
+    return slope, rank_mean - slope * key_mean
+
+
 def sequential_place(keys, has_model, slope, intercept, capacity):
     """Algorithm 3's placement as the plain loop the kernels implement."""
     n = len(keys)
     slot_keys = [GAP_SENTINEL] * capacity
     occupied = [False] * capacity
     positions, last = [], -1
-    for i, key in enumerate(keys.tolist()):
+    for i, key in enumerate(keys):
         if has_model:
-            pred = int(NUMPY.predict_clamp(slope, intercept,
-                                           np.array([key]), capacity)[0])
+            pred = slope * key + intercept
+            pred = (0 if not pred > 0 else
+                    capacity - 1 if pred >= capacity else int(pred))
         else:
             pred = (i * capacity) // n
         pos = min(max(pred, last + 1), capacity - n + i)
@@ -237,83 +264,176 @@ def sequential_place(keys, has_model, slope, intercept, capacity):
     return slot_keys, occupied, positions, fills
 
 
-@backend_params()
-class TestModelPlaceParity:
-    """Kernel 4 (the leaf build's placement and gap fill) against the
-    numpy reference and the sequential loop it vectorizes."""
-
-    def check(self, backend, keys, has_model, slope, intercept, capacity):
-        keys = np.asarray(keys, dtype=np.float64)
-        with np.errstate(invalid="ignore", over="ignore"):
-            got = backend.model_place(keys, has_model, slope, intercept,
+def sequential_fit_place(keys, bounds, capacities, min_keys):
+    """``fit_place`` as one plain loop per segment."""
+    slot_keys, occupied, positions, slopes, intercepts = [], [], [], [], []
+    fills = 0
+    for j, capacity in enumerate(capacities):
+        segment = keys[bounds[j]:bounds[j + 1]].tolist()
+        has_model = len(segment) >= min_keys
+        slope, intercept = (sequential_fit(segment, capacity) if has_model
+                            else (0.0, 0.0))
+        s, o, p, f = sequential_place(segment, has_model, slope, intercept,
                                       capacity)
-            ref = NUMPY.model_place(keys, has_model, slope, intercept,
-                                    capacity)
-            loop = sequential_place(keys, has_model, slope, intercept,
-                                    capacity)
-        slot_keys, occupied, positions, fills = got
-        assert slot_keys.dtype == np.float64 and occupied.dtype == bool
-        assert positions.dtype == np.int64
-        for result in (ref, loop):
-            assert slot_keys.tolist() == list(result[0])
-            assert occupied.tolist() == list(result[1])
-            assert positions.tolist() == list(result[2])
-            assert fills == result[3]
-        return got
+        slot_keys += s
+        occupied += o
+        positions += p
+        slopes.append(slope)
+        intercepts.append(intercept)
+        fills += f
+    return slot_keys, occupied, positions, slopes, intercepts, fills
 
-    def test_empty(self, backend):
-        slot_keys, occupied, positions, fills = self.check(
-            backend, [], False, 0.0, 0.0, 8)
-        assert slot_keys.tolist() == [GAP_SENTINEL] * 8
-        assert not occupied.any() and positions.tolist() == [] and fills == 8
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@backend_params()
+class TestFitPlaceParity:
+    """Kernel 4 (the leaf build: CDF fit, placement and gap fill) on both
+    backends against a plain-Python sequential reference, bit for bit."""
+
+    def check(self, backend, keys, bounds, capacities, min_keys=16):
+        """Returns ``fit_place``'s result with each key's slot within its
+        segment (the i-th set bit of its segment) spliced in third."""
+        keys = np.asarray(keys, dtype=np.float64)
+        got = backend.fit_place(keys, bounds, capacities, min_keys)
+        slot_keys, occupied, slopes, intercepts, fills = got
+        assert slot_keys.dtype == np.float64 and occupied.dtype == bool
+        offsets = np.concatenate([[0], np.cumsum(capacities)]).astype(int)
+        positions = [p for j in range(len(capacities)) for p in
+                     np.flatnonzero(occupied[offsets[j]:offsets[j + 1]])]
+        ref = sequential_fit_place(keys, bounds, capacities, min_keys)
+        assert slot_keys.tobytes() == np.array(ref[0], np.float64).tobytes()
+        assert occupied.tolist() == ref[1]
+        assert positions == ref[2]
+        assert hexes(slopes) == hexes(ref[3])
+        assert hexes(intercepts) == hexes(ref[4])
+        assert fills == ref[5]
+        # A multi-segment call equals one call per segment, and the
+        # fit-only entry gives the same model bits.
+        for j, capacity in enumerate(capacities):
+            lo, hi = bounds[j], bounds[j + 1]
+            one = backend.fit_place(keys[lo:hi], [0, hi - lo], [capacity],
+                                    min_keys)
+            segment = slice(offsets[j], offsets[j + 1])
+            assert one[0].tobytes() == slot_keys[segment].tobytes()
+            assert one[1].tolist() == occupied[segment].tolist()
+            assert hexes(one[2]) + hexes(one[3]) == hexes(
+                [slopes[j], intercepts[j]])
+            assert one[4] == capacity - (hi - lo)
+            if hi - lo >= min_keys:
+                assert hexes(backend.fit_cdf(keys[lo:hi], capacity)) == (
+                    hexes([slopes[j], intercepts[j]]))
+        return (slot_keys, occupied, np.array(positions, dtype=np.int64),
+                slopes, intercepts, fills)
+
+    def test_empty_segments(self, backend):
+        got = self.check(backend, [], [0, 0], [8])
+        assert got[0].tolist() == [GAP_SENTINEL] * 8
+        assert not got[1].any() and got[2].tolist() == [] and got[5] == 8
+        got = self.check(backend, [], [0], [])
+        assert len(got[0]) == len(got[3]) == 0 and got[5] == 0
+        keys = np.arange(40.0)
+        self.check(backend, keys, [0, 0, 20, 20, 40, 40],
+                   [8, 32, 8, 30, 9], min_keys=0)
+        self.check(backend, keys, [0, 0, 20, 20, 40, 40],
+                   [8, 32, 8, 30, 9])
+
+    def test_single_key(self, backend):
+        for min_keys in (0, 1, 16):
+            got = self.check(backend, [7.5], [0, 1], [8], min_keys)
+            assert got[2].tolist() == [0]
+        # One key with a model: the flat model at mean rank 0.
+        assert backend.fit_cdf(np.array([7.5]), 8) == (0.0, 0.0)
 
     def test_cold_start_spread(self, backend):
-        # Below min_keys_for_model the build places without a model.
-        for n in range(1, AlexConfig().min_keys_for_model):
-            for capacity in (n, n + 1, 2 * n + 3):
-                self.check(backend, np.arange(n) * 3.0, False, 0.0, 0.0,
-                           capacity)
+        # Below min_keys_for_model a segment is placed without a model.
+        min_keys = AlexConfig().min_keys_for_model
+        sizes = range(1, min_keys)
+        keys = np.arange(float(sum(sizes) * 3))
+        for extra in (0, 1, 3):
+            capacities = [max(n, 8) + extra * n for n in sizes
+                          for _ in range(3)]
+            bounds = np.concatenate([[0], np.cumsum(
+                [n for n in sizes for _ in range(3)])])
+            got = self.check(backend, keys, bounds, capacities, min_keys)
+            assert not got[3].any() and not got[4].any()
 
     def test_full_capacity(self, backend):
         keys = np.sort(np.random.default_rng(3).uniform(0, 1e3, 40))
-        _, occupied, positions, fills = self.check(
-            backend, keys, True, 0.01, 0.0, 40)
-        assert occupied.all() and positions.tolist() == list(range(40))
-        assert fills == 0
-        self.check(backend, keys, False, 0.0, 0.0, 40)
+        for min_keys in (0, 41):
+            _, occupied, positions, _, _, fills = self.check(
+                backend, keys, [0, 40], [40], min_keys)
+            assert occupied.all() and positions.tolist() == list(range(40))
+            assert fills == 0
 
-    def test_zero_slope(self, backend):
-        keys = np.arange(20.0)
-        for intercept in (0.0, 5.5, 49.0, 1e9):
-            self.check(backend, keys, True, 0.0, intercept, 50)
+    def test_equal_keys_give_flat_model(self, backend):
+        # The zero-slope case: no spread, so the mean rank everywhere.
+        got = self.check(backend, np.full(20, 5.0), [0, 20], [50])
+        assert got[3].tolist() == [0.0]
+        assert got[4].tolist() == [sum(i * 2.5 for i in range(20)) / 20]
 
     def test_predictions_past_both_edges(self, backend):
-        keys = np.linspace(-100.0, 100.0, 30)
-        for slope, intercept in ((1.0, 0.0), (10.0, 30.0), (0.5, -200.0),
-                                 (3.0, 500.0), (-1.0, 10.0)):
-            self.check(backend, keys, True, slope, intercept, 64)
+        # Heavy tails on both sides: the fitted line overshoots both ends.
+        keys = np.tan(np.linspace(-1.4, 1.4, 60))
+        got = self.check(backend, keys, [0, 60], [64])
+        predicted = got[3][0] * keys + got[4][0]
+        assert predicted.min() < 0 and predicted.max() >= 64
 
-    def test_non_finite_predictions(self, backend):
-        keys = np.array([-1e300, -1.0, 0.0, 1.0, 1e300])
-        for slope, intercept in ((1e300, 0.0), (0.0, np.nan), (np.inf, 0.0),
-                                 (-np.inf, 3.0), (0.0, np.inf)):
-            self.check(backend, keys, True, slope, intercept, 16)
+    def test_extreme_magnitudes(self, backend):
+        subnormal = np.arange(1, 41) * 5e-324
+        cases = [
+            np.linspace(-1e300, 1e300, 40),           # centred sum overflows
+            np.array([-1e300, -1.0, 0.0, 1.0, 1e300]),
+            1e300 * (1.0 + np.arange(40) * 2.0 ** -50),
+            subnormal,                                  # squares underflow
+            np.concatenate([-subnormal[::-1], subnormal]),
+            np.array([-1e300, 5e-324, 1e-300, 1e300]),
+        ]
+        for keys in cases:
+            for min_keys in (0, 16):
+                got = self.check(backend, keys, [0, len(keys)],
+                                 [2 * len(keys) + 3], min_keys)
+                if len(keys) >= min_keys:
+                    assert got[3][0] == 0.0  # flat: nothing to regress on
 
-    def test_random_sorted_keys(self, backend):
+    def test_one_large_segment(self, backend):
+        keys = np.unique(np.random.default_rng(8).lognormal(0, 2, 200_000))
+        self.check(backend, keys, [0, len(keys)],
+                   [int(len(keys) * 1.43)])
+
+    def test_random_segments(self, backend):
         rng = np.random.default_rng(21)
-        for trial in range(40):
-            n = int(rng.integers(1, 300))
-            keys = np.unique(rng.lognormal(0, 2, n))
-            n = len(keys)
-            capacity = n + int(rng.integers(0, 3 * n))
-            has_model = trial % 4 != 0
-            model = LinearModel.train_cdf(keys, capacity)
-            self.check(backend, keys, has_model, model.slope,
-                       model.intercept, capacity)
+        for trial in range(20):
+            keys = np.unique(rng.lognormal(0, 2, int(rng.integers(1, 900))))
+            cuts = np.sort(rng.integers(0, len(keys) + 1,
+                                        int(rng.integers(0, 8))))
+            bounds = np.concatenate([[0], cuts, [len(keys)]])
+            sizes = np.diff(bounds)
+            capacities = sizes + rng.integers(0, 3 * sizes + 9)
+            self.check(backend, keys, bounds, capacities,
+                       int(rng.integers(0, 20)))
 
-    def test_rejects_more_keys_than_slots(self, backend):
-        with pytest.raises(ValueError):
-            backend.model_place(np.arange(5.0), False, 0.0, 0.0, 4)
+    def test_rejects_bad_segments(self, backend):
+        keys = np.arange(5.0)
+        for bounds, capacities in (([0, 5], [4]),        # too many keys
+                                   ([0, 4], [8]),        # keys left over
+                                   ([1, 5], [8]),        # not from 0
+                                   ([0, 4, 3, 5], [8, 8, 8]),
+                                   ([0, 5], [8, 8])):
+            with pytest.raises(ValueError):
+                backend.fit_place(keys, bounds, capacities, 16)
+
+
+class TestKernelCache:
+    def test_compile_flags_are_part_of_the_module_name(self, monkeypatch):
+        from repro.core.kernels import cffi_backend
+        name = cffi_backend._module_name()
+        assert "-ffp-contract=off" in cffi_backend._CFLAGS
+        monkeypatch.setattr(cffi_backend, "_CFLAGS",
+                            cffi_backend._CFLAGS + ("-O2",))
+        assert cffi_backend._module_name() != name
 
 
 @pytest.mark.parametrize("name", COMPILED or ["numpy"])
