@@ -11,14 +11,14 @@ recording p50/p99/p99.9 per level.  Three service modes:
 
 * ``thread`` — thread backend behind the ingress;
 * ``process_pipelined`` — process backend with pipelined RPC
-  (``max_inflight`` requests outstanding per worker, shared-memory
-  reply ring);
+  (``max_inflight=8`` requests outstanding per worker);
 * ``process_syncwait`` — the same process backend forced back to the
   pre-pipelining protocol: strict call-and-wait RPC (``max_inflight=1``,
-  one request per worker pipe at a time) with pickle-pipe replies
-  (``use_reply_ring=False``).  The ingress above it is identical —
-  same windows, same submit workers — so the comparison isolates the
-  RPC discipline, not the front door.
+  one request per worker pipe at a time).  Both process modes carry
+  requests and replies in the same pickled pipe frames, and the ingress
+  above them is identical — same windows, same submit workers — so the
+  comparison isolates the RPC discipline, not the transport or the
+  front door.
 
 Two ratios summarize pipelined-vs-syncwait, both **core-sensitive**
 (wall-clock parallelism — the regression gate refuses to compare them
@@ -59,13 +59,13 @@ SEED = 11
 #: fraction of it within the run window (and sheds nothing).
 SUSTAIN_FRACTION = 0.85
 
-#: The three service modes: (backend, max_inflight, use_reply_ring).
-#: The ingress knobs (window, submit workers, admission) are identical
-#: across modes — only the downstream RPC discipline differs.
+#: The three service modes: (backend, max_inflight).  The ingress knobs
+#: (window, submit workers, admission) are identical across modes — only
+#: the downstream RPC discipline differs.
 MODES = {
-    "thread": ("thread", None, True),
-    "process_pipelined": ("process", 8, True),
-    "process_syncwait": ("process", 1, False),
+    "thread": ("thread", None),
+    "process_pipelined": ("process", 8),
+    "process_syncwait": ("process", 1),
 }
 
 #: Ingress submit-pool width for every mode (the downstream in-flight
@@ -158,18 +158,11 @@ def run_open_loop(runner: IngressRunner, keys: np.ndarray, offered_load: float,
 
 def _build(mode: str, keys: np.ndarray, payloads: list, shards: int,
            window_s: float):
-    backend_name, max_inflight, use_ring = MODES[mode]
-    if backend_name == "process":
-        from repro.core.config import AlexConfig
-        from repro.core.policy import HeuristicPolicy
-        from repro.serve import ProcessBackend
-        backend = ProcessBackend(AlexConfig(), HeuristicPolicy(),
-                                 max_inflight=max_inflight,
-                                 use_reply_ring=use_ring)
-    else:
-        backend = backend_name
+    backend, max_inflight = MODES[mode]
+    # The thread backend has no pipe, so it takes no in-flight budget.
+    pipelining = {} if max_inflight is None else {"max_inflight": max_inflight}
     service = ShardedAlexIndex.bulk_load(
-        keys, payloads, num_shards=shards, backend=backend)
+        keys, payloads, num_shards=shards, backend=backend, **pipelining)
     runner = IngressRunner(service, window_s=window_s,
                            submit_workers=SUBMIT_WORKERS,
                            max_queue=1 << 17, overload="shed")
@@ -200,8 +193,7 @@ def measure_serving(num_keys: int = 100_000, shards: int = 2,
     the coalescing-window sweep on the pipelined mode."""
     from repro.datasets import load as load_dataset
     keys = np.unique(load_dataset("lognormal", num_keys, seed=seed))
-    # Numeric payloads (not None) so all-hit read batches come back as
-    # homogeneous float columns — the shared-memory reply-ring path.
+    # Numeric payloads (not None), so replies carry real values.
     payloads = [float(k) for k in keys]
 
     modes = {}
@@ -221,7 +213,6 @@ def measure_serving(num_keys: int = 100_000, shards: int = 2,
         modes[mode] = {
             "backend": MODES[mode][0],
             "max_inflight": MODES[mode][1],
-            "reply_ring": MODES[mode][2],
             "submit_workers": SUBMIT_WORKERS,
             "levels": rows,
             "knee_load_rps": _knee(rows, p99_bound_ms),

@@ -161,9 +161,9 @@ GATED = {
     ],
     "BENCH_serving.json": [
         # Achieved throughput at the heaviest offered load: pipelined
-        # out-of-order RPC (multiple frames in flight per worker pipe,
-        # reply ring) over the strict call-and-wait discipline behind
-        # the same ingress.  How much pipelining buys depends on how
+        # out-of-order RPC (up to eight frames in flight per worker
+        # pipe) over the strict call-and-wait discipline (one), both on
+        # the same pipe-frame transport behind the same ingress.  How much pipelining buys depends on how
         # many real cores the workers overlap across, so the reading is
         # only comparable between same-core-count recordings.
         Metric("pipelined vs call-and-wait saturated throughput",

@@ -419,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thm.set_defaults(func=_cmd_theorems)
 
     def _add_service_args(p) -> None:
+        from .serve.backend import DEFAULT_MAX_INFLIGHT
         p.add_argument("--dataset", choices=sorted(DATASETS),
                        default="lognormal")
         p.add_argument("--size", type=int, default=20_000)
@@ -435,10 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coalesce-window", type=float, default=0.002,
                        help="ingress coalescing window in seconds "
                             "(default 0.002)")
-        p.add_argument("--max-inflight", type=int, default=None,
+        p.add_argument("--max-inflight", type=int,
+                       default=DEFAULT_MAX_INFLIGHT,
                        help="process-backend per-worker pipelining "
-                            "budget (default 8 / $REPRO_MAX_INFLIGHT; "
-                            "1 = call-and-wait RPC)")
+                            "budget (default 8; 1 = call-and-wait RPC)")
         p.add_argument("--replicas", action="store_true",
                        help="host a WAL-following replica beside each "
                             "shard primary (forces durability — a "

@@ -1,12 +1,14 @@
-"""Shared-memory storage views: picklable, attachable leaf array snapshots.
+"""Shared-memory storage views: picklable, attachable shard snapshots.
 
 ALEX keeps every leaf's keys and payloads in contiguous arrays, which map
 naturally onto POSIX shared memory: a :class:`SharedArray` is a picklable
 *handle* (segment name + shape + dtype) to a NumPy array living in a
 :class:`multiprocessing.shared_memory.SharedMemory` segment, so a parent
-process and a long-lived shard worker can exchange whole key batches and
-leaf snapshots by sending only the handle over a pipe — the array bytes
-are never copied through the pipe, and the receiver maps them zero-copy.
+process and a long-lived shard worker can exchange a whole shard by
+sending only the handle over a pipe — the array bytes are never copied
+through the pipe, and the receiver maps them zero-copy.  Only whole-shard
+moves use it (provisioning, snapshots, respawn and split/merge
+re-provisioning); requests and replies travel in the pipe frames.
 
 :class:`ShardStorageView` bundles one shard's ``(keys, payloads)`` into
 such segments.  Keys are always a ``float64`` :class:`SharedArray`;
@@ -18,7 +20,7 @@ payloads take the cheapest faithful encoding:
 * ``pickle``  — arbitrary objects, pickled into a byte segment (one copy,
   but still transported out-of-band of the pipe).
 
-:func:`numeric_column` decides ``numeric``, here and for reply rings, by
+:func:`numeric_column` decides ``numeric``, here and for checkpoints, by
 an *exact-kind* rule: a list of Python ``int`` only must become an
 ``int64`` column and a list of Python ``float`` only a ``float64`` one.
 Anything else is pickled — ``bool`` or numpy scalars, mixed ``1`` /
@@ -28,12 +30,6 @@ its exact Python type and value.  A caller that already holds the column
 (the sharded bulk load gathers it once, in numpy, with the key order)
 hands it to :meth:`ShardStorageView.pack`, which copies it into the
 segment as is.
-
-:class:`ReplyRing` is the reverse direction: a long-lived
-single-producer/single-consumer byte ring, one per shard worker, through
-which *numeric replies* (hit masks, homogeneous payload columns) return
-to the parent without ever being pickled or pushed through the pipe —
-the pipe carries only a tiny ``(req_id, "shm", descriptor)`` frame.
 
 Lifecycle contract: the *creator* of a view owns the segments and must
 ``unlink`` them exactly once, after every attaching process is done
@@ -161,14 +157,6 @@ PAYLOAD_NUMERIC = "numeric"
 PAYLOAD_PICKLE = "pickle"
 
 
-#: Reply encodings a :class:`ReplyRing` lane can carry back to the
-#: parent.  ``array`` round-trips a numeric/bool ndarray verbatim;
-#: ``list`` restores a homogeneous int/float payload list via
-#: ``tolist()`` (exact Python types, mirroring ``PAYLOAD_NUMERIC``).
-REPLY_ARRAY = "array"
-REPLY_LIST = "list"
-
-
 def numeric_column(values) -> Optional[np.ndarray]:
     """``values`` as a 1-D ``int64`` or ``float64`` array whose
     ``tolist()`` restores it exactly, or ``None`` when it has no such
@@ -191,158 +179,6 @@ def numeric_column(values) -> Optional[np.ndarray]:
         return None
     # numpy widens an int beyond int64 to uint64, float64 or object.
     return column if column.dtype.kind == kind else None
-
-
-def encode_reply(result):
-    """``(column, kind)`` when ``result`` can travel through a reply
-    ring, else ``None``.
-
-    Eligible results are numeric/bool ndarrays (``contains_many`` hit
-    masks, counts) and the payload lists (``get_many`` / ``lookup_many``)
-    that :func:`numeric_column` accepts, so every value round-trips with
-    its exact Python type.  Everything else (mixed payloads, ``None``
-    defaults, arbitrary objects) stays on the pickle pipe.
-    """
-    if isinstance(result, np.ndarray):
-        if result.ndim == 1 and result.dtype.kind in "biuf":
-            return result, REPLY_ARRAY
-        return None
-    column = numeric_column(result)
-    return None if column is None else (column, REPLY_LIST)
-
-
-def decode_reply(column: np.ndarray, kind: str):
-    """Reverse of :func:`encode_reply` (``column`` is already a copy)."""
-    if kind == REPLY_LIST:
-        return column.tolist()
-    return column
-
-
-class RingFull(Exception):
-    """The ring lacks contiguous space for a reply (caller falls back to
-    the pickle pipe — never an error surfaced to clients)."""
-
-
-class ReplyRing:
-    """A single-producer/single-consumer shared-memory reply ring.
-
-    One per shard worker, created (and eventually unlinked) by the
-    parent, attached by the worker.  The worker allocates a contiguous
-    lane per numeric reply, copies the result column in, and sends only
-    a small descriptor over the pipe; the parent's reply-reader thread —
-    the *single* consumer — copies the lane out and releases it **in
-    arrival order**, which matches allocation order because the worker
-    executes requests serially.  Ordered release keeps the free-space
-    arithmetic a pair of monotonically increasing cursors:
-
-    * ``head`` — bytes ever allocated (written only by the worker);
-    * ``tail`` — bytes ever released (written only by the reader).
-
-    Both live at the front of the segment.  Cross-process visibility is
-    sequenced by the pipe itself: the worker finishes writing the lane
-    *before* sending the descriptor, and the reader releases *after*
-    copying out, so neither side ever reads bytes the other is mid-write
-    on.  A reply that does not fit contiguously (after wrap padding)
-    raises :exc:`RingFull` and travels the pickle pipe instead.
-    """
-
-    _HEADER = 16  # two uint64 cursors: head, tail
-
-    def __init__(self, name: str, capacity: int):
-        self.name = name
-        self.capacity = int(capacity)
-        self._segment: Optional[shared_memory.SharedMemory] = None
-        self._owner = False
-
-    def __getstate__(self) -> dict:
-        return {"name": self.name, "capacity": self.capacity}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._segment = None
-        self._owner = False
-
-    @classmethod
-    def create(cls, capacity: int = 1 << 22) -> "ReplyRing":
-        """A fresh ring of ``capacity`` data bytes (parent-side)."""
-        capacity = int(capacity)
-        segment = shared_memory.SharedMemory(create=True,
-                                             size=cls._HEADER + capacity)
-        segment.buf[:cls._HEADER] = b"\x00" * cls._HEADER
-        ring = cls(segment.name, capacity)
-        ring._segment = segment
-        ring._owner = True
-        return ring
-
-    def _buf(self):
-        if self._segment is None:
-            self._segment = _attach_segment(self.name)
-        return self._segment.buf
-
-    def _cursors(self) -> np.ndarray:
-        return np.ndarray(2, dtype=np.uint64, buffer=self._buf())
-
-    # -- producer side (worker process) --------------------------------
-
-    def try_write(self, column: np.ndarray) -> tuple:
-        """Copy ``column`` into a fresh lane; returns the descriptor
-        ``(offset, used, shape, dtype)`` to send over the pipe (``used``
-        counts wrap padding, so the consumer releases exactly what was
-        allocated).  Raises :exc:`RingFull` when it cannot fit."""
-        column = np.ascontiguousarray(column)
-        nbytes = column.nbytes
-        cursors = self._cursors()
-        head, tail = int(cursors[0]), int(cursors[1])
-        pos = head % self.capacity
-        pad = self.capacity - pos if pos + nbytes > self.capacity else 0
-        used = pad + nbytes
-        if nbytes > self.capacity or used > self.capacity - (head - tail):
-            raise RingFull(f"{nbytes} bytes do not fit "
-                           f"({self.capacity - (head - tail)} free)")
-        offset = 0 if pad else pos
-        start = self._HEADER + offset
-        lane = np.ndarray(column.shape, dtype=column.dtype,
-                          buffer=self._buf(), offset=start)
-        lane[...] = column
-        cursors[0] = head + used
-        return offset, used, column.shape, column.dtype.str
-
-    # -- consumer side (parent reply-reader thread) --------------------
-
-    def read(self, descriptor: tuple) -> np.ndarray:
-        """Copy one lane out and release it (reader thread only; calls
-        must follow descriptor arrival order)."""
-        offset, used, shape, dtype = descriptor
-        lane = np.ndarray(shape, dtype=np.dtype(dtype), buffer=self._buf(),
-                          offset=self._HEADER + offset)
-        out = np.array(lane, copy=True)
-        cursors = self._cursors()
-        cursors[1] = int(cursors[1]) + used
-        return out
-
-    # -- lifecycle -----------------------------------------------------
-
-    def close(self) -> None:
-        """Drop this process's mapping (the segment survives)."""
-        if self._segment is not None:
-            self._segment.close()
-            self._segment = None
-
-    def unlink(self) -> None:
-        """Destroy the segment (creator-side, exactly once)."""
-        segment = self._segment
-        if segment is None:
-            try:
-                segment = _attach_segment(self.name)
-            except FileNotFoundError:
-                return
-        try:
-            segment.close()
-            segment.unlink()
-            _unregister_segment(segment)
-        except FileNotFoundError:
-            pass
-        self._segment = None
 
 
 class ShardStorageView:

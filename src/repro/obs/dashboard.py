@@ -53,7 +53,7 @@ def _build_service(args):
         keys, num_shards=args.shards, backend=args.backend,
         durability_dir=getattr(args, "_durability_dir", None),
         fsync="batch" if getattr(args, "_durability_dir", None) else "off",
-        max_inflight=getattr(args, "max_inflight", None),
+        max_inflight=args.max_inflight,
         replicate=getattr(args, "replicas", False))
     return service, keys
 

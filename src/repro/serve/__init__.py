@@ -43,17 +43,16 @@ through the structure lock and preserve all contents.
 (``ShardedAlexIndex(backend="thread" | "process")``): the
 :class:`ThreadBackend` keeps them in-process behind a shared
 ``ThreadPoolExecutor`` (GIL-bound for Python-level work), while the
-:class:`ProcessBackend` hosts each shard in a long-lived worker process —
-batches travel through :mod:`multiprocessing.shared_memory`
-(:mod:`repro.core.shm`) with pipe-based RPC carrying only offsets, so
-batch reads map the request keys zero-copy and scatter-gather runs on
-real cores.  The facade's locking, routing, statistics, and two-phase
-all-or-nothing writes are identical under both.  The process backend's
-RPC is *pipelined*: frames carry request ids, each worker keeps several
-requests in flight (``max_inflight``), a per-worker reply-reader thread
-demultiplexes out-of-order completions to futures, and numeric reply
-columns return through a per-worker shared-memory
-:class:`~repro.core.shm.ReplyRing` instead of the pickle pipe.
+:class:`ProcessBackend` hosts each shard in a long-lived worker process,
+so scatter-gather runs on real cores.  Whole shards move through
+:mod:`multiprocessing.shared_memory` (:mod:`repro.core.shm`); every
+request and reply — sub-batch keys, payloads, results — travels by value
+in one pickled pipe frame.  The facade's locking, routing, statistics,
+and two-phase all-or-nothing writes are identical under both.  The
+process backend's RPC is *pipelined*: frames carry request ids, each
+worker keeps several requests in flight (``max_inflight``), and a
+per-worker reply-reader thread demultiplexes out-of-order completions to
+futures.
 
 **The front door.**  :class:`AsyncIngress` (:mod:`repro.serve.ingress`)
 turns many small concurrent client requests into the batch shapes this

@@ -13,11 +13,11 @@ shard operation goes through an :class:`ExecutionBackend`, which decides
   kernels.
 * :class:`~repro.serve.worker.ProcessBackend` — each shard lives in a
   long-lived worker process, forked from one preloaded
-  ``multiprocessing`` forkserver.  Batches
-  travel through :mod:`multiprocessing.shared_memory` segments
-  (:mod:`repro.core.shm`), carved sub-batches are dispatched over
-  pipe-based RPC, and the workers execute truly in parallel — real
-  multi-core wall clock for Python-heavy batch work.
+  ``multiprocessing`` forkserver.  Whole shards move through
+  :mod:`multiprocessing.shared_memory` segments (:mod:`repro.core.shm`),
+  carved sub-batches travel by value in pipelined pipe RPC frames, and
+  the workers execute truly in parallel — real multi-core wall clock
+  for Python-heavy batch work.
 
 The backend contract is deliberately narrow — provision, RPC (``call`` /
 ``scatter`` / ``scatter_batch``), snapshot, and replace — so the facade's
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import abc
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from threading import Lock
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -45,7 +44,12 @@ from repro.core.policy import AdaptationPolicy
 from repro.core.stats import Counters
 from repro.obs import trace
 
-#: A scatter job against the current shared batch:
+#: Default per-worker in-flight request budget of the process backend
+#: (pipelined RPC admission control): how many requests the parent may
+#: have outstanding on one worker's pipe before further submitters block.
+DEFAULT_MAX_INFLIGHT = 8
+
+#: A scatter job against one key batch:
 #: ``(shard, method, lo, hi, extra_args)`` — the shard runs
 #: ``method(batch[lo:hi], *extra_args)``.
 BatchJob = Tuple[int, str, int, int, tuple]
@@ -178,21 +182,11 @@ class ExecutionBackend(abc.ABC):
         before the first raised exception propagates."""
 
     @abc.abstractmethod
-    def scatter_batch(self, batch, jobs: Sequence[BatchJob]) -> list:
-        """Like :meth:`scatter` for jobs carving one shared key batch:
-        each job runs ``method(batch[lo:hi], *extra)`` on its shard.  The
-        process backend ships ``batch`` through shared memory once and
-        sends only offsets over the pipes.  ``batch`` is either a raw key
-        array or the token :meth:`publish` yielded for it."""
-
-    @contextmanager
-    def publish(self, batch: np.ndarray):
-        """Pin one key batch for several :meth:`scatter_batch` calls (the
-        two-phase write pattern: validate, then apply, over the same
-        keys).  Yields the token to pass as ``batch``; the default is a
-        no-op pass-through, while the process backend copies the keys to
-        a shared segment once and unlinks it on exit."""
-        yield batch
+    def scatter_batch(self, batch: np.ndarray,
+                      jobs: Sequence[BatchJob]) -> list:
+        """Like :meth:`scatter` for jobs carving one key array: each job
+        runs ``method(batch[lo:hi], *extra)`` on its shard.  The process
+        backend ships each sub-batch by value in its request frame."""
 
     @abc.abstractmethod
     def snapshot(self, shard: int) -> Tuple[np.ndarray, Optional[list]]:
@@ -493,13 +487,15 @@ class ThreadBackend(ExecutionBackend):
 
 def make_backend(backend, config: AlexConfig, policy: AdaptationPolicy,
                  max_workers: int = 1,
-                 max_inflight: Optional[int] = None) -> ExecutionBackend:
+                 max_inflight: int = DEFAULT_MAX_INFLIGHT
+                 ) -> ExecutionBackend:
     """Resolve a backend spec — ``"thread"``, ``"process"``, or an
     already-constructed :class:`ExecutionBackend` — into an instance.
 
-    ``max_inflight`` is the process backend's per-worker in-flight
-    request budget (pipelined RPC admission control); the thread backend
-    has no pipe to pipeline, so it ignores the knob.
+    ``max_workers`` is the thread backend's pool width; the process
+    backend runs one worker process per shard.  ``max_inflight`` is the
+    process backend's per-worker in-flight request budget (pipelined RPC
+    admission control); the thread backend has no pipe to pipeline.
     """
     if isinstance(backend, ExecutionBackend):
         return backend
@@ -507,7 +503,6 @@ def make_backend(backend, config: AlexConfig, policy: AdaptationPolicy,
         return ThreadBackend(config, policy, max_workers=max_workers)
     if backend == "process":
         from .worker import ProcessBackend
-        return ProcessBackend(config, policy, max_workers=max_workers,
-                              max_inflight=max_inflight)
+        return ProcessBackend(config, policy, max_inflight=max_inflight)
     raise ValueError(f"unknown backend {backend!r}; "
                      "choose 'thread' or 'process'")

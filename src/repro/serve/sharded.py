@@ -62,7 +62,6 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -84,7 +83,8 @@ from repro.durability import (DEFAULT_CHECKPOINT_EVERY, OP_DELETE,
                               ShardedDurability, encode_payloads)
 from repro.ext.concurrent import ReadWriteLock
 
-from .backend import ExecutionBackend, WorkerDiedError, make_backend
+from .backend import (DEFAULT_MAX_INFLIGHT, ExecutionBackend,
+                      WorkerDiedError, make_backend)
 from .options import (READ_YOUR_WRITES, ReadOptions, WriteToken,
                       resolve_read_options)
 from .router import ShardRouter
@@ -239,8 +239,8 @@ class ShardedAlexIndex:
     max_inflight:
         Process-backend pipelining budget: how many requests may be
         outstanding per worker pipe before further submitters block
-        (default 8, or ``REPRO_MAX_INFLIGHT``).  ``1`` restores strict
-        call-and-wait RPC; the thread backend ignores the knob.
+        (default 8).  ``1`` restores strict call-and-wait RPC; the
+        thread backend ignores the knob.
     replicate:
         Host a WAL-shipping replica beside each shard's primary
         (requires durability — replicas are log followers).  Reads
@@ -262,7 +262,7 @@ class ShardedAlexIndex:
                  fsync: str = "batch",
                  checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
                  durability: Optional[ShardedDurability] = None,
-                 max_inflight: Optional[int] = None,
+                 max_inflight: int = DEFAULT_MAX_INFLIGHT,
                  replicate: bool = False):
         self.config = config or AlexConfig()
         # One adaptation policy serves every layer: the shards' leaf/tree
@@ -347,7 +347,7 @@ class ShardedAlexIndex:
                   durability_dir: Optional[str] = None,
                   fsync: str = "batch",
                   checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-                  max_inflight: Optional[int] = None,
+                  max_inflight: int = DEFAULT_MAX_INFLIGHT,
                   replicate: bool = False
                   ) -> "ShardedAlexIndex":
         """Partition ``keys`` into ``num_shards`` near-equal-mass shards
@@ -752,8 +752,8 @@ class ShardedAlexIndex:
         ``opts`` allow a replica read and replicas exist, each job first
         tries its shard's replica; jobs whose replica is stale, missing or
         dead fall back to the primaries, which run as one scatter under
-        their shared locks (carvings through ``scatter_batch``, so large
-        batches stay zero-copy).  The caller holds the structure lock.
+        their shared locks (carvings through ``scatter_batch``).  The
+        caller holds the structure lock.
         """
         results: list = [None] * len(jobs)
         fallback = list(range(len(jobs)))
@@ -989,10 +989,7 @@ class ShardedAlexIndex:
         5. tally the shard stats, checkpoint the shards due one, and
            return ``(token, written)``.
 
-        A batch write pins its keys with ``publish`` so both scatters
-        share one shared-memory segment; a scalar write's one-key
-        validation travels inline.  Non-finite keys raise
-        :class:`ValueError` before step 1.
+        Non-finite keys raise :class:`ValueError` before step 1.
         """
         AlexIndex._check_finite(keys)
         with self._structure_lock.read():
@@ -1000,30 +997,28 @@ class ShardedAlexIndex:
             shard_ids = [s for s, _, _ in groups]
             self._acquire_shards(shard_ids, write=True)
             try:
-                pin = self._backend.publish if args is None else nullcontext
-                with pin(keys) as batch:
-                    written = [(g, g[2] - g[1]) for g in groups]
-                    if check is not None:
-                        present = self._retry_dead(
-                            lambda: self._backend.scatter_batch(
-                                batch, [(s, "contains_many", lo, hi, ())
-                                        for s, lo, hi in groups]),
-                            involved=shard_ids)
-                        written = check(keys, groups, present)
-                    if not written:
-                        return WriteToken.empty(), written
-                    lsns = self._log_groups(op, [g for g, _ in written],
-                                            keys, payloads)
+                written = [(g, g[2] - g[1]) for g in groups]
+                if check is not None:
+                    present = self._retry_dead(
+                        lambda: self._backend.scatter_batch(
+                            keys, [(s, "contains_many", lo, hi, ())
+                                   for s, lo, hi in groups]),
+                        involved=shard_ids)
+                    written = check(keys, groups, present)
+                if not written:
+                    return WriteToken.empty(), written
+                lsns = self._log_groups(op, [g for g, _ in written],
+                                        keys, payloads)
 
-                    def apply():
-                        if args is not None:
-                            return self._backend.call(shard_ids[0], method,
-                                                      *args)
-                        return self._backend.scatter_batch(batch, [
-                            (s, method, lo, hi,
-                             () if payloads is None else (payloads[lo:hi],))
-                            for (s, lo, hi), _ in written])
-                    self._retry_dead(apply, retry=False, involved=shard_ids)
+                def apply():
+                    if args is not None:
+                        return self._backend.call(shard_ids[0], method,
+                                                  *args)
+                    return self._backend.scatter_batch(keys, [
+                        (s, method, lo, hi,
+                         () if payloads is None else (payloads[lo:hi],))
+                        for (s, lo, hi), _ in written])
+                self._retry_dead(apply, retry=False, involved=shard_ids)
                 for (s, _, _), count in written:
                     self.stats[s].add(writes=count)
                     self._maybe_checkpoint(s)

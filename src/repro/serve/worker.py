@@ -27,11 +27,12 @@ NumPy kernels.  :class:`ProcessBackend` hosts each shard's ALEX tree in a
   re-provisions them;
 * whole-shard contents move through :class:`repro.core.shm
   .ShardStorageView` shared-memory segments — provisioning, snapshots,
-  and re-provisioning never push key/payload arrays through a pipe;
-* each batch operation publishes its sorted key array once as a
-  :class:`repro.core.shm.SharedArray`; the per-shard RPC messages carry
-  only ``(method, lo, hi)`` offsets, and every worker maps its sub-batch
-  **zero-copy** out of the same segment;
+  respawn and split/merge re-provisioning never push key/payload arrays
+  through a pipe;
+* every request and every reply — the sub-batch a shard reads or
+  writes, and the result it returns — travels by value in one pickled
+  pipe frame, so the worker owns what it unpickles and no shared
+  segment is created per request;
 * the facade's two-phase write orchestration — validate on all involved
   workers, then apply — runs unchanged, so cross-shard batch writes stay
   all-or-nothing.
@@ -50,15 +51,6 @@ worker's pipe dies, the reader fails *every* outstanding future for that
 worker with :class:`~repro.serve.backend.WorkerDiedError` (not just the
 oldest), so concurrent callers all reach the durability respawn path.
 
-Numeric replies return through a **shared-memory reply path**: each
-worker owns a :class:`repro.core.shm.ReplyRing`, writes eligible result
-columns (hit masks, homogeneous payload columns) into a ring lane, and
-sends only ``(req_id, "shm", descriptor)`` over the pipe — no pickling,
-no pipe bandwidth.  The reader thread (the ring's single consumer)
-copies lanes out in arrival order.  Replies that do not encode — mixed
-payloads, arbitrary objects, a full ring — fall back to the pickle pipe
-transparently.
-
 The worker executes shard methods through the same
 :func:`repro.serve.backend.run_shard_op` dispatcher the thread backend
 uses, so both backends run identical shard code.  Each worker receives a
@@ -71,6 +63,7 @@ while shard split/merge decisions stay in the parent.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing as mp
 import os
 import threading
@@ -90,39 +83,12 @@ from repro.core.batch import export_arrays
 from repro.core.config import AlexConfig
 from repro.core.kernels import get_kernels
 from repro.core.policy import AdaptationPolicy
-from repro.core.shm import (ReplyRing, RingFull, SharedArray,
-                            ShardStorageView, decode_reply, encode_reply)
+from repro.core.shm import ShardStorageView
 from repro.core.stats import Counters
 
-from .backend import (BatchJob, Call, ExecutionBackend, WorkerDiedError,
-                      build_shard, run_shard_op)
-
-#: Batch methods that mutate the shard.  Their key slices are copied out
-#: of the shared request segment before execution, so a rebuilt leaf can
-#: never retain a view into a segment the parent is about to unlink.
-#: Read methods slice the segment directly — that is the zero-copy path.
-_MUTATING_BATCH_METHODS = frozenset({
-    "insert_many", "insert_sorted_unchecked",
-    "delete_many", "delete_sorted_unchecked", "erase_many",
-})
-
-#: Default per-worker in-flight request budget (admission control): how
-#: many requests the parent may have outstanding on one worker's pipe
-#: before further submitters block.  Overridable per backend
-#: (``max_inflight=``) or process-wide via ``REPRO_MAX_INFLIGHT``.
-DEFAULT_MAX_INFLIGHT = 8
-
-#: Default per-worker reply-ring capacity in bytes.  Sized so a full
-#: in-flight budget of large batch replies fits without falling back to
-#: the pickle pipe (8 in flight x 64k float64 lanes = 4 MiB).
-DEFAULT_REPLY_RING_BYTES = 1 << 22
-
-#: Request batches at or under this many bytes ship inline in the RPC
-#: frame instead of through a shared-memory segment: for serving-sized
-#: coalesced batches (a few hundred keys), one segment create + mmap +
-#: unlink per scatter costs far more than pickling the keys into the
-#: pipe.  Large analytic batches keep the zero-copy segment path.
-INLINE_BATCH_BYTES = 1 << 14
+from .backend import (DEFAULT_MAX_INFLIGHT, BatchJob, Call,
+                      ExecutionBackend, WorkerDiedError, build_shard,
+                      run_shard_op)
 
 
 #: The modules the forkserver imports before it forks any worker: the
@@ -189,15 +155,8 @@ def _forkserver_context():
     return ctx
 
 
-def _default_max_inflight() -> int:
-    try:
-        return max(1, int(os.environ.get("REPRO_MAX_INFLIGHT", "")))
-    except ValueError:
-        return DEFAULT_MAX_INFLIGHT
-
-
 def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
-                 policy: AdaptationPolicy, ring: Optional[ReplyRing],
+                 policy: AdaptationPolicy,
                  replica_root: Optional[str] = None) -> None:
     """One shard's RPC loop (the process target; runs until ``close``).
 
@@ -212,22 +171,16 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
     requests), installed as this dispatch's ambient context so every
     span the op records (shard-op, replica-read, WAL, checkpoint) joins
     the request's cross-process tree — and every reply echoes the id:
-    ``(req_id, "ok", result)`` / ``(req_id, "err", exc)`` over the
-    pipe, or ``(req_id, "shm", descriptor)`` when the result column
-    went through the reply ring, or ``(req_id, "nones", n)`` for an
-    all-``None`` payload list (nothing worth shipping either way).
-    Requests execute strictly in arrival order — the pipelining lives in
-    the *parent*, which no longer waits for one reply before sending the
-    next request.
+    ``(req_id, "ok", result)`` or ``(req_id, "err", exc)``, pickled
+    whole into the pipe.  Requests execute strictly in arrival order —
+    the pipelining lives in the *parent*, which no longer waits for one
+    reply before sending the next request.
 
     Ops: ``("load", view, seed_counters)`` builds the index from a
     shared-memory view; ``("call", method, args)`` runs a shard op (a
-    small sub-batch shipped inline in the frame arrives this way, as the
-    first argument — the serving fast path, no segment);
-    ``("batch", handle, method, lo, hi, extra)`` runs a batch method over
-    a zero-copy slice of the shared request segment;
-    ``("snapshot",)`` packs the shard's contents into a fresh view the
-    parent unlinks; ``("close",)`` acks and exits.
+    batch method's sub-batch arrives by value as the first argument, the
+    worker's own copy); ``("snapshot",)`` packs the shard's contents into
+    a fresh view the parent unlinks; ``("close",)`` acks and exits.
 
     With ``replica_root`` set the process is a **replica worker**: it
     bootstraps a :class:`~repro.replication.Replica` tailing that
@@ -284,19 +237,6 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
                     method, args = message[3], message[4]
                     reply = (req_id, "ok",
                              run_shard_op(index, method, *args))
-                elif op == "batch":
-                    handle, method, lo, hi, extra = message[3:]
-                    try:
-                        batch = handle.array()[lo:hi]
-                        if method in _MUTATING_BATCH_METHODS:
-                            batch = batch.copy()
-                        result = run_shard_op(index, method, batch, *extra)
-                    finally:
-                        # Unmap even when the method raises (e.g. a
-                        # missing key in lookup_many) — a stale mapping
-                        # would outlive the parent's unlink.
-                        handle.close()
-                    reply = (req_id, "ok", result)
                 elif op == "snapshot":
                     view = ShardStorageView.pack(*export_arrays(index))
                     view.close()
@@ -319,80 +259,70 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
                     raise ValueError(f"unknown worker op {op!r}")
             except BaseException as exc:
                 reply = (req_id, "err", exc)
-        conn.send(_encode_worker_reply(reply, ring))
+        conn.send(reply)
     if replica is not None:
         replica.stop()
     conn.close()
 
 
-def _encode_worker_reply(reply: tuple, ring: Optional[ReplyRing]) -> tuple:
-    """Route an ``"ok"`` reply through the shared-memory ring when its
-    result is an eligible numeric column (or compress an all-``None``
-    payload list to its length); everything else passes through to the
-    pickle pipe unchanged."""
-    req_id, status, result = reply
-    if status != "ok" or ring is None:
-        return reply
-    if (isinstance(result, list) and result
-            and all(p is None for p in result)):
-        return req_id, "nones", len(result)
-    encoded = encode_reply(result)
-    if encoded is None:
-        return reply
-    column, kind = encoded
-    try:
-        descriptor = ring.try_write(column)
-    except RingFull:
-        return reply
-    return req_id, "shm", (descriptor, kind)
-
-
 class _WorkerHandle:
-    """Parent-side handle: process, pipe, reply ring, in-flight budget,
-    and the reply-reader thread demultiplexing to futures."""
+    """Parent-side handle: process, pipe, in-flight budget, and the
+    reply-reader thread demultiplexing to futures."""
 
-    __slots__ = ("process", "conn", "ring", "shard", "send_lock",
-                 "pending", "pending_lock", "inflight", "reader",
-                 "closing", "_next_id")
+    __slots__ = ("process", "conn", "shard", "send_lock", "pending",
+                 "pending_lock", "inflight", "reader", "closing", "_ids")
 
-    def __init__(self, process, conn, ring: Optional[ReplyRing],
-                 shard: int, max_inflight: int):
+    def __init__(self, process, conn, shard: int, max_inflight: int):
         self.process = process
         self.conn = conn
-        self.ring = ring
         self.shard = shard
         self.send_lock = threading.Lock()
         self.pending: Dict[int, Future] = {}
         self.pending_lock = threading.Lock()
         self.inflight = threading.BoundedSemaphore(max_inflight)
         self.closing = False
-        self._next_id = 0
+        self._ids = itertools.count()
         self.reader = threading.Thread(target=self._read_replies,
                                        daemon=True,
                                        name="alex-reply-reader")
         self.reader.start()
 
-    # -- request registration ------------------------------------------
+    # -- requests --------------------------------------------------------
 
-    def register(self) -> Tuple[int, Future]:
-        """Allocate a request id and its pending future."""
+    def frame(self, body: tuple, tctx) -> Tuple[int, bytes]:
+        """A fresh request id and the pickled frame ``(req_id, tctx) +
+        body`` — the caller's trace context (or ``None``) rides in slot
+        1, so worker-side spans join the request's tree.  An unpicklable
+        argument raises here, before any slot is taken or byte sent; an
+        id whose frame is never sent is simply skipped."""
+        req_id = next(self._ids)
+        return req_id, ForkingPickler.dumps((req_id, tctx) + body)
+
+    def send(self, req_id: int, blob: bytes) -> Future:
+        """Push one pickled frame down the pipe without waiting for its
+        reply: acquire an in-flight slot (the admission budget — this is
+        where backpressure blocks), register the future, send.  The
+        reply-reader settles the future whenever the worker gets to it;
+        a broken pipe settles it with :class:`WorkerDiedError` at
+        once."""
+        with obs.span("rpc.inflight_wait"):
+            self.inflight.acquire()
         future: Future = Future()
         with self.pending_lock:
-            req_id = self._next_id
-            self._next_id += 1
             self.pending[req_id] = future
-        return req_id, future
-
-    def unregister(self, req_id: int) -> Optional[Future]:
-        """Claim a pending future (``None`` if already settled) — the
-        settler must release the in-flight slot iff the claim won."""
-        with self.pending_lock:
-            return self.pending.pop(req_id, None)
+        try:
+            with self.send_lock:
+                self.conn.send_bytes(blob)
+        except OSError as exc:
+            self.settle(req_id, WorkerDiedError(
+                self.shard, f"on send ({exc!r})"), is_error=True)
+        return future
 
     def settle(self, req_id: int, value, is_error: bool) -> None:
         """Complete one request: resolve its future and release its
         admission slot (exactly once, whoever claims the future)."""
-        future = self.unregister(req_id)
+        with self.pending_lock:
+            future = self.pending.pop(req_id, None)
         if future is None:
             return
         try:
@@ -407,23 +337,13 @@ class _WorkerHandle:
 
     def _read_replies(self) -> None:
         """Drain the pipe until it dies, demultiplexing replies to their
-        futures.  Ring lanes are copied out *here* — the single consumer,
-        in arrival order, which matches the worker's allocation order —
-        so a lane never outlives its descriptor's handling."""
+        futures."""
         while True:
             try:
                 req_id, status, value = self.conn.recv()
             except (EOFError, OSError, ValueError) as exc:
                 self._fail_all_pending(exc)
                 return
-            if status == "shm":
-                descriptor, kind = value
-                value = decode_reply(self.ring.read(descriptor), kind)
-                obs.inc("rpc.shm_replies")
-            elif status == "nones":
-                value = [None] * value
-            elif status == "ok":
-                obs.inc("rpc.pipe_replies")
             self.settle(req_id, value, is_error=(status == "err"))
 
     def _fail_all_pending(self, exc: Exception) -> None:
@@ -443,44 +363,35 @@ class _WorkerHandle:
 
 
 class ProcessBackend(ExecutionBackend):
-    """One long-lived worker process per shard, batches via shared
-    memory, replies pipelined out of order through per-worker futures.
+    """One long-lived worker process per shard (the operating system
+    schedules them across cores), whole shards moved through shared
+    memory, requests and replies pipelined out of order through
+    per-worker futures.
 
-    ``max_workers`` is accepted for interface symmetry but unused: the
-    process count always equals the shard count (each worker *is* its
-    shard), and the operating system schedules them across cores.
     ``max_inflight`` bounds how many requests the parent may have
     outstanding per worker (admission control — further submitters block
-    until a slot frees); ``max_inflight=1`` plus ``use_reply_ring=False``
-    degenerates to the strict call-and-wait pickle-pipe discipline this
-    backend shipped with, which the serving benchmark uses as its
+    until a slot frees); ``max_inflight=1`` degenerates to the strict
+    call-and-wait discipline, which the serving benchmark uses as its
     baseline.
     """
 
     name = "process"
 
     def __init__(self, config: AlexConfig, policy: AdaptationPolicy,
-                 max_workers: int = 1,
-                 max_inflight: Optional[int] = None,
-                 reply_ring_bytes: int = DEFAULT_REPLY_RING_BYTES,
-                 use_reply_ring: bool = True):
+                 max_inflight: int = DEFAULT_MAX_INFLIGHT):
         self._config = config
         # The configured policy instance itself travels to every worker
         # (each launch pickles it; AdaptationPolicy excludes its lock), so
         # cost-model parameters, drift factors, and reserves survive the
         # process boundary — each worker unpickles an independent copy.
         self._policy = policy
-        self.max_workers = max_workers
-        self.max_inflight = (max_inflight if max_inflight is not None
-                             else _default_max_inflight())
-        self.reply_ring_bytes = reply_ring_bytes
-        self.use_reply_ring = use_reply_ring
+        self.max_inflight = max_inflight
         self._workers: List[_WorkerHandle] = []
         #: Per-shard replica worker slot, spliced in lockstep with
         #: ``_workers`` by :meth:`replace` so positions stay aligned
         #: across SMOs.  A replica worker is a full ``_WorkerHandle``
-        #: (own process, pipe, reply ring, reader thread) whose process
-        #: tails the shard's durability dir instead of loading a view.
+        #: (own process, pipe, reader thread) whose process tails the
+        #: shard's durability dir instead of loading a view.
         self._replica_workers: List[Optional[_WorkerHandle]] = []
         self._respawn_guard = threading.Lock()
         self._closed = False
@@ -493,12 +404,10 @@ class ProcessBackend(ExecutionBackend):
         parent-side handle; primaries still need their ``load``."""
         ctx = _forkserver_context()
         parent_conn, child_conn = ctx.Pipe()
-        ring = (ReplyRing.create(self.reply_ring_bytes)
-                if self.use_reply_ring else None)
         process = ctx.Process(
             target=_worker_main,
             args=(child_conn, dict(os.environ), self._config, self._policy,
-                  ring, replica_root),
+                  replica_root),
             daemon=True,
             name=("alex-replica-worker" if replica_root
                   else "alex-shard-worker"))
@@ -506,13 +415,10 @@ class ProcessBackend(ExecutionBackend):
             process.start()
         except BaseException:
             parent_conn.close()
-            if ring is not None:
-                ring.unlink()
             raise
         finally:
             child_conn.close()
-        return _WorkerHandle(process, parent_conn, ring, shard,
-                             self.max_inflight)
+        return _WorkerHandle(process, parent_conn, shard, self.max_inflight)
 
     def _launch(self, shards: Sequence[int],
                 parts: Optional[Sequence[tuple]] = None,
@@ -584,7 +490,7 @@ class ProcessBackend(ExecutionBackend):
             seeds=[index.counters.snapshot() for index in indexes]))
 
     def _retire(self, worker: _WorkerHandle) -> None:
-        """Ask one worker to exit and reap its process, ring, and reader
+        """Ask one worker to exit and reap its process and reader
         thread (shared by :meth:`close` and the split/merge
         re-provisioning path).  A shutdown that cannot complete the
         close handshake — broken pipe, dead process, a wedged worker —
@@ -606,8 +512,6 @@ class ProcessBackend(ExecutionBackend):
         except OSError:
             pass
         worker.reader.join(timeout=5)
-        if worker.ring is not None:
-            worker.ring.unlink()
 
     def _release(self, worker: _WorkerHandle) -> None:
         """Retire a live worker through the close handshake; reap a dead
@@ -640,40 +544,9 @@ class ProcessBackend(ExecutionBackend):
 
     # -- RPC plumbing -------------------------------------------------
 
-    def _submit(self, worker: _WorkerHandle, body: tuple,
-                blob: Optional[bytes] = None) -> Future:
-        """Send one request frame without waiting for its reply.
-
-        Acquires an in-flight slot (the per-worker admission budget —
-        this is where backpressure blocks), registers the future, and
-        pushes the frame down the pipe; the reply-reader settles the
-        future whenever the worker gets to it.  The caller's trace
-        context (or ``None``) rides in frame slot 1, so worker-side
-        spans join the request's tree.  ``blob`` carries a pre-pickled
-        frame (fan-out paths pickle before sending anything so an
-        unpicklable argument aborts with zero requests in flight); it
-        must be the pickling of ``(req_id, tctx) + body`` for the
-        ``req_id`` just allocated, so plain submits leave it ``None``.
-        """
-        with obs.span("rpc.inflight_wait"):
-            worker.inflight.acquire()
-        req_id, future = worker.register()
-        try:
-            with worker.send_lock:
-                if blob is None:
-                    worker.conn.send((req_id, trace.wire()) + body)
-                else:
-                    worker.conn.send_bytes(blob)
-        except (BrokenPipeError, OSError) as exc:
-            worker.settle(req_id, WorkerDiedError(
-                worker.shard, f"on send ({exc!r})"), is_error=True)
-        except BaseException:
-            # Not a pipe failure (e.g. an unpicklable argument): the
-            # request never left, so free its slot and re-raise.
-            if worker.unregister(req_id) is not None:
-                worker.inflight.release()
-            raise
-        return future
+    def _submit(self, worker: _WorkerHandle, body: tuple) -> Future:
+        """Send one request without waiting for its reply."""
+        return worker.send(*worker.frame(body, trace.wire()))
 
     def _request(self, worker: _WorkerHandle, body: tuple):
         """One submit + wait (raises what the worker raised)."""
@@ -690,39 +563,20 @@ class ProcessBackend(ExecutionBackend):
         before the first worker-raised exception propagates, matching
         the thread backend's wait-then-raise semantics.
 
-        Every frame is *pickled up front*, before anything is sent: an
+        Every frame is *pickled up front*, before the first is sent: an
         unpicklable argument (say, a lambda payload in an apply batch)
-        raises here with zero requests in flight, so it can never leave
-        some shards applied and others not.  After that, a worker that
-        dies mid-fan-out becomes an error *result* (its reader fails the
+        raises with zero requests in flight, so it can never leave some
+        shards applied and others not.  After that, a worker that dies
+        mid-fan-out becomes an error *result* (its reader fails the
         future) while the surviving workers' replies still settle.
         """
         with trace.span("rpc.fanout"):
             tctx = trace.wire()  # one context stamps every frame
-            futures = []
-            for shard, body in messages:
-                worker = self._workers[shard]
-                # The id must be inside the pickled frame, so register
-                # first; an unpicklable body releases the registration.
-                with obs.span("rpc.inflight_wait"):
-                    worker.inflight.acquire()
-                req_id, future = worker.register()
-                try:
-                    blob = ForkingPickler.dumps((req_id, tctx) + body)
-                except BaseException:
-                    if worker.unregister(req_id) is not None:
-                        worker.inflight.release()
-                    for prior in futures:
-                        prior.cancel()
-                    raise
-                try:
-                    with worker.send_lock:
-                        worker.conn.send_bytes(blob)
-                except (BrokenPipeError, OSError) as exc:
-                    worker.settle(req_id, WorkerDiedError(
-                        shard, f"on send ({exc!r})"), is_error=True)
-                futures.append(future)
-            return self._gather(futures)
+            frames = [(self._workers[shard],
+                       self._workers[shard].frame(body, tctx))
+                      for shard, body in messages]
+            return self._gather([worker.send(*frame)
+                                 for worker, frame in frames])
 
     @staticmethod
     def _gather(futures: Sequence[Future]) -> list:
@@ -756,44 +610,12 @@ class ProcessBackend(ExecutionBackend):
         return self._multi([(shard, ("call", method, args))
                             for shard, method, args in calls])
 
-    def scatter_batch(self, batch, jobs: Sequence[BatchJob]) -> list:
-        if isinstance(batch, SharedArray):  # already published
-            return self._scatter_published(batch, jobs)
-        batch = np.ascontiguousarray(batch)
-        if batch.nbytes <= INLINE_BATCH_BYTES:
-            # Serving-sized batches skip shared memory entirely: a
-            # segment create + per-worker mmap + unlink costs far more
-            # than pickling a few KiB into the frames themselves.  The
-            # worker owns the by-value sub-batch outright, so a plain
-            # call needs no segment unmap and no defensive copy.
-            obs.inc("rpc.inline_batches")
-            return self._multi([
-                (shard, ("call", method, (batch[lo:hi],) + extra))
-                for shard, method, lo, hi, extra in jobs
-            ])
-        handle = SharedArray.create(batch)
-        try:
-            return self._scatter_published(handle, jobs)
-        finally:
-            handle.unlink()
-
-    def _scatter_published(self, handle: SharedArray,
-                           jobs: Sequence[BatchJob]) -> list:
+    def scatter_batch(self, batch: np.ndarray,
+                      jobs: Sequence[BatchJob]) -> list:
         return self._multi([
-            (shard, ("batch", handle, method, lo, hi, extra))
+            (shard, ("call", method, (batch[lo:hi],) + extra))
             for shard, method, lo, hi, extra in jobs
         ])
-
-    @contextmanager
-    def publish(self, batch: np.ndarray):
-        """One shared segment serving several scatter_batch calls — the
-        two-phase writes copy their keys to shared memory once instead of
-        once per phase."""
-        handle = SharedArray.create(np.ascontiguousarray(batch))
-        try:
-            yield handle
-        finally:
-            handle.unlink()
 
     # -- structure ----------------------------------------------------
 
@@ -843,7 +665,7 @@ class ProcessBackend(ExecutionBackend):
 
     def _reap(self, old: _WorkerHandle) -> None:
         """Force out a worker observed dead (no close handshake: the
-        pipe already failed) and release its conn, reader, and ring."""
+        pipe already failed) and release its conn and reader."""
         old.closing = True
         old.process.join(timeout=1)
         if old.process.is_alive():
@@ -857,8 +679,6 @@ class ProcessBackend(ExecutionBackend):
         except OSError:
             pass
         old.reader.join(timeout=5)
-        if old.ring is not None:
-            old.ring.unlink()
 
     def replace(self, start: int, stop: int, parts: Sequence[tuple],
                 inherit: Sequence[Sequence[int]]) -> None:
@@ -999,7 +819,7 @@ class ProcessBackend(ExecutionBackend):
     def promote_replica(self, shard: int) -> int:
         """Failover: the replica worker drains the (quiescent) WAL tail,
         installs its caught-up index as the shard, and takes the dead
-        primary's slot; the corpse is reaped, its ring unlinked.  On any
+        primary's slot; the corpse is reaped.  On any
         failure nothing has been swapped — the caller falls back to
         respawn-from-checkpoint."""
         with self._respawn_guard:

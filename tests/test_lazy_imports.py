@@ -117,7 +117,7 @@ config = AlexConfig(kernel_backend=backend)
 def drive(root, requests):
     parent, child = Pipe()
     worker = threading.Thread(target=_worker_main, args=(
-        child, dict(os.environ), config, HeuristicPolicy(), None, root))
+        child, dict(os.environ), config, HeuristicPolicy(), root))
     worker.start()
     for req_id, body in enumerate(requests):
         parent.send((req_id, None) + body)

@@ -1,7 +1,8 @@
 """Numeric payload columns: the sharded bulk load encodes a homogeneous
 int or float payload list once and ships column slices to the shards,
-and reply rings return payload lists the same way.  Every payload must
-come back with its exact Python type and value, whatever path it took."""
+and checkpoints store payloads the same way.  Every payload must come
+back with its exact Python type and value, whatever path it took: the
+replies of primary and replica reads included."""
 
 import math
 
@@ -9,9 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core.alex import AlexIndex
-from repro.core.shm import (REPLY_LIST, ShardStorageView, encode_reply,
-                            numeric_column)
-from repro.serve import ShardedAlexIndex
+from repro.core.shm import ShardStorageView, numeric_column
+from repro.serve import ReadOptions, ShardedAlexIndex
 from repro.serve.router import ShardRouter
 
 BACKENDS = ["thread", "process"]
@@ -28,7 +28,9 @@ def payload_lists() -> dict:
     ints = list(range(-N // 2, N // 2))
     return {
         "bool": [i % 3 == 0 for i in range(N)],
+        "bool and int": [(True, 1, False, 0)[i % 4] for i in range(N)],
         "np.float64": [np.float64(i) / 4 for i in range(N)],
+        "np.int64": [np.int64(i) for i in range(N)],
         "mixed int and float": [i if i % 2 else float(i) for i in range(N)],
         "tuple": [(i, str(i)) for i in range(N)],
         "none": [None] * N,
@@ -58,24 +60,17 @@ class TestNumericColumn:
         assert column.dtype == dtype
         assert exact(column.tolist()) == exact(values)
 
-    @pytest.mark.parametrize("name", ["bool", "np.float64",
-                                      "mixed int and float", "tuple",
-                                      "none", "some none", "uint64 range",
-                                      "one uint64", "beyond 64 bits",
-                                      "below int64"])
+    @pytest.mark.parametrize("name", ["bool", "bool and int", "np.float64",
+                                      "np.int64", "mixed int and float",
+                                      "tuple", "none", "some none",
+                                      "uint64 range", "one uint64",
+                                      "beyond 64 bits", "below int64"])
     def test_everything_else_is_none(self, name):
         assert numeric_column(PAYLOADS[name]) is None
-        assert encode_reply(PAYLOADS[name]) is None
 
     @pytest.mark.parametrize("values", [[], (1, 2), np.arange(3.0)])
     def test_only_non_empty_lists(self, values):
         assert numeric_column(values) is None
-
-    def test_reply_list_round_trips(self):
-        column, kind = encode_reply(PAYLOADS["signed zero and nan"])
-        assert kind == REPLY_LIST
-        assert (exact(column.tolist())
-                == exact(PAYLOADS["signed zero and nan"]))
 
     def test_pack_copies_a_ready_column(self):
         view = ShardStorageView.pack(np.arange(3.0),
@@ -126,6 +121,52 @@ def test_unsorted_bulk_load_round_trips_payloads(backend, name,
         items = list(service.items())
         assert [k for k, _ in items] == sorted(keys.tolist())
         assert exact(p for _, p in items) == exact(expected)
+
+
+class TestExactReplies:
+    """Process-backend read replies keep every payload's exact type and
+    value, from the primaries and from the replicas alike."""
+
+    @pytest.mark.parametrize("name", [
+        "bool", "bool and int", "np.float64", "np.int64",
+        "signed zero and nan", "uint64 range", "one uint64",
+        "mixed int and float", "int64", "float", "none", "some none"])
+    def test_primary_and_replica_reads(self, name, tmp_path, leak_guard):
+        payloads = PAYLOADS[name]
+        keys = np.arange(N, dtype=np.float64)
+        probe = np.random.default_rng(4).permutation(N).astype(np.float64)
+        want = exact(payloads[int(k)] for k in probe)
+        holes = np.concatenate([probe[:40], probe[:40] + 0.5])
+        misses = probe[:40] + 0.5
+        service = ShardedAlexIndex.bulk_load(
+            keys, payloads, num_shards=2, backend="process",
+            durability_dir=str(tmp_path / "svc"), replicate=True)
+        with service:
+            served = []
+            real_read = service.backend.replica_read
+
+            def replica_read(*args, **kwargs):
+                result = real_read(*args, **kwargs)
+                served.append(args[1])
+                return result
+
+            service.backend.replica_read = replica_read
+            for options in (None, ReadOptions.replica_ok()):
+                assert exact(service.get_many(probe, options=options)) \
+                    == want
+                assert exact(service.lookup_many(probe, options=options)) \
+                    == want
+                assert exact(service.get_many(holes, options=options)) \
+                    == want[:40] + exact([None] * 40)
+                assert exact(service.get_many(misses, options=options)) \
+                    == exact([None] * 40)
+                assert exact(service.get_many(misses, -0.0,
+                                              options=options)) \
+                    == exact([-0.0] * 40)
+            # Every replica_ok read above was served by a replica, one
+            # read per shard: no fallback to the primaries.
+            assert served == ["get_many"] * 2 + ["lookup_many"] * 2 \
+                + ["get_many"] * 6
 
 
 class TestArrayPayloads:

@@ -1,14 +1,15 @@
 """Equivalence and fault-injection tests for the pipelined worker RPC.
 
-The process backend now keeps several request frames in flight per
-worker, completes them out of order relative to other workers, and
-ships numeric reply columns through a shared-memory reply ring.  None
-of that may be observable through the facade: results must stay
+The process backend keeps several request frames in flight per worker
+and completes them out of order relative to other workers; every
+request and reply travels by value in one pickled pipe frame.  None of
+that may be observable through the facade: results must stay
 bit-identical to the synchronous call-and-wait discipline
-(``max_inflight=1`` + pickle-pipe replies), counter totals must agree,
-and a worker killed with a pipeline full of outstanding requests must
-fail *every* one of those futures — never hang one — while logged
-writes stay all-or-nothing across shards.
+(``max_inflight=1``) and to the thread backend, counter totals must
+agree, no request may create a shared-memory segment, and a worker
+killed with a pipeline full of outstanding requests must fail *every*
+one of those futures — never hang one — while logged writes stay
+all-or-nothing across shards.
 """
 
 import os
@@ -17,6 +18,7 @@ import threading
 import time
 import zlib
 from concurrent.futures import wait as wait_futures
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -26,8 +28,6 @@ from repro.core.config import ga_armi
 from repro.core.stats import Counters
 from repro.serve import ShardedAlexIndex
 from repro.serve.backend import WorkerDiedError
-from repro.serve.worker import (DEFAULT_MAX_INFLIGHT, INLINE_BATCH_BYTES,
-                                ProcessBackend, _default_max_inflight)
 
 #: Thread backend covers the cheap sweep; the process backend is the
 #: subject under test (workers are expensive to spawn on CI, so it
@@ -39,10 +39,10 @@ def _seed(parts) -> int:
     return zlib.crc32(repr(parts).encode())
 
 
-def _build(backend, n=2000, num_shards=2, max_inflight=None, seed=0,
+def _build(backend, n=2000, num_shards=2, max_inflight=8, seed=0,
            **kwargs):
-    """A service with numeric payloads (reply-ring eligible) plus its
-    key set and the key->payload ground truth."""
+    """A service with numeric payloads plus its key set and the
+    key->payload ground truth."""
     rng = np.random.default_rng(_seed(("pipelined", backend, seed)))
     keys = np.unique(rng.lognormal(0, 2, n + 200) * 1e6)[:n]
     payloads = [float(k) * 2.0 for k in keys]
@@ -79,8 +79,7 @@ class TestOutOfOrderEquivalence:
         ``max_inflight=1`` twin returns, and (process backend) the two
         services account the same algorithmic work."""
         service, keys, _ = _build(backend)
-        sync_inflight = 1 if backend == "process" else None
-        ref, _, _ = _build(backend, max_inflight=sync_inflight)
+        ref, _, _ = _build(backend, max_inflight=1)
         try:
             rng = np.random.default_rng(_seed(("reads", backend)))
             batches = [rng.choice(keys, size=int(rng.integers(8, 400)))
@@ -124,8 +123,7 @@ class TestOutOfOrderEquivalence:
         twin in, and reads of the stable key set never see the writes
         (their key ranges are disjoint)."""
         service, keys, expected = _build(backend, n=1500)
-        sync_inflight = 1 if backend == "process" else None
-        ref, _, _ = _build(backend, n=1500, max_inflight=sync_inflight)
+        ref, _, _ = _build(backend, n=1500, max_inflight=1)
         hi = float(keys.max())
         lanes = [hi + 1.0 + 1000.0 * lane + np.arange(64, dtype=np.float64)
                  for lane in range(3)]
@@ -165,60 +163,109 @@ class TestOutOfOrderEquivalence:
             service.close()
             ref.close()
 
-    def test_reply_ring_disabled_equivalent(self, monkeypatch):
-        """``use_reply_ring=False`` (pickle-pipe replies only) is purely
-        a transport change — same results on ring-eligible numeric
-        payloads."""
-        original = ProcessBackend.__init__
 
-        def no_ring(self, *args, **kwargs):
-            kwargs["use_reply_ring"] = False
-            original(self, *args, **kwargs)
+#: Batch sizes from a one-key request to a large analytic batch: each
+#: rides in the pipe frame the same way.
+SIZES = (1, 64, 4096, 40_000)
 
-        monkeypatch.setattr(ProcessBackend, "__init__", no_ring)
-        service, keys, expected = _build("process")
-        try:
-            assert service.backend.use_reply_ring is False
-            batch = keys[::3]
-            assert service.get_many(batch) == \
-                [expected[float(k)] for k in batch]
-            assert service.contains_many(batch).all()
-        finally:
-            service.close()
 
-    def test_inline_and_segment_batch_paths_agree(self, obs_on):
-        """Small coalesced batches ride inline in the request frame,
-        large analytic batches keep the shared-memory segment — both
-        must return the same answers, and the reply ring must actually
-        carry the numeric columns back."""
-        service, keys, expected = _build("process", n=6000)
-        try:
-            small = keys[:64]
-            large = np.random.default_rng(7).choice(keys, size=4096)
-            assert small.nbytes <= INLINE_BATCH_BYTES < large.nbytes
+@pytest.fixture(scope="class")
+def twins():
+    """One thread-backend and one process-backend service over the same
+    keys and payloads; the batch tests apply identical operations to
+    both, so they stay in lockstep."""
+    rng = np.random.default_rng(_seed("twins"))
+    keys = np.unique(rng.lognormal(0, 2, 130_000) * 1e6)[:120_000]
+    payloads = [float(k) * 2.0 for k in keys]
+    services = {backend: ShardedAlexIndex.bulk_load(
+        keys, payloads, num_shards=2, config=ga_armi(max_keys_per_node=256),
+        backend=backend) for backend in BACKENDS}
+    yield keys, services
+    for service in services.values():
+        service.close()
 
-            before = dict(obs.snapshot().get("counters", {}))
-            assert service.get_many(small) == \
-                [expected[float(k)] for k in small]
-            assert service.get_many(large) == \
-                [expected[float(k)] for k in large]
-            after = dict(obs.snapshot().get("counters", {}))
 
-            def delta(name):
-                return after.get(name, 0) - before.get(name, 0)
+def _twin_batch(keys, method, size):
+    """The batch a ``method`` test of ``size`` keys sends: present and
+    absent keys for reads, fresh midpoints for inserts, present keys for
+    deletes — disjoint across sizes, so every case sees its own keys."""
+    index = SIZES.index(size)
+    rng = np.random.default_rng(_seed(("twin", method, size)))
+    if method in ("get_many", "contains_many"):
+        present = rng.choice(keys, size=(size + 1) // 2)
+        absent = rng.choice(keys, size=size // 2) + 0.25
+        return rng.permutation(np.concatenate([present, absent]))
+    order = np.random.default_rng(_seed(method)).permutation(len(keys) - 1)
+    start = sum(SIZES[:index])
+    picks = np.sort(order[start:start + size])
+    if method == "insert_many":
+        return (keys[picks] + keys[picks + 1]) / 2.0
+    return keys[picks]
 
-            assert delta("rpc.inline_batches") >= 1
-            assert delta("rpc.shm_replies") >= 1
-        finally:
-            service.close()
 
-    def test_max_inflight_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_INFLIGHT", "3")
-        assert _default_max_inflight() == 3
-        monkeypatch.setenv("REPRO_MAX_INFLIGHT", "0")
-        assert _default_max_inflight() == 1
-        monkeypatch.setenv("REPRO_MAX_INFLIGHT", "not a number")
-        assert _default_max_inflight() == DEFAULT_MAX_INFLIGHT
+class TestBatchSizesMatchThreadBackend:
+    """Every batch size takes the one pipe-frame path; each must answer
+    exactly as the thread backend does."""
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("method", ["get_many", "contains_many",
+                                        "insert_many", "delete_many"])
+    def test_process_matches_thread(self, twins, method, size):
+        keys, services = twins
+        batch = _twin_batch(keys, method, size)
+        if method == "insert_many":
+            payloads = [float(k) * 3.0 for k in batch]
+            for service in services.values():
+                service.insert_many(batch, payloads)
+        elif method == "delete_many":
+            for service in services.values():
+                service.delete_many(batch)
+        results = {}
+        for backend, service in services.items():
+            if method == "contains_many":
+                results[backend] = service.contains_many(batch).tolist()
+            else:
+                # Writes are checked through what a read of their keys
+                # returns afterwards.
+                results[backend] = service.get_many(batch, "absent")
+        assert results["process"] == results["thread"]
+        if method == "insert_many":
+            assert results["process"] == payloads
+        elif method == "delete_many":
+            assert results["process"] == ["absent"] * size
+        assert len(services["process"]) == len(services["thread"])
+
+
+class _CountingSharedMemory(shared_memory.SharedMemory):
+    created: list = []
+
+    def __init__(self, name=None, create=False, size=0, **kwargs):
+        super().__init__(name=name, create=create, size=size, **kwargs)
+        if create:
+            _CountingSharedMemory.created.append(self.name)
+
+
+def test_requests_create_no_shared_memory(monkeypatch, leak_guard):
+    """After provisioning, reads and batch writes of every size create
+    no shared-memory segment: sub-batches and replies ride the pipe."""
+    rng = np.random.default_rng(_seed("no segments"))
+    keys = np.unique(rng.uniform(0, 1e9, 60_000))[:50_000]
+    service = ShardedAlexIndex.bulk_load(keys, [float(k) for k in keys],
+                                         num_shards=2, backend="process")
+    with service:
+        monkeypatch.setattr(_CountingSharedMemory, "created", [])
+        monkeypatch.setattr(shared_memory, "SharedMemory",
+                            _CountingSharedMemory)
+        for size in SIZES:
+            batch = rng.choice(keys, size=size, replace=False)
+            fresh = np.setdiff1d(rng.uniform(0, 1e9, size + 64), keys)[:size]
+            assert service.get_many(batch) == [float(k) for k in batch]
+            assert service.contains_many(fresh).sum() == 0
+            service.insert_many(fresh, [1.0] * len(fresh))
+            service.delete_many(fresh)
+            service.delete_many(batch)
+            service.insert_many(batch, [float(k) for k in batch])
+        assert _CountingSharedMemory.created == []
 
 
 class TestWorkerDeathMidPipeline:

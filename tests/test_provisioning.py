@@ -138,8 +138,8 @@ class SubmitSpy:
         self.futures = {}
         real_submit, real_result = ProcessBackend._submit, Future.result
 
-        def submit(backend, worker, body, blob=None):
-            future = real_submit(backend, worker, body, blob)
+        def submit(backend, worker, body):
+            future = real_submit(backend, worker, body)
             if body[0] in ops:
                 self.events.append(("submit", body[0]))
                 # The future stays referenced, so its id is never reused.

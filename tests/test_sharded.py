@@ -600,15 +600,22 @@ class TestProcessBackend:
                                       backend="process")
         with service:
             before = len(service)
-            fresh = np.setdiff1d(
-                np.unique(rng.uniform(0, keys.max(), 50)), keys)[:4]
-            # A payload that cannot cross the process boundary must fail
-            # the whole batch up front: no shard applies, and the RPC
-            # protocol stays in sync for every later operation.
+            mids = (keys[:-1] + keys[1:]) / 2
+            split = int(np.searchsorted(mids, service.router.boundaries[0]))
+            # Two fresh keys on each side of the shard boundary, with the
+            # payload that cannot cross the process boundary on the
+            # second shard's side: the whole batch must fail up front —
+            # no frame is sent before every frame pickles, so the first
+            # shard applies nothing either — and the RPC protocol stays
+            # in sync for every later operation.
+            fresh = np.concatenate([mids[split - 9:split - 7],
+                                    mids[split + 7:split + 9]])
             with pytest.raises(Exception):
                 service.insert_many(fresh, ["ok", "ok", lambda: None, "ok"])
             assert len(service) == before  # all-or-nothing held
             assert service.contains_many(fresh).tolist() == [False] * 4
+            service.insert_many(fresh, ["ok"] * 4)
+            assert service.get_many(fresh) == ["ok"] * 4
             service.validate()
 
     def test_shards_property_unavailable(self):

@@ -12,9 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.shm import (PAYLOAD_NONE, PAYLOAD_NUMERIC, PAYLOAD_PICKLE,
-                            REPLY_ARRAY, REPLY_LIST, ReplyRing, RingFull,
-                            SharedArray, ShardStorageView, decode_reply,
-                            encode_reply)
+                            SharedArray, ShardStorageView)
 
 
 class TestSharedArray:
@@ -104,129 +102,3 @@ class TestShardStorageView:
         kind, keys, payloads = self._pack_unpack([], None)
         assert kind == PAYLOAD_NONE
         assert len(keys) == 0 and payloads is None
-
-
-class TestTwoPhaseSegmentEconomy:
-    """The two-phase cross-shard writes must copy their key batch into
-    shared memory exactly once: ``publish`` pins one segment that both
-    the validate and the apply scatter reuse (the PR 4 follow-up that
-    folded the two per-phase segment creations into one)."""
-
-    @pytest.mark.parametrize("op", ["insert_many", "delete_many"])
-    def test_two_phase_write_creates_one_segment(self, monkeypatch, op):
-        from repro.serve import ShardedAlexIndex
-
-        keys = np.unique(np.random.default_rng(60).uniform(0, 1e6, 2000))
-        service = ShardedAlexIndex.bulk_load(keys, num_shards=2,
-                                             backend="process")
-        try:
-            creations = []
-            real_create = SharedArray.create.__func__
-
-            def counting_create(array):
-                creations.append(len(array))
-                return real_create(SharedArray, array)
-
-            monkeypatch.setattr(SharedArray, "create",
-                                staticmethod(counting_create))
-            if op == "insert_many":
-                batch = np.unique(
-                    np.random.default_rng(61).uniform(2e6, 3e6, 500))
-                service.insert_many(batch)
-            else:
-                batch = keys[100:600]
-                service.delete_many(batch)
-            assert creations == [len(batch)], (
-                "expected exactly one shared segment for the whole "
-                f"two-phase {op}, saw {len(creations)} creations")
-        finally:
-            service.close()
-
-
-class TestReplyEncoding:
-    def test_numeric_arrays_are_eligible(self):
-        for array in (np.arange(5, dtype=np.float64),
-                      np.array([1, 2, 3], dtype=np.int32),
-                      np.array([True, False])):
-            column, kind = encode_reply(array)
-            assert kind == REPLY_ARRAY
-            decoded = decode_reply(column.copy(), kind)
-            np.testing.assert_array_equal(decoded, array)
-            assert decoded.dtype == array.dtype
-
-    def test_homogeneous_payload_lists_round_trip_exact_types(self):
-        for payload in ([1.5, 2.5, -0.25], [1, 2, 3]):
-            column, kind = encode_reply(payload)
-            assert kind == REPLY_LIST
-            decoded = decode_reply(column.copy(), kind)
-            assert decoded == payload
-            assert [type(v) for v in decoded] == [type(v) for v in payload]
-
-    def test_ineligible_results_stay_on_the_pipe(self):
-        assert encode_reply(["a", "b"]) is None          # objects
-        assert encode_reply([1.0, None]) is None         # miss holes
-        assert encode_reply([1, 2.0]) is None            # mixed numerics
-        assert encode_reply([]) is None                  # nothing to ship
-        assert encode_reply(np.zeros((2, 2))) is None    # not a column
-        assert encode_reply({"k": 1}) is None
-        assert encode_reply([10 ** 400]) is None         # overflows float
-
-
-class TestReplyRing:
-    def test_write_read_round_trip(self):
-        ring = ReplyRing.create(capacity=1 << 12)
-        try:
-            column = np.linspace(0, 1, 101)
-            descriptor = ring.read(ring.try_write(column))
-            np.testing.assert_array_equal(descriptor, column)
-        finally:
-            ring.unlink()
-
-    def test_wrap_around_pads_and_stays_correct(self):
-        """Lanes never straddle the ring edge: a write that would wrap
-        pads to the front, and the ordered release accounting keeps the
-        free-space arithmetic right across many laps."""
-        ring = ReplyRing.create(capacity=1 << 10)  # 1 KiB: forces wraps
-        try:
-            rng = np.random.default_rng(5)
-            for lap in range(200):
-                # Worst case needs pad + nbytes < 2*nbytes contiguous
-                # bytes, so stay under half the capacity.
-                column = rng.uniform(size=int(rng.integers(1, 48)))
-                offset, used, shape, dtype = ring.try_write(column)
-                assert offset + column.nbytes <= ring.capacity
-                assert used >= column.nbytes  # wrap padding counted
-                out = ring.read((offset, used, shape, dtype))
-                np.testing.assert_array_equal(out, column)
-        finally:
-            ring.unlink()
-
-    def test_ring_full_raises_with_unread_lanes(self):
-        ring = ReplyRing.create(capacity=1 << 10)
-        try:
-            big = np.zeros(100)  # 800 bytes: only one fits unread
-            pending = ring.try_write(big)
-            with pytest.raises(RingFull):
-                ring.try_write(big)
-            ring.read(pending)       # release frees the space
-            ring.try_write(big)      # now it fits again
-            with pytest.raises(RingFull):
-                ring.try_write(np.zeros(1 << 10))  # larger than capacity
-        finally:
-            ring.unlink()
-
-    def test_pickles_as_an_attachment_handle(self):
-        """The worker's copy arrives pickled with its launch: same
-        segment, not an owner (unlink stays the parent's job)."""
-        ring = ReplyRing.create(capacity=1 << 12)
-        try:
-            column = np.arange(7, dtype=np.float64)
-            descriptor = ring.try_write(column)
-            clone = pickle.loads(pickle.dumps(ring))
-            assert clone.name == ring.name
-            assert clone.capacity == ring.capacity
-            assert clone._owner is False
-            np.testing.assert_array_equal(clone.read(descriptor), column)
-            clone.close()
-        finally:
-            ring.unlink()
