@@ -28,7 +28,8 @@ from .stats import Counters
 _MAX_DEPTH = 32
 
 
-def build_adaptive_rmi(keys: np.ndarray, payloads: list, config: AlexConfig,
+def build_adaptive_rmi(keys: np.ndarray, payloads: np.ndarray,
+                       config: AlexConfig,
                        counters: Counters, policy=None):
     """Algorithm 4: build an adaptively-shaped RMI over sorted ``keys``.
 
@@ -290,7 +291,9 @@ def merge_leaves(leaf: DataNode, parent: Optional[InnerNode],
         left_keys, left_payloads = left.export_sorted()
         right_keys, right_payloads = right.export_sorted()
         merged_keys = np.concatenate([left_keys, right_keys])
-        merged, = build_leaves(merged_keys, left_payloads + right_payloads,
+        merged, = build_leaves(merged_keys,
+                               np.concatenate([left_payloads,
+                                               right_payloads]),
                                [0, len(merged_keys)], config, counters,
                                leaf.policy)
 

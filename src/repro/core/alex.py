@@ -53,7 +53,7 @@ from repro import obs
 from .adaptive import (build_adaptive_rmi, merge_leaves, split_leaf,
                        split_leaf_sideways, split_until_fits)
 from .config import ADAPTIVE_RMI, AlexConfig
-from .data_node import DataNode, take
+from .data_node import DataNode, blank_column, object_column, payload_fits
 from .errors import DuplicateKeyError, KeyNotFoundError
 from .policy import (AdaptationPolicy, EV_DELETE, EV_INSERT, EV_READ,
                      HeuristicPolicy, PressureEvent, SMO_EXPAND, SMO_MERGE,
@@ -61,7 +61,7 @@ from .policy import (AdaptationPolicy, EV_DELETE, EV_INSERT, EV_READ,
                      SMO_SPLIT_SIDEWAYS)
 from .rmi import (InnerNode, NODE_METADATA_BYTES, build_static_rmi,
                   make_data_node, route_batch)
-from .shm import numeric_column
+from .shm import payload_column
 from .stats import Counters
 
 
@@ -89,8 +89,10 @@ class AlexIndex:
         self.counters = Counters()
         self._num_keys = 0
         leaf = make_data_node(self.config, self.counters, self.policy)
-        leaf.build(np.empty(0), [])
+        leaf.build(np.empty(0))
         self._root: object = leaf
+        # The dtype every leaf's payload column shares (see payload_dtype).
+        self._payload_dtype = leaf.payloads.dtype
         # A cold-started adaptive index must be able to grow by splitting
         # even when the config leaves splitting off for bulk-loaded runs.
         self._cold_start = True
@@ -106,21 +108,66 @@ class AlexIndex:
         """Build an index over ``keys`` (need not be pre-sorted).
 
         ``payloads[i]`` is stored with ``keys[i]``; payloads default to
-        ``None``.  Raises :class:`DuplicateKeyError` on repeated keys and
-        :class:`ValueError` on NaN or infinite keys.
+        ``None``.  Payloads that are all Python ``int`` (in int64 range)
+        or all Python ``float`` are stored in a typed column (see
+        :attr:`payload_dtype`).  Raises :class:`DuplicateKeyError` on
+        repeated keys and :class:`ValueError` on NaN or infinite keys.
         """
+        keys, column = cls._normalize_batch(keys, payloads, column=True)
+        return cls._build(keys, column, config, policy)
+
+    @classmethod
+    def from_column(cls, keys, column: np.ndarray,
+                    config: Optional[AlexConfig] = None,
+                    policy: Optional[AdaptationPolicy] = None
+                    ) -> "AlexIndex":
+        """Like :meth:`bulk_load` over a payload column as
+        :func:`~repro.core.batch.export_arrays` returns it: the column
+        is stored with its own dtype, so an ``object`` column stays
+        ``object`` and a typed one is not classified again.  Every
+        whole-shard move builds through here: provisioning, snapshots
+        for shard splits and merges, respawns and recovery."""
+        if len(column) != len(keys):
+            raise ValueError("payloads length must match keys length")
+        keys, order = cls._sort_unique(keys)
+        return cls._build(keys, column if order is None else column[order],
+                          config, policy)
+
+    @classmethod
+    def _build(cls, keys: np.ndarray, column: np.ndarray,
+               config: Optional[AlexConfig],
+               policy: Optional[AdaptationPolicy]) -> "AlexIndex":
         index = cls(config, policy=policy)
-        keys, payloads = cls._normalize_batch(keys, payloads)
         if index.config.rmi_mode == ADAPTIVE_RMI:
-            root, _ = build_adaptive_rmi(keys, payloads, index.config,
+            root, _ = build_adaptive_rmi(keys, column, index.config,
                                          index.counters, index.policy)
         else:
-            root, _ = build_static_rmi(keys, payloads, index.config,
+            root, _ = build_static_rmi(keys, column, index.config,
                                        index.counters, index.policy)
         index._root = root
         index._num_keys = len(keys)
         index._cold_start = False
+        index._payload_dtype = column.dtype
         return index
+
+    @property
+    def payload_dtype(self) -> np.dtype:
+        """The dtype of every leaf's payload column: ``int64`` or
+        ``float64`` when the bulk-load payloads were all Python ``int``
+        (in int64 range) or all Python ``float``, ``object`` otherwise.
+        The first written value that does not fit turns it ``object``
+        for good (:meth:`_upgrade_payloads`)."""
+        return self._payload_dtype
+
+    def _upgrade_payloads(self) -> None:
+        """Convert every leaf's typed payload column to ``object``, once:
+        each value becomes the very Python value reads returned before,
+        so no reader can tell."""
+        if self._payload_dtype.kind == "O":
+            return
+        for leaf in self.leaves():
+            leaf.payloads = object_column(leaf.payloads, leaf.occupied)
+        self._payload_dtype = np.dtype(object)
 
     # ------------------------------------------------------------------
     # Traversal
@@ -155,8 +202,7 @@ class AlexIndex:
         return route_batch(self._root, sorted_keys)
 
     @staticmethod
-    def _normalize_batch(keys, payloads: Optional[list],
-                         column: bool = False):
+    def _normalize_batch(keys, payloads, column: bool = False):
         """Normalize a write batch: float64 keys sorted with their payloads
         aligned in a list (``None``-filled when omitted), raising on
         non-finite keys, length mismatch or in-batch duplicates.  Shared
@@ -165,33 +211,22 @@ class AlexIndex:
 
         Strictly increasing keys — every worker load and every
         ``recover()`` hands in sorted parts — skip the sort and the
-        payload gather entirely.  With ``column=True`` a payload list
-        :func:`~repro.core.shm.numeric_column` accepts comes back as
-        that column instead, gathered in numpy (the sharded bulk load
-        ships its slices to the shards as is); any other payloads still
-        come back as a list."""
+        payload gather entirely.  With ``column=True`` the payloads
+        come back as the column :func:`~repro.core.shm.payload_column`
+        makes of them, gathered in numpy (the index stores it; the
+        sharded bulk load ships its slices to the shards as is)."""
         keys = np.asarray(keys, dtype=np.float64)
-        AlexIndex._check_finite(keys)
+        if payloads is not None and len(payloads) != len(keys):
+            raise ValueError("payloads length must match keys length")
+        keys, order = AlexIndex._sort_unique(keys)
         n = len(keys)
+        if column:
+            payloads = (blank_column(n, object) if payloads is None
+                        else payload_column(payloads))
+            return keys, payloads if order is None else payloads[order]
         if payloads is None:
             payloads = [None] * n
-        elif len(payloads) != n:
-            raise ValueError("payloads length must match keys length")
-        order = None
-        if n > 1 and not bool((keys[1:] > keys[:-1]).all()):
-            # Introsort, not stable: duplicates raise below, so stability
-            # buys nothing here (see _sort_batch).
-            order = np.argsort(keys)
-            keys = keys[order]
-            # Before any payload gather, so no gathered copy is alive
-            # beside np.diff's temporaries.
-            dup = np.flatnonzero(np.diff(keys) == 0)
-            if len(dup):
-                raise DuplicateKeyError(float(keys[dup[0]]))
-        numeric = numeric_column(payloads) if column else None
-        if numeric is not None:
-            return keys, numeric if order is None else numeric[order]
-        if order is not None:
+        elif order is not None:
             # One gather through an object array, not a list indexed by n
             # numpy ints (or by n Python ints, which would briefly hold a
             # second n-element list of ints beside the payloads).
@@ -200,6 +235,26 @@ class AlexIndex:
         elif not isinstance(payloads, list):
             payloads = list(payloads)
         return keys, payloads
+
+    @staticmethod
+    def _sort_unique(keys) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Write-batch keys as a sorted float64 array plus the argsort
+        order (``None`` when already strictly increasing), raising on
+        non-finite keys and in-batch duplicates."""
+        keys = np.asarray(keys, dtype=np.float64)
+        AlexIndex._check_finite(keys)
+        if len(keys) < 2 or bool((keys[1:] > keys[:-1]).all()):
+            return keys, None
+        # Introsort, not stable: duplicates raise below, so stability
+        # buys nothing here (see _sort_batch).
+        order = np.argsort(keys)
+        keys = keys[order]
+        # Before any payload gather, so no gathered copy is alive beside
+        # np.diff's temporaries.
+        dup = np.flatnonzero(np.diff(keys) == 0)
+        if len(dup):
+            raise DuplicateKeyError(float(keys[dup[0]]))
+        return keys, order
 
     @staticmethod
     def _check_finite(keys: np.ndarray) -> None:
@@ -280,6 +335,8 @@ class AlexIndex:
         key = float(key)
         if not math.isfinite(key):
             raise ValueError(f"key {key!r} is not finite")
+        if not payload_fits(self._payload_dtype, payload):
+            self._upgrade_payloads()
         leaf, parent = self._route(key)
         action = self.policy.choose_insert_smo(leaf, parent, self)
         if action != SMO_NONE and self._apply_leaf_smo(action, leaf, parent):
@@ -395,7 +452,7 @@ class AlexIndex:
         if pos < 0:
             raise KeyNotFoundError(key)
         self.counters.lookups += 1
-        return leaf.payloads[pos]
+        return leaf.payloads.item(pos)
 
     def get(self, key: float, default=None):
         """Like :meth:`lookup` but returns ``default`` when absent."""
@@ -405,7 +462,7 @@ class AlexIndex:
         if pos < 0:
             return default
         self.counters.lookups += 1
-        return leaf.payloads[pos]
+        return leaf.payloads.item(pos)
 
     def contains(self, key: float) -> bool:
         """Whether ``key`` is present (single-key fast path, see
@@ -440,7 +497,7 @@ class AlexIndex:
             missing = np.flatnonzero(pos < 0)
             if missing.size:
                 raise KeyNotFoundError(float(skeys[lo + int(missing[0])]))
-            sorted_out[lo:hi] = map(leaf.payloads.__getitem__, pos.tolist())
+            sorted_out[lo:hi] = leaf.payloads[pos].tolist()
         self.counters.lookups += n
         if order is None:
             return sorted_out
@@ -462,14 +519,12 @@ class AlexIndex:
         found = 0
         for leaf, _, lo, hi in self._route_many(skeys):
             pos = self._find_keys_many_observed(leaf, skeys[lo:hi])
-            payloads = leaf.payloads
-            hits = int((pos >= 0).sum())
-            if hits == hi - lo:  # no misses: C-level gather
-                sorted_out[lo:hi] = map(payloads.__getitem__, pos.tolist())
-            else:
-                sorted_out[lo:hi] = [default if p < 0 else payloads[p]
-                                     for p in pos.tolist()]
-            found += hits
+            values = leaf.payloads[pos].tolist()
+            misses = np.flatnonzero(pos < 0)
+            for i in misses.tolist():  # slot -1 was read: overwrite
+                values[i] = default
+            sorted_out[lo:hi] = values
+            found += hi - lo - len(misses)
         self.counters.lookups += found
         if order is None:
             return sorted_out
@@ -511,7 +566,7 @@ class AlexIndex:
         (:func:`repro.core.adaptive.split_until_fits`) exactly as scalar
         inserts would split them.
         """
-        keys, payloads = self._normalize_batch(keys, payloads)
+        keys, payloads = self._normalize_batch(keys, payloads, column=True)
         if len(keys) == 0:
             return
 
@@ -526,7 +581,7 @@ class AlexIndex:
         self._apply_insert_groups(groups, keys, payloads)
 
     def insert_sorted_unchecked(self, keys: np.ndarray,
-                                payloads: list) -> None:
+                                payloads: Optional[list] = None) -> None:
         """:meth:`insert_many` minus normalization and validation, for
         callers that already guarantee the preconditions.
 
@@ -539,28 +594,34 @@ class AlexIndex:
         """
         if len(keys) == 0:
             return
+        payloads = (blank_column(len(keys), object) if payloads is None
+                    else payload_column(payloads))
         self._apply_insert_groups(self._route_many(keys), keys, payloads)
 
     def _apply_insert_groups(self, groups, keys: np.ndarray,
-                             payloads: list) -> None:
+                             payloads: np.ndarray) -> None:
         """Mutation phase of a validated batch insert: per-leaf grouped
         merge-rebuilds (plain inserts for tiny groups) with split
         handling (the oversized-rebuild decision routes through the
-        adaptation policy)."""
+        adaptation policy).  A ``payloads`` column of another dtype than
+        the index's upgrades the index first."""
+        if payloads.dtype != self._payload_dtype:
+            self._upgrade_payloads()
+            payloads = payloads.astype(object)
         for leaf, parent, lo, hi in groups:
             count = hi - lo
             if count < self._REBUILD_THRESHOLD:
                 # Tiny groups: plain inserts through the index, which also
                 # honors the node-size bound via the scalar SMO path.
                 for i in range(lo, hi):
-                    self.insert(float(keys[i]), payloads[i])
+                    self.insert(float(keys[i]), payloads.item(i))
                 continue
             old_keys, old_payloads = leaf.export_sorted()
             merged_keys = np.concatenate([old_keys, keys[lo:hi]])
-            merged_payloads = old_payloads + payloads[lo:hi]
             merge_order = np.argsort(merged_keys, kind="stable")
             merged_keys = merged_keys[merge_order]
-            merged_payloads = take(merged_payloads, merge_order)
+            merged_payloads = np.concatenate(
+                [old_payloads, payloads[lo:hi]])[merge_order]
             leaf._model_based_build(merged_keys, merged_payloads,
                                     leaf._initial_capacity(len(merged_keys)))
             leaf.counters.inserts += count
@@ -682,7 +743,7 @@ class AlexIndex:
                 keep = leaf.occupied.copy()
                 keep[pos[present]] = False
                 new_keys = leaf.keys[keep]
-                new_payloads = take(leaf.payloads, keep)
+                new_payloads = leaf.payloads[keep]
                 leaf._model_based_build(new_keys, new_payloads,
                                         leaf._initial_capacity(len(new_keys)))
                 leaf.counters.deletes += count
@@ -706,6 +767,8 @@ class AlexIndex:
 
     def update(self, key: float, payload) -> None:
         """Replace the payload of an existing key."""
+        if not payload_fits(self._payload_dtype, payload):
+            self._upgrade_payloads()
         leaf, _ = self._route(float(key))
         leaf.update(float(key), payload)
 
@@ -777,9 +840,8 @@ class AlexIndex:
             if occ.size:
                 seg_keys = node.keys[occ]
                 cut = int(np.searchsorted(seg_keys, hi, side="right"))
-                payloads = node.payloads
-                for k, p in zip(seg_keys[:cut].tolist(), occ[:cut].tolist()):
-                    out.append((k, payloads[p]))
+                out.extend(zip(seg_keys[:cut].tolist(),
+                               node.payloads[occ[:cut]].tolist()))
                 node.counters.payload_bytes_copied += (
                     cut * self.config.payload_size)
                 if cut < occ.size:

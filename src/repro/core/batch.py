@@ -24,12 +24,13 @@ iterating items one by one.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .alex import AlexIndex
 from .config import AlexConfig
+from .data_node import concat_columns
 
 
 def bulk_insert(index: AlexIndex, keys, payloads: Optional[list] = None) -> None:
@@ -52,19 +53,15 @@ def merge_indexes(left: AlexIndex, right: AlexIndex,
     left_keys, left_payloads = export_arrays(left)
     right_keys, right_payloads = export_arrays(right)
     keys = np.concatenate([left_keys, right_keys])
-    payloads = left_payloads + right_payloads
-    return AlexIndex.bulk_load(keys, payloads, config=config)
+    payloads = concat_columns([left_payloads, right_payloads])
+    return AlexIndex.from_column(keys, payloads, config=config)
 
 
-def export_arrays(index: AlexIndex):
-    """``(keys, payloads)`` of the whole index, via a leaf-chain walk that
-    concatenates each leaf's arrays directly (no per-item iteration)."""
-    key_parts: list = []
-    payloads: list = []
-    for leaf in index.leaves():
-        leaf_keys, leaf_payloads = leaf.export_sorted()
-        key_parts.append(leaf_keys)
-        payloads.extend(leaf_payloads)
-    if not key_parts:
-        return np.empty(0, dtype=np.float64), payloads
-    return np.concatenate(key_parts), payloads
+def export_arrays(index: AlexIndex) -> Tuple[np.ndarray, np.ndarray]:
+    """``(keys, payloads)`` of the whole index, the payloads a column of
+    the index's :attr:`~AlexIndex.payload_dtype`, via a leaf-chain walk
+    that concatenates each leaf's arrays directly (no per-item
+    iteration)."""
+    parts = [leaf.export_sorted() for leaf in index.leaves()]
+    return (np.concatenate([keys for keys, _ in parts]),
+            concat_columns(payloads for _, payloads in parts))

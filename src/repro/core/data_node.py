@@ -8,6 +8,16 @@ Array — share everything implemented here:
   non-decreasing end-to-end and exponential search needs no occupancy test;
 * a per-node occupancy **bitmap** used by range scans to skip gaps
   (Section 5.2.3);
+* a **payload column** at the same slots: one ndarray of the node's
+  capacity (the reference implementation's typed payload array).  Its
+  dtype is ``int64`` or ``float64`` when the index's bulk-load payloads
+  pass :func:`~repro.core.shm.numeric_column`'s exact-kind rule and
+  ``object`` otherwise; the first written value that does not fit
+  (:func:`payload_fits`) upgrades the index's columns to ``object``,
+  once.  Values leave only through ``item()`` or ``tolist()``, which
+  return exactly the Python value stored, and shifts, rebalances and
+  rebuilds move them with the same numpy slice operations on every
+  dtype;
 * **model-based builds** (Algorithm 3): train a linear model on the keys,
   rescale it to the array size, then place every key at its predicted slot
   in sorted order, spilling collisions to the first gap on the right (the
@@ -24,8 +34,7 @@ policy (GA: grow by ``1/d``; PMA: double).
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import itemgetter
+import weakref
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -38,47 +47,83 @@ from .policy import DEFAULT_POLICY, AdaptationPolicy
 from .stats import Counters
 
 GAP_SENTINEL = np.inf
-#: Most slots one payload scatter of :func:`build_runs` covers.
-_PAYLOAD_CHUNK = 1 << 14
 _BITMAP_WORD_BITS = 64
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
-def take(items: list, index: np.ndarray) -> list:
-    """``items`` at a boolean mask or at integer positions, as a new list.
-
-    One C-level pass (:func:`itertools.compress` or
-    :func:`operator.itemgetter`) instead of indexing the list one numpy
-    integer at a time.  Each element is the very object stored, and a
-    sequence element stays whole.
-    """
-    if index.dtype == bool:
-        return list(compress(items, index.tolist()))
-    positions = index.tolist()
-    if len(positions) < 2:  # itemgetter returns a lone item unwrapped
-        return [items[p] for p in positions]
-    return list(itemgetter(*positions)(items))
+def gap_value(dtype: np.dtype):
+    """What a gap slot of a payload column holds: ``None`` in an
+    ``object`` column (no reference kept alive), zero in a typed one."""
+    return None if dtype.kind == "O" else 0
 
 
-def build_runs(nodes: list, keys: np.ndarray, payloads: Optional[list],
+def blank_column(n: int, dtype) -> np.ndarray:
+    """A payload column of ``n`` gap slots (numpy fills a new ``object``
+    array with ``None``)."""
+    dtype = np.dtype(dtype)
+    return np.empty(n, dtype) if dtype.kind == "O" else np.zeros(n, dtype)
+
+
+def payload_fits(dtype: np.dtype, value) -> bool:
+    """Whether a column of ``dtype`` stores ``value`` so that ``item()``
+    returns it exactly: anything fits ``object``, only a Python ``float``
+    fits ``float64``, and only a Python ``int`` in int64 range fits
+    ``int64`` (``bool`` and numpy scalars never fit a typed column)."""
+    kind = dtype.kind
+    if kind == "O":
+        return True
+    if kind == "f":
+        return type(value) is float
+    return type(value) is int and _INT64_MIN <= value <= _INT64_MAX
+
+
+def object_column(column: np.ndarray, occupied: np.ndarray) -> np.ndarray:
+    """``column`` converted to ``object``, gaps ``None``: the one-way
+    upgrade of a typed column (each value becomes the Python ``int`` or
+    ``float`` :meth:`numpy.ndarray.item` would have returned)."""
+    if column.dtype.kind == "O":
+        return column
+    upgraded = column.astype(object)
+    upgraded[~occupied] = None
+    return upgraded
+
+
+def concat_columns(columns) -> np.ndarray:
+    """Concatenate payload columns; columns of different dtypes meet as
+    ``object``, so no value is ever cast to another kind."""
+    columns = list(columns)
+    if not columns:
+        return blank_column(0, object)
+    if len({column.dtype for column in columns}) > 1:
+        columns = [column.astype(object) for column in columns]
+    return np.concatenate(columns)
+
+
+def build_runs(nodes: list, keys: np.ndarray, payloads: Optional[np.ndarray],
                bounds, capacities=None) -> None:
     """Algorithm 3 for several leaves at once: train, rescale and
     model-based-insert ``keys[bounds[j]:bounds[j + 1]]`` into
     ``nodes[j]``.
 
-    ``keys`` are sorted and duplicate-free; ``payloads[i]`` (default
-    ``None``) is stored with ``keys[i]``.  Node ``j`` gets
-    ``capacities[j]`` slots (default: its build density), at least
-    :attr:`DataNode.MIN_CAPACITY` and at least its key count.  Each key
+    ``keys`` are sorted and duplicate-free; ``payloads`` (default:
+    ``None`` for every key) is a payload column aligned with them, whose
+    dtype every node's column takes, or any other sequence, which
+    becomes an ``object`` column (typed columns come from an index's
+    bulk load, which owns the one-way upgrade of its leaves).  Node
+    ``j`` gets ``capacities[j]`` slots (default: its build density), at
+    least :attr:`DataNode.MIN_CAPACITY` and at least its key count.  Each key
     lands at its model-predicted slot in sorted order; when that slot is
     taken it spills to the first gap on the right, and trailing room is
     reserved so every key fits.  Segments below ``min_keys_for_model``
     keys get no model (cold start, Section 3.3.3).
 
-    One ``fit_place`` kernel call fits and places every segment; the
-    nodes take views of its shared key and bitmap buffers, and payloads
-    are scattered a chunk of nodes at a time, so no object array the
-    size of a whole bulk load is ever allocated.  Counters are charged
-    once for the whole build, with the per-leaf totals.
+    One ``fit_place`` kernel call fits and places every segment, and one
+    scatter puts every payload into a payload arena of the same length:
+    keys are placed at strictly increasing slots, so the set bits of the
+    bitmap, in order, are exactly the keys' slots.  The nodes take views
+    of the shared key, bitmap and payload buffers at the same offsets.
+    Counters are charged once for the whole build, with the per-leaf
+    totals.
     """
     first = nodes[0]
     counters, config = first.counters, first.config
@@ -98,11 +143,18 @@ def build_runs(nodes: list, keys: np.ndarray, payloads: Optional[list],
     counters.build_moves += int(bounds[-1])
     counters.gap_fill_writes += fills
     offsets = [0] + np.cumsum(capacities).tolist()
-    node_slots = _payload_slots(payloads, occupied, bounds.tolist(), offsets)
-    for j, (node, slots) in enumerate(zip(nodes, node_slots)):
+    if payloads is None:
+        arena = blank_column(offsets[-1], object)
+    else:
+        if not isinstance(payloads, np.ndarray):
+            payloads = np.fromiter(payloads, dtype=object,
+                                   count=len(payloads))
+        arena = blank_column(offsets[-1], payloads.dtype)
+        arena[occupied] = payloads
+    for j, node in enumerate(nodes):
         node.keys = slot_keys[offsets[j]:offsets[j + 1]]
         node.occupied = occupied[offsets[j]:offsets[j + 1]]
-        node.payloads = slots
+        node.payloads = arena[offsets[j]:offsets[j + 1]]
         node.model = (LinearModel(float(slopes[j]), float(intercepts[j]))
                       if modeled[j] else None)
         node.capacity = offsets[j + 1] - offsets[j]
@@ -111,34 +163,6 @@ def build_runs(nodes: list, keys: np.ndarray, payloads: Optional[list],
         # batch merge-rebuild — lands here, so this is the one place the
         # adaptation policy's per-node drift window is invalidated.
         node.policy.note_smo(node, "rebuild")
-
-
-def _payload_slots(payloads: Optional[list], occupied: np.ndarray,
-                   bounds: list, offsets: list) -> Iterator[list]:
-    """Yield each segment's payload list: ``payloads`` in key order at
-    the segment's occupied slots, ``None`` in the gaps.
-
-    One object-array scatter serves a chunk of consecutive segments of
-    at most :data:`_PAYLOAD_CHUNK` slots (or one larger segment), so the
-    per-segment cost is a list slice and no object array spans a whole
-    bulk load.  Keys are placed at strictly increasing slots, so the
-    chunk's set bits, in order, are exactly its keys' slots.
-    """
-    m = len(offsets) - 1
-    j = 0
-    while j < m:
-        e = j + 1
-        while e < m and offsets[e + 1] - offsets[j] <= _PAYLOAD_CHUNK:
-            e += 1
-        base, lo, hi = offsets[j], bounds[j], bounds[e]
-        slots = np.empty(offsets[e] - base, dtype=object)
-        if payloads is not None and hi > lo:
-            slots[occupied[base:offsets[e]]] = np.fromiter(
-                payloads[lo:hi], dtype=object, count=hi - lo)
-        flat = slots.tolist()
-        for i in range(j, e):
-            yield flat[offsets[i] - base:offsets[i + 1] - base]
-        j = e
 
 
 class DataNode:
@@ -165,12 +189,25 @@ class DataNode:
         self.capacity = 0
         self.num_keys = 0
         self.keys = np.empty(0, dtype=np.float64)
-        self.payloads: list = []
+        self.payloads = np.empty(0, dtype=object)
         self.occupied = np.zeros(0, dtype=bool)
         self.model: Optional[LinearModel] = None
         # Doubly-linked leaf chain in key order, used by range scans.
         self.next_leaf: Optional["DataNode"] = None
-        self.prev_leaf: Optional["DataNode"] = None
+        self._prev_ref: Optional[weakref.ref] = None
+
+    @property
+    def prev_leaf(self) -> Optional["DataNode"]:
+        """The previous leaf in key order.  Held weakly (the tree and the
+        ``next_leaf`` links hold every leaf), so the chain forms no
+        reference cycle and a dropped index frees its leaves and their
+        arrays at once instead of at the next full garbage collection."""
+        ref = self._prev_ref
+        return None if ref is None else ref()
+
+    @prev_leaf.setter
+    def prev_leaf(self, leaf: Optional["DataNode"]) -> None:
+        self._prev_ref = None if leaf is None else weakref.ref(leaf)
 
     # ------------------------------------------------------------------
     # Building
@@ -180,11 +217,13 @@ class DataNode:
         """Capacity for ``n`` keys at the build density ``d**2``."""
         raise NotImplementedError
 
-    def build(self, keys: np.ndarray, payloads: Optional[list] = None) -> None:
-        """(Re)initialize this node with sorted, duplicate-free ``keys``."""
+    def build(self, keys: np.ndarray, payloads=None) -> None:
+        """(Re)initialize this node with sorted, duplicate-free ``keys``
+        (``payloads`` as in :func:`build_runs`)."""
         build_runs([self], keys, payloads, [0, len(keys)])
 
-    def _model_based_build(self, keys: np.ndarray, payloads: list,
+    def _model_based_build(self, keys: np.ndarray,
+                           payloads: Optional[np.ndarray],
                            capacity: int) -> None:
         """Algorithm 3 for this node alone: :func:`build_runs` with one
         segment (expansion, contraction, retrain, cold-start end, batch
@@ -285,7 +324,7 @@ class DataNode:
         if pos < 0:
             raise KeyNotFoundError(key)
         self.counters.lookups += 1
-        return self.payloads[pos]
+        return self.payloads.item(pos)
 
     def contains(self, key: float) -> bool:
         """Whether ``key`` is present in this node."""
@@ -358,7 +397,8 @@ class DataNode:
 
     def _shift_right_into_gap(self, ip: int, gap: int) -> None:
         """Move the fully-occupied run ``[ip, gap)`` one slot right into the
-        gap at ``gap``, freeing slot ``ip``."""
+        gap at ``gap``, freeing slot ``ip`` (numpy copies overlapping
+        slices correctly)."""
         self.kernels.shift_right(self.keys, self.occupied, ip, gap)
         self.payloads[ip + 1:gap + 1] = self.payloads[ip:gap]
         self.counters.shifts += gap - ip
@@ -416,7 +456,7 @@ class DataNode:
         pos = self.find_key(key)
         if pos < 0:
             raise KeyNotFoundError(key)
-        self.payloads[pos] = None
+        self.payloads[pos] = gap_value(self.payloads.dtype)
         right_key = self.keys[pos + 1] if pos + 1 < self.capacity else GAP_SENTINEL
         fills = self.kernels.erase_fill(self.keys, self.occupied, pos,
                                         right_key)
@@ -437,7 +477,8 @@ class DataNode:
 
     def update(self, key: float, payload) -> None:
         """Replace the payload of an existing key (Section 3.2: payload-only
-        updates are a lookup plus a write)."""
+        updates are a lookup plus a write).  ``payload`` must fit the
+        column (:func:`payload_fits`); the index upgrades it first."""
         pos = self.find_key(key)
         if pos < 0:
             raise KeyNotFoundError(key)
@@ -462,25 +503,28 @@ class DataNode:
             node.counters.bitmap_words_scanned += (
                 (hi - pos + _BITMAP_WORD_BITS - 1) // _BITMAP_WORD_BITS
             )
-            occ_positions = np.flatnonzero(node.occupied[pos:hi]) + pos
-            for p in occ_positions:
-                out.append((float(node.keys[p]), node.payloads[p]))
-                node.counters.payload_bytes_copied += node.config.payload_size
-                if len(out) >= limit:
-                    return out
+            occ = (np.flatnonzero(node.occupied[pos:hi])
+                   + pos)[:limit - len(out)]
+            out.extend(zip(node.keys[occ].tolist(),
+                           node.payloads[occ].tolist()))
+            node.counters.payload_bytes_copied += (
+                len(occ) * node.config.payload_size)
+            if len(out) >= limit:
+                return out
             node.counters.pointer_follows += 1
             node = node.next_leaf
             pos = 0
         return out
 
     def iter_items(self) -> Iterator[Tuple[float, object]]:
-        """Yield the node's real ``(key, payload)`` pairs in key order."""
-        for pos in np.flatnonzero(self.occupied):
-            yield float(self.keys[pos]), self.payloads[pos]
+        """The node's real ``(key, payload)`` pairs in key order."""
+        occ = self.occupied
+        return zip(self.keys[occ].tolist(), self.payloads[occ].tolist())
 
-    def export_sorted(self) -> Tuple[np.ndarray, list]:
-        """Return ``(keys, payloads)`` of the real elements in key order."""
-        return self.keys[self.occupied], take(self.payloads, self.occupied)
+    def export_sorted(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Return ``(keys, payloads)`` of the real elements in key order,
+        the payloads as a column of the node's dtype."""
+        return self.keys[self.occupied], self.payloads[self.occupied]
 
     # ------------------------------------------------------------------
     # Introspection

@@ -10,7 +10,7 @@ examples and the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -29,6 +29,8 @@ class StructureReport:
     depth: int = 0
     index_bytes: int = 0
     data_bytes: int = 0
+    payload_dtype: str = "object"
+    payload_bytes: int = 0
     leaf_keys_min: int = 0
     leaf_keys_median: float = 0.0
     leaf_keys_max: int = 0
@@ -48,6 +50,7 @@ def structure_report(index: AlexIndex) -> StructureReport:
     report.depth = index.depth()
     report.index_bytes = index.index_size_bytes()
     report.data_bytes = index.data_size_bytes()
+    report.payload_dtype, report.payload_bytes = payload_footprint(index)
 
     # Depth histogram and inner count via one walk.
     def walk(node, depth):
@@ -96,6 +99,15 @@ def structure_report(index: AlexIndex) -> StructureReport:
     return report
 
 
+def payload_footprint(index: AlexIndex) -> Tuple[str, int]:
+    """``(dtype name, bytes)`` of the index's payload columns, gaps
+    included: what the payloads really occupy, beside the size model's
+    ``payload_size`` per slot.  An ``object`` column's bytes are its
+    pointers; the Python objects they refer to come on top."""
+    return (index.payload_dtype.name,
+            sum(leaf.payloads.nbytes for leaf in index.leaves()))
+
+
 def format_report(report: StructureReport) -> str:
     """Human-readable rendering of a :class:`StructureReport`."""
     depth_profile = ", ".join(
@@ -115,5 +127,7 @@ def format_report(report: StructureReport) -> str:
         f"exact {report.exact_prediction_fraction:.1%}",
         f"space:           index {report.index_bytes:,} B, "
         f"data {report.data_bytes:,} B",
+        f"payloads:        {report.payload_dtype} column, "
+        f"{report.payload_bytes:,} B",
     ]
     return "\n".join(lines)

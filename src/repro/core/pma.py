@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .data_node import DataNode
+from .data_node import DataNode, gap_value
 
 
 def next_power_of_two(n: int) -> int:
@@ -161,15 +161,14 @@ class PMANode(DataNode):
         if count == 0:
             return
         keys = self.keys[positions].copy()
-        payloads = [self.payloads[p] for p in positions]
+        payloads = self.payloads[positions]
         width = hi - lo
         self.occupied[lo:hi] = False
-        self.payloads[lo:hi] = [None] * width
+        self.payloads[lo:hi] = gap_value(payloads.dtype)
         targets = lo + (np.arange(count, dtype=np.int64) * width) // count
         self.keys[targets] = keys
         self.occupied[targets] = True
-        for j, target in enumerate(targets.tolist()):
-            self.payloads[target] = payloads[j]
+        self.payloads[targets] = payloads
         self.counters.rebalance_moves += count
         self._refill_gap_keys(lo, hi)
 

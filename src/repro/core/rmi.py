@@ -55,10 +55,11 @@ def make_data_node(config: AlexConfig, counters: Counters,
     return make_leaves(1, config, counters, policy)[0]
 
 
-def build_leaves(keys: np.ndarray, payloads: list, bounds, config: AlexConfig,
-                 counters: Counters, policy=None) -> List[DataNode]:
-    """One leaf per run ``keys[bounds[j]:bounds[j + 1]]`` (payloads
-    aligned with ``keys``), all fitted and placed by one kernel call
+def build_leaves(keys: np.ndarray, payloads: Optional[np.ndarray], bounds,
+                 config: AlexConfig, counters: Counters,
+                 policy=None) -> List[DataNode]:
+    """One leaf per run ``keys[bounds[j]:bounds[j + 1]]`` (a payload
+    column aligned with ``keys``), all fitted and placed by one kernel call
     (:func:`repro.core.data_node.build_runs`).  Returns the leaves in key
     order, not yet linked."""
     leaves = make_leaves(len(bounds) - 1, config, counters, policy)
@@ -235,7 +236,8 @@ def partition_by_model(keys: np.ndarray, model: LinearModel,
     return bounds.astype(np.int64)
 
 
-def build_static_rmi(keys: np.ndarray, payloads: list, config: AlexConfig,
+def build_static_rmi(keys: np.ndarray, payloads: np.ndarray,
+                     config: AlexConfig,
                      counters: Counters, policy=None):
     """Build a two-level static RMI over sorted ``keys``.
 

@@ -1,8 +1,11 @@
 """Shared-memory storage views: picklable, attachable shard snapshots.
 
-ALEX keeps every leaf's keys and payloads in contiguous arrays, which map
-naturally onto POSIX shared memory: a :class:`SharedArray` is a picklable
-*handle* (segment name + shape + dtype) to a NumPy array living in a
+ALEX keeps every leaf's keys and payloads in contiguous arrays (the
+payloads in a column typed ``int64`` or ``float64`` when they are
+numeric, see :mod:`repro.core.data_node`), and a whole shard's
+``(keys, payload column)`` maps naturally onto POSIX shared memory: a
+:class:`SharedArray` is a picklable *handle* (segment name + shape +
+dtype) to a NumPy array living in a
 :class:`multiprocessing.shared_memory.SharedMemory` segment, so a parent
 process and a long-lived shard worker can exchange a whole shard by
 sending only the handle over a pipe — the array bytes are never copied
@@ -12,24 +15,24 @@ re-provisioning); requests and replies travel in the pipe frames.
 
 :class:`ShardStorageView` bundles one shard's ``(keys, payloads)`` into
 such segments.  Keys are always a ``float64`` :class:`SharedArray`;
-payloads take the cheapest faithful encoding:
+the payload column takes the cheapest faithful encoding:
 
 * ``none``    — every payload is ``None`` (nothing is stored);
-* ``numeric`` — a homogeneous int/float column, stored as a second array
-  (zero-copy like the keys, round-tripping through ``tolist``);
-* ``pickle``  — arbitrary objects, pickled into a byte segment (one copy,
-  but still transported out-of-band of the pipe).
+* ``numeric`` — an ``int64`` or ``float64`` column, stored as a second
+  array (zero-copy like the keys);
+* ``pickle``  — an ``object`` column, pickled into a byte segment (one
+  copy, but still transported out-of-band of the pipe).
 
-:func:`numeric_column` decides ``numeric``, here and for checkpoints, by
-an *exact-kind* rule: a list of Python ``int`` only must become an
-``int64`` column and a list of Python ``float`` only a ``float64`` one.
-Anything else is pickled — ``bool`` or numpy scalars, mixed ``1`` /
-``1.0``, and ints numpy would widen to ``uint64``, ``float64`` (any value
-in ``[2**63, 2**64)``) or ``object`` — so every payload comes back with
-its exact Python type and value.  A caller that already holds the column
-(the sharded bulk load gathers it once, in numpy, with the key order)
-hands it to :meth:`ShardStorageView.pack`, which copies it into the
-segment as is.
+:meth:`ShardStorageView.unpack` returns the column with its dtype, so a
+shard's payloads keep their representation across every whole-shard
+move.  :func:`numeric_column` decides which payload lists get a typed
+column — in bulk loads, here and for checkpoints — by an *exact-kind*
+rule: a list of Python ``int`` only must become an ``int64`` column and
+a list of Python ``float`` only a ``float64`` one.  Anything else stays
+``object`` — ``bool`` or numpy scalars, mixed ``1`` / ``1.0``, and ints
+numpy would widen to ``uint64``, ``float64`` (any value in ``[2**63,
+2**64)``) or ``object`` — so every payload comes back with its exact
+Python type and value.
 
 Lifecycle contract: the *creator* of a view owns the segments and must
 ``unlink`` them exactly once, after every attaching process is done
@@ -39,8 +42,10 @@ unlinks).  Attachers only ever ``close``.
 
 from __future__ import annotations
 
+import marshal
 import pickle
 from multiprocessing import shared_memory
+from operator import countOf
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -163,22 +168,60 @@ def numeric_column(values) -> Optional[np.ndarray]:
     column: only a non-empty list of Python ``int`` only (and in int64
     range) or of Python ``float`` only qualifies (see the module
     docstring's exact-kind rule)."""
-    if (not isinstance(values, list) or not values
-            or type(values[0]) not in (int, float)):
+    if not isinstance(values, list) or not values:
         return None
-    kinds = {type(v) for v in values}
-    if kinds == {int}:
-        kind = "i"
-    elif kinds == {float}:
-        kind = "f"
-    else:
+    kind = type(values[0])
+    if kind is float:
+        return _exact_floats(values)
+    # One C-level pass over the types (identity compares, no hashing).
+    if kind is not int or countOf(map(type, values), int) != len(values):
         return None
     try:
-        column = np.asarray(values)
-    except (ValueError, OverflowError):
+        return np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:  # an int outside int64
         return None
-    # numpy widens an int beyond int64 to uint64, float64 or object.
-    return column if column.dtype.kind == kind else None
+
+
+#: :mod:`marshal`'s record of one exact Python ``float`` in format
+#: version 2, which has no back-references: the type byte ``g`` and the
+#: IEEE double, little-endian.
+_FLOAT_RECORD = np.dtype([("kind", "u1"), ("value", "<f8")])
+
+
+def _exact_floats(values: list) -> Optional[np.ndarray]:
+    """``values`` as a ``float64`` column when every one is exactly a
+    Python ``float``, else ``None``, in one C-level pass over the
+    objects (a type pass plus :func:`numpy.fromiter` take two, each
+    touching every object).  :mod:`marshal` writes a list as a 5-byte
+    header and one record per value; an exact float's record is the 9
+    bytes of :data:`_FLOAT_RECORD`, and anything else — an ``int``, a
+    ``bool``, a numpy scalar or any other ``float`` subclass — gets a
+    record of another kind.  So when every 9-byte step after the header
+    starts with ``g``, every record is a float record."""
+    try:
+        blob = marshal.dumps(values, 2)
+    except ValueError:  # an object marshal cannot write
+        return None
+    if len(blob) != 5 + 9 * len(values):
+        return None
+    records = np.frombuffer(blob, _FLOAT_RECORD, offset=5)
+    if not (records["kind"] == ord("g")).all():
+        return None
+    return records["value"].astype(np.float64)
+
+
+def payload_column(values) -> np.ndarray:
+    """``values`` as a payload column: the ``int64`` or ``float64``
+    column :func:`numeric_column` makes of them when the exact-kind rule
+    admits them, else an ``object`` column holding each value whole (a
+    sequence stays one element; an ndarray's elements stay numpy
+    scalars)."""
+    if not isinstance(values, list):
+        values = list(values)
+    column = numeric_column(values)
+    if column is None:
+        column = np.fromiter(values, dtype=object, count=len(values))
+    return column
 
 
 class ShardStorageView:
@@ -198,12 +241,14 @@ class ShardStorageView:
 
     @classmethod
     def pack(cls, keys: np.ndarray,
-             payloads: Optional[list | np.ndarray]) -> "ShardStorageView":
+             payloads: Optional[np.ndarray]) -> "ShardStorageView":
         """Copy one shard's contents into fresh shared segments.
-        ``payloads`` is a list, ``None``, or a column
-        :func:`numeric_column` made, which is copied in as is.  A payload
-        that does not encode (say, a lambda) raises with no segment left
-        behind."""
+        ``payloads`` is a payload column, any other sequence (made one
+        by :func:`payload_column`), or ``None`` (every payload
+        ``None``).  A payload that does not encode (say, a lambda)
+        raises with no segment left behind."""
+        if payloads is not None and not isinstance(payloads, np.ndarray):
+            payloads = payload_column(payloads)
         keys_handle = SharedArray.create(
             np.asarray(keys, dtype=np.float64))
         try:
@@ -214,15 +259,12 @@ class ShardStorageView:
         return cls(keys_handle, kind, data)
 
     @staticmethod
-    def _encode_payloads(payloads: Optional[list | np.ndarray]
+    def _encode_payloads(payloads: Optional[np.ndarray]
                          ) -> Tuple[str, Optional[SharedArray]]:
-        if isinstance(payloads, np.ndarray):
+        if payloads is not None and payloads.dtype.kind != "O":
             return PAYLOAD_NUMERIC, SharedArray.create(payloads)
         if payloads is None or all(p is None for p in payloads):
             return PAYLOAD_NONE, None
-        column = numeric_column(payloads)
-        if column is not None:
-            return PAYLOAD_NUMERIC, SharedArray.create(column)
         blob = np.frombuffer(pickle.dumps(payloads, protocol=-1),
                              dtype=np.uint8)
         return PAYLOAD_PICKLE, SharedArray.create(blob)
@@ -231,18 +273,19 @@ class ShardStorageView:
         """The key array, mapped zero-copy (valid until :meth:`close`)."""
         return self.keys.array()
 
-    def unpack(self, copy: bool = True) -> Tuple[np.ndarray, Optional[list]]:
-        """``(keys, payloads)`` reconstructed from the segments.
+    def unpack(self, copy: bool = True) -> Tuple[np.ndarray, np.ndarray]:
+        """``(keys, payload column)`` reconstructed from the segments,
+        the column with the dtype it was packed with.
 
-        With ``copy=True`` (the default) the keys are duplicated out of
-        shared memory, so the result outlives the segments.
+        With ``copy=True`` (the default) both arrays are duplicated out
+        of shared memory, so the result outlives the segments.
         """
         keys = self.keys.copy() if copy else self.keys_view()
         if self.payload_kind == PAYLOAD_NONE:
-            payloads = None if len(keys) == 0 else [None] * len(keys)
-            return keys, payloads
+            return keys, np.full(len(keys), None, dtype=object)
         if self.payload_kind == PAYLOAD_NUMERIC:
-            return keys, self.payload_data.array().tolist()
+            return keys, (self.payload_data.copy() if copy
+                          else self.payload_data.array())
         return keys, pickle.loads(self.payload_data.array().tobytes())
 
     def _handles(self) -> List[SharedArray]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.data_node import gap_value
 from repro.core.pma import PMANode
 
 #: Decay applied to segment hotness on every insert (half-life ~ 70 inserts).
@@ -81,10 +82,9 @@ class AdaptivePMANode(PMANode):
         if count == 0:
             return
         keys = self.keys[positions].copy()
-        payloads = [self.payloads[p] for p in positions]
+        payloads = self.payloads[positions]
         self.occupied[lo:hi] = False
-        for p in range(lo, hi):
-            self.payloads[p] = None
+        self.payloads[lo:hi] = gap_value(payloads.dtype)
 
         # Weight per segment: hot segments get *more gaps*, i.e. fewer
         # elements.  Element share is inversely proportional to
@@ -120,8 +120,7 @@ class AdaptivePMANode(PMANode):
             targets = seg_lo + (np.arange(quota_s) * seg) // quota_s
             self.keys[targets] = keys[placed:placed + quota_s]
             self.occupied[targets] = True
-            for j, target in enumerate(targets):
-                self.payloads[target] = payloads[placed + j]
+            self.payloads[targets] = payloads[placed:placed + quota_s]
             placed += quota_s
         assert placed == count, "adaptive rebalance lost elements"
         self.counters.rebalance_moves += count

@@ -137,7 +137,7 @@ class PagedAlexIndex:
             from repro.core.errors import KeyNotFoundError
             raise KeyNotFoundError(key)
         self.pool.touch(self._page_of_slot(leaf, slot))
-        return leaf.payloads[slot]
+        return leaf.payloads.item(slot)
 
     def insert(self, key: float, payload=None) -> None:
         """Insert, dirtying the touched page; re-pages on expansion."""

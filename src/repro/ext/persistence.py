@@ -10,10 +10,12 @@ deliberately simple and inspectable: one uncompressed ``.npz`` archive
   columns below;
 * ``keys`` / ``occupied`` — every leaf's slot arrays, concatenated in
   leaf-chain order;
-* the occupied slots' payloads, in the same order: ``payload_column``, a
-  numeric column, when :func:`repro.core.shm.numeric_column` accepts
-  them (its exact-type rule, so every value comes back with its Python
-  type), else ``payload_pickle``, one pickled list.
+* the occupied slots' payloads, in the same order: ``payload_column``,
+  the leaves' own ``int64`` or ``float64`` column, when the index stores
+  its payloads typed, else ``payload_pickle``, one pickled list of the
+  ``object`` column's values.  Either way the loaded index keeps the
+  saved index's payload dtype, and every value comes back with its
+  exact Python type.
 
 Checkpoints sit on the set-up and recovery path of the durable service,
 so the archive is written uncompressed: zlib cost about ten times the
@@ -32,20 +34,18 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
-from itertools import chain, compress
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.alex import AlexIndex
 from repro.core.config import AlexConfig
-from repro.core.data_node import DataNode
+from repro.core.data_node import DataNode, blank_column, concat_columns
 from repro.core.errors import PersistenceError
 from repro.core.kernels import get_kernels
 from repro.core.linear_model import LinearModel
 from repro.core.policy import AdaptationPolicy
 from repro.core.rmi import InnerNode, link_leaves, make_data_node
-from repro.core.shm import numeric_column
 from repro.core.stats import Counters
 
 #: Identifies our archives among arbitrary ``.npz`` files (stamped into
@@ -118,45 +118,45 @@ def save_index(index: AlexIndex, path: str) -> None:
         "keys": np.concatenate([leaf.keys for leaf in leaves]),
         "occupied": np.concatenate([leaf.occupied for leaf in leaves]),
     }
-    payloads = list(chain.from_iterable(
-        compress(leaf.payloads, leaf.occupied.tolist()) for leaf in leaves))
-    column = numeric_column(payloads)
-    if column is not None:
+    column = concat_columns(leaf.payloads[leaf.occupied] for leaf in leaves)
+    if column.dtype.kind != "O":
         arrays["payload_column"] = column
     else:
-        arrays["payload_pickle"] = np.frombuffer(pickle.dumps(payloads),
-                                                 dtype=np.uint8)
+        arrays["payload_pickle"] = np.frombuffer(
+            pickle.dumps(column.tolist()), dtype=np.uint8)
     with open(path, "wb") as f:
         np.savez(f, **arrays)
 
 
+def _object_column(values: list) -> np.ndarray:
+    """A pickled payload list as an ``object`` column (each value, a
+    sequence included, one element)."""
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
 def _leaf_slots(archive, header: dict
-                ) -> Iterator[Tuple[np.ndarray, np.ndarray, list]]:
+                ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Each leaf's ``(keys, occupied, payloads)`` slot arrays, in leaf
-    order: sliced out of the version-3 columns, or read from the
-    per-leaf members of a version-1/2 archive."""
+    order: views of the version-3 columns (the payloads scattered into
+    one arena at the same slots), or read from the per-leaf members of a
+    version-1/2 archive."""
     if header["version"] < 3:
         for i in range(len(header["leaves"])):
-            yield (archive[f"keys_{i}"].copy(), archive[f"occ_{i}"].copy(),
-                   pickle.loads(bytes(archive[f"payloads_{i}"])))
+            yield (archive[f"keys_{i}"], archive[f"occ_{i}"],
+                   _object_column(pickle.loads(
+                       bytes(archive[f"payloads_{i}"]))))
         return
     keys, occupied = archive["keys"], archive["occupied"]
     if "payload_column" in archive.files:
-        values = archive["payload_column"].astype(object)
+        values = archive["payload_column"]
     else:
-        values = pickle.loads(bytes(archive["payload_pickle"]))
-        values = np.fromiter(values, dtype=object, count=len(values))
-    start = 0
+        values = _object_column(
+            pickle.loads(bytes(archive["payload_pickle"])))
+    arena = blank_column(len(keys), values.dtype)
+    arena[occupied] = values
     for meta in header["leaves"]:
         lo, hi = meta["slots"]
-        occ = occupied[lo:hi]
-        # Unoccupied slots hold None; numpy scatters the occupied ones
-        # element by element, so sequence payloads stay whole objects.
-        slots = np.empty(hi - lo, dtype=object)
-        stop = start + int(np.count_nonzero(occ))
-        slots[occ] = values[start:stop]
-        start = stop
-        yield keys[lo:hi].copy(), occ.copy(), slots.tolist()
+        yield keys[lo:hi], occupied[lo:hi], arena[lo:hi]
 
 
 def load_index(path: str,
@@ -200,12 +200,14 @@ def load_index(path: str,
         config = AlexConfig(**header["config"])
         index = AlexIndex(config, policy=policy)
         counters = Counters()
+        dtypes = set()
         leaves: List[DataNode] = []
         for meta, (keys, occupied, payloads) in zip(
                 header["leaves"], _leaf_slots(archive, header)):
             leaf = make_data_node(config, counters, index.policy)
             leaf.keys, leaf.occupied, leaf.payloads = (keys, occupied,
                                                        payloads)
+            dtypes.add(payloads.dtype)
             leaf.capacity = int(meta["capacity"])
             leaf.num_keys = int(meta["num_keys"])
             if meta["model"] is not None:
@@ -237,6 +239,7 @@ def load_index(path: str,
         index._root = decode_inner(tree_spec["inner"])
     index._num_keys = int(header["num_keys"])
     index._cold_start = False
+    index._payload_dtype, = dtypes
     link_leaves(leaves)
     return index
 

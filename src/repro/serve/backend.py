@@ -39,6 +39,7 @@ from repro import obs
 from repro.core.alex import AlexIndex
 from repro.core.batch import export_arrays
 from repro.core.config import AlexConfig
+from repro.core.introspect import payload_footprint
 from repro.core.kernels import get_kernels
 from repro.core.policy import AdaptationPolicy
 from repro.core.stats import Counters
@@ -87,17 +88,25 @@ def _op_persist_to(index: AlexIndex, path: str) -> int:
 def _op_key_bounds(index: AlexIndex):
     """``(first_key, last_key)`` or ``(None, None)`` when empty.
 
-    Walks the leaf chain and reads each non-empty leaf's sorted edge
-    keys — no boxed-float list of the whole shard is ever materialized.
+    Walks the leaf chain and reads each non-empty leaf's edge keys — no
+    boxed-float list of the whole shard is ever materialized.
     """
     first = last = None
     for leaf in index.leaves():
-        leaf_keys, _ = leaf.export_sorted()
-        if len(leaf_keys):
+        if leaf.num_keys:
             if first is None:
-                first = float(leaf_keys[0])
-            last = float(leaf_keys[-1])
+                first = leaf.min_key()
+            last = leaf.max_key()
     return first, last
+
+
+def _op_introspect(index: AlexIndex) -> dict:
+    """One shard's shape and payload storage (the dtype and bytes of its
+    payload columns show why a worker's RSS is what it is)."""
+    dtype, nbytes = payload_footprint(index)
+    return {"num_keys": len(index), "leaves": index.num_leaves(),
+            "depth": index.depth(), "payload_dtype": dtype,
+            "payload_bytes": nbytes}
 
 
 #: Named operations that are not plain index methods.  Both backends
@@ -108,11 +117,7 @@ SHARD_OPS = {
     "items_list": lambda index: list(index.items()),
     "counters_snapshot": lambda index: index.counters.snapshot(),
     "key_bounds": _op_key_bounds,
-    "introspect": lambda index: {
-        "num_keys": len(index),
-        "leaves": index.num_leaves(),
-        "depth": index.depth(),
-    },
+    "introspect": _op_introspect,
     # The executor-side policy's identity and tunables (diagnostic: lets
     # callers confirm a configured policy crossed the process boundary).
     "policy_config": lambda index: {
@@ -142,12 +147,14 @@ def run_shard_op(index: AlexIndex, method: str, *args):
         return getattr(index, method)(*args)
 
 
-def build_shard(keys: np.ndarray, payloads: Optional[list],
+def build_shard(keys: np.ndarray, payloads: np.ndarray,
                 config: AlexConfig, policy: AdaptationPolicy) -> AlexIndex:
-    """Bulk-load one shard (empty parts become empty indexes)."""
+    """Bulk-load one shard from its keys and payload column, which
+    keeps its dtype (empty parts become empty indexes)."""
     if len(keys) == 0:
         return AlexIndex(config, policy=policy)
-    return AlexIndex.bulk_load(keys, payloads, config=config, policy=policy)
+    return AlexIndex.from_column(keys, payloads, config=config,
+                                 policy=policy)
 
 
 class ExecutionBackend(abc.ABC):
@@ -162,9 +169,8 @@ class ExecutionBackend(abc.ABC):
 
     @abc.abstractmethod
     def provision(self, parts: Sequence[tuple]) -> None:
-        """Create one shard executor per ``(keys, payloads)`` part;
-        ``payloads`` may also be a slice of the column
-        :func:`~repro.core.shm.numeric_column` made."""
+        """Create one shard executor per ``(keys, payload column)``
+        part."""
 
     @abc.abstractmethod
     def adopt(self, indexes: List[AlexIndex]) -> None:
@@ -189,8 +195,9 @@ class ExecutionBackend(abc.ABC):
         backend ships each sub-batch by value in its request frame."""
 
     @abc.abstractmethod
-    def snapshot(self, shard: int) -> Tuple[np.ndarray, Optional[list]]:
-        """The shard's full sorted ``(keys, payloads)`` contents."""
+    def snapshot(self, shard: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The shard's full sorted ``(keys, payload column)``
+        contents."""
 
     @abc.abstractmethod
     def replace(self, start: int, stop: int, parts: Sequence[tuple],
@@ -213,8 +220,7 @@ class ExecutionBackend(abc.ABC):
         dead primary triggers failover."""
         return []
 
-    def respawn(self, shard: int, keys: np.ndarray,
-                payloads: Optional[list],
+    def respawn(self, shard: int, keys: np.ndarray, payloads: np.ndarray,
                 seed: Optional[Counters] = None) -> None:
         """Re-provision one dead executor over recovered contents (the
         crash-recovery half of :class:`WorkerDiedError`)."""
@@ -342,8 +348,6 @@ class ThreadBackend(ExecutionBackend):
     def provision(self, parts: Sequence[tuple]) -> None:
         self.indexes = []
         for keys, payloads in parts:
-            if isinstance(payloads, np.ndarray):  # a numeric column slice
-                payloads = payloads.tolist()
             self.indexes.append(build_shard(keys, payloads, self._config,
                                             self._policy))
         self._replicas = [None] * len(self.indexes)
@@ -419,7 +423,7 @@ class ThreadBackend(ExecutionBackend):
 
     # -- structure ----------------------------------------------------
 
-    def snapshot(self, shard: int) -> Tuple[np.ndarray, Optional[list]]:
+    def snapshot(self, shard: int) -> Tuple[np.ndarray, np.ndarray]:
         return export_arrays(self.indexes[shard])
 
     def replace(self, start: int, stop: int, parts: Sequence[tuple],

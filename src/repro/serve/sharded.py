@@ -72,6 +72,7 @@ from repro.obs import trace
 from repro.core.alex import AlexIndex
 from repro.core.batch import export_arrays
 from repro.core.config import AlexConfig
+from repro.core.data_node import concat_columns
 from repro.core.errors import (DuplicateKeyError, KeyNotFoundError,
                                PersistenceError, ReplicaStaleError,
                                ReplicaUnavailableError)
@@ -364,9 +365,10 @@ class ShardedAlexIndex:
         are written at once too, and with ``replicate`` every replica
         bootstraps before any is awaited.
         """
-        # A numeric payload list becomes one column, gathered in numpy
-        # with the key order; each part is a slice of it, which the
-        # process backend copies straight into shared memory.
+        # The payloads become one column, gathered in numpy with the key
+        # order; each part is a slice of it, which the process backend
+        # copies straight into shared memory (or pickles, when it is an
+        # object column) and the shard stores with its dtype.
         keys, payloads = AlexIndex._normalize_batch(keys, payloads,
                                                     column=True)
         router = ShardRouter.fit(keys, num_shards)
@@ -1248,8 +1250,6 @@ class ShardedAlexIndex:
             return False
         median = float(keys[len(keys) // 2])
         cut = int(np.searchsorted(keys, median, side="left"))
-        if payloads is None:
-            payloads = [None] * len(keys)
         # The victim's accumulated work history moves to its left half so
         # aggregate counters stay monotone across splits (a diff spanning
         # a rebalance must never go negative).
@@ -1307,16 +1307,12 @@ class ShardedAlexIndex:
         right_keys, right_payloads = self._retry_dead(
             lambda: self._backend.snapshot(shard + 1),
             involved=[shard + 1])
-        if left_payloads is None:
-            left_payloads = [None] * len(left_keys)
-        if right_payloads is None:
-            right_payloads = [None] * len(right_keys)
         # Both halves' work history survives in the merged shard, keeping
         # aggregate counters monotone (symmetric with _split_locked).
         self._backend.replace(
             shard, shard + 2,
             [(np.concatenate([left_keys, right_keys]),
-              left_payloads + right_payloads)],
+              concat_columns([left_payloads, right_payloads]))],
             inherit=[[shard, shard + 1]])
         self.router = self.router.without_boundary(shard)
         self._shard_locks[shard:shard + 2] = [ReadWriteLock()]

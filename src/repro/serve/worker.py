@@ -227,9 +227,12 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
             try:
                 if op == "load":
                     view, seed = message[3], message[4]
-                    keys, payloads = view.unpack(copy=True)
+                    # The build reads the segments in place: its leaves
+                    # get fresh key, bitmap and payload arenas, so no
+                    # copy of the part is made and none outlives it.
+                    index = build_shard(*view.unpack(copy=False), config,
+                                        policy)
                     view.close()
-                    index = build_shard(keys, payloads, config, policy)
                     if seed is not None:
                         index.counters.merge(seed)
                     reply = (req_id, "ok", None)
@@ -639,7 +642,7 @@ class ProcessBackend(ExecutionBackend):
         return [worker.process.pid for worker in self._workers]
 
     def respawn(self, shard: int, keys: np.ndarray,
-                payloads: Optional[list],
+                payloads: np.ndarray,
                 seed: Optional[Counters] = None) -> None:
         """Replace a broken worker with a fresh one provisioned over the
         recovered ``(keys, payloads)`` contents.

@@ -180,7 +180,7 @@ class TestVectorizedBuildEquivalence:
         # Round-trip: the node holds exactly the built keys and payloads.
         out_keys, out_payloads = node.export_sorted()
         assert out_keys.tolist() == keys.tolist()
-        assert out_payloads == [f"v{i}" for i in range(n)]
+        assert out_payloads.tolist() == [f"v{i}" for i in range(n)]
 
     def test_adversarial_clustered_predictions(self):
         # Keys nearly identical: the model predicts one slot for everything

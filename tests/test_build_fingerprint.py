@@ -85,8 +85,8 @@ def leaf_states(index: AlexIndex, model_format) -> list:
                  (model_format(leaf.model.slope),
                   model_format(leaf.model.intercept)))
         states.append((leaf.keys.tobytes(), leaf.occupied.tobytes(),
-                       repr(leaf.payloads), leaf.capacity, leaf.num_keys,
-                       model))
+                       repr(leaf.payloads.tolist()), leaf.capacity,
+                       leaf.num_keys, model))
     return states
 
 

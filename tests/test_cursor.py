@@ -39,6 +39,27 @@ class TestForwardIteration:
         assert [k for k, _ in out] == keys[10:15].tolist()
         assert cursor.key() == float(keys[15])
 
+    @pytest.mark.parametrize("start, count", [(10, 5), (0, 700),
+                                              (1400, 500), (3, 0)])
+    def test_take_matches_stepping(self, index_and_keys, start, count):
+        """take() reads whole leaf runs at once, with the results, end
+        position and counter charges of stepping entry by entry."""
+        index, keys = index_and_keys
+        stepped = Cursor(index, start_key=float(keys[start]))
+        before = index.counters.snapshot()
+        want = []
+        while stepped.valid() and len(want) < count:
+            want.append(stepped.current())
+            stepped.next()
+        step_work = index.counters.diff(before)
+        taken = Cursor(index, start_key=float(keys[start]))
+        before = index.counters.snapshot()
+        assert taken.take(count) == want
+        assert index.counters.diff(before) == step_work
+        assert taken.valid() == stepped.valid()
+        if taken.valid():
+            assert taken.current() == stepped.current()
+
     def test_exhaustion(self, index_and_keys):
         index, keys = index_and_keys
         cursor = Cursor(index, start_key=float(keys[-1]))

@@ -1,15 +1,19 @@
 """Tests for DataNode machinery shared by both leaf layouts: gap-filled key
 arrays, bitmaps, leaf chaining, size accounting."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core.alex import AlexIndex
 from repro.core.config import AlexConfig, ga_armi
-from repro.core.data_node import GAP_SENTINEL, take
+from repro.core.data_node import GAP_SENTINEL
 from repro.core.errors import KeyNotFoundError
 from repro.core.gapped_array import GappedArrayNode
 from repro.core.pma import PMANode
+from repro.core.shm import payload_column
 from repro.core.stats import Counters
 
 
@@ -94,13 +98,15 @@ class TestPayloadIdentity:
 
     PAYLOADS = [(1, 2), [3], "s", np.float64(2.5), None, (7,), ()]
 
-    def test_take_keeps_sequences_whole(self):
+    def test_object_column_gathers_keep_sequences_whole(self):
         items = list(self.PAYLOADS)
+        column = payload_column(items)
+        assert column.dtype == object
         for index in (np.array([0]), np.array([5]), np.array([6, 0]),
                       np.array([], dtype=np.int64),
                       np.array([True] + [False] * 6),
                       np.arange(7)[::-1]):
-            got = take(items, index)
+            got = column[index].tolist()
             want = ([items[i] for i in np.flatnonzero(index)]
                     if index.dtype == bool else [items[i] for i in index])
             assert len(got) == len(want)
@@ -136,6 +142,28 @@ class TestLeafChainScan:
         right.prev_leaf = left
         out = left.scan_from(40.0, 20)
         assert [k for k, _ in out] == list(np.arange(40.0, 60.0))
+
+    def test_dropped_index_frees_its_leaves_at_once(self):
+        """The chain holds each previous leaf weakly, so dropping an
+        index frees every leaf without the cycle collector, after the
+        splits and expansions that re-splice the chain too."""
+        index = AlexIndex.bulk_load(
+            np.arange(2000.0), (np.arange(2000.0) * 2).tolist(),
+            config=ga_armi(max_keys_per_node=64, split_on_inserts=True))
+        for key in np.arange(2000.0, 2600.0):
+            index.insert(float(key), 1.0)
+        index.delete_many(np.arange(0.0, 1000.0))
+        assert index.counters.splits > 0
+        leaves = list(index.leaves())
+        assert all(b.prev_leaf is a for a, b in zip(leaves, leaves[1:]))
+        refs = [weakref.ref(leaf) for leaf in leaves]
+        del leaves
+        gc.disable()
+        try:
+            del index
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
     def test_scan_limit_zero(self, any_node):
         node, _ = any_node

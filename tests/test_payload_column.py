@@ -1,16 +1,27 @@
-"""Numeric payload columns: the sharded bulk load encodes a homogeneous
-int or float payload list once and ships column slices to the shards,
-and checkpoints store payloads the same way.  Every payload must come
-back with its exact Python type and value, whatever path it took: the
-replies of primary and replica reads included."""
+"""Payload columns: every leaf stores its payloads in one numpy column,
+``int64`` or ``float64`` for a homogeneous int or float bulk load and
+``object`` otherwise; the sharded bulk load ships column slices to the
+shards, and checkpoints store the same columns.  Every payload must
+come back with its exact Python type and value, whatever path it took:
+the replies of primary and replica reads included."""
 
+import gc
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from repro.core.adaptive import merge_leaves
 from repro.core.alex import AlexIndex
+from repro.core.config import ga_armi
+from repro.core.introspect import format_report, structure_report
+from repro.core.kernels import available_backends
+from repro.core.rmi import InnerNode
 from repro.core.shm import ShardStorageView, numeric_column
+from repro.durability import DurableAlexIndex
+from repro.ext.persistence import load_index, save_index
+from repro.replication.replica import Replica
 from repro.serve import ReadOptions, ShardedAlexIndex
 from repro.serve.router import ShardRouter
 
@@ -78,9 +89,38 @@ class TestNumericColumn:
         try:
             keys, payloads = view.unpack()
             assert keys.tolist() == [0.0, 1.0, 2.0]
-            assert exact(payloads) == exact([7, 8, 9])
+            assert payloads.dtype == np.int64
+            assert exact(payloads.tolist()) == exact([7, 8, 9])
         finally:
             view.unlink()
+
+
+class FloatSubclass(float):
+    pass
+
+
+class TestExactFloats:
+    """A list starting with a float gets a float64 column only when every
+    value is exactly a Python ``float``, and the column is bit-exact."""
+
+    @pytest.mark.parametrize("tail", [
+        2, True, None, np.float64(2.0), FloatSubclass(2.0), "x", b"1234",
+        b"12345678", (2.0,), [2.0], 2 ** 70, 1 + 2j, {2.0: 1},
+        lambda: 2.0], ids=lambda value: type(value).__name__)
+    def test_any_other_value_means_no_column(self, tail):
+        for values in ([1.0, tail], [1.0] * 5 + [tail] + [2.0] * 5):
+            assert numeric_column(values) is None
+
+    def test_column_is_bit_exact(self):
+        rng = np.random.default_rng(9)
+        bits = rng.integers(0, 2 ** 63, 5000, dtype=np.uint64)
+        bits[::7] |= np.uint64(1) << np.uint64(63)
+        values = bits.view(np.float64).tolist() + [-0.0, math.inf]
+        shared = values[3]
+        values += [shared, shared]  # one object stored twice
+        column = numeric_column(values)
+        assert column.dtype == np.float64
+        assert column.tobytes() == np.array(values).tobytes()
 
 
 class TestLargeInts:
@@ -199,3 +239,216 @@ class TestArrayPayloads:
         with recovered:
             assert len(recovered) == 12
             assert exact(recovered.get_many(probe)) == expected
+
+
+# ----------------------------------------------------------------------
+# Leaf storage: every leaf keeps its payloads in one numpy column
+# ----------------------------------------------------------------------
+
+#: The dtype each payload kind gets at bulk load (``object`` for the rest).
+TYPED = {"int64": np.int64, "int64 edges": np.int64, "float": np.float64,
+         "signed zero and nan": np.float64}
+
+#: ``(bulk-load kind, a value that does not fit its column)``.
+MISFITS = [("int64", True), ("float", np.float64(1.5)), ("float", 7),
+           ("int64", 2 ** 63), ("float", None), ("int64", None)]
+
+
+@pytest.fixture(params=available_backends(), ids=lambda n: f"kernels-{n}")
+def kernel_leg(request, monkeypatch):
+    """Run the test once per available kernel backend (the process
+    default every config built inside the test picks up)."""
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", request.param)
+    return request.param
+
+
+def leaf_dtypes(index) -> set:
+    return {leaf.payloads.dtype for leaf in index.leaves()}
+
+
+def assert_stores(index, dtype, expected: dict) -> None:
+    """Every leaf column has ``dtype`` and every key reads back its
+    expected payload exactly, by point and by scan reads."""
+    assert index.payload_dtype == np.dtype(dtype)
+    assert leaf_dtypes(index) == {np.dtype(dtype)}
+    keys = sorted(expected)
+    want = exact(expected[k] for k in keys)
+    assert exact(index.get_many(keys)) == want
+    assert exact(index.lookup(k) for k in keys) == want
+    assert exact(p for _, p in index.items()) == want
+    assert exact(p for _, p in index.range_scan(keys[0], len(keys))) == want
+    index.validate()
+
+
+def small_index(name: str, **overrides):
+    payloads = PAYLOADS[name]
+    keys = np.arange(N, dtype=np.float64)
+    config = ga_armi(max_keys_per_node=64, **overrides)
+    index = AlexIndex.bulk_load(keys, payloads, config=config)
+    return index, dict(zip(keys.tolist(), payloads))
+
+
+@pytest.mark.usefixtures("kernel_leg")
+class TestLeafColumns:
+    @pytest.mark.parametrize("name", sorted(PAYLOADS))
+    def test_bulk_load_dtype(self, name):
+        index, expected = small_index(name)
+        assert index.num_leaves() > 1
+        assert_stores(index, TYPED.get(name, object), expected)
+
+    def test_ndarray_payloads_stay_object(self):
+        index = AlexIndex.bulk_load(np.arange(4.0), np.arange(4.0) * 2)
+        assert index.payload_dtype == object
+
+    def test_keys_only_bulk_load_is_object(self):
+        index = AlexIndex.bulk_load(np.arange(N, dtype=np.float64))
+        assert_stores(index, object, dict.fromkeys(range(N)))
+
+    @pytest.mark.parametrize("op", ["insert", "insert_many", "update"])
+    @pytest.mark.parametrize("name, value", MISFITS,
+                             ids=[f"{n}-{v!r}" for n, v in MISFITS])
+    def test_a_misfit_upgrades_to_object_once(self, op, name, value):
+        index, expected = small_index(name)
+        assert index.payload_dtype == TYPED[name]
+        if op == "insert":
+            index.insert(N + 0.5, value)
+            expected[N + 0.5] = value
+        elif op == "insert_many":
+            extra = np.arange(8) + N + 0.25
+            index.insert_many(extra, [value] * 8)
+            expected.update(dict.fromkeys(extra.tolist(), value))
+        else:
+            index.update(3.0, value)
+            expected[3.0] = value
+        # Earlier payloads keep their exact types in the object column.
+        assert_stores(index, object, expected)
+        # One way: a value that would have fit the old column stays
+        # in the object column.
+        index.insert(N + 0.75, PAYLOADS[name][0])
+        expected[N + 0.75] = PAYLOADS[name][0]
+        assert_stores(index, object, expected)
+
+    @pytest.mark.parametrize("name", ["int64", "float"])
+    def test_fitting_writes_keep_the_column(self, name):
+        index, expected = small_index(name)
+        value = PAYLOADS[name][5]
+        index.insert(N + 0.5, value)
+        index.insert_many([N + 1.5, N + 2.5], [value, value])
+        index.insert_many(np.arange(8) + N + 3.5, [value] * 8)
+        index.update(1.0, value)
+        expected.update({N + 0.5: value, N + 1.5: value, N + 2.5: value,
+                         1.0: value})
+        expected.update(dict.fromkeys((np.arange(8) + N + 3.5).tolist(),
+                                      value))
+        assert_stores(index, TYPED[name], expected)
+
+    @pytest.mark.parametrize("name", ["int64", "float", "tuple"])
+    def test_expansion_split_and_contraction_keep_the_dtype(self, name):
+        index, expected = small_index(name, split_on_inserts=True)
+        dtype = TYPED.get(name, object)
+        for i in range(4 * N):
+            key = N + i / 3
+            value = PAYLOADS[name][i % N]
+            index.insert(key, value)
+            expected[key] = value
+        assert index.counters.expansions > 0
+        assert index.counters.splits > 0
+        assert_stores(index, dtype, expected)
+        for key in sorted(expected)[:-20]:
+            index.delete(key)
+            del expected[key]
+        assert index.counters.contractions > 0
+        assert_stores(index, dtype, expected)
+
+    @pytest.mark.parametrize("name", ["int64", "float", "tuple"])
+    def test_merge_keeps_the_dtype(self, name):
+        index, expected = small_index(name)
+        for key in list(expected)[::4] + list(expected)[1::4]:
+            index.delete(key)
+            del expected[key]
+        for leaf in index.leaves():
+            sibling = leaf.next_leaf
+            parent = next((node for node in index.nodes()
+                           if isinstance(node, InnerNode)
+                           and any(c is leaf for c in node.children)), None)
+            if (sibling is None or parent is None
+                    or not any(c is sibling for c in parent.children)):
+                continue
+            merged = merge_leaves(leaf, parent, index.config,
+                                  index.counters)
+            if merged is not None:
+                break
+        else:
+            raise AssertionError("no mergeable same-parent pair")
+        assert merged.payloads.dtype == np.dtype(TYPED.get(name, object))
+        assert_stores(index, TYPED.get(name, object), expected)
+
+    @pytest.mark.parametrize("name", ["int64", "float", "tuple", "none",
+                                      "signed zero and nan"])
+    def test_checkpoint_round_trip_keeps_the_dtype(self, name, tmp_path):
+        index, expected = small_index(name)
+        path = str(tmp_path / "index.npz")
+        save_index(index, path)
+        assert_stores(load_index(path), TYPED.get(name, object), expected)
+
+    def test_checkpoint_of_an_upgraded_index_stays_object(self, tmp_path):
+        index, expected = small_index("int64")
+        index.update(0.0, 1.5)
+        index.update(0.0, 7)  # every value fits int64 again
+        expected[0.0] = 7
+        path = str(tmp_path / "index.npz")
+        save_index(index, path)
+        assert_stores(load_index(path), object, expected)
+
+    @pytest.mark.parametrize("name", ["int64", "float", "tuple"])
+    def test_recovery_and_replica_bootstrap_keep_the_dtype(self, name,
+                                                           tmp_path):
+        payloads = PAYLOADS[name]
+        keys = np.arange(N, dtype=np.float64)
+        root = str(tmp_path / "dur")
+        durable = DurableAlexIndex.bulk_load(
+            keys, payloads, root=root, fsync="off",
+            config=ga_armi(max_keys_per_node=64))
+        expected = dict(zip(keys.tolist(), payloads))
+        # A WAL tail past the checkpoint: batch and scalar inserts.
+        durable.insert_many(keys[:8] + 0.5, payloads[:8])
+        durable.insert(N + 0.5, payloads[9])
+        expected.update(zip((keys[:8] + 0.5).tolist(), payloads[:8]))
+        expected[N + 0.5] = payloads[9]
+        durable.close()
+        dtype = TYPED.get(name, object)
+        recovered = DurableAlexIndex.open(root, fsync="off")
+        try:
+            assert_stores(recovered.index, dtype, expected)
+        finally:
+            recovered.close()
+        replica = Replica(root).start()
+        assert_stores(replica.promote(), dtype, expected)
+
+
+def test_shard_introspection_reports_the_payload_column():
+    service = ShardedAlexIndex.bulk_load(np.arange(N, dtype=np.float64),
+                                         PAYLOADS["float"], num_shards=2)
+    with service:
+        index = service.backend.local_indexes()[0]
+        report = structure_report(index)
+        assert report.payload_dtype == "float64"
+        assert report.payload_bytes == sum(
+            leaf.capacity * 8 for leaf in index.leaves())
+        assert "float64 column" in format_report(report)
+        shape = service.backend.call(0, "introspect")
+        assert (shape["payload_dtype"], shape["payload_bytes"]) == (
+            report.payload_dtype, report.payload_bytes)
+
+
+def test_float_bulk_load_holds_no_python_object_per_key():
+    """A typed column stores 100k float payloads without one Python
+    object (a pymalloc block) per key."""
+    keys = np.arange(100_000, dtype=np.float64)
+    AlexIndex.bulk_load(keys[:1000], (keys[:1000] * 2.0).tolist())
+    gc.collect()
+    before = sys.getallocatedblocks()
+    index = AlexIndex.bulk_load(keys, (keys * 2.0 + 1.0).tolist())
+    gc.collect()
+    assert index.payload_dtype == np.float64
+    assert sys.getallocatedblocks() - before < 10_000

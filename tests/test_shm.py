@@ -77,19 +77,22 @@ class TestShardStorageView:
         kind, keys, payloads = self._pack_unpack([1.0, 2.0, 3.0], None)
         assert kind == PAYLOAD_NONE
         assert keys.tolist() == [1.0, 2.0, 3.0]
-        assert payloads == [None, None, None]
+        assert payloads.dtype == object
+        assert payloads.tolist() == [None, None, None]
 
     def test_numeric_payloads_round_trip_exactly(self):
         kind, _, payloads = self._pack_unpack([1.0, 2.0, 3.0], [10, 20, 30])
         assert kind == PAYLOAD_NUMERIC
-        assert payloads == [10, 20, 30]
-        assert all(isinstance(p, int) for p in payloads)
+        assert payloads.dtype == np.int64
+        assert payloads.tolist() == [10, 20, 30]
+        assert all(isinstance(p, int) for p in payloads.tolist())
 
     def test_object_payloads_fall_back_to_pickle(self):
         kind, _, payloads = self._pack_unpack(
             [1.0, 2.0, 3.0], ["a", ("b", 2), None])
         assert kind == PAYLOAD_PICKLE
-        assert payloads == ["a", ("b", 2), None]
+        assert payloads.dtype == object
+        assert payloads.tolist() == ["a", ("b", 2), None]
 
     def test_unpacked_keys_outlive_the_segments(self):
         view = ShardStorageView.pack(np.arange(32, dtype=np.float64),
@@ -101,4 +104,4 @@ class TestShardStorageView:
     def test_empty_shard(self):
         kind, keys, payloads = self._pack_unpack([], None)
         assert kind == PAYLOAD_NONE
-        assert len(keys) == 0 and payloads is None
+        assert len(keys) == 0 and len(payloads) == 0
