@@ -3,19 +3,20 @@
 Three questions, recorded to ``BENCH_durability.json``:
 
 * **Logged-write overhead** — wall-clock cost of batch inserts through
-  :class:`~repro.durability.DurableAlexIndex` (apply + WAL append) over
-  the same inserts into a plain in-memory ``AlexIndex``, per fsync
-  policy.  ``off`` isolates the logging code path itself; ``batch`` and
-  ``always`` add the group-commit and per-append fsync costs, which are
-  hardware-dependent (absolute seconds are recorded alongside the
-  ratios).
+  a durable one-shard :class:`~repro.serve.ShardedAlexIndex` (validate +
+  WAL append + apply) over the same batches into an in-memory one-shard
+  service, per fsync policy.  Both sides pay the same facade,
+  validation and locking cost, so ``off`` isolates the logging code
+  path itself; ``batch`` and ``always`` add the group-commit and
+  per-append fsync costs, which are hardware-dependent (absolute seconds
+  are recorded alongside the ratios).
 
-* **Recovery time vs WAL length** — recover after K logged frames for
-  growing K: replay cost scales with the un-checkpointed tail, which is
-  exactly what checkpoints bound.  The headline ratio,
-  ``checkpoint_speedup``, is recovery-from-full-WAL-replay over
-  recovery-right-after-a-checkpoint on identical contents — the factor
-  the checkpoint manager buys.
+* **Recovery time vs WAL length** — recover the one shard's directory
+  after K logged frames for growing K: replay cost scales with the
+  un-checkpointed tail, which is exactly what checkpoints bound.  The
+  headline ratio, ``checkpoint_speedup``, is recovery-from-full-WAL-
+  replay over recovery-right-after-a-checkpoint on identical contents —
+  the factor the checkpoint manager buys.
 
 * **Checkpoint cost** — seconds to publish a full snapshot (and the
   snapshot's size), the price paid per replay-bound reset.
@@ -37,12 +38,13 @@ import os
 import shutil
 import tempfile
 import time
+from typing import Optional
 
 import numpy as np
 
 import _common
-from repro.core.alex import AlexIndex
-from repro.durability import DurableAlexIndex, recover_index
+from repro.durability import recover_index
+from repro.serve import ShardedAlexIndex
 from repro.workloads import run_crash_recovery_scenario
 
 SEED = 5
@@ -63,9 +65,21 @@ def _timed_min(fn, repeats: int = 3) -> float:
     return min(_timed(fn) for _ in range(repeats))
 
 
+def _one_shard(init: np.ndarray, root: Optional[str] = None,
+               fsync: str = "off") -> ShardedAlexIndex:
+    """A one-shard service over ``init``: durable under ``root``
+    (checkpointed only when asked), in-memory without one."""
+    if root is None:
+        return ShardedAlexIndex.bulk_load(init, num_shards=1)
+    return ShardedAlexIndex.bulk_load(init, num_shards=1,
+                                      durability_dir=root, fsync=fsync,
+                                      checkpoint_every=1 << 30)
+
+
 def measure_logged_write_overhead(tmp: str, num_keys: int, num_ops: int,
                                   seed: int, repeats: int = 3) -> dict:
-    """Batch-insert wall clock: durable (per fsync mode) vs in-memory.
+    """Batch-insert wall clock: a durable one-shard service (per fsync
+    mode) vs an in-memory one over the same batches.
 
     Every configuration is measured ``repeats`` times over a fresh index
     (inserts mutate, so each sample rebuilds) and the *minimum* is kept:
@@ -77,18 +91,16 @@ def measure_logged_write_overhead(tmp: str, num_keys: int, num_ops: int,
     fresh = np.unique(rng.uniform(2e6, 3e6, num_ops))
     batches = np.array_split(fresh, max(1, len(fresh) // 1024))
 
+    def run(service: ShardedAlexIndex) -> float:
+        with service:
+            return _timed(lambda: [service.insert_many(b) for b in batches])
+
     def plain_run() -> float:
-        plain = AlexIndex.bulk_load(init)
-        return _timed(lambda: [plain.insert_many(b) for b in batches])
+        return run(_one_shard(init))
 
     def durable_run(mode: str, sample: int) -> float:
         root = os.path.join(tmp, f"overhead-{mode}-{sample}")
-        durable = DurableAlexIndex.bulk_load(init, root=root, fsync=mode,
-                                             checkpoint_every=1 << 30)
-        seconds = _timed(
-            lambda: [durable.insert_many(b) for b in batches])
-        durable.close()
-        return seconds
+        return run(_one_shard(init, root, fsync=mode))
 
     plain_seconds = min(plain_run() for _ in range(repeats))
     mode_seconds = {mode: min(durable_run(mode, i)
@@ -116,13 +128,12 @@ def measure_recovery(tmp: str, num_keys: int, num_ops: int,
 
     rows = []
     for fraction in (0.25, 0.5, 1.0):
-        root = os.path.join(tmp, f"recovery-{fraction}")
-        durable = DurableAlexIndex.bulk_load(init, root=root, fsync="off",
-                                             checkpoint_every=1 << 30)
+        durable = _one_shard(init, os.path.join(tmp, f"recovery-{fraction}"))
         tail = fresh[:int(len(fresh) * fraction)]
         for batch in np.array_split(tail, max(1, len(tail) // 256)):
             durable.insert_many(batch)
-        durable.wal.flush()
+        durable.durability.shard_state(0).wal.flush()
+        root = durable.durability.shard_dir(0)
         seconds = _timed_min(lambda r=root: recover_index(r))
         result = recover_index(root)
         rows.append({
@@ -136,12 +147,11 @@ def measure_recovery(tmp: str, num_keys: int, num_ops: int,
 
     # Same contents, but checkpointed: recovery loads the snapshot and
     # replays nothing.
-    root = os.path.join(tmp, "recovery-ckpt")
-    durable = DurableAlexIndex.bulk_load(init, root=root, fsync="off",
-                                         checkpoint_every=1 << 30)
+    durable = _one_shard(init, os.path.join(tmp, "recovery-ckpt"))
     for batch in np.array_split(fresh, max(1, len(fresh) // 256)):
         durable.insert_many(batch)
     durable.checkpoint()
+    root = durable.durability.shard_dir(0)
     after_checkpoint_seconds = _timed_min(lambda: recover_index(root))
     durable.close()
 
@@ -158,10 +168,9 @@ def measure_recovery(tmp: str, num_keys: int, num_ops: int,
 def measure_checkpoint_cost(tmp: str, num_keys: int, seed: int) -> dict:
     rng = np.random.default_rng(seed + 2)
     keys = np.unique(rng.uniform(0, 1e6, num_keys))
-    root = os.path.join(tmp, "ckpt-cost")
-    durable = DurableAlexIndex.bulk_load(keys, root=root, fsync="off")
+    durable = _one_shard(keys, os.path.join(tmp, "ckpt-cost"))
     seconds = _timed(durable.checkpoint)
-    latest = durable.checkpoint_manager.latest()
+    latest = durable.durability.shard_state(0).manager.latest()
     size = os.path.getsize(latest[0]) if latest else 0
     durable.close()
     return {

@@ -2,8 +2,8 @@
 
 Four acts:
 
-1. a single-node :class:`DurableAlexIndex` — write, "crash" (abandon the
-   object), recover from the directory alone;
+1. a single-node durable index — a one-shard durable service — write,
+   "crash" (abandon the object), recover from the directory alone;
 2. a checkpoint bounding the next recovery's WAL replay;
 3. the sharded service with per-shard durability and a topology change
    (hot-shard split) committed atomically to the service manifest;
@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from repro.durability import DurableAlexIndex, recover_index
+from repro.durability import recover_index
 from repro.serve import ShardedAlexIndex
 
 def main() -> None:
@@ -32,26 +32,28 @@ def main() -> None:
     # -- Act 1: single node write, crash, recover -------------------------
     root = os.path.join(base, "single")
     keys = np.unique(rng.uniform(0, 1e6, 50_000))
-    index = DurableAlexIndex.bulk_load(keys, root=root, fsync="batch")
+    index = ShardedAlexIndex.bulk_load(keys, num_shards=1,
+                                       durability_dir=root, fsync="batch")
     index.insert(2e6, "precious")
     index.insert_many(np.arange(3e6, 3e6 + 1000), list(range(1000)))
     index.delete_many(keys[:500])
     index.sync()                      # hard durability barrier: all acked
+    shard_root = index.durability.shard_dir(0)  # the shard's WAL + ckpts
     del index                         # "crash": no close, no checkpoint
 
-    result = recover_index(root)
-    print(f"[1] recovered {result.num_keys:,} keys from {root}")
+    result = recover_index(shard_root)
+    print(f"[1] recovered {result.num_keys:,} keys from {shard_root}")
     print(f"    checkpoint LSN {result.checkpoint_lsn}, "
           f"{result.frames_replayed} WAL frames ({result.ops_replayed} ops) "
           "replayed")
     assert result.index.lookup(2e6) == "precious"
 
     # -- Act 2: a checkpoint bounds the replay ----------------------------
-    index = DurableAlexIndex.open(root)
+    index = ShardedAlexIndex.recover(root)
     index.checkpoint()                # snapshot + truncate the log
     index.insert(4e6, "tail")
     index.close()
-    result = recover_index(root)
+    result = recover_index(shard_root)
     print(f"[2] after checkpoint: only {result.frames_replayed} frame(s) "
           "replayed on recovery")
 

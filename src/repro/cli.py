@@ -166,8 +166,8 @@ def _cmd_shards(args: argparse.Namespace) -> int:
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
-    """Recover an index (single-node or sharded service) from a
-    durability directory and report what came back."""
+    """Recover a durable service from its root, or one shard's index
+    from the shard's own directory, and report what came back."""
     from .durability import recover_index, service_manifest_kind
     from .serve import ShardedAlexIndex
 

@@ -14,18 +14,23 @@ adds the classic log + checkpoint layer:
   checkpoint LSN;
 * :mod:`~repro.durability.recover` — load the latest checkpoint, replay
   the WAL tail through the batch engine;
-* :mod:`~repro.durability.durable` — :class:`DurableAlexIndex`, the
-  single-node wrapper;
 * :mod:`~repro.durability.service` — per-shard durability plus the
   transactional topology manifest behind
   :class:`repro.serve.sharded.ShardedAlexIndex`'s ``durability_dir``
   mode and the process backend's worker crash respawn.
+
+There is one durable index: the service.  A single-node durable index
+is a one-shard service —
+``ShardedAlexIndex.bulk_load(keys, num_shards=1, durability_dir=root)``,
+or ``ShardedAlexIndex(durability_dir=root)`` for an empty one, reopened
+with ``ShardedAlexIndex.recover(root)`` — so every durable write is
+validated, then logged, then applied.
 """
 
 from .checkpoint import CheckpointManager
-from .durable import DEFAULT_CHECKPOINT_EVERY, DurableAlexIndex
 from .recover import RecoveryResult, apply_frame, recover_index
-from .service import ShardedDurability, service_manifest_kind
+from .service import (DEFAULT_CHECKPOINT_EVERY, ShardedDurability,
+                      service_manifest_kind)
 from .wal import (FSYNC_POLICIES, OP_DELETE, OP_ERASE, OP_INSERT,
                   OP_UPSERT, WALFrame, WriteAheadLog, encode_payloads,
                   iter_frames)
@@ -33,7 +38,6 @@ from .wal import (FSYNC_POLICIES, OP_DELETE, OP_ERASE, OP_INSERT,
 __all__ = [
     "CheckpointManager",
     "DEFAULT_CHECKPOINT_EVERY",
-    "DurableAlexIndex",
     "FSYNC_POLICIES",
     "OP_DELETE",
     "OP_ERASE",

@@ -39,11 +39,13 @@ from repro.core.errors import PersistenceError
 
 from .checkpoint import (MANIFEST_MAGIC, MANIFEST_VERSION,
                          CheckpointManager, read_json, write_json_atomic)
-from .durable import DEFAULT_CHECKPOINT_EVERY
 from .recover import RecoveryResult, recover_index
 from .wal import WriteAheadLog
 
 SERVICE_MANIFEST_NAME = "SERVICE_MANIFEST.json"
+
+#: Default logged operations per shard between automatic checkpoints.
+DEFAULT_CHECKPOINT_EVERY = 8192
 
 
 @dataclass
@@ -65,13 +67,10 @@ class ShardedDurability:
     """
 
     def __init__(self, root: str, fsync: str = "batch",
-                 checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-                 segment_bytes: int = 4 << 20, group_commit: int = 64):
+                 checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY):
         self.root = root
         self.fsync = fsync
         self.checkpoint_every = max(1, int(checkpoint_every))
-        self.segment_bytes = segment_bytes
-        self.group_commit = group_commit
         self._shards: List[ShardDurabilityState] = []
         self._boundaries: List[float] = []
         self._next_dir = 0
@@ -119,9 +118,7 @@ class ShardedDurability:
                 f"{shard_root}: shard referenced by the service manifest "
                 "has no MANIFEST.json — corrupt durability tree")
         manager.initialize()
-        wal = WriteAheadLog(manager.wal_dir, fsync=self.fsync,
-                            segment_bytes=self.segment_bytes,
-                            group_commit=self.group_commit)
+        wal = WriteAheadLog(manager.wal_dir, fsync=self.fsync)
         return ShardDurabilityState(dirname, manager, wal)
 
     def _write_service_manifest(self) -> None:
@@ -150,6 +147,13 @@ class ShardedDurability:
     def attach(self) -> None:
         """Reopen an existing tree (the recovery entry point).  Sweeps
         shard directories a crashed topology change left unreferenced."""
+        kind = service_manifest_kind(self.root)
+        if kind != "sharded":
+            hint = ("; it is one shard's durability root — recover the "
+                    "service root above it" if kind == "single" else "")
+            raise PersistenceError(
+                f"{self.root}: no {SERVICE_MANIFEST_NAME}, not a durable "
+                f"service directory{hint}")
         data = read_json(self.manifest_path)
         if data.get("kind") != "sharded":
             raise PersistenceError(
@@ -272,8 +276,8 @@ class ShardedDurability:
 
 def service_manifest_kind(root: str) -> Optional[str]:
     """``"sharded"``, ``"single"``, or ``None`` — which durability layout
-    (if any) lives under ``root``.  The CLI's ``recover`` dispatches on
-    this."""
+    (if any) lives under ``root``.  The CLI's ``recover`` and
+    :meth:`ShardedDurability.attach` dispatch on this."""
     if os.path.exists(os.path.join(root, SERVICE_MANIFEST_NAME)):
         return "sharded"
     if os.path.exists(os.path.join(root, "MANIFEST.json")):

@@ -399,7 +399,8 @@ class ShardedAlexIndex:
         recovered contents on whichever backend is requested.
 
         The per-shard :class:`~repro.durability.recover.RecoveryResult`
-        list lands in :attr:`last_recovery`.
+        list lands in :attr:`last_recovery`.  A ``durability_dir`` that
+        holds no service manifest raises :class:`PersistenceError`.
         """
         durability = ShardedDurability(durability_dir, fsync=fsync,
                                        checkpoint_every=checkpoint_every)

@@ -1,9 +1,10 @@
 """Durable run-then-crash-then-recover workload scenario.
 
 The durability subsystem's end-to-end exercise, shaped like the other
-workload drivers: bulk-load a *durable* index (single-node wrapper or the
-sharded service on either backend), push an interleaved YCSB-style
-operation stream through :class:`~repro.workloads.runner.WorkloadRunner`
+workload drivers: bulk-load a *durable* sharded service on either
+backend (``num_shards=1`` is the single-node case), push an interleaved
+YCSB-style operation stream through
+:class:`~repro.workloads.runner.WorkloadRunner`
 — optionally SIGKILLing a shard worker mid-stream to exercise the
 facade's crash-respawn path — then simulate a crash (hard durability
 barrier, abandon the live object) and recover from the directory alone.
@@ -24,15 +25,14 @@ from typing import Optional
 
 import numpy as np
 
-from repro.durability import DurableAlexIndex
 from repro.serve import ShardedAlexIndex
 
 from .runner import WorkloadRunner
 from .spec import WORKLOADS, WorkloadSpec
 
-#: ``backend`` values the scenario accepts: the single-node durable
-#: wrapper, or the sharded service on either execution backend.
-CRASH_BACKENDS = ("single", "thread", "process")
+#: ``backend`` values the scenario accepts: the service's execution
+#: backends.
+CRASH_BACKENDS = ("thread", "process")
 
 
 def run_crash_recovery_scenario(
@@ -70,15 +70,10 @@ def run_crash_recovery_scenario(
     insert_keys = universe[num_keys:]
     rng.shuffle(insert_keys)
 
-    if backend == "single":
-        index = DurableAlexIndex.bulk_load(
-            init_keys, root=durability_dir, fsync=fsync,
-            checkpoint_every=checkpoint_every)
-    else:
-        index = ShardedAlexIndex.bulk_load(
-            init_keys, num_shards=num_shards, backend=backend,
-            durability_dir=durability_dir, fsync=fsync,
-            checkpoint_every=checkpoint_every)
+    index = ShardedAlexIndex.bulk_load(
+        init_keys, num_shards=num_shards, backend=backend,
+        durability_dir=durability_dir, fsync=fsync,
+        checkpoint_every=checkpoint_every)
 
     runner = WorkloadRunner(index, init_keys.copy(), insert_keys.copy(),
                             seed=seed + 1)
@@ -104,19 +99,13 @@ def run_crash_recovery_scenario(
     # worker processes; the durable state on disk is what recovery gets.)
     index.sync()
     expected = dict(index.items())
-    if backend != "single":
-        index.backend.close()
+    index.backend.close()
 
     t0 = time.perf_counter()
-    if backend == "single":
-        recovered = DurableAlexIndex.open(durability_dir, fsync=fsync,
-                                          checkpoint_every=checkpoint_every)
-        recoveries = [recovered.last_recovery]
-    else:
-        recovered = ShardedAlexIndex.recover(
-            durability_dir, backend=backend, fsync=fsync,
-            checkpoint_every=checkpoint_every)
-        recoveries = recovered.last_recovery
+    recovered = ShardedAlexIndex.recover(
+        durability_dir, backend=backend, fsync=fsync,
+        checkpoint_every=checkpoint_every)
+    recoveries = recovered.last_recovery
     recovery_seconds = time.perf_counter() - t0
 
     got = dict(recovered.items())
@@ -127,7 +116,7 @@ def run_crash_recovery_scenario(
     return {
         "backend": backend,
         "spec": spec.name,
-        "num_shards": 1 if backend == "single" else num_shards,
+        "num_shards": num_shards,
         "fsync": fsync,
         "ops": result.ops,
         "reads": result.reads,

@@ -130,12 +130,14 @@ class TestRecover:
 
     def test_recover_single_node_directory(self, tmp_path, capsys):
         import numpy as np
-        from repro.durability import DurableAlexIndex
-        root = str(tmp_path / "single")
-        index = DurableAlexIndex.bulk_load(
-            np.arange(0.0, 500.0), root=root, fsync="off")
+        from repro.serve import ShardedAlexIndex
+        index = ShardedAlexIndex.bulk_load(
+            np.arange(0.0, 500.0), num_shards=1,
+            durability_dir=str(tmp_path / "single"), fsync="off")
         index.insert(1e6, "x")
         index.close()
+        # A shard's own directory is a single-index durability root.
+        root = index.durability.shard_dir(0)
         assert main(["recover", "--dir", root, "--verify"]) == 0
         out = capsys.readouterr().out
         assert "recovered single-node index" in out

@@ -12,10 +12,10 @@ from repro.core.config import ga_armi
 from repro.core.errors import (DuplicateKeyError, KeyNotFoundError,
                                PersistenceError, WALCorruptionError)
 from repro.core.policy import CostModelPolicy
-from repro.durability import (CheckpointManager, DurableAlexIndex,
-                              OP_DELETE, OP_INSERT, WriteAheadLog,
-                              iter_frames, recover_index)
+from repro.durability import (CheckpointManager, OP_DELETE, OP_INSERT,
+                              WriteAheadLog, iter_frames, recover_index)
 from repro.durability.wal import _FRAME_HEADER, list_segments
+from repro.serve import ShardedAlexIndex
 
 
 def wal_dir(tmp_path, name="wal"):
@@ -225,15 +225,30 @@ class TestCheckpointManager:
 
 
 def build_durable(tmp_path, n=3000, **kwargs):
+    """A one-shard durable service: the single-node durable index."""
     keys = np.unique(np.random.default_rng(42).uniform(0, 1e6, n))
     kwargs.setdefault("fsync", "off")
     kwargs.setdefault("checkpoint_every", 1 << 30)
-    durable = DurableAlexIndex.bulk_load(
-        keys, root=str(tmp_path / "dur"), **kwargs)
+    durable = ShardedAlexIndex.bulk_load(
+        keys, num_shards=1, durability_dir=str(tmp_path / "dur"), **kwargs)
     return durable, keys
 
 
-class TestDurableAlexIndex:
+def shard_root(service) -> str:
+    """The one shard's own durability root (its MANIFEST.json, WAL and
+    checkpoints), which :func:`recover_index` reads."""
+    return service.durability.shard_dir(0)
+
+
+def shard_wal(service) -> WriteAheadLog:
+    return service.durability.shard_state(0).wal
+
+
+def shard_manager(service) -> CheckpointManager:
+    return service.durability.shard_state(0).manager
+
+
+class TestOneShardDurableService:
     def test_recovery_equals_live_state(self, tmp_path):
         durable, keys = build_durable(tmp_path)
         rng = np.random.default_rng(7)
@@ -249,8 +264,8 @@ class TestDurableAlexIndex:
         live = list(durable.items())
         durable.close()
 
-        result = recover_index(str(tmp_path / "dur"))
-        assert result.index is not durable.index
+        result = recover_index(shard_root(durable))
+        assert result.index is not durable.shards[0]
         assert list(result.index.items()) == live
         result.index.validate()
 
@@ -263,42 +278,29 @@ class TestDurableAlexIndex:
         durable.insert_many(np.arange(2e6, 2e6 + 2000))
         durable.close()
         policy = CostModelPolicy()
-        result = recover_index(str(tmp_path / "dur"), policy=policy)
+        result = recover_index(shard_root(durable), policy=policy)
         leaves = list(result.index.leaves())
         assert len(leaves) > 1
         assert result.index.policy is policy
         assert all(leaf.policy is policy for leaf in leaves)
-        reopened = DurableAlexIndex.open(str(tmp_path / "dur"),
-                                         policy=policy, fsync="off")
+        reopened = ShardedAlexIndex.recover(str(tmp_path / "dur"),
+                                            policy=policy, fsync="off")
         assert all(leaf.policy is policy
-                   for leaf in reopened.index.leaves())
+                   for leaf in reopened.shards[0].leaves())
         reopened.close()
-
-    def test_reads_delegate(self, tmp_path):
-        durable, keys = build_durable(tmp_path, n=500)
-        key = float(keys[5])
-        assert durable.contains(key)
-        assert durable.lookup(key) is None
-        assert len(durable) == len(keys)
-        assert key in durable
-        np.testing.assert_array_equal(
-            durable.contains_many(keys[:10]), np.ones(10, dtype=bool))
-        scan = durable.range_scan(key, 5)
-        assert [k for k, _ in scan] == sorted(k for k, _ in scan)
-        durable.close()
 
     def test_failed_ops_are_not_logged(self, tmp_path):
         durable, keys = build_durable(tmp_path, n=400)
-        head = durable.wal.last_lsn
+        head = shard_wal(durable).last_lsn
         with pytest.raises(DuplicateKeyError):
             durable.insert(float(keys[0]))
         with pytest.raises(KeyNotFoundError):
             durable.delete(-1e12)
         with pytest.raises(DuplicateKeyError):
             durable.insert_many(np.array([keys[1], 7e7]))
-        assert durable.wal.last_lsn == head  # nothing reached the log
+        assert shard_wal(durable).last_lsn == head  # nothing reached the log
         durable.close()
-        result = recover_index(str(tmp_path / "dur"))
+        result = recover_index(shard_root(durable))
         assert len(result.index) == len(keys)
 
     def test_checkpoint_bounds_replay(self, tmp_path):
@@ -307,7 +309,7 @@ class TestDurableAlexIndex:
         durable.checkpoint()
         durable.insert_many(np.arange(3e6, 3e6 + 50))
         durable.close()
-        result = recover_index(str(tmp_path / "dur"))
+        result = recover_index(shard_root(durable))
         assert result.frames_replayed == 1
         assert result.ops_replayed == 50
         assert len(result.index) == len(keys) + 250
@@ -317,10 +319,10 @@ class TestDurableAlexIndex:
                                       checkpoint_every=100)
         for i in range(150):
             durable.insert(5e6 + i)
-        latest = durable.checkpoint_manager.latest()
+        latest = shard_manager(durable).latest()
         assert latest is not None and latest[1] > 0
         durable.close()
-        result = recover_index(str(tmp_path / "dur"))
+        result = recover_index(shard_root(durable))
         assert len(result.index) == len(keys) + 150
         assert result.frames_replayed < 150  # the checkpoint absorbed most
 
@@ -332,18 +334,20 @@ class TestDurableAlexIndex:
         ``after_lsn`` filter silently drops them."""
         durable, keys = build_durable(tmp_path, n=500)
         durable.insert_many(np.arange(2e6, 2e6 + 50))
-        checkpoint_lsn = durable.checkpoint()
+        durable.checkpoint()
+        checkpoint_lsn = shard_manager(durable).latest()[1]
         durable.close()
 
-        reopened = DurableAlexIndex.open(str(tmp_path / "dur"),
-                                         fsync="off")
-        assert reopened.wal.last_lsn == checkpoint_lsn
+        reopened = ShardedAlexIndex.recover(str(tmp_path / "dur"),
+                                            fsync="off")
+        assert shard_wal(reopened).last_lsn == checkpoint_lsn
         reopened.insert(9e6, "post-reopen")
-        assert reopened.wal.last_lsn == checkpoint_lsn + 1
+        assert shard_wal(reopened).last_lsn == checkpoint_lsn + 1
         reopened.sync()
+        root = shard_root(reopened)
         del reopened  # crash
 
-        result = recover_index(str(tmp_path / "dur"))
+        result = recover_index(root)
         assert result.index.lookup(9e6) == "post-reopen"
         assert result.frames_replayed == 1
 
@@ -351,29 +355,31 @@ class TestDurableAlexIndex:
         durable, _ = build_durable(tmp_path, n=100)
         durable.close()
         with pytest.raises(PersistenceError):
-            DurableAlexIndex.create(str(tmp_path / "dur"))
+            ShardedAlexIndex(durability_dir=str(tmp_path / "dur"))
 
     def test_open_sweeps_stale_checkpoint_leftovers(self, tmp_path):
         durable, _ = build_durable(tmp_path, n=200)
         durable.checkpoint()
-        current = durable.checkpoint_manager.latest()[0]
-        stale = str(tmp_path / "dur" / "ckpt-999999999999.npz.tmp")
+        current = shard_manager(durable).latest()[0]
+        stale = os.path.join(shard_root(durable),
+                             "ckpt-999999999999.npz.tmp")
         open(stale, "wb").write(b"half-written snapshot")
         durable.close()
-        reopened = DurableAlexIndex.open(str(tmp_path / "dur"),
-                                         fsync="off")
+        reopened = ShardedAlexIndex.recover(str(tmp_path / "dur"),
+                                            fsync="off")
         assert not os.path.exists(stale)
         assert os.path.exists(current)
         reopened.close()
 
     def test_open_fresh_directory_creates(self, tmp_path):
-        durable = DurableAlexIndex.open(str(tmp_path / "new"), fsync="off")
+        durable = ShardedAlexIndex(durability_dir=str(tmp_path / "new"),
+                                   fsync="off")
         durable.insert(1.0, "a")
         durable.close()
-        reopened = DurableAlexIndex.open(str(tmp_path / "new"),
-                                         fsync="off")
+        reopened = ShardedAlexIndex.recover(str(tmp_path / "new"),
+                                            fsync="off")
         assert reopened.lookup(1.0) == "a"
-        assert reopened.last_recovery.frames_replayed == 1
+        assert reopened.last_recovery[0].frames_replayed == 1
         reopened.close()
 
 
@@ -382,6 +388,15 @@ class TestCrashWindows:
     point between a WAL append and a checkpoint publication recovers to a
     prefix-consistent index — every acknowledged (synced) write survives,
     and no key that was never written appears."""
+
+    @staticmethod
+    def _bulk_load(tmp_path, keys, fsync="off"):
+        """A one-shard durable service over ``keys``, and its shard's
+        own durability root (where the WAL and checkpoints live)."""
+        durable = ShardedAlexIndex.bulk_load(
+            keys, num_shards=1, durability_dir=str(tmp_path / "dur"),
+            fsync=fsync, checkpoint_every=1 << 30)
+        return durable, shard_root(durable)
 
     def _run_ops(self, durable, rng, num_ops, log):
         """Random mutations; ``log`` records each op after it is acked."""
@@ -414,13 +429,11 @@ class TestCrashWindows:
         byte (a torn final frame).  The recovered index must equal the
         reference replay of some *prefix* of the acked op log."""
         rng = np.random.default_rng(seed)
-        root = str(tmp_path / "dur")
         keys = np.unique(rng.uniform(0, 1e6, 300))
-        durable = DurableAlexIndex.bulk_load(keys, root=root, fsync="off",
-                                             checkpoint_every=1 << 30)
+        durable, root = self._bulk_load(tmp_path, keys)
         log = []
         self._run_ops(durable, rng, 60, log)
-        durable.wal.flush()
+        shard_wal(durable).flush()
         # Tear the tail mid-frame (somewhere after the segment header).
         tail = list_segments(os.path.join(root, "wal"))[-1]
         size = os.path.getsize(tail)
@@ -459,10 +472,8 @@ class TestCrashWindows:
         any torn garbage appended afterwards (no acked write lost), and
         nothing else appears (no phantom keys)."""
         rng = np.random.default_rng(seed)
-        root = str(tmp_path / "dur")
         keys = np.unique(rng.uniform(0, 1e6, 300))
-        durable = DurableAlexIndex.bulk_load(keys, root=root, fsync="off",
-                                             checkpoint_every=1 << 30)
+        durable, root = self._bulk_load(tmp_path, keys)
         log = []
         self._run_ops(durable, rng, 40, log)
         durable.sync()
@@ -486,10 +497,8 @@ class TestCrashWindows:
         class SimulatedCrash(BaseException):
             pass
 
-        root = str(tmp_path / "dur")
         keys = np.unique(np.random.default_rng(9).uniform(0, 1e6, 400))
-        durable = DurableAlexIndex.bulk_load(keys, root=root, fsync="off",
-                                             checkpoint_every=1 << 30)
+        durable, root = self._bulk_load(tmp_path, keys)
         durable.insert_many(np.arange(2e6, 2e6 + 100))
         expected = dict(durable.items())
 
@@ -497,10 +506,10 @@ class TestCrashWindows:
             if point == crash_point:
                 raise SimulatedCrash
 
-        durable.checkpoint_manager.fault_hook = boom
+        shard_manager(durable).fault_hook = boom
         with pytest.raises(SimulatedCrash):
             durable.checkpoint()
-        durable.wal.flush()  # the "crash" abandons the process
+        shard_wal(durable).flush()  # the "crash" abandons the process
 
         result = recover_index(root)
         assert dict(result.index.items()) == expected
@@ -510,10 +519,8 @@ class TestCrashWindows:
         """The satellite's exact window: ops are acked (appended +
         synced) but the next checkpoint never completes — recovery must
         replay them from the previous checkpoint."""
-        root = str(tmp_path / "dur")
         keys = np.unique(np.random.default_rng(11).uniform(0, 1e6, 500))
-        durable = DurableAlexIndex.bulk_load(keys, root=root, fsync="always",
-                                             checkpoint_every=1 << 30)
+        durable, root = self._bulk_load(tmp_path, keys, fsync="always")
         durable.insert_many(np.arange(2e6, 2e6 + 64))
         durable.delete_many(keys[:16])
         expected = dict(durable.items())

@@ -3,6 +3,7 @@ injection on both execution backends, worker kill + respawn, and
 transactional topology rewrites across shard split/merge."""
 
 import os
+import re
 import signal
 import time
 
@@ -324,6 +325,27 @@ class TestTopologyCrashSafety:
         os.remove(tmp_path / "svc" / "shard-00000000" / "MANIFEST.json")
         with pytest.raises(PersistenceError, match="no MANIFEST.json"):
             ShardedAlexIndex.recover(str(tmp_path / "svc"), fsync="off")
+
+    @pytest.mark.parametrize("where", ["empty", "missing", "shard-root"])
+    def test_recover_outside_a_service_root_raises_persistence_error(
+            self, tmp_path, where):
+        """A directory with no service manifest is a PersistenceError
+        naming the path, not a bare FileNotFoundError; a shard's own
+        root gets pointed at the service root above it."""
+        if where == "shard-root":
+            service, _ = make_service(tmp_path, "thread", num_shards=1,
+                                      n=200)
+            path = service.durability.shard_dir(0)
+            service.close()
+        else:
+            path = str(tmp_path / where)
+            if where == "empty":
+                os.mkdir(path)
+        with pytest.raises(PersistenceError, match=re.escape(path)) as err:
+            ShardedAlexIndex.recover(path)
+        hint = "recover the service root above it" in str(err.value)
+        assert hint == (where == "shard-root")
+        assert os.path.exists(path) == (where != "missing")
 
     def test_unreferenced_shard_dirs_swept_on_attach(self, tmp_path):
         service, _ = make_service(tmp_path, "thread", num_shards=2, n=500)

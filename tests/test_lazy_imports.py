@@ -152,14 +152,14 @@ def test_worker_runs_within_the_preload(tmp_path, backend):
     added to the worker path cannot quietly bring back per-worker import
     cost."""
     from repro.core.kernels import available_backends
-    from repro.durability import DurableAlexIndex
     if backend not in available_backends():
         pytest.skip(f"{backend} kernels unavailable")
-    root = str(tmp_path / "dur")
-    durable = DurableAlexIndex.bulk_load(np.arange(500.0), root=root,
-                                         fsync="off")
+    durable = repro.serve.ShardedAlexIndex.bulk_load(
+        np.arange(500.0), num_shards=1,
+        durability_dir=str(tmp_path / "dur"), fsync="off")
     durable.insert_many(np.arange(1000.0, 1010.0))
     durable.close()
+    root = durable.durability.shard_dir(0)
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run(
         [sys.executable, "-c", _WORKER_RUN, root,

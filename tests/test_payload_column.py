@@ -19,7 +19,6 @@ from repro.core.introspect import format_report, structure_report
 from repro.core.kernels import available_backends
 from repro.core.rmi import InnerNode
 from repro.core.shm import ShardStorageView, numeric_column
-from repro.durability import DurableAlexIndex
 from repro.ext.persistence import load_index, save_index
 from repro.replication.replica import Replica
 from repro.serve import ReadOptions, ShardedAlexIndex
@@ -406,8 +405,8 @@ class TestLeafColumns:
         payloads = PAYLOADS[name]
         keys = np.arange(N, dtype=np.float64)
         root = str(tmp_path / "dur")
-        durable = DurableAlexIndex.bulk_load(
-            keys, payloads, root=root, fsync="off",
+        durable = ShardedAlexIndex.bulk_load(
+            keys, payloads, num_shards=1, durability_dir=root, fsync="off",
             config=ga_armi(max_keys_per_node=64))
         expected = dict(zip(keys.tolist(), payloads))
         # A WAL tail past the checkpoint: batch and scalar inserts.
@@ -417,12 +416,12 @@ class TestLeafColumns:
         expected[N + 0.5] = payloads[9]
         durable.close()
         dtype = TYPED.get(name, object)
-        recovered = DurableAlexIndex.open(root, fsync="off")
+        recovered = ShardedAlexIndex.recover(root, fsync="off")
         try:
-            assert_stores(recovered.index, dtype, expected)
+            assert_stores(recovered.shards[0], dtype, expected)
         finally:
             recovered.close()
-        replica = Replica(root).start()
+        replica = Replica(recovered.durability.shard_dir(0)).start()
         assert_stores(replica.promote(), dtype, expected)
 
 

@@ -60,26 +60,42 @@ class TestFailedProvisioning:
         assert (children(), segments()) == before
 
 
+#: Writes whose payload does not pickle: a multi-shard batch, and the
+#: scalar writes — an insert and an upsert of an absent key, and an
+#: update of a present one (991.0, whose payload is None).
+GHOST_WRITES = {
+    "insert_many": lambda service: service.insert_many(
+        [10.5, 20.5, 990.5, 991.5], ["ok", "ok", unpicklable(), "ok"]),
+    "insert": lambda service: service.insert(990.5, unpicklable()),
+    "upsert": lambda service: service.upsert(990.5, unpicklable()),
+    "update": lambda service: service.update(991.0, unpicklable()),
+}
+
+
 class TestNoGhostWrite:
-    def test_unpicklable_payload_moves_no_shard_log(self, tmp_path):
+    @pytest.mark.parametrize("op", sorted(GHOST_WRITES))
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_unpicklable_payload_moves_no_shard_log(self, tmp_path,
+                                                    num_shards, op):
         root = str(tmp_path / "svc")
         service = ShardedAlexIndex.bulk_load(
-            np.arange(1000.0), num_shards=2, backend="thread",
+            np.arange(1000.0), num_shards=num_shards, backend="thread",
             durability_dir=root, fsync="off")
-        batch = [10.5, 20.5, 990.5, 991.5]
+        probe = [10.5, 20.5, 990.5, 991.5, 991.0]
+        unwritten = ["absent"] * 4 + [None]
         lsns = [service.durability.shard_state(s).wal.last_lsn
                 for s in range(service.num_shards)]
         try:
             with pytest.raises(UNPICKLABLE):
-                service.insert_many(batch, ["ok", "ok", unpicklable(), "ok"])
+                GHOST_WRITES[op](service)
             assert [service.durability.shard_state(s).wal.last_lsn
                     for s in range(service.num_shards)] == lsns
-            assert service.get_many(batch, "absent") == ["absent"] * 4
+            assert service.get_many(probe, "absent") == unwritten
         finally:
             service.close()
         recovered = ShardedAlexIndex.recover(root)
         with recovered:
-            assert recovered.get_many(batch, "absent") == ["absent"] * 4
+            assert recovered.get_many(probe, "absent") == unwritten
             assert len(recovered) == 1000
 
 
