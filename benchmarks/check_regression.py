@@ -19,6 +19,15 @@ is refused — reported as a note, neither passed nor failed — because a
 1-core baseline would make any multi-core run look like a win and vice
 versa.
 
+Every metric but the compiled-kernel speedup is timed on the
+process-default kernel backend (``meta.default_kernel_backend``), and
+the same code reads very differently on numpy and on a compiled
+backend.  A fresh artifact recorded on another backend than its baseline
+therefore *fails* each such metric, naming both backends: the gate
+cannot say whether the program regressed, and a run on the wrong
+backend must not pass silently.  ``BENCH_kernels.json`` times every
+backend itself and is exempt.
+
 The tolerance knob defaults to **0.5** — deliberately loose, because CI
 runners are noisy and the smoke sizes are tiny; it exists to catch "the
 batch engine stopped being vectorized" (a 60x speedup collapsing to 2x),
@@ -60,6 +69,9 @@ class Metric:
     #: the observability overhead) would be allowed to double under the
     #: deliberately loose global default, so they pin a tighter bound.
     tolerance: Optional[float] = None
+    #: Timed on the process-default kernel backend, so only comparable
+    #: between artifacts recorded on the same one.
+    default_backend: bool = True
 
 
 #: The scale-invariant metrics gated per artifact.
@@ -88,7 +100,8 @@ GATED = {
         # (null) when the environment has no compiled backend — reported
         # but not gated there, like any missing metric.
         Metric("compiled batch-lookup speedup over numpy",
-               ("end_to_end", "batch_lookup", "best_speedup")),
+               ("end_to_end", "batch_lookup", "best_speedup"),
+               default_backend=False),
     ],
     "BENCH_adapt.json": [
         Metric("cost-model throughput ratio (grow-shrink)",
@@ -199,6 +212,14 @@ def _cpu_count(data: dict) -> Optional[int]:
     return None
 
 
+def _kernel_backend(data: dict) -> Optional[str]:
+    """The default kernel backend an artifact was recorded on; ``None``
+    for artifacts that predate the ``meta`` block."""
+    meta = data.get("meta")
+    return meta.get("default_kernel_backend") if isinstance(meta, dict) \
+        else None
+
+
 def check_file(name: str, baseline_dir: str, fresh_dir: str,
                tolerance: float) -> tuple:
     """Gate one artifact; returns ``(num_checked, failures, notes)``."""
@@ -213,8 +234,23 @@ def check_file(name: str, baseline_dir: str, fresh_dir: str,
             paths[role] = json.load(fh)
     base_cores = _cpu_count(paths["baseline"])
     fresh_cores = _cpu_count(paths["fresh"])
+    base_backend = _kernel_backend(paths["baseline"])
+    fresh_backend = _kernel_backend(paths["fresh"])
+    recorded = None not in (base_backend, fresh_backend)
+    if not recorded:
+        notes.append(f"{name}: a result records no kernel backend — "
+                     "backends not compared")
     checked = 0
     for metric in GATED.get(name, []):
+        if (metric.default_backend and recorded
+                and base_backend != fresh_backend):
+            checked += 1
+            line = (f"{name}: {metric.label}: fresh run on the "
+                    f"{fresh_backend} kernel backend vs baseline on "
+                    f"{base_backend} — BACKEND MISMATCH")
+            print(line)
+            failures.append(line)
+            continue
         if metric.core_sensitive and base_cores != fresh_cores:
             notes.append(
                 f"{name}: {metric.label} is core-sensitive and the "

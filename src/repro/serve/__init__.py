@@ -60,7 +60,10 @@ tier is fast at: arrivals coalesce inside a small time/size window
 (group-commit, read side), flush downstream on a thread pool without
 blocking the accept loop, and shed or block past an admission cap.
 :class:`IngressRunner` is its synchronous wrapper for thread-world
-callers.
+callers.  Its miss sentinel :data:`MISSING` crosses the pipe inside
+every coalesced read, so it lives in :mod:`repro.serve.backend`, which
+every worker already runs: a worker imports nothing after its first
+reply.
 
 **Replication and consistency.**  With
 ``ShardedAlexIndex(replicate=True)`` each shard hosts a WAL-following
@@ -84,7 +87,7 @@ from repro import _lazy_exports
 #: front end.
 _EXPORTS = {
     "CONSISTENCY_LEVELS": ".options",
-    "MISSING": ".ingress",
+    "MISSING": ".backend",
     "PRIMARY": ".options",
     "READ_YOUR_WRITES": ".options",
     "REPLICA_OK": ".options",

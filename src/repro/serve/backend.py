@@ -136,6 +136,34 @@ SHARD_OPS = {
 }
 
 
+class _MissingType:
+    """The coalesced-read miss sentinel.
+
+    Ingress lanes batch requests with *different* defaults into one
+    facade ``get_many`` call, so the call itself uses this sentinel as
+    the default and the distributor substitutes each request's own
+    default (or raises, for ``lookup``).  It travels to shard workers and
+    back inside result lists, so unpickling must return the canonical
+    singleton — identity (``value is MISSING``) is the miss test — by a
+    path every worker has imported: this module, not the asyncio ingress.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return "<repro.missing>"
+
+    def __reduce__(self):
+        return _restore_missing, ()
+
+
+MISSING = _MissingType()
+
+
+def _restore_missing() -> _MissingType:
+    return MISSING
+
+
 def run_shard_op(index: AlexIndex, method: str, *args):
     """Execute one named operation against a shard index."""
     op = SHARD_OPS.get(method)

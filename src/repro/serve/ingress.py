@@ -70,6 +70,7 @@ from repro import obs
 from repro.obs import trace
 from repro.core.errors import KeyNotFoundError
 
+from .backend import MISSING
 from .options import (READ_YOUR_WRITES, ReadOptions, WriteToken,
                       resolve_read_options)
 
@@ -78,33 +79,6 @@ class ServiceOverloadedError(RuntimeError):
     """Admission control shed this request (queue at ``max_queue`` under
     the ``"shed"`` overload policy).  Open-loop clients should treat it
     as a 503: back off and retry."""
-
-
-class _MissingType:
-    """The coalesced-read miss sentinel.
-
-    Lanes batch requests with *different* defaults into one facade
-    ``get_many`` call, so the call itself uses this sentinel as the
-    default and the distributor substitutes each request's own default
-    (or raises, for ``lookup``).  It travels to shard workers and back
-    inside result lists, so unpickling must return the canonical
-    singleton — identity (``value is MISSING``) is the miss test.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<repro.missing>"
-
-    def __reduce__(self):
-        return _restore_missing, ()
-
-
-MISSING = _MissingType()
-
-
-def _restore_missing() -> _MissingType:
-    return MISSING
 
 
 class _Request:

@@ -65,9 +65,12 @@ class ShardRouter:
         if n == 0 or num_shards == 1:
             return cls(np.empty(0))
         cut_ranks = [(s * n) // num_shards for s in range(1, num_shards)]
-        # Only the cut ranks' order statistics matter: a partial
+        # Only the cut ranks' order statistics matter.  Sorted keys (a
+        # bulk load's) hold them in place; otherwise a partial
         # partition finds them exactly, without a full sort.
-        boundaries = np.unique(np.partition(keys, cut_ranks)[cut_ranks])
+        if not np.all(keys[:-1] <= keys[1:]):
+            keys = np.partition(keys, cut_ranks)
+        boundaries = np.unique(keys[cut_ranks])
         return cls(boundaries)
 
     @property

@@ -19,7 +19,7 @@ from repro.core.config import ga_armi
 from repro.core.errors import KeyNotFoundError
 from repro.serve import (MISSING, AsyncIngress, IngressRunner,
                          ServiceOverloadedError, ShardedAlexIndex)
-from repro.serve.ingress import _MissingType
+from repro.serve.backend import _MissingType
 
 
 def _seed(parts) -> int:

@@ -3,6 +3,7 @@ process imports only the modules it runs."""
 
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 
@@ -24,6 +25,19 @@ NOT_IN_WORKER = ("repro.serve.sharded", "repro.serve.ingress",
 
 def test_worker_import_leaves_the_rest_unloaded():
     code = ("import sys, repro.serve.worker; "
+            f"print([m for m in {NOT_IN_WORKER!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_worker_unpickles_the_miss_sentinel_within_its_imports():
+    """Coalesced reads send the ingress's ``MISSING`` to every worker,
+    which unpickles it by import path: that path must be one the worker
+    already imported."""
+    code = ("import pickle, sys, repro.serve.worker; "
+            f"pickle.loads({pickle.dumps(repro.serve.MISSING)!r}); "
             f"print([m for m in {NOT_IN_WORKER!r} if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env,

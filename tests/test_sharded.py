@@ -137,6 +137,17 @@ class TestShardRouter:
             assert fitted.tolist() == expected.tolist()
         assert keys.tolist() == given.tolist()  # fit leaves its input alone
 
+    @pytest.mark.parametrize("num_shards", [2, 3, 7, 16])
+    def test_sorted_and_shuffled_keys_fit_alike(self, num_shards):
+        # fit reads a sorted input's cut ranks in place and partitions
+        # any other order: both paths give the same boundaries.
+        rng = np.random.default_rng(5)
+        for keys in (np.sort(skewed_keys(rng, 10_001)),
+                     np.sort(rng.integers(0, 5, 3_000).astype(np.float64))):
+            shuffled = rng.permutation(keys)
+            assert ShardRouter.fit(keys, num_shards).boundaries.tolist() \
+                == ShardRouter.fit(shuffled, num_shards).boundaries.tolist()
+
 
 @pytest.mark.parametrize("num_shards,backend", BACKEND_CASES,
                          ids=BACKEND_IDS)

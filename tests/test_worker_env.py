@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.serve import ShardedAlexIndex
+from repro.serve import IngressRunner, ShardedAlexIndex
 
 KEYS = np.arange(4000, dtype=np.float64)
 
@@ -60,11 +60,11 @@ def _server_after_a_launch() -> int:
     return pid
 
 
-def _imported_numpy(pid: int) -> bool:
-    """Whether numpy's core extension is mapped into process ``pid``:
-    nothing but the preload imports numpy in the server."""
+def _maps(pid: int) -> str:
+    """The files mapped into process ``pid``, extension modules among
+    them."""
     with open(f"/proc/{pid}/maps") as maps:
-        return "_multiarray_umath" in maps.read()
+        return maps.read()
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
@@ -74,12 +74,46 @@ def test_the_server_preloads_also_after_a_restart(monkeypatch):
     dies, the next launch starts one that imports it too — here with no
     ``PYTHONPATH`` at all, as under a test runner that only edits
     ``sys.path``."""
+    # Nothing but the preload imports numpy in the server.
     first = _server_after_a_launch()
-    assert _imported_numpy(first)
+    assert "_multiarray_umath" in _maps(first)
     os.kill(first, signal.SIGKILL)
     # Wait for the death without reaping: multiprocessing reaps it.
     os.waitid(os.P_PID, first, os.WEXITED | os.WNOWAIT)
     monkeypatch.delenv("PYTHONPATH", raising=False)
     second = _server_after_a_launch()
     assert second != first
-    assert _imported_numpy(second)
+    assert "_multiarray_umath" in _maps(second)
+
+
+#: Extensions only the asyncio ingress loads: a worker that maps either
+#: imported the front end it never runs.
+INGRESS_ONLY = ("_asyncio", "_ssl")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="reads the workers' /proc/<pid>/maps")
+def test_workers_import_nothing_at_run_time(tmp_path):
+    """Coalesced reads carry the ingress's miss sentinel to the workers
+    and back; unpickling it must not import the ingress (and with it
+    asyncio and ssl) into any primary or replica worker."""
+    service = ShardedAlexIndex.bulk_load(
+        KEYS, num_shards=2, backend="process",
+        durability_dir=str(tmp_path / "dur"), fsync="off", replicate=True)
+    try:
+        with IngressRunner(service, window_s=0.001) as runner:
+            probe = np.concatenate([KEYS[::97], [-1.0, 1e9]])
+            assert runner.get_many(probe)[-1] is None
+            assert runner.get_many(probe, options="replica_ok")[-1] is None
+            runner.insert(4000.5, "x")
+            runner.delete(4000.5)
+        assert len(service.range_scan(1990.0, 20)) == 20
+        assert service.get(-1.0, "absent") == "absent"
+        assert service.contains_many(KEYS[:4]).all()
+        pids = service.backend.worker_pids() + service.backend.replica_pids()
+        assert None not in pids and len(pids) == 4
+        loaded = {pid: [name for name in INGRESS_ONLY if name in _maps(pid)]
+                  for pid in pids}
+        assert loaded == {pid: [] for pid in pids}
+    finally:
+        service.close()
