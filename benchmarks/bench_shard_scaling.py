@@ -5,8 +5,8 @@ Builds a :class:`repro.serve.ShardedAlexIndex` over the lognormal dataset
 (the skewed CDF where the router's equal-mass boundaries matter most) at
 several shard counts *and under each requested execution backend*
 (``thread`` — in-process scatter-gather, GIL-bound for Python-level work;
-``process`` — one long-lived worker process per shard with shared-memory
-batch transport), drives one large batch read (``lookup_many``) and one
+``process`` — one long-lived worker process per shard, batches sent in
+pickled pipe frames), drives one large batch read (``lookup_many``) and one
 large batch write (``insert_many``) through each, and records throughput
 to ``BENCH_shard.json``.
 

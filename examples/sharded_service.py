@@ -89,7 +89,7 @@ def main():
 
     # -- the process backend: shards as worker processes ------------------
     # Same API, but each shard lives in a long-lived worker process and
-    # batch keys travel through shared memory (zero-copy reads).  On a
+    # batch keys and replies travel in pickled pipe frames.  On a
     # multi-core host this turns critical-path scaling into real wall
     # clock; on one core the RPC overhead makes it a bit slower instead.
     with ShardedAlexIndex.bulk_load(keys, payloads, num_shards=4,

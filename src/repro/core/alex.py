@@ -53,7 +53,8 @@ from repro import obs
 from .adaptive import (build_adaptive_rmi, merge_leaves, split_leaf,
                        split_leaf_sideways, split_until_fits)
 from .config import ADAPTIVE_RMI, AlexConfig
-from .data_node import DataNode, blank_column, object_column, payload_fits
+from .data_node import (DataNode, blank_column, object_column, payload_column,
+                        payload_fits)
 from .errors import DuplicateKeyError, KeyNotFoundError
 from .policy import (AdaptationPolicy, EV_DELETE, EV_INSERT, EV_READ,
                      HeuristicPolicy, PressureEvent, SMO_EXPAND, SMO_MERGE,
@@ -61,7 +62,6 @@ from .policy import (AdaptationPolicy, EV_DELETE, EV_INSERT, EV_READ,
                      SMO_SPLIT_SIDEWAYS)
 from .rmi import (InnerNode, NODE_METADATA_BYTES, build_static_rmi,
                   make_data_node, route_batch)
-from .shm import payload_column
 from .stats import Counters
 
 
@@ -212,7 +212,7 @@ class AlexIndex:
         Strictly increasing keys — every worker load and every
         ``recover()`` hands in sorted parts — skip the sort and the
         payload gather entirely.  With ``column=True`` the payloads
-        come back as the column :func:`~repro.core.shm.payload_column`
+        come back as the column :func:`~repro.core.data_node.payload_column`
         makes of them, gathered in numpy (the index stores it; the
         sharded bulk load ships its slices to the shards as is)."""
         keys = np.asarray(keys, dtype=np.float64)

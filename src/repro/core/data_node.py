@@ -11,10 +11,15 @@ Array — share everything implemented here:
 * a **payload column** at the same slots: one ndarray of the node's
   capacity (the reference implementation's typed payload array).  Its
   dtype is ``int64`` or ``float64`` when the index's bulk-load payloads
-  pass :func:`~repro.core.shm.numeric_column`'s exact-kind rule and
-  ``object`` otherwise; the first written value that does not fit
-  (:func:`payload_fits`) upgrades the index's columns to ``object``,
-  once.  Values leave only through ``item()`` or ``tolist()``, which
+  pass :func:`numeric_column`'s *exact-kind* rule and ``object``
+  otherwise.  The rule: a list of Python ``int`` only becomes an
+  ``int64`` column and a list of Python ``float`` only a ``float64``
+  one; anything else stays ``object`` — ``bool`` or numpy scalars,
+  mixed ``1`` / ``1.0``, and ints numpy would widen to ``uint64``,
+  ``float64`` (any value in ``[2**63, 2**64)``) or ``object`` — so
+  every payload comes back with its exact Python type and value.  The
+  first written value that does not fit (:func:`payload_fits`)
+  upgrades the index's columns to ``object``, once.  Values leave only through ``item()`` or ``tolist()``, which
   return exactly the Python value stored, and shifts, rebalances and
   rebuilds move them with the same numpy slice operations on every
   dtype;
@@ -34,7 +39,9 @@ policy (GA: grow by ``1/d``; PMA: double).
 
 from __future__ import annotations
 
+import marshal
 import weakref
+from operator import countOf
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -75,6 +82,68 @@ def payload_fits(dtype: np.dtype, value) -> bool:
     if kind == "f":
         return type(value) is float
     return type(value) is int and _INT64_MIN <= value <= _INT64_MAX
+
+
+def numeric_column(values) -> Optional[np.ndarray]:
+    """``values`` as a 1-D ``int64`` or ``float64`` array whose
+    ``tolist()`` restores it exactly, or ``None`` when it has no such
+    column: only a non-empty list of Python ``int`` only (and in int64
+    range) or of Python ``float`` only qualifies (see the module
+    docstring's exact-kind rule)."""
+    if not isinstance(values, list) or not values:
+        return None
+    kind = type(values[0])
+    if kind is float:
+        return _exact_floats(values)
+    # One C-level pass over the types (identity compares, no hashing).
+    if kind is not int or countOf(map(type, values), int) != len(values):
+        return None
+    try:
+        return np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:  # an int outside int64
+        return None
+
+
+#: :mod:`marshal`'s record of one exact Python ``float`` in format
+#: version 2, which has no back-references: the type byte ``g`` and the
+#: IEEE double, little-endian.
+_FLOAT_RECORD = np.dtype([("kind", "u1"), ("value", "<f8")])
+
+
+def _exact_floats(values: list) -> Optional[np.ndarray]:
+    """``values`` as a ``float64`` column when every one is exactly a
+    Python ``float``, else ``None``, in one C-level pass over the
+    objects (a type pass plus :func:`numpy.fromiter` take two, each
+    touching every object).  :mod:`marshal` writes a list as a 5-byte
+    header and one record per value; an exact float's record is the 9
+    bytes of :data:`_FLOAT_RECORD`, and anything else — an ``int``, a
+    ``bool``, a numpy scalar or any other ``float`` subclass — gets a
+    record of another kind.  So when every 9-byte step after the header
+    starts with ``g``, every record is a float record."""
+    try:
+        blob = marshal.dumps(values, 2)
+    except ValueError:  # an object marshal cannot write
+        return None
+    if len(blob) != 5 + 9 * len(values):
+        return None
+    records = np.frombuffer(blob, _FLOAT_RECORD, offset=5)
+    if not (records["kind"] == ord("g")).all():
+        return None
+    return records["value"].astype(np.float64)
+
+
+def payload_column(values) -> np.ndarray:
+    """``values`` as a payload column: the ``int64`` or ``float64``
+    column :func:`numeric_column` makes of them when the exact-kind rule
+    admits them, else an ``object`` column holding each value whole (a
+    sequence stays one element; an ndarray's elements stay numpy
+    scalars)."""
+    if not isinstance(values, list):
+        values = list(values)
+    column = numeric_column(values)
+    if column is None:
+        column = np.fromiter(values, dtype=object, count=len(values))
+    return column
 
 
 def object_column(column: np.ndarray, occupied: np.ndarray) -> np.ndarray:

@@ -13,18 +13,19 @@ exists).  They work on the gap-filled key arrays of the data nodes (where a
 gap slot holds a copy of its nearest real right neighbour), because those
 arrays are non-decreasing by construction.
 
-The ``*_many`` variants are the batch engine's search layer: they take an
-array of targets (and per-target hints / bounds) and run every search in
-lock-step with NumPy, producing positions identical to the scalar routines.
-Counters are aggregated once per batch — the per-lane probe counts are
-summed and charged in a single update — so the algorithmic-work accounting
-matches a loop over the scalar routines exactly.
+The ``*_many_counted`` variants are the batch engine's search layer: they
+take an array of targets (and per-target hints / bounds) and run every
+search in lock-step with NumPy, producing positions identical to the
+scalar routines.  The per-lane probe counts come back summed, so the
+kernel charges them in a single update and the algorithmic-work
+accounting matches a loop over the scalar routines exactly.
 
 The ``*_counted`` cores return ``(positions, charge)`` instead of touching
 counters; they are the primitives behind the ``numpy`` kernel backend
 (:mod:`repro.core.kernels`), which the compiled backends are
-property-tested against.  The public functions here are thin
-counter-charging wrappers kept for the baselines and existing callers.
+property-tested against.  The scalar routines without the suffix charge
+a :class:`~repro.core.stats.Counters` themselves, for the baselines and
+the Figure 11 bench.
 """
 
 from __future__ import annotations
@@ -122,7 +123,14 @@ def exponential_search(keys: np.ndarray, target: float, hint: int,
 
 def lower_bound_many_counted(keys: np.ndarray, targets: np.ndarray,
                              los: np.ndarray, his: np.ndarray) -> tuple:
-    """:func:`lower_bound_many` core: ``(positions, total_steps)``."""
+    """Vectorized :func:`lower_bound` over per-lane ``[los, his)``
+    windows: ``(positions, total_steps)``.
+
+    Runs every binary search in lock-step: each iteration halves the window
+    of every still-active lane, so the loop runs ``O(log max-width)`` times
+    regardless of how many targets there are.  The positions and the total
+    step count equal those of calling :func:`lower_bound` once per lane.
+    """
     lo = np.asarray(los, dtype=np.int64).copy()
     hi = np.asarray(his, dtype=np.int64).copy()
     steps = 0
@@ -138,24 +146,6 @@ def lower_bound_many_counted(keys: np.ndarray, targets: np.ndarray,
         hi[go_left] = mid[go_left]
         active = lo < hi
     return lo, steps
-
-
-def lower_bound_many(keys: np.ndarray, targets: np.ndarray,
-                     los: np.ndarray, his: np.ndarray,
-                     counters: Counters | None = None) -> np.ndarray:
-    """Vectorized :func:`lower_bound` over per-lane ``[los, his)`` windows.
-
-    Runs every binary search in lock-step: each iteration halves the window
-    of every still-active lane, so the loop runs ``O(log max-width)`` times
-    regardless of how many targets there are.  Returns the same positions
-    (and charges the same total comparison/probe counts) as calling
-    :func:`lower_bound` once per lane.
-    """
-    pos, steps = lower_bound_many_counted(keys, targets, los, his)
-    if counters is not None:
-        counters.comparisons += steps
-        counters.probes += steps
-    return pos
 
 
 def _grow_brackets(keys: np.ndarray, targets: np.ndarray, hints: np.ndarray,
@@ -185,7 +175,14 @@ def _grow_brackets(keys: np.ndarray, targets: np.ndarray, hints: np.ndarray,
 def exponential_search_many_counted(keys: np.ndarray, targets: np.ndarray,
                                     hints: np.ndarray, lo: int,
                                     hi: int) -> tuple:
-    """:func:`exponential_search_many` core: ``(positions, total_charge)``."""
+    """Vectorized :func:`exponential_search` over arrays of (target,
+    hint): ``(positions, total_charge)``.
+
+    All lanes double their brackets in lock-step (one NumPy pass per
+    doubling step over the still-growing lanes), then finish with one
+    lock-step bounded binary search.  Positions and the total charge are
+    identical to a loop over the scalar routine.
+    """
     n = len(targets)
     if hi <= lo:
         return np.full(n, lo, dtype=np.int64), 0
@@ -206,23 +203,6 @@ def exponential_search_many_counted(keys: np.ndarray, targets: np.ndarray,
                          np.minimum(hi, hints + bound + 1))
     pos, steps = lower_bound_many_counted(keys, targets, search_lo, search_hi)
     return pos, probes + steps
-
-
-def exponential_search_many(keys: np.ndarray, targets: np.ndarray,
-                            hints: np.ndarray, lo: int, hi: int,
-                            counters: Counters | None = None) -> np.ndarray:
-    """Vectorized :func:`exponential_search` over arrays of (target, hint).
-
-    All lanes double their brackets in lock-step (one NumPy pass per
-    doubling step over the still-growing lanes), then finish with one
-    lock-step bounded binary search.  Positions and total counter charges
-    are identical to a loop over the scalar routine.
-    """
-    pos, charge = exponential_search_many_counted(keys, targets, hints, lo, hi)
-    if counters is not None:
-        counters.comparisons += charge
-        counters.probes += charge
-    return pos
 
 
 def binary_search_bounded(keys: np.ndarray, target: float, hint: int,

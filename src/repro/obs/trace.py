@@ -92,10 +92,6 @@ def set_sample_rate(rate: float) -> None:
     _sample_rate = min(1.0, max(0.0, float(rate)))
 
 
-def sample_rate() -> float:
-    return _sample_rate
-
-
 def set_slow_threshold_ms(ms: float) -> None:
     """Override the always-keep-slow duration threshold at runtime."""
     global _slow_ns

@@ -44,10 +44,10 @@ through the structure lock and preserve all contents.
 :class:`ThreadBackend` keeps them in-process behind a shared
 ``ThreadPoolExecutor`` (GIL-bound for Python-level work), while the
 :class:`ProcessBackend` hosts each shard in a long-lived worker process,
-so scatter-gather runs on real cores.  Whole shards move through
-:mod:`multiprocessing.shared_memory` (:mod:`repro.core.shm`); every
-request and reply — sub-batch keys, payloads, results — travels by value
-in one pickled pipe frame.  The facade's locking, routing, statistics,
+so scatter-gather runs on real cores.  Every request and reply —
+sub-batch keys, payloads, results, and whole shards when a worker is
+provisioned, respawned or snapshotted — travels by value in one pickled
+pipe frame.  The facade's locking, routing, statistics,
 and two-phase all-or-nothing writes are identical under both.  The
 process backend's RPC is *pipelined*: frames carry request ids, each
 worker keeps several requests in flight (``max_inflight``), and a

@@ -13,9 +13,8 @@ shard operation goes through an :class:`ExecutionBackend`, which decides
   kernels.
 * :class:`~repro.serve.worker.ProcessBackend` — each shard lives in a
   long-lived worker process, forked from one preloaded
-  ``multiprocessing`` forkserver.  Whole shards move through
-  :mod:`multiprocessing.shared_memory` segments (:mod:`repro.core.shm`),
-  carved sub-batches travel by value in pipelined pipe RPC frames, and
+  ``multiprocessing`` forkserver.  Whole shards, carved sub-batches and
+  replies all travel by value in pipelined, pickled pipe RPC frames, and
   the workers execute truly in parallel — real multi-core wall clock
   for Python-heavy batch work.
 
@@ -39,6 +38,7 @@ from repro import obs
 from repro.core.alex import AlexIndex
 from repro.core.batch import export_arrays
 from repro.core.config import AlexConfig
+from repro.core.data_node import blank_column, payload_column
 from repro.core.introspect import payload_footprint
 from repro.core.kernels import get_kernels
 from repro.core.policy import AdaptationPolicy
@@ -175,6 +175,20 @@ def run_shard_op(index: AlexIndex, method: str, *args):
         return getattr(index, method)(*args)
 
 
+def shard_part(keys, payloads) -> Tuple[np.ndarray, np.ndarray]:
+    """One shard's contents as the backends take them: ``float64`` keys
+    and a payload column.  ``None`` payloads become an ``object`` column
+    of ``None``, a list or other sequence becomes
+    :func:`~repro.core.data_node.payload_column` of it, and a column
+    stays as it is."""
+    keys = np.asarray(keys, dtype=np.float64)
+    if payloads is None:
+        return keys, blank_column(len(keys), object)
+    if not isinstance(payloads, np.ndarray):
+        payloads = payload_column(payloads)
+    return keys, payloads
+
+
 def build_shard(keys: np.ndarray, payloads: np.ndarray,
                 config: AlexConfig, policy: AdaptationPolicy) -> AlexIndex:
     """Bulk-load one shard from its keys and payload column, which
@@ -190,7 +204,8 @@ class ExecutionBackend(abc.ABC):
 
     The facade holds every lock before invoking the backend; backend
     implementations only move data and run shard methods.  ``parts``
-    throughout are ``(keys, payloads)`` tuples in shard order.
+    throughout are ``(keys, payload column)`` tuples in shard order, as
+    :func:`shard_part` makes them.
     """
 
     name: str = "?"
@@ -332,7 +347,7 @@ class ExecutionBackend(abc.ABC):
         return []
 
     def close(self) -> None:
-        """Release executors, pools, workers, and shared segments."""
+        """Release executors, pools and workers."""
 
     def __enter__(self) -> "ExecutionBackend":
         return self

@@ -13,8 +13,9 @@ pluggable (``backend="thread" | "process"``):
   and fans out over a ``ThreadPoolExecutor`` — cheap, but GIL-serialized
   for Python-level work;
 * the :class:`~repro.serve.worker.ProcessBackend` hosts each shard in a
-  long-lived worker process, ships batches through shared memory
-  (zero-copy reads), and achieves real multi-core wall-clock scaling.
+  long-lived worker process, ships sub-batches, replies and whole shards
+  by value in pickled pipe frames, and achieves real multi-core
+  wall-clock scaling.
 
 Locking granularity (two levels, identical under both backends):
 
@@ -51,10 +52,10 @@ access tallies and applies the SMO it picks — a hot-shard median *split*
 inverse, folding an adjacent pair whose combined traffic fell far below a
 fair share).  Either SMO re-provisions the affected shard executors
 through the backend (the process backend retires the old workers and
-starts fresh ones over new shared segments).  After either SMO the access
-windows decay rather than reset, and a split divides the victim's tallies
-between its halves, so the next policy evaluation is never biased by
-stale or wiped windows.
+starts fresh ones, sending each its part in its load frame).  After
+either SMO the access windows decay rather than reset, and a split
+divides the victim's tallies between its halves, so the next policy
+evaluation is never biased by stale or wiped windows.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from repro.durability import (DEFAULT_CHECKPOINT_EVERY, OP_DELETE,
 from repro.ext.concurrent import ReadWriteLock
 
 from .backend import (DEFAULT_MAX_INFLIGHT, ExecutionBackend,
-                      WorkerDiedError, make_backend)
+                      WorkerDiedError, make_backend, shard_part)
 from .options import (READ_YOUR_WRITES, ReadOptions, WriteToken,
                       resolve_read_options)
 from .router import ShardRouter
@@ -284,6 +285,9 @@ class ShardedAlexIndex:
         elif len(parts) != num_shards:
             raise ValueError(f"{len(parts)} parts for a "
                              f"{num_shards}-range router")
+        # Every part becomes (keys, payload column) here, once, before a
+        # backend builds it or pickles it into a worker's load frame.
+        parts = [shard_part(keys, payloads) for keys, payloads in parts]
         if durability is not None and durability_dir is not None:
             raise ValueError(
                 "pass an attached durability object or a directory, "
@@ -359,16 +363,17 @@ class ShardedAlexIndex:
         :class:`DuplicateKeyError` on repeated keys, like
         :meth:`AlexIndex.bulk_load`.  With ``backend="process"`` each
         shard bulk-loads inside its own worker process, and the builds
-        run in parallel: every worker starts, then every part is packed
-        into shared memory and sent, and only then is any build awaited.
+        run in parallel: every worker starts, then every part is pickled
+        into its worker's load frame and sent, and only then is any
+        build awaited.
         With ``durability_dir`` the shards' generation-zero checkpoints
         are written at once too, and with ``replicate`` every replica
         bootstraps before any is awaited.
         """
         # The payloads become one column, gathered in numpy with the key
         # order; each part is a slice of it, which the process backend
-        # copies straight into shared memory (or pickles, when it is an
-        # object column) and the shard stores with its dtype.
+        # pickles into a load frame (a typed slice's bytes go into the
+        # frame as they are) and the shard stores with its dtype.
         keys, payloads = AlexIndex._normalize_batch(keys, payloads,
                                                     column=True)
         router = ShardRouter.fit(keys, num_shards)

@@ -25,14 +25,13 @@ NumPy kernels.  :class:`ProcessBackend` hosts each shard's ALEX tree in a
   its pipe; the next launch starts a new preloaded server;
 * workers live until the service closes or a shard split/merge
   re-provisions them;
-* whole-shard contents move through :class:`repro.core.shm
-  .ShardStorageView` shared-memory segments — provisioning, snapshots,
-  respawn and split/merge re-provisioning never push key/payload arrays
-  through a pipe;
-* every request and every reply — the sub-batch a shard reads or
-  writes, and the result it returns — travels by value in one pickled
-  pipe frame, so the worker owns what it unpickles and no shared
-  segment is created per request;
+* every request and every reply travels by value in one pickled pipe
+  frame: the sub-batch a shard reads or writes and the result it
+  returns, and whole shards too — provisioning, respawn and split/merge
+  re-provisioning send a shard's ``(keys, payload column)``, and a
+  snapshot replies with it.  Frames are pickled with protocol 5
+  (:data:`_PICKLE_PROTOCOL`), which writes a numeric array's bytes
+  straight into the frame, and the receiver owns what it unpickles;
 * the facade's two-phase write orchestration — validate on all involved
   workers, then apply — runs unchanged, so cross-shard batch writes stay
   all-or-nothing.
@@ -83,7 +82,6 @@ from repro.core.batch import export_arrays
 from repro.core.config import AlexConfig
 from repro.core.kernels import get_kernels
 from repro.core.policy import AdaptationPolicy
-from repro.core.shm import ShardStorageView
 from repro.core.stats import Counters
 
 from .backend import (DEFAULT_MAX_INFLIGHT, BatchJob, Call,
@@ -102,6 +100,17 @@ _PRELOAD = ("repro.serve.worker", "repro.replication.replica",
             "repro.core.kernels.cffi_backend")
 
 _forkserver_lock = threading.Lock()
+
+#: The pickle protocol of every frame, both ways.  Protocol 5 (PEP 574)
+#: copies a contiguous numeric array's buffer into the frame once; the
+#: default protocol 4 builds a ``tobytes()`` copy first.  An array that
+#: was read-only arrives read-only.
+_PICKLE_PROTOCOL = 5
+
+
+def _dumps(message) -> bytes:
+    """One pickled pipe frame."""
+    return ForkingPickler.dumps(message, protocol=_PICKLE_PROTOCOL)
 
 
 def _forkserver_running() -> bool:
@@ -176,11 +185,12 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
     the pipelining lives in the *parent*, which no longer waits for one
     reply before sending the next request.
 
-    Ops: ``("load", view, seed_counters)`` builds the index from a
-    shared-memory view; ``("call", method, args)`` runs a shard op (a
-    batch method's sub-batch arrives by value as the first argument, the
-    worker's own copy); ``("snapshot",)`` packs the shard's contents into
-    a fresh view the parent unlinks; ``("close",)`` acks and exits.
+    Ops: ``("load", keys, payloads, seed_counters)`` builds the index
+    from a shard's keys and payload column; ``("call", method, args)``
+    runs a shard op (a batch method's sub-batch arrives by value as the
+    first argument, the worker's own copy); ``("snapshot",)`` replies
+    with the shard's ``(keys, payload column)``; ``("close",)`` acks and
+    exits.
 
     With ``replica_root`` set the process is a **replica worker**: it
     bootstraps a :class:`~repro.replication.Replica` tailing that
@@ -226,13 +236,11 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
         with trace.attach(tctx):
             try:
                 if op == "load":
-                    view, seed = message[3], message[4]
-                    # The build reads the segments in place: its leaves
-                    # get fresh key, bitmap and payload arenas, so no
-                    # copy of the part is made and none outlives it.
-                    index = build_shard(*view.unpack(copy=False), config,
-                                        policy)
-                    view.close()
+                    keys, payloads, seed = message[3:]
+                    index = build_shard(keys, payloads, config, policy)
+                    # The leaves copied the part into their own arenas;
+                    # free it now, not when the next frame arrives.
+                    del keys, payloads, message
                     if seed is not None:
                         index.counters.merge(seed)
                     reply = (req_id, "ok", None)
@@ -241,9 +249,7 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
                     reply = (req_id, "ok",
                              run_shard_op(index, method, *args))
                 elif op == "snapshot":
-                    view = ShardStorageView.pack(*export_arrays(index))
-                    view.close()
-                    reply = (req_id, "ok", view)
+                    reply = (req_id, "ok", export_arrays(index))
                 elif op == "rread":
                     method, args, min_lsn, max_staleness_s = message[3:]
                     reply = (req_id, "ok",
@@ -256,13 +262,14 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
                     reply = (req_id, "ok", replica.applied_lsn)
                     replica = None
                 elif op == "close":
-                    conn.send((req_id, "ok", None))
+                    conn.send_bytes(_dumps((req_id, "ok", None)))
                     break
                 else:
                     raise ValueError(f"unknown worker op {op!r}")
             except BaseException as exc:
                 reply = (req_id, "err", exc)
-        conn.send(reply)
+        conn.send_bytes(_dumps(reply))
+        del reply  # a snapshot's arrays, freed before the next recv
     if replica is not None:
         replica.stop()
     conn.close()
@@ -299,7 +306,7 @@ class _WorkerHandle:
         argument raises here, before any slot is taken or byte sent; an
         id whose frame is never sent is simply skipped."""
         req_id = next(self._ids)
-        return req_id, ForkingPickler.dumps((req_id, tctx) + body)
+        return req_id, _dumps((req_id, tctx) + body)
 
     def send(self, req_id: int, blob: bytes) -> Future:
         """Push one pickled frame down the pipe without waiting for its
@@ -367,9 +374,8 @@ class _WorkerHandle:
 
 class ProcessBackend(ExecutionBackend):
     """One long-lived worker process per shard (the operating system
-    schedules them across cores), whole shards moved through shared
-    memory, requests and replies pipelined out of order through
-    per-worker futures.
+    schedules them across cores), requests and replies — whole shards
+    included — pipelined out of order through per-worker futures.
 
     ``max_inflight`` bounds how many requests the parent may have
     outstanding per worker (admission control — further submitters block
@@ -394,7 +400,7 @@ class ProcessBackend(ExecutionBackend):
         #: ``_workers`` by :meth:`replace` so positions stay aligned
         #: across SMOs.  A replica worker is a full ``_WorkerHandle``
         #: (own process, pipe, reader thread) whose process tails the
-        #: shard's durability dir instead of loading a view.
+        #: shard's durability dir instead of loading a part.
         self._replica_workers: List[Optional[_WorkerHandle]] = []
         self._respawn_guard = threading.Lock()
         self._closed = False
@@ -431,18 +437,17 @@ class ProcessBackend(ExecutionBackend):
         """Bring up one worker per position in ``shards``, all at once.
 
         Three sweeps: start every process; then submit each its first
-        request — a ``load`` of ``parts[i]`` packed into shared memory
-        (with counter seed ``seeds[i]``), or for a replica tailing
-        ``roots[i]`` the ``rstatus`` bootstrap barrier; then wait on
-        every reply.  The processes boot and build (or bootstrap) in
-        parallel, and each worker builds while the parent packs the next
-        part.  On any failure — a process that will not start, a payload
+        request — a ``load`` of the ``(keys, payload column)`` part
+        ``parts[i]`` (with counter seed ``seeds[i]``), or for a replica
+        tailing ``roots[i]`` the ``rstatus`` bootstrap barrier; then wait
+        on every reply.  The processes boot and build (or bootstrap) in
+        parallel, and each worker builds while the parent pickles and
+        sends the next part, so one part's frame is in the parent at a
+        time.  On any failure — a process that will not start, a payload
         that does not pickle, a load the worker rejects — every started
-        worker is released and every packed view unlinked before the
-        first error propagates.
+        worker is released before the first error propagates.
         """
         workers: List[_WorkerHandle] = []
-        views: List[ShardStorageView] = []
         try:
             for i, shard in enumerate(shards):
                 workers.append(self._start_handle(
@@ -452,22 +457,13 @@ class ProcessBackend(ExecutionBackend):
                 if parts is None:
                     futures.append(self._submit(worker, ("rstatus",)))
                     continue
-                view = ShardStorageView.pack(*parts[i])
-                views.append(view)
                 futures.append(self._submit(worker, (
-                    "load", view, None if seeds is None else seeds[i])))
-                # The worker maps the segments by name; unmapping them
-                # here keeps one packed part resident in the parent at a
-                # time (the unlink below still destroys them).
-                view.close()
+                    "load", *parts[i], None if seeds is None else seeds[i])))
             self._gather(futures)
         except BaseException:
             for worker in workers:
                 self._release(worker)
             raise
-        finally:
-            for view in views:
-                view.unlink()
         return workers
 
     def _renumber(self) -> None:
@@ -622,12 +618,8 @@ class ProcessBackend(ExecutionBackend):
 
     # -- structure ----------------------------------------------------
 
-    def snapshot(self, shard: int) -> Tuple[np.ndarray, Optional[list]]:
-        view = self._request(self._workers[shard], ("snapshot",))
-        try:
-            return view.unpack(copy=True)
-        finally:
-            view.unlink()
+    def snapshot(self, shard: int) -> Tuple[np.ndarray, np.ndarray]:
+        return self._request(self._workers[shard], ("snapshot",))
 
     # -- crash detection and respawn ----------------------------------
 
@@ -687,8 +679,8 @@ class ProcessBackend(ExecutionBackend):
                 inherit: Sequence[Sequence[int]]) -> None:
         """Re-provision the shard SMO's affected workers: seed counters
         are collected from the outgoing workers, fresh workers are
-        started over the parts' shared segments, and the outgoing
-        processes (and their segments) are retired."""
+        started over the parts, and the outgoing processes are
+        retired."""
         seeds = []
         for sources in inherit:
             seed = Counters()

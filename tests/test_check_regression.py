@@ -31,7 +31,7 @@ def _gate(tmp_path, name: str, base_backend: str, fresh_backend: str):
     return subprocess.run(
         [sys.executable, SCRIPT, "--baseline-dir", str(tmp_path / "baseline"),
          "--fresh-dir", str(tmp_path / "fresh"), "--files", name],
-        capture_output=True, text=True)
+        capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACTS))

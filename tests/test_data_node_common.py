@@ -9,11 +9,10 @@ import pytest
 
 from repro.core.alex import AlexIndex
 from repro.core.config import AlexConfig, ga_armi
-from repro.core.data_node import GAP_SENTINEL
+from repro.core.data_node import GAP_SENTINEL, payload_column
 from repro.core.errors import KeyNotFoundError
 from repro.core.gapped_array import GappedArrayNode
 from repro.core.pma import PMANode
-from repro.core.shm import payload_column
 from repro.core.stats import Counters
 
 

@@ -17,6 +17,10 @@ import repro.serve
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
 
+#: Seconds any child interpreter here may run: a bound on a hang (a
+#: worker op that fails, say), far above a normal run's few seconds.
+TIMEOUT_S = 300
+
 #: Modules a shard worker never runs.
 NOT_IN_WORKER = ("repro.serve.sharded", "repro.serve.ingress",
                  "repro.baselines", "repro.analysis", "repro.ext",
@@ -28,7 +32,8 @@ def test_worker_import_leaves_the_rest_unloaded():
             f"print([m for m in {NOT_IN_WORKER!r} if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, text=True, check=True,
+                         timeout=TIMEOUT_S)
     assert out.stdout.strip() == "[]"
 
 
@@ -41,7 +46,8 @@ def test_worker_unpickles_the_miss_sentinel_within_its_imports():
             f"print([m for m in {NOT_IN_WORKER!r} if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, text=True, check=True,
+                         timeout=TIMEOUT_S)
     assert out.stdout.strip() == "[]"
 
 
@@ -59,7 +65,8 @@ def test_serving_import_leaves_unused_extensions_unloaded(module):
             f"print([m for m in {NOT_IN_SERVING!r} if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, text=True, check=True,
+                         timeout=TIMEOUT_S)
     assert out.stdout.strip() == "[]"
 
 
@@ -106,7 +113,8 @@ def test_forkserver_preload_starts_no_thread():
             "print(threading.active_count())")
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, text=True, check=True,
+                         timeout=TIMEOUT_S)
     assert out.stdout.strip() == "1"
 
 
@@ -124,14 +132,16 @@ preloaded = set(sys.modules)
 import numpy as np
 from repro.core.config import AlexConfig
 from repro.core.policy import HeuristicPolicy
-from repro.core.shm import ShardStorageView
 replica_root, checkpoint, backend = sys.argv[1:4]
 config = AlexConfig(kernel_backend=backend)
 
 def drive(root, requests):
     parent, child = Pipe()
+    # A daemon: if an op fails, the assertion below ends the script
+    # instead of leaving it waiting on the worker loop forever.
     worker = threading.Thread(target=_worker_main, args=(
-        child, dict(os.environ), config, HeuristicPolicy(), root))
+        child, dict(os.environ), config, HeuristicPolicy(), root),
+        daemon=True)
     worker.start()
     for req_id, body in enumerate(requests):
         parent.send((req_id, None) + body)
@@ -140,18 +150,14 @@ def drive(root, requests):
     worker.join()
 
 keys = np.arange(2000.0)
-view = ShardStorageView.pack(keys, keys.tolist())
-view.close()
-try:
-    drive(None, [("load", view, None),
-                 ("call", "get_many", (keys[:64],)),
-                 ("call", "insert_many", (keys[:8] + 0.5, None)),
-                 ("call", "persist_to", (checkpoint,)),
-                 ("call", "obs_snapshot", ()),
-                 ("call", "trace_drain", ()),
-                 ("close",)])
-finally:
-    view.unlink()
+drive(None, [("load", keys, keys.copy(), None),
+             ("call", "get_many", (keys[:64],)),
+             ("call", "insert_many", (keys[:8] + 0.5, None)),
+             ("call", "persist_to", (checkpoint,)),
+             ("call", "obs_snapshot", ()),
+             ("call", "trace_drain", ()),
+             ("snapshot",),
+             ("close",)])
 drive(replica_root, [("rstatus",), ("rread", "get", (3.0,), 0, None),
                      ("promote",), ("call", "num_keys", ()), ("close",)])
 print(sorted(m for m in set(sys.modules) - preloaded
@@ -178,5 +184,6 @@ def test_worker_runs_within_the_preload(tmp_path, backend):
     out = subprocess.run(
         [sys.executable, "-c", _WORKER_RUN, root,
          str(tmp_path / "checkpoint.npz"), backend],
-        env=env, capture_output=True, text=True, check=True)
+        env=env, capture_output=True, text=True, check=True,
+        timeout=TIMEOUT_S)
     assert out.stdout.strip().splitlines()[-1] == "[]"

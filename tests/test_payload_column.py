@@ -15,10 +15,10 @@ import pytest
 from repro.core.adaptive import merge_leaves
 from repro.core.alex import AlexIndex
 from repro.core.config import ga_armi
+from repro.core.data_node import numeric_column
 from repro.core.introspect import format_report, structure_report
 from repro.core.kernels import available_backends
 from repro.core.rmi import InnerNode
-from repro.core.shm import ShardStorageView, numeric_column
 from repro.ext.persistence import load_index, save_index
 from repro.replication.replica import Replica
 from repro.serve import ReadOptions, ShardedAlexIndex
@@ -82,16 +82,55 @@ class TestNumericColumn:
     def test_only_non_empty_lists(self, values):
         assert numeric_column(values) is None
 
-    def test_pack_copies_a_ready_column(self):
-        view = ShardStorageView.pack(np.arange(3.0),
-                                     np.array([7, 8, 9], dtype=np.int64))
-        try:
-            keys, payloads = view.unpack()
-            assert keys.tolist() == [0.0, 1.0, 2.0]
-            assert payloads.dtype == np.int64
-            assert exact(payloads.tolist()) == exact([7, 8, 9])
-        finally:
-            view.unlink()
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_part_form_provisions_and_snapshots_exactly(backend,
+                                                          leak_guard):
+    """A part's payloads may be ``None``, a list or a ready column; each
+    shard stores, and snapshots, the column the part normalizes to (a
+    ready typed column keeps its dtype), and an empty part makes an
+    empty shard."""
+    parts = [(np.arange(4.0), None),
+             (np.arange(10.0, 13.0), [10, 20, 30]),
+             (np.arange(20.0, 23.0), ["a", ("b", 2), None]),
+             (np.arange(30.0, 33.0), np.array([7, 8, 9], dtype=np.int64)),
+             ([], None)]
+    expected = [(object, [None] * 4), (np.int64, [10, 20, 30]),
+                (object, ["a", ("b", 2), None]), (np.int64, [7, 8, 9]),
+                (object, [])]
+    service = ShardedAlexIndex(
+        router=ShardRouter(np.array([9.0, 19.0, 29.0, 39.0])),
+        parts=parts, backend=backend)
+    with service:
+        for shard, (dtype, values) in enumerate(expected):
+            keys, column = service.backend.snapshot(shard)
+            assert keys.dtype == np.float64
+            assert keys.tolist() == list(parts[shard][0])
+            assert column.dtype == dtype
+            assert exact(column.tolist()) == exact(values)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", ["int64", "float", "tuple"])
+def test_shard_split_and_merge_keep_the_column(backend, name, leak_guard):
+    """A split snapshots the shard and provisions both halves, a merge
+    snapshots both and provisions one: the column crosses each move,
+    and every shard keeps its dtype and every payload exactly."""
+    payloads = PAYLOADS[name]
+    keys = np.arange(N, dtype=np.float64)
+    dtype = np.dtype({"int64": np.int64, "float": np.float64}.get(
+        name, object))
+    service = ShardedAlexIndex.bulk_load(keys, payloads, num_shards=2,
+                                         backend=backend)
+    with service:
+        assert service.split_shard(1)
+        service.merge_shards(0)
+        assert service.num_shards == 2
+        for shard in range(2):
+            assert service.backend.snapshot(shard)[1].dtype == dtype
+            assert service.backend.call(
+                shard, "introspect")["payload_dtype"] == dtype.name
+        assert exact(service.get_many(keys)) == exact(payloads)
 
 
 class FloatSubclass(float):

@@ -2,17 +2,19 @@
 
 The process backend keeps several request frames in flight per worker
 and completes them out of order relative to other workers; every
-request and reply travels by value in one pickled pipe frame.  None of
-that may be observable through the facade: results must stay
-bit-identical to the synchronous call-and-wait discipline
-(``max_inflight=1``) and to the thread backend, counter totals must
-agree, no request may create a shared-memory segment, and a worker
+request and reply, whole shards included, travels by value in one
+pickled pipe frame.  None of that may be observable through the facade:
+results must stay bit-identical to the synchronous call-and-wait
+discipline (``max_inflight=1``) and to the thread backend, read-only
+key arrays included, counter totals must agree, no request or shard
+move may open a shared-memory segment, and a worker
 killed with a pipeline full of outstanding requests must fail *every*
 one of those futures — never hang one — while logged writes stay
 all-or-nothing across shards.
 """
 
 import os
+import pickle
 import signal
 import threading
 import time
@@ -24,10 +26,12 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.alex import AlexIndex
 from repro.core.config import ga_armi
 from repro.core.stats import Counters
 from repro.serve import ShardedAlexIndex
 from repro.serve.backend import WorkerDiedError
+from repro.serve.worker import _dumps
 
 #: Thread backend covers the cheap sweep; the process backend is the
 #: subject under test (workers are expensive to spawn on CI, so it
@@ -237,25 +241,54 @@ class TestBatchSizesMatchThreadBackend:
 
 
 class _CountingSharedMemory(shared_memory.SharedMemory):
-    created: list = []
+    """Records every segment this process creates or attaches."""
+
+    opened: list = []
 
     def __init__(self, name=None, create=False, size=0, **kwargs):
         super().__init__(name=name, create=create, size=size, **kwargs)
-        if create:
-            _CountingSharedMemory.created.append(self.name)
+        _CountingSharedMemory.opened.append(self.name)
 
 
-def test_requests_create_no_shared_memory(monkeypatch, leak_guard):
-    """After provisioning, reads and batch writes of every size create
-    no shared-memory segment: sub-batches and replies ride the pipe."""
+def _wait_for(predicate, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.02)
+
+
+def _kill(pid: int) -> None:
+    """SIGKILL a worker and wait until it has exited."""
+    os.kill(pid, signal.SIGKILL)
+
+    def gone() -> bool:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+        except FileNotFoundError:
+            return True
+    _wait_for(gone)
+
+
+def test_requests_create_no_shared_memory(monkeypatch, tmp_path,
+                                          leak_guard):
+    """Every request and every whole-shard move travels in pipe frames.
+    On a durable, replicated process service, reads and batch writes of
+    every size, the bulk load, a split and a merge, a replica promotion
+    over a SIGKILLed primary, the replica attach behind it, a SIGKILL
+    respawn from checkpoint and WAL, ``recover`` and ``adopt`` open no
+    shared-memory segment in this process and leave ``/dev/shm`` as it
+    was."""
+    before = sorted(os.listdir("/dev/shm"))
+    monkeypatch.setattr(_CountingSharedMemory, "opened", [])
+    monkeypatch.setattr(shared_memory, "SharedMemory", _CountingSharedMemory)
     rng = np.random.default_rng(_seed("no segments"))
     keys = np.unique(rng.uniform(0, 1e9, 60_000))[:50_000]
-    service = ShardedAlexIndex.bulk_load(keys, [float(k) for k in keys],
-                                         num_shards=2, backend="process")
+    root = str(tmp_path / "svc")
+    service = ShardedAlexIndex.bulk_load(
+        keys, [float(k) for k in keys], num_shards=2, backend="process",
+        durability_dir=root, fsync="off", replicate=True)
     with service:
-        monkeypatch.setattr(_CountingSharedMemory, "created", [])
-        monkeypatch.setattr(shared_memory, "SharedMemory",
-                            _CountingSharedMemory)
         for size in SIZES:
             batch = rng.choice(keys, size=size, replace=False)
             fresh = np.setdiff1d(rng.uniform(0, 1e9, size + 64), keys)[:size]
@@ -265,7 +298,87 @@ def test_requests_create_no_shared_memory(monkeypatch, leak_guard):
             service.delete_many(fresh)
             service.delete_many(batch)
             service.insert_many(batch, [float(k) for k in batch])
-        assert _CountingSharedMemory.created == []
+        # Object payloads turn the touched shards' columns object, so the
+        # moves below carry both column kinds.
+        service.insert_many([1.5, 9.99e8 + 0.5], [("a", 1), ("b", 2)])
+        reference = dict(service.items())
+        assert service.split_shard(0)
+        assert service.num_shards == 3
+        service.merge_shards(0)
+        assert service.num_shards == 2
+        assert dict(service.items()) == reference
+        # Promotion: the replica takes over the killed primary's slot,
+        # and a fresh replica attaches behind it in the background.
+        backend = service.backend
+        _wait_for(lambda: backend.replica_pids()[1] is not None)
+        replica = backend.replica_pids()[1]
+        _kill(backend.worker_pids()[1])
+        service.insert(9.99e8 + 1.5, "promoted")
+        reference[9.99e8 + 1.5] = "promoted"
+        assert backend.worker_pids()[1] == replica
+        _wait_for(lambda: backend.replica_pids()[1] is not None)
+        # Respawn: with its replica dead too, the shard rebuilds from its
+        # checkpoint and WAL tail.
+        _wait_for(lambda: backend.replica_pids()[0] is not None)
+        old = backend.worker_pids()[0], backend.replica_pids()[0]
+        for pid in old:
+            _kill(pid)
+        service.insert(2.5, "respawned")
+        reference[2.5] = "respawned"
+        assert backend.worker_pids()[0] not in old
+        assert dict(service.items()) == reference
+    recovered = ShardedAlexIndex.recover(root, backend="process",
+                                         replicate=True)
+    with recovered:
+        assert dict(recovered.items()) == reference
+        adopted = ShardedAlexIndex(
+            router=recovered.router, backend="process",
+            shards=[AlexIndex.from_column(*recovered.backend.snapshot(s))
+                    for s in range(recovered.num_shards)])
+        with adopted:
+            assert dict(adopted.items()) == reference
+    assert _CountingSharedMemory.opened == []
+    assert sorted(os.listdir("/dev/shm")) == before
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=np.float64)
+    array.flags.writeable = False
+    return array
+
+
+def test_read_only_key_arrays_match_the_thread_backend(leak_guard):
+    """A read-only key array arrives read-only in a worker (protocol 5
+    pickles it as immutable bytes), as the thread backend hands it to
+    its shards.  Bulk load, batch reads and writes, range queries, a
+    split and a merge over read-only arrays give identical results on
+    both backends."""
+    probe = pickle.loads(_dumps(_read_only([1.0, 2.0])))
+    assert not probe.flags.writeable
+    rng = np.random.default_rng(_seed("read-only"))
+    keys = _read_only(np.unique(rng.uniform(0, 1e6, 6000))[:5000])
+    fresh = _read_only(np.setdiff1d(rng.uniform(0, 1e6, 2500), keys)[:2000])
+    los = _read_only(np.sort(rng.uniform(0, 1e6, 64)))
+    his = _read_only(los + 5e3)
+    results = {}
+    for backend in BACKENDS:
+        service = ShardedAlexIndex.bulk_load(
+            keys, [float(k) for k in keys], num_shards=2, backend=backend)
+        with service:
+            out = []
+            service.insert_many(fresh, [float(k) * 3 for k in fresh])
+            out.append(service.get_many(fresh))
+            out.append(service.range_query_many(los, his))
+            assert service.split_shard(0)
+            service.delete_many(fresh[::2])
+            out.append(service.erase_many(keys[::3]))
+            service.merge_shards(0)
+            out.append(service.get_many(keys, "absent"))
+            out.append(service.get_many(fresh, "absent"))
+            out.append(list(service.items()))
+            service.validate()
+        results[backend] = out
+    assert results["process"] == results["thread"]
 
 
 class TestWorkerDeathMidPipeline:

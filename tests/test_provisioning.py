@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.alex import AlexIndex
 from repro.core.errors import DuplicateKeyError
-from repro.core.shm import ShardStorageView
 from repro.serve import ShardedAlexIndex
 from repro.serve.router import ShardRouter
 from repro.serve.worker import ProcessBackend
@@ -44,10 +43,17 @@ class TestFailedProvisioning:
                                        num_shards=2, backend="process")
         assert (children(), segments()) == before
 
-    def test_pack_unlinks_keys_when_payloads_do_not_encode(self,
-                                                           leak_guard):
+    def test_adopting_an_unpicklable_payload_leaks_nothing(self,
+                                                          leak_guard):
+        # The adopted shard's object column pickles into its load frame;
+        # the frame fails in this process, before anything is sent.
+        before = children(), segments()
+        shards = [AlexIndex.bulk_load(np.arange(5.0)),
+                  AlexIndex.bulk_load([8.0, 9.0], [1, unpicklable()])]
         with pytest.raises(UNPICKLABLE):
-            ShardStorageView.pack(np.arange(3.0), [1, unpicklable(), 2])
+            ShardedAlexIndex(router=ShardRouter(np.array([7.0])),
+                             shards=shards, backend="process")
+        assert (children(), segments()) == before
 
     def test_worker_side_load_failure_leaks_nothing(self, leak_guard):
         # Both loads reach their workers and the second one rejects its
