@@ -7,6 +7,7 @@ the replies of primary and replica reads included."""
 
 import gc
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -14,15 +15,19 @@ import pytest
 
 from repro.core.adaptive import merge_leaves
 from repro.core.alex import AlexIndex
-from repro.core.config import ga_armi
+from repro.core.batch import export_arrays
+from repro.core.config import AlexConfig, ga_armi
 from repro.core.data_node import numeric_column
+from repro.core.policy import AdaptationPolicy
 from repro.core.introspect import format_report, structure_report
 from repro.core.kernels import available_backends
 from repro.core.rmi import InnerNode
 from repro.ext.persistence import load_index, save_index
 from repro.replication.replica import Replica
 from repro.serve import ReadOptions, ShardedAlexIndex
+from repro.serve.backend import build_shard, shard_part
 from repro.serve.router import ShardRouter
+from repro.serve.worker import _dumps
 
 BACKENDS = ["thread", "process"]
 N = 240
@@ -108,6 +113,60 @@ def test_every_part_form_provisions_and_snapshots_exactly(backend,
             assert keys.tolist() == list(parts[shard][0])
             assert column.dtype == dtype
             assert exact(column.tolist()) == exact(values)
+
+
+class TestShardFrame:
+    """The single-process contract of a whole-shard move: a part is
+    normalized by :func:`shard_part`, pickled into one frame by the
+    worker's ``_dumps``, bulk-loaded by :func:`build_shard` on the far
+    side, and snapshotted back by ``export_arrays`` in another frame —
+    the path ``load`` and ``snapshot`` take, without the processes."""
+
+    @staticmethod
+    def _round_trip(keys, payloads):
+        received = pickle.loads(_dumps(shard_part(keys, payloads)))
+        index = build_shard(*received, AlexConfig(), AdaptationPolicy())
+        return pickle.loads(_dumps(export_arrays(index)))
+
+    def test_none_payloads(self):
+        keys, column = self._round_trip([1.0, 2.0, 3.0], None)
+        assert keys.dtype == np.float64
+        assert keys.tolist() == [1.0, 2.0, 3.0]
+        assert column.dtype == object
+        assert column.tolist() == [None, None, None]
+
+    def test_numeric_payloads_round_trip_exactly(self):
+        _, column = self._round_trip([1.0, 2.0, 3.0], [10, 20, 30])
+        assert column.dtype == np.int64
+        assert exact(column.tolist()) == exact([10, 20, 30])
+
+    def test_float_payloads_round_trip_bit_exactly(self):
+        values = [0.5, -0.0, math.nan, math.inf]
+        _, column = self._round_trip([1.0, 2.0, 3.0, 4.0], values)
+        assert column.dtype == np.float64
+        assert exact(column.tolist()) == exact(values)
+
+    def test_object_payloads_stay_an_object_column(self):
+        _, column = self._round_trip([1.0, 2.0, 3.0],
+                                     ["a", ("b", 2), None])
+        assert column.dtype == object
+        assert column.tolist() == ["a", ("b", 2), None]
+
+    def test_empty_shard(self):
+        keys, column = self._round_trip([], None)
+        assert keys.dtype == np.float64
+        assert len(keys) == 0 and len(column) == 0
+
+    def test_received_arrays_are_independent_of_the_sender(self):
+        keys = np.arange(32, dtype=np.float64)
+        column = np.arange(32, dtype=np.int64)
+        got_keys, got_column = pickle.loads(
+            _dumps(shard_part(keys, column)))
+        keys[7] = -1.0
+        column[7] = -1
+        assert got_keys[7] == 7.0 and got_column[7] == 7
+        got_keys[8] = -2.0
+        assert keys[8] == 8.0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
