@@ -11,7 +11,8 @@ Four studies the paper motivates but reports only in prose:
    the Learned Index for the same prediction error (Section 5.2.1: 25 vs
    50000 models on YCSB).
 4. **Cost-model sensitivity** — the ALEX-over-B+Tree result must survive
-   perturbations of the simulated per-operation costs (DESIGN.md Section 6).
+   perturbations of the simulated per-operation costs
+   (``repro.analysis.cost_model``).
 
 Run: ``pytest benchmarks/bench_ablations.py --benchmark-only -s``
 """

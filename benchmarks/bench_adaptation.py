@@ -3,7 +3,7 @@ structure-stressing traces.
 
 Replays the two scenarios of :mod:`repro.workloads.adaptation` against a
 fresh ALEX index under each policy and records simulated throughput
-(counter-weighted, DESIGN.md §6), space, structure shape, and SMO tallies
+(counter-weighted, ``repro.analysis.cost_model``), space, structure shape, and SMO tallies
 to ``BENCH_adapt.json``:
 
 * **grow-then-shrink** — an insert wave doubles the key count, then
@@ -71,7 +71,8 @@ def measure_adaptation(num_keys: int = 20_000, num_ops: int = 20_000,
         "num_ops": int(num_ops),
         "seed": int(seed),
         "metric_note": (
-            "sim_mops from the counter-based cost model (DESIGN.md §6); "
+            "sim_mops from the counter-based cost model "
+            "(repro/analysis/cost_model.py); "
             "space = index_bytes + data_bytes at trace end; every replay "
             "validates the index and both policies end with identical "
             "key sets"),

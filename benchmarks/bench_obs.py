@@ -12,7 +12,7 @@ Two measurements:
   instrumented/disabled wall-clock ratio; the regression gate holds it
   ≤ the committed baseline (~1.0, the ISSUE bound is 2%).  The ratio is
   scale-invariant, so the gate holds on any host.
-* **Span micro-cost** — nanoseconds per ``obs.span`` enter/exit when
+* **Span micro-cost** — nanoseconds per ``trace.span`` enter/exit when
   enabled, and per no-op call when disabled, so the per-event price is
   on record next to the end-to-end ratio it explains.
 
@@ -33,6 +33,7 @@ import _common
 from repro import obs
 from repro.core.alex import AlexIndex
 from repro.core.config import ga_armi
+from repro.obs import trace
 
 SEED = 7
 
@@ -85,7 +86,7 @@ def batch_lookup_overhead(num_keys: int, num_probes: int,
 def span_micro(iterations: int = 200_000) -> dict:
     def spin():
         for _ in range(iterations):
-            with obs.span("bench.span_micro"):
+            with trace.span("bench.span_micro"):
                 pass
 
     obs.set_enabled(True)

@@ -12,10 +12,10 @@ to ``BENCH_shard.json``.
 
 Three readings per operation, all from the same run:
 
-* ``sim_mops_aggregate`` — total simulated work (counter-based, DESIGN.md
-  Section 6) summed over shards: shows sharding adds no algorithmic
-  overhead (equal-mass boundaries keep per-shard trees shallow, so the
-  aggregate typically *improves* slightly with shards);
+* ``sim_mops_aggregate`` — total simulated work (counter-based,
+  ``repro.analysis.cost_model``) summed over shards: shows sharding adds
+  no algorithmic overhead (equal-mass boundaries keep per-shard trees
+  shallow, so the aggregate typically *improves* slightly with shards);
 * ``sim_mops_critical_path`` — batch size over the *slowest shard's*
   simulated time plus the router's carve cost: the scatter-gather service
   model, where per-shard sub-batches execute in parallel and the batch
@@ -169,7 +169,8 @@ def measure_shard_scaling(num_keys: int = 1_000_000,
         "write_batch": int(len(insert_keys)),
         "cpu_count": os.cpu_count() or 1,
         "metric_note": (
-            "sim_* from the counter-based cost model (DESIGN.md §6); "
+            "sim_* from the counter-based cost model "
+            "(repro/analysis/cost_model.py); "
             "critical_path = slowest shard + router carve, the parallel "
             "scatter-gather service model; thread-backend wall clock is "
             "single-process and GIL-bound, process-backend wall clock "

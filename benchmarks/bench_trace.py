@@ -13,8 +13,7 @@ service, interleaved so drift hits all sides equally:
   regression gate holds it near the committed baseline (the ISSUE
   bound is ≤2% on this path).
 * **untraced** — obs on, sample rate 0: the head sampler declines every
-  root, so facade calls degrade to the plain histogram spans
-  ``@obs.timed`` recorded before tracing existed.
+  root, so facade calls degrade to plain histogram spans.
   ``disabled_overhead_x`` (untraced/off) shows that declining is
   within noise of the obs kill switch — recorded, not gated (it
   hovers at 1.0 where a ratio gate only measures runner noise).

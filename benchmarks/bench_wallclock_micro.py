@@ -1,8 +1,8 @@
 """Wall-clock microbenchmarks of the core operations.
 
 Everything else in ``benchmarks/`` uses the counter-based simulated-time
-metric (DESIGN.md Section 6) because Python interpreter overhead swamps
-algorithmic differences.  This file is the complement: honest wall-clock
+metric (``repro.analysis.cost_model``) because Python interpreter
+overhead swamps algorithmic differences.  This file is the complement: honest wall-clock
 timings of single operations via pytest-benchmark's calibrated timing
 loops, so the repository also documents what the pure-Python
 implementation actually costs on the host machine.

@@ -52,9 +52,9 @@ def main():
     checkup(index, "after a 6,000-key append-only burst")
 
     print("Diagnosis: the burst concentrated keys in the right-most leaves"
-          "\n— watch 'packed run' and mean |error| rise. Remedies per the"
-          "\npaper: ALEX-PMA-ARMI with node splitting (Section 5.2.5), or"
-          "\nthe adaptive PMA extension (repro.ext.adaptive_pma).")
+          "\n— watch 'packed run' and mean |error| rise. Remedy per the"
+          "\npaper: ALEX-PMA-ARMI with node splitting (Section 5.2.5),"
+          "\ni.e. pma_armi(split_on_inserts=True).")
 
 
 if __name__ == "__main__":

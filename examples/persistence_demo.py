@@ -1,7 +1,7 @@
 """Saving and restoring an ALEX index without retraining.
 
 Rebuilding an index from raw keys retrains every model; restoring it from
-the persistence format (`repro.ext.persistence`) keeps the exact models
+the persistence format (`repro.durability.persistence`) keeps the exact models
 and slot layouts, so lookup behaviour — including the prediction errors
 that determine performance — is preserved bit-for-bit.
 
@@ -17,7 +17,7 @@ import numpy as np
 from repro import AlexIndex, ga_armi
 from repro.analysis import alex_prediction_errors
 from repro.datasets import longitudes
-from repro.ext.persistence import load_index, save_index
+from repro.durability.persistence import load_index, save_index
 
 
 def main():

@@ -64,7 +64,7 @@ def main():
     del index[42.0]
 
     # The operation counters drive the reproduction's simulated-time
-    # throughput metric (see DESIGN.md Section 6).
+    # throughput metric (see repro/analysis/cost_model.py).
     work = index.counters
     print(f"\ncounters: {work.model_inferences:,} model inferences, "
           f"{work.pointer_follows:,} pointer follows, "

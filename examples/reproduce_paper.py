@@ -51,7 +51,8 @@ def main():
     print(f"  best index-size ratio vs B+Tree: "
           f"{report.max_index_size_ratio():.0f}x "
           f"(paper: up to 5 orders of magnitude at 200M-key scale)")
-    print("\nSee EXPERIMENTS.md for the full paper-vs-measured record.")
+    print("\nSee the Benchmarks section of README.md for the per-figure"
+          " benches.")
 
 
 if __name__ == "__main__":

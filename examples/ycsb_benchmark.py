@@ -50,7 +50,8 @@ def main():
         title=f"YCSB-style workloads on {dataset} "
               f"(init={init_size:,}, ops={num_ops:,})"))
     print("\nNote: throughput is simulated from operation counters"
-          " (see DESIGN.md Section 6); shapes, not absolute numbers,"
+          " (see repro/analysis/cost_model.py); shapes, not absolute"
+          " numbers,"
           " are the reproduction target.")
 
 

@@ -12,8 +12,8 @@ Quickstart::
     assert index.lookup(123.456) == "payload"
     neighbours = index.range_scan(123.0, limit=10)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured results of every table and figure.
+See README.md for the system inventory (its Layout section) and the
+paper-figure reproductions (its Benchmarks section).
 """
 
 import importlib

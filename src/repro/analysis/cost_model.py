@@ -6,9 +6,9 @@ throughput comparisons here weight the *algorithmic* work recorded in
 the paper's hardware (Intel Core i9, Section 5.1): ALU-speed comparisons
 and shifts, a couple of nanoseconds per linear-model inference, and tens of
 nanoseconds for a pointer follow that likely misses cache.  The default
-weights reproduce the paper's order-of-magnitude ratios (see DESIGN.md
-Section 6); every weight is a constructor parameter so sensitivity can be
-tested (``benchmarks/bench_ablations.py`` does).
+weights reproduce the paper's order-of-magnitude ratios; every weight is
+a constructor parameter so sensitivity can be tested
+(``benchmarks/bench_ablations.py`` does).
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ Subcommands::
     python -m repro top [--refresh S] [--duration S]   # live dashboard
     python -m repro trace [--trace-id ID] [--format chrome]  # slow traces
 
-All numbers use the counter-based simulated-time metric (DESIGN.md §6).
+All numbers use the counter-based simulated-time metric
+(:mod:`repro.analysis.cost_model`).
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro import obs
+from repro.obs import trace
 
 from .adaptive import (build_adaptive_rmi, merge_leaves, split_leaf,
                        split_leaf_sideways, split_until_fits)
@@ -475,7 +475,7 @@ class AlexIndex:
     # Batch point operations (the API layer of the batch engine)
     # ------------------------------------------------------------------
 
-    @obs.timed("core.lookup_many")
+    @trace.traced("core.lookup_many")
     def lookup_many(self, keys) -> list:
         """Return the payloads for a whole batch of keys, in input order.
 
@@ -507,7 +507,7 @@ class AlexIndex:
         inverse[order] = np.arange(n, dtype=np.int64)
         return list(map(sorted_out.__getitem__, inverse.tolist()))
 
-    @obs.timed("core.get_many")
+    @trace.traced("core.get_many")
     def get_many(self, keys, default=None) -> list:
         """Like :meth:`lookup_many` but absent keys yield ``default``
         instead of raising."""
@@ -532,7 +532,7 @@ class AlexIndex:
         inverse[order] = np.arange(n, dtype=np.int64)
         return list(map(sorted_out.__getitem__, inverse.tolist()))
 
-    @obs.timed("core.contains_many")
+    @trace.traced("core.contains_many")
     def contains_many(self, keys) -> np.ndarray:
         """Vectorized membership test: a boolean array aligned with the
         input batch, identical to ``[self.contains(k) for k in keys]``."""
@@ -551,7 +551,7 @@ class AlexIndex:
     #: merge-rebuild of the leaf.
     _REBUILD_THRESHOLD = 4
 
-    @obs.timed("core.insert_many")
+    @trace.traced("core.insert_many")
     def insert_many(self, keys, payloads: Optional[list] = None) -> None:
         """Insert a batch of unique new keys in one routed traversal.
 
@@ -660,7 +660,7 @@ class AlexIndex:
         if action != SMO_NONE:
             self._apply_leaf_smo(action, leaf, parent, path)
 
-    @obs.timed("core.delete_many")
+    @trace.traced("core.delete_many")
     def delete_many(self, keys) -> None:
         """Remove a batch of keys in one routed traversal, all-or-nothing.
 
@@ -688,7 +688,7 @@ class AlexIndex:
             positions.append(pos)
         self._apply_delete_groups(groups, skeys, positions)
 
-    @obs.timed("core.erase_many")
+    @trace.traced("core.erase_many")
     def erase_many(self, keys) -> int:
         """Like :meth:`delete_many` but absent keys are skipped instead of
         raising; returns the number of keys actually removed (the
@@ -800,7 +800,7 @@ class AlexIndex:
         self.counters.scans += 1
         return self._collect_range(leaf, leaf.find_insert_pos(lo), float(hi))
 
-    @obs.timed("core.range_query_many")
+    @trace.traced("core.range_query_many")
     def range_query_many(self, los, his) -> list:
         """Vectorized :meth:`range_query` for a whole batch of bounds.
 

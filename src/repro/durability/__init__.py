@@ -8,10 +8,11 @@ adds the classic log + checkpoint layer:
 * :mod:`~repro.durability.wal` — a segmented append-only write-ahead log
   (fixed-width numpy record frames, CRC32 per frame, group commit,
   ``always | batch | off`` fsync policy, torn-tail tolerance);
+* :mod:`~repro.durability.persistence` — save and load a whole index
+  as one ``.npz`` archive, the exact tree and models included;
 * :mod:`~repro.durability.checkpoint` — atomic-rename checkpoint
-  publication through :mod:`repro.ext.persistence`, a JSON manifest as
-  the single source of recovery truth, and WAL truncation past the
-  checkpoint LSN;
+  publication through that format, a JSON manifest as the single source
+  of recovery truth, and WAL truncation past the checkpoint LSN;
 * :mod:`~repro.durability.recover` — load the latest checkpoint, replay
   the WAL tail through the batch engine;
 * :mod:`~repro.durability.service` — per-shard durability plus the

@@ -1,7 +1,8 @@
 """Checkpoints: periodic full-index snapshots that bound WAL replay.
 
 A WAL alone makes recovery O(history); a **checkpoint** — a full snapshot
-of the index through :mod:`repro.ext.persistence` — resets that clock.
+of the index through :mod:`~repro.durability.persistence` — resets that
+clock.
 Recovery loads the latest checkpoint and replays only the WAL frames past
 its LSN, and the checkpoint manager deletes the log segments the
 checkpoint made redundant.
@@ -175,7 +176,7 @@ class CheckpointManager:
         """Publish a checkpoint at ``lsn``.
 
         ``write_snapshot(tmp_path)`` must write the full snapshot to the
-        given temporary path — e.g. ``ext.persistence.save_index`` for an
+        given temporary path — e.g. ``persistence.save_index`` for an
         in-process index, or a worker-side persist op for a process-hosted
         shard.  Returns the final checkpoint path.
         """

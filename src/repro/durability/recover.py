@@ -30,6 +30,7 @@ from repro.core.alex import AlexIndex
 from repro.core.config import AlexConfig
 from repro.core.errors import PersistenceError
 from repro.core.policy import AdaptationPolicy
+from repro.obs import trace
 
 from .checkpoint import CheckpointManager
 from .wal import (OP_DELETE, OP_ERASE, OP_INSERT, OP_UPSERT, WALFrame,
@@ -91,7 +92,7 @@ def recover_index(root: str, config: Optional[AlexConfig] = None,
             "not a durability directory")
     latest = manager.latest()
     if latest is not None:
-        from repro.ext.persistence import load_index
+        from .persistence import load_index
         path, checkpoint_lsn = latest
         index = load_index(path, policy=policy)
     else:
@@ -99,7 +100,7 @@ def recover_index(root: str, config: Optional[AlexConfig] = None,
         index = AlexIndex(config, policy=policy)
     frames = ops = 0
     last_lsn = checkpoint_lsn
-    with obs.span("recover.replay"):
+    with trace.span("recover.replay"):
         for frame in iter_frames(manager.wal_dir, after_lsn=checkpoint_lsn):
             ops += apply_frame(index, frame)
             frames += 1

@@ -5,24 +5,26 @@ process (the facade's, and one inside every process-backend worker),
 driven through the module-level helpers below so instrumented code never
 threads a registry handle around:
 
-* ``with obs.span("serve.lookup_many"): ...`` — a timed span recording
-  a nanosecond latency into a log-bucketed histogram;
-* ``@obs.timed("core.insert_many")`` — the same as a decorator;
 * ``obs.inc`` / ``obs.set_gauge`` / ``obs.observe`` — counters, gauges,
   and direct histogram observations;
 * ``obs.emit("shard.split", shard=3)`` — bounded structural event log.
+
+Timed regions are :mod:`repro.obs.trace`'s: ``with trace.span(name)``
+and ``@trace.traced(name)`` record a nanosecond latency into the
+log-bucketed histogram ``name``, and join the request's trace tree when
+one is ambient.
 
 The kill switch
 ---------------
 
 ``REPRO_OBS=off`` (or ``0``/``false``/``no``/``disabled``) disables the
-whole layer at import: ``span()`` returns the shared no-op span (one
-singleton — identity-testable), and every record/emit helper returns
-without touching the registry.  :func:`set_enabled` flips the switch at
-runtime (how ``bench_obs.py`` measures instrumented-vs-disabled in one
-process).  Every worker process installs its parent's environment and
-re-runs :func:`init_from_env`, so the switch covers the whole service
-under the process backend.
+whole layer at import: ``trace.span()`` returns the shared no-op span
+(one singleton — identity-testable), and every record/emit helper
+returns without touching the registry.  :func:`set_enabled` flips the
+switch at runtime (how ``bench_obs.py`` measures
+instrumented-vs-disabled in one process).  Every worker process installs
+its parent's environment and re-runs :func:`init_from_env`, so the
+switch covers the whole service under the process backend.
 
 Aggregation
 -----------
@@ -35,9 +37,7 @@ service-wide view — see ``ShardedAlexIndex.metrics_snapshot``.
 
 from __future__ import annotations
 
-import functools
 import os
-import time
 from typing import Optional
 
 from .events import EVENT_LIMIT, EventLog
@@ -50,13 +50,13 @@ from .metrics import (BUCKET_BOUNDS, NUM_BUCKETS, NUM_OCTAVES, PERCENTILES,
 
 __all__ = [
     "BUCKET_BOUNDS", "Counter", "EVENT_LIMIT", "EventLog", "Gauge",
-    "LatencyHistogram", "MetricsRegistry", "NOOP_SPAN", "NUM_BUCKETS",
-    "NUM_OCTAVES", "PERCENTILES", "SUB_BUCKETS", "Span", "bucket_index",
-    "bucket_value", "describe", "emit", "empty_snapshot", "enabled",
+    "LatencyHistogram", "MetricsRegistry", "NUM_BUCKETS", "NUM_OCTAVES",
+    "PERCENTILES", "SUB_BUCKETS", "bucket_index", "bucket_value",
+    "describe", "emit", "empty_snapshot", "enabled",
     "exemplar_for_percentile", "get_registry", "histogram_summary", "inc",
     "init_from_env", "merge_many", "merge_snapshots", "observe",
     "percentile_from_snapshot", "record_ns", "reset", "set_enabled",
-    "set_gauge", "snapshot", "span", "timed", "trace",
+    "set_gauge", "snapshot", "trace",
 ]
 
 #: Environment variable holding the global kill switch.
@@ -106,66 +106,6 @@ def reset() -> None:
     isolation)."""
     _registry.clear()
     trace.reset()
-
-
-class Span:
-    """A timed region: records ``perf_counter_ns`` elapsed into one
-    histogram on exit (including the exceptional one — a failed request
-    is still a served request)."""
-
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram: LatencyHistogram) -> None:
-        self._histogram = histogram
-
-    def __enter__(self) -> "Span":
-        self._start = time.perf_counter_ns()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self._histogram.record(time.perf_counter_ns() - self._start)
-        return False
-
-
-class _NoopSpan:
-    """The disabled path: one shared instance, no state, no recording."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-#: The singleton every ``span()`` call returns while disabled.
-NOOP_SPAN = _NoopSpan()
-
-
-def span(name: str) -> "Span | _NoopSpan":
-    """A context manager timing its body into histogram ``name``."""
-    if not _enabled:
-        return NOOP_SPAN
-    return Span(_registry.histogram(name))
-
-
-def timed(name: str):
-    """Decorator form of :func:`span` (checks the switch per call, so
-    decorated functions honor runtime toggles)."""
-    def decorate(fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not _enabled:
-                return fn(*args, **kwargs)
-            start = time.perf_counter_ns()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                _registry.histogram(name).record(
-                    time.perf_counter_ns() - start)
-        return wrapper
-    return decorate
 
 
 def record_ns(name: str, ns: float) -> None:
@@ -227,6 +167,6 @@ def describe() -> dict:
 
 
 # Imported last: the tracer reaches back into this module (kill switch,
-# registry, span classes) through ``sys.modules``, so everything above
-# must exist before its body runs.
+# registry) through ``sys.modules``, so everything above must exist
+# before its body runs.
 from . import trace  # noqa: E402

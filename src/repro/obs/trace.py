@@ -25,8 +25,8 @@ Completed spans are plain dicts committed to a bounded in-process
 Head sampling (``REPRO_TRACE_SAMPLE``, default 1.0) decides at the
 *root* whether a request is traced at all; child spans inherit the
 decision through the context, so a trace is always complete-or-absent.
-Unsampled (and obs-disabled) paths degrade to exactly the PR 7
-behavior: plain histogram spans, shared no-op when disabled.
+Unsampled paths degrade to plain histogram spans, and obs-disabled
+ones to the shared no-op :data:`NOOP_SPAN`.
 
 Traced spans also stamp their trace id into the histogram's *exemplar*
 slot for the latency bucket they land in
@@ -54,8 +54,8 @@ from typing import Dict, List, Optional, Tuple
 
 #: The parent package (``repro.obs``).  Resolved through ``sys.modules``
 #: and read per call so this module shares the live kill switch
-#: (``_enabled``), registry, and span classes without a circular import
-#: (the package imports us at the end of its own body).
+#: (``_enabled``) and registry without a circular import (the package
+#: imports us at the end of its own body).
 _obs = sys.modules[__package__]
 
 #: Head-sampling rate for new roots (0.0 .. 1.0; default trace all —
@@ -294,6 +294,41 @@ def reset() -> None:
     _recorder.clear()
 
 
+class _HistogramSpan:
+    """A timed region outside any trace: records ``perf_counter_ns``
+    elapsed into one histogram on exit (including the exceptional one —
+    a failed request is still a served request)."""
+
+    __slots__ = ("_histogram", "_start")
+
+    def __init__(self, histogram) -> None:
+        self._histogram = histogram
+
+    def __enter__(self) -> "_HistogramSpan":
+        self._start = time.perf_counter_ns()
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self._histogram.record(time.perf_counter_ns() - self._start)
+        return False
+
+
+class _NoopSpan:
+    """The disabled path: one shared instance, no state, no recording."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NoopSpan":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        return False
+
+
+#: The singleton every ``span()`` call returns while obs is disabled.
+NOOP_SPAN = _NoopSpan()
+
+
 class TracedSpan:
     """A timed region that is part of a trace: on finish it commits a
     span record to the flight recorder *and* records into the latency
@@ -371,13 +406,14 @@ def start(name: str, force: bool = False, record: bool = True,
 
 
 def span(name: str, root: bool = False, **fields):
-    """The drop-in upgrade of ``obs.span``: under an ambient trace
-    context it times a *child* span into the tree; with no context it
-    behaves exactly like ``obs.span`` (plain histogram span) — unless
-    ``root=True`` asks it to start a new sampled trace, which is how a
-    direct facade call (no ingress) becomes traceable."""
+    """A context manager timing its body into histogram ``name``.  Under
+    an ambient trace context it is a *child* span in the tree; with no
+    context it is a plain histogram span — unless ``root=True`` asks it
+    to start a new sampled trace, which is how a direct facade call (no
+    ingress) becomes traceable.  :data:`NOOP_SPAN` while obs is
+    disabled."""
     if not _obs._enabled:
-        return _obs.NOOP_SPAN
+        return NOOP_SPAN
     ctx = _current.get()
     if ctx is not None:
         return TracedSpan(name, TraceContext(ctx.trace_id, _new_id()),
@@ -385,20 +421,22 @@ def span(name: str, root: bool = False, **fields):
     if root and _sampled():
         return TracedSpan(name, TraceContext(_new_id(), _new_id()),
                           parent=None, fields=fields)
-    return _obs.Span(_obs._registry.histogram(name))
+    return _HistogramSpan(_obs._registry.histogram(name))
 
 
-def traced(name: str):
-    """Decorator form of ``span(name, root=True)`` — the upgrade of
-    ``@obs.timed`` for the facade entry points: joins an ambient trace
-    as a child, else roots a new sampled one, else falls back to the
-    plain histogram timing ``@obs.timed`` did."""
+def traced(name: str, root: bool = False):
+    """Decorator form of ``span(name, root=root)`` (checks the kill
+    switch per call, so decorated functions honor runtime toggles).  The
+    facade's entry points pass ``root=True``, so a direct call starts a
+    sampled trace; the core's batch methods keep ``root=False``, so an
+    embedded call only times into the histogram while a call inside a
+    traced shard op joins that trace as a child."""
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             if not _obs._enabled:
                 return fn(*args, **kwargs)
-            with span(name, root=True):
+            with span(name, root=root):
                 return fn(*args, **kwargs)
         return wrapper
     return decorate

@@ -53,7 +53,7 @@ from repro.core.stats import Counters
 from repro.durability.checkpoint import CheckpointManager
 from repro.durability.recover import apply_frame, recover_index
 from repro.durability.wal import iter_frames
-from repro.ext.concurrent import ReadWriteLock
+from repro.serve.rwlock import ReadWriteLock
 
 #: Read-side shard ops a replica may serve.  Mutations and persistence
 #: ops are excluded by construction — a replica's only writer is its

@@ -22,7 +22,7 @@ single ``searchsorted``, mirroring :func:`repro.core.rmi.route_batch` one
 level up.
 
 **Locking granularity.**  Two levels of writer-preferring reader/writer
-locks (:class:`repro.ext.concurrent.ReadWriteLock`): a *structure* lock,
+locks (:class:`repro.serve.rwlock.ReadWriteLock`): a *structure* lock,
 held shared by every request and exclusively by shard splits, pins the
 router and shard list; a *per-shard* lock serializes writers within one
 shard while readers share.  Writes to different shards hold different

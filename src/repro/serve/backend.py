@@ -77,10 +77,10 @@ class WorkerDiedError(RuntimeError):
 
 def _op_persist_to(index: AlexIndex, path: str) -> int:
     """Save the shard's full index to ``path`` via
-    :mod:`repro.ext.persistence` — the executor-side half of a
+    :mod:`repro.durability.persistence` — the executor-side half of a
     checkpoint.  Runs *inside* the worker for process-hosted shards, so
     the snapshot never crosses the pipe; returns the key count saved."""
-    from repro.ext.persistence import save_index
+    from repro.durability.persistence import save_index
     save_index(index, path)
     return len(index)
 
@@ -383,7 +383,7 @@ class ThreadBackend(ExecutionBackend):
         # Kernel warmup belongs to provisioning, not the first request;
         # GIL-releasing compiled kernels are also what lets this backend's pool
         # actually scale across cores.
-        with obs.span("kernel.warm"):
+        with trace.span("kernel.warm"):
             get_kernels(config.kernel_backend).warm()
 
     # -- lifecycle ----------------------------------------------------

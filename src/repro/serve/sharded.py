@@ -83,7 +83,7 @@ from repro.core.stats import Counters
 from repro.durability import (DEFAULT_CHECKPOINT_EVERY, OP_DELETE,
                               OP_ERASE, OP_INSERT, OP_UPSERT,
                               ShardedDurability, encode_payloads)
-from repro.ext.concurrent import ReadWriteLock
+from .rwlock import ReadWriteLock
 
 from .backend import (DEFAULT_MAX_INFLIGHT, ExecutionBackend,
                       WorkerDiedError, make_backend, shard_part)
@@ -825,7 +825,7 @@ class ShardedAlexIndex:
                 out[j] = payload
         return out
 
-    @trace.traced("serve.lookup_many")
+    @trace.traced("serve.lookup_many", root=True)
     def lookup_many(self, keys, *,
                     options: "ReadOptions | str | None" = None) -> list:
         """Batch lookup across shards; raises :class:`KeyNotFoundError`
@@ -840,7 +840,7 @@ class ShardedAlexIndex:
                                              options=options)
         return self._stitch(groups, results, [None] * len(skeys), order)
 
-    @trace.traced("serve.get_many")
+    @trace.traced("serve.get_many", root=True)
     def get_many(self, keys, default=None, *,
                  options: "ReadOptions | str | None" = None) -> list:
         """Batch :meth:`AlexIndex.get_many` across shards."""
@@ -851,7 +851,7 @@ class ShardedAlexIndex:
                                              options=options)
         return self._stitch(groups, results, [default] * len(skeys), order)
 
-    @trace.traced("serve.contains_many")
+    @trace.traced("serve.contains_many", root=True)
     def contains_many(self, keys, *,
                       options: "ReadOptions | str | None" = None
                       ) -> np.ndarray:
@@ -870,7 +870,7 @@ class ShardedAlexIndex:
                 result[order[lo:hi]] = hits
         return result
 
-    @trace.traced("serve.lookup")
+    @trace.traced("serve.lookup", root=True)
     def lookup(self, key: float, *,
                options: "ReadOptions | str | None" = None):
         """Single-key lookup on the owning shard — shared-lock on the
@@ -886,13 +886,13 @@ class ShardedAlexIndex:
         except KeyNotFoundError:
             return default
 
-    @trace.traced("serve.contains")
+    @trace.traced("serve.contains", root=True)
     def contains(self, key: float, *,
                  options: "ReadOptions | str | None" = None) -> bool:
         """Whether ``key`` is present."""
         return self._scalar_read(float(key), "contains", options)
 
-    @trace.traced("serve.range_scan")
+    @trace.traced("serve.range_scan", root=True)
     def range_scan(self, start_key: float, limit: int, *,
                    options: "ReadOptions | str | None" = None) -> list:
         """Up to ``limit`` pairs with key >= ``start_key``, in key order,
@@ -912,7 +912,7 @@ class ShardedAlexIndex:
                     break
         return out
 
-    @trace.traced("serve.range_query")
+    @trace.traced("serve.range_query", root=True)
     def range_query(self, lo: float, hi: float, *,
                     options: "ReadOptions | str | None" = None) -> list:
         """All pairs with ``lo <= key <= hi``, scatter-gathered from the
@@ -934,7 +934,7 @@ class ShardedAlexIndex:
             out.extend(chunk)
         return out
 
-    @trace.traced("serve.range_query_many")
+    @trace.traced("serve.range_query_many", root=True)
     def range_query_many(self, los, his, *,
                          options: "ReadOptions | str | None" = None
                          ) -> list:
@@ -1034,7 +1034,7 @@ class ShardedAlexIndex:
             finally:
                 self._release_shards(shard_ids, write=True)
 
-    @trace.traced("serve.insert_many")
+    @trace.traced("serve.insert_many", root=True)
     def insert_many(self, keys,
                     payloads: Optional[list] = None) -> WriteToken:
         """Batch insert across shards, all-or-nothing.
@@ -1059,7 +1059,7 @@ class ShardedAlexIndex:
         return self._write(keys, OP_INSERT, "insert_sorted_unchecked",
                            _all_absent, payloads)[0]
 
-    @trace.traced("serve.delete_many")
+    @trace.traced("serve.delete_many", root=True)
     def delete_many(self, keys) -> WriteToken:
         """Batch delete across shards, all-or-nothing.
 
@@ -1078,7 +1078,7 @@ class ShardedAlexIndex:
         return self._write(keys, OP_DELETE, "delete_sorted_unchecked",
                            _all_present)[0]
 
-    @trace.traced("serve.erase_many")
+    @trace.traced("serve.erase_many", root=True)
     def erase_many(self, keys) -> int:
         """Like :meth:`delete_many` but absent keys are skipped; returns
         the number of keys removed across all shards.
@@ -1101,7 +1101,7 @@ class ShardedAlexIndex:
                                  _present_groups)
         return sum(count for _, count in written)
 
-    @trace.traced("serve.insert")
+    @trace.traced("serve.insert", root=True)
     def insert(self, key: float, payload=None) -> WriteToken:
         """Insert one key (exclusive lock on its shard only).  Returns
         the write's :class:`WriteToken` (see :meth:`insert_many`)."""
@@ -1109,21 +1109,21 @@ class ShardedAlexIndex:
         return self._write(np.array([key]), OP_INSERT, "insert",
                            _all_absent, [payload], (key, payload))[0]
 
-    @trace.traced("serve.delete")
+    @trace.traced("serve.delete", root=True)
     def delete(self, key: float) -> WriteToken:
         """Remove one key; raises :class:`KeyNotFoundError` when absent."""
         key = float(key)
         return self._write(np.array([key]), OP_DELETE, "delete",
                            _all_present, None, (key,))[0]
 
-    @trace.traced("serve.update")
+    @trace.traced("serve.update", root=True)
     def update(self, key: float, payload) -> WriteToken:
         """Replace the payload of an existing key."""
         key = float(key)
         return self._write(np.array([key]), OP_UPSERT, "update",
                            _all_present, [payload], (key, payload))[0]
 
-    @trace.traced("serve.upsert")
+    @trace.traced("serve.upsert", root=True)
     def upsert(self, key: float, payload) -> WriteToken:
         """Insert or update one key."""
         key = float(key)

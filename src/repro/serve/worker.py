@@ -96,7 +96,8 @@ from .backend import (DEFAULT_MAX_INFLIGHT, BatchJob, Call,
 #: module a primary or replica worker runs.  Importing them starts no
 #: thread (forking a process with threads could copy a held lock).
 _PRELOAD = ("repro.serve.worker", "repro.replication.replica",
-            "repro.ext.persistence", "repro.core.kernels.numpy_backend",
+            "repro.durability.persistence",
+            "repro.core.kernels.numpy_backend",
             "repro.core.kernels.cffi_backend")
 
 _forkserver_lock = threading.Lock()
@@ -213,7 +214,7 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
     # Kernel warmup belongs to provisioning: a long-lived worker pays any
     # C compilation (or cache load) now, never on a request.  The parent
     # reads the registry started above via the obs_snapshot op.
-    with obs.span("kernel.warm"):
+    with trace.span("kernel.warm"):
         get_kernels(config.kernel_backend).warm()
     index: Optional[AlexIndex] = None
     replica = None
@@ -315,7 +316,7 @@ class _WorkerHandle:
         reply-reader settles the future whenever the worker gets to it;
         a broken pipe settles it with :class:`WorkerDiedError` at
         once."""
-        with obs.span("rpc.inflight_wait"):
+        with trace.span("rpc.inflight_wait"):
             self.inflight.acquire()
         future: Future = Future()
         with self.pending_lock:

@@ -209,8 +209,8 @@ def run_adaptation_scenario(policy: AdaptationPolicy, scenario: str,
     Builds a fresh :class:`AlexIndex` (default config: ``ga_armi()`` with
     a 256-key node bound — small enough that the traces generate real
     structural pressure), replays the trace, and returns simulated
-    throughput (counter-weighted, DESIGN.md §6), space, structure shape,
-    and the policy's SMO tallies.  Deterministic for a given seed.
+    throughput (counter-weighted, :mod:`repro.analysis.cost_model`), space,
+    structure shape, and the policy's SMO tallies.  Deterministic for a given seed.
     """
     if cost_model is None:
         from repro.analysis.cost_model import DEFAULT_COST_MODEL

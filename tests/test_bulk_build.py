@@ -25,7 +25,7 @@ from repro.core.alex import AlexIndex
 from repro.core.config import ga_armi, ga_srmi, pma_armi
 from repro.core.rmi import InnerNode, make_data_node
 from repro.datasets.generators import load
-from repro.ext.persistence import load_index, save_index
+from repro.durability.persistence import load_index, save_index
 
 BACKENDS = K.available_backends()
 CONFIGS = {"ga": ga_armi, "pma": pma_armi, "srmi": ga_srmi}

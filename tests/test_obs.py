@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.obs import render
+from repro.obs import render, trace
 from repro.obs.metrics import empty_snapshot
 from repro.serve import ShardedAlexIndex
 from repro.serve.sharded import ShardStats
@@ -226,14 +226,14 @@ def test_enabled_from_env_values():
 
 def test_disabled_spans_are_the_shared_noop(obs_on):
     obs.set_enabled(False)
-    assert obs.span("a") is obs.span("b") is obs.NOOP_SPAN
-    with obs.span("a"):
+    assert trace.span("a") is trace.span("b") is trace.NOOP_SPAN
+    with trace.span("a"):
         pass
 
 
 def test_disabled_records_nothing(obs_on):
     obs.set_enabled(False)
-    with obs.span("h"):
+    with trace.span("h"):
         pass
     obs.record_ns("h", 5)
     obs.observe("h", 5)
@@ -241,7 +241,7 @@ def test_disabled_records_nothing(obs_on):
     obs.set_gauge("g", 1)
     obs.emit("ev")
 
-    @obs.timed("t")
+    @trace.traced("t")
     def fn():
         return 42
 
@@ -251,7 +251,7 @@ def test_disabled_records_nothing(obs_on):
 
 
 def test_runtime_toggle_round_trip(obs_on):
-    @obs.timed("t")
+    @trace.traced("t")
     def fn():
         return 1
 

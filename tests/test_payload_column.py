@@ -22,7 +22,7 @@ from repro.core.policy import AdaptationPolicy
 from repro.core.introspect import format_report, structure_report
 from repro.core.kernels import available_backends
 from repro.core.rmi import InnerNode
-from repro.ext.persistence import load_index, save_index
+from repro.durability.persistence import load_index, save_index
 from repro.replication.replica import Replica
 from repro.serve import ReadOptions, ShardedAlexIndex
 from repro.serve.backend import build_shard, shard_part

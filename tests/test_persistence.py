@@ -12,7 +12,7 @@ from repro.analysis import alex_prediction_errors
 from repro.core.alex import AlexIndex
 from repro.core.config import ga_armi, ga_srmi, pma_armi
 from repro.core.errors import PersistenceError
-from repro.ext.persistence import (FORMAT_MAGIC, FORMAT_VERSION,
+from repro.durability.persistence import (FORMAT_MAGIC, FORMAT_VERSION,
                                    load_index, save_index,
                                    save_load_roundtrip_equal)
 

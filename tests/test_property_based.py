@@ -14,7 +14,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.baselines.bptree import BPlusTree
 from repro.baselines.learned_index import LearnedIndex
 from repro.core.alex import AlexIndex
+from repro.core.batch import bulk_insert
 from repro.core.config import AlexConfig, ga_armi, ga_srmi, pma_armi
+from repro.core.cursor import Cursor
 from repro.core.errors import DuplicateKeyError, KeyNotFoundError
 from repro.core.gapped_array import GappedArrayNode
 from repro.core.pma import PMANode
@@ -218,3 +220,49 @@ class TestLearnedIndexProperties:
         for key in sorted(present)[::5]:
             assert index.contains(float(key))
         assert [k for k, _ in index.items()] == sorted(present)
+
+
+class TestBulkInsertProperties:
+    @SETTINGS
+    @given(initial=key_lists, batch=key_lists)
+    def test_equivalent_to_sequential_inserts(self, initial, batch):
+        batch = [k for k in batch if k not in set(initial)]
+        config = ga_armi(max_keys_per_node=64, num_models=4)
+        bulk = AlexIndex.bulk_load(np.array(initial, dtype=np.float64),
+                                   config=config)
+        bulk_insert(bulk, np.array(batch, dtype=np.float64))
+        loop = AlexIndex.bulk_load(np.array(initial, dtype=np.float64),
+                                   config=config)
+        for key in batch:
+            loop.insert(float(key))
+        bulk.validate()
+        assert list(bulk.keys()) == list(loop.keys())
+
+
+class TestCursorProperties:
+    @SETTINGS
+    @given(keys=key_lists, start=finite_keys)
+    def test_cursor_scan_equals_range_scan(self, keys, start):
+        index = AlexIndex.bulk_load(np.array(keys, dtype=np.float64))
+        cursor = Cursor(index, start_key=start)
+        via_cursor = [k for k, _ in cursor.take(25)]
+        via_scan = [k for k, _ in index.range_scan(start, 25)]
+        assert via_cursor == via_scan
+
+    @SETTINGS
+    @given(keys=st.lists(finite_keys, min_size=1, max_size=60, unique=True))
+    def test_forward_then_backward_is_identity(self, keys):
+        index = AlexIndex.bulk_load(np.array(keys, dtype=np.float64))
+        cursor = Cursor(index)
+        forward = []
+        while cursor.valid():
+            forward.append(cursor.key())
+            if not cursor.next():
+                break
+        cursor.seek_last()
+        backward = []
+        while cursor.valid():
+            backward.append(cursor.key())
+            if not cursor.prev():
+                break
+        assert forward == backward[::-1] == sorted(keys)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import DuplicateKeyError, KeyNotFoundError
-from repro.ext.concurrent import ReadWriteLock
+from repro.serve.rwlock import ReadWriteLock
 from repro.serve import ShardedAlexIndex
 
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.alex import AlexIndex
 from repro.obs import trace
 from repro.serve import IngressRunner, ShardedAlexIndex
 
@@ -126,14 +127,22 @@ class TestSampling:
     def test_disabled_layer_is_the_shared_noop(self, obs_on):
         obs.set_enabled(False)
         assert trace.start("t.x") is None
-        assert trace.span("t.x") is obs.NOOP_SPAN
-        assert trace.span("t.x", root=True) is obs.NOOP_SPAN
+        assert trace.span("t.x") is trace.NOOP_SPAN
+        assert trace.span("t.x", root=True) is trace.NOOP_SPAN
 
-        @trace.traced("t.fn")
+        @trace.traced("t.fn", root=True)
         def fn():
             return 41
 
         assert fn() == 41
+        assert trace.snapshot() == {"spans": [], "slow": []}
+
+    def test_core_batch_ops_never_root_a_trace(self, obs_on):
+        """An embedded index's batch methods time into their histogram
+        but start no trace, whatever the sample rate."""
+        index = AlexIndex.bulk_load(np.arange(100, dtype=np.float64))
+        index.get_many(np.arange(10, dtype=np.float64))
+        assert obs.get_registry().histogram("core.get_many").count == 1
         assert trace.snapshot() == {"spans": [], "slow": []}
 
     def test_error_spans_stamp_the_exception_name(self, obs_on):
@@ -275,6 +284,24 @@ class TestServiceTracing:
                 assert s["parent"] is None or s["parent"] in ids
         finally:
             service.close()
+
+    def test_core_batch_op_is_a_child_of_the_shard_op(self, obs_on):
+        """A traced ``get_many`` reaches the worker's index: its
+        ``core.get_many`` span hangs under the ``shard.op.get_many``
+        span that ran it, in that worker's process."""
+        keys = np.arange(800, dtype=np.float64)
+        service = ShardedAlexIndex.bulk_load(keys, num_shards=1,
+                                             backend="process")
+        try:
+            with trace.start("test.root") as root:
+                service.get_many(keys[:64])
+            spans = _spanning(service, root.ctx.trace_id)
+        finally:
+            service.close()
+        by_name = {s["name"]: s for s in spans}
+        core, op = by_name["core.get_many"], by_name["shard.op.get_many"]
+        assert core["parent"] == op["span"]
+        assert core["pid"] == op["pid"] != os.getpid()
 
     def test_worker_spans_carry_their_own_pid(self, obs_on):
         """Workers fork from one preloaded server: every span a worker
