@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 
 
 def runtime_meta() -> dict:
@@ -50,6 +51,26 @@ def obs_block() -> dict:
     if not snapshot["histograms"] and not snapshot["counters"]:
         return {}
     return summarize(snapshot)
+
+
+def paired_medians(pairs, rounds: int) -> list:
+    """The median over ``rounds`` paired A/B/A rounds of each ``(time_a,
+    time_b)`` pair in ``pairs``: B's time over the mean of the two A
+    runs that bracket it.  Each callable runs its side once and returns
+    the seconds it took; every round runs each pair in turn.
+
+    A best-of quotient compares two sides' luck: on a throttled host
+    single runs swing ±10% and drift over a bench's lifetime, and
+    timing one side first biases it.  Bracketing cancels drift to first
+    order, and the median rejects throttling outliers."""
+    ratios = [[] for _ in pairs]
+    for _ in range(rounds):
+        for (time_a, time_b), out in zip(pairs, ratios):
+            before = time_a()
+            middle = time_b()
+            after = time_a()
+            out.append(2 * middle / (before + after))
+    return [statistics.median(out) for out in ratios]
 
 
 def add_output_arguments(parser: argparse.ArgumentParser,

@@ -6,12 +6,14 @@ metrics layer that moves the numbers it reports is worse than none.
 Two measurements:
 
 * **Batch-lookup overhead** — ``lookup_many`` over a bulk-loaded
-  ``AlexIndex`` (1M keys by default), best-of-``--repeat`` with the
-  layer enabled vs disabled (``obs.set_enabled``, the same switch
-  ``REPRO_OBS=off`` throws at import).  ``overhead_x`` is the
-  instrumented/disabled wall-clock ratio; the regression gate holds it
-  ≤ the committed baseline (~1.0, the ISSUE bound is 2%).  The ratio is
-  scale-invariant, so the gate holds on any host.
+  ``AlexIndex`` (1M keys by default) with the layer enabled vs disabled
+  (``obs.set_enabled``, the same switch ``REPRO_OBS=off`` throws at
+  import).  ``overhead_x`` is the instrumented/disabled wall-clock
+  ratio, the median of ``--repeat`` paired A/B/A rounds
+  (``_common.paired_medians``: each enabled run bracketed by two
+  disabled ones), as ``bench_trace.py`` measures; the regression gate
+  holds it ≤ the committed baseline (~1.0, a 2% design bound).  The
+  ratio is scale-invariant, so the gate holds on any host.
 * **Span micro-cost** — nanoseconds per ``trace.span`` enter/exit when
   enabled, and per no-op call when disabled, so the per-event price is
   on record next to the end-to-end ratio it explains.
@@ -25,6 +27,7 @@ Run: ``python benchmarks/bench_obs.py [--keys N] [--probes M]
 """
 
 import argparse
+import statistics
 import time
 
 import numpy as np
@@ -52,34 +55,37 @@ def batch_lookup_overhead(num_keys: int, num_probes: int,
     rng = np.random.default_rng(SEED)
     keys = np.unique(rng.uniform(0, 1e12, num_keys))
     index = AlexIndex.bulk_load(keys, config=ga_armi())
-    index.lookup_many(keys[:128])  # touch the path before timing
     probes = rng.choice(keys, size=num_probes)
+    index.lookup_many(probes)  # warm the path and the caches untimed
 
-    def run():
+    seconds = {True: [], False: []}
+
+    def timed(enabled: bool) -> float:
+        obs.set_enabled(enabled)
+        start = time.perf_counter()
         index.lookup_many(probes)
+        elapsed = time.perf_counter() - start
+        seconds[enabled].append(elapsed)
+        return elapsed
 
-    # Interleave on/off rounds so drift (thermal, page cache) hits both
-    # sides equally instead of biasing whichever ran second.
-    best_on = best_off = float("inf")
     count_before = obs.get_registry().histogram("core.lookup_many").count
-    for _ in range(repeat):
-        obs.set_enabled(True)
-        best_on = min(best_on, _best_of(run, 1))
-        obs.set_enabled(False)
-        best_off = min(best_off, _best_of(run, 1))
+    overhead, = _common.paired_medians(
+        [(lambda: timed(False), lambda: timed(True))], repeat)
     obs.set_enabled(True)
     count_after = obs.get_registry().histogram("core.lookup_many").count
     assert count_after > count_before, (
         "instrumentation was not live during the 'on' rounds")
+    median_on = statistics.median(seconds[True])
+    median_off = statistics.median(seconds[False])
     return {
         "num_keys": int(len(keys)),
         "num_probes": int(num_probes),
         "repeat": int(repeat),
-        "seconds_instrumented": round(best_on, 5),
-        "seconds_disabled": round(best_off, 5),
-        "lookups_per_second_instrumented": round(num_probes / best_on, 1),
-        "lookups_per_second_disabled": round(num_probes / best_off, 1),
-        "overhead_x": round(best_on / best_off, 4),
+        "seconds_instrumented": round(median_on, 5),
+        "seconds_disabled": round(median_off, 5),
+        "lookups_per_second_instrumented": round(num_probes / median_on, 1),
+        "lookups_per_second_disabled": round(num_probes / median_off, 1),
+        "overhead_x": round(overhead, 4),
     }
 
 

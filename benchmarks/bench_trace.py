@@ -21,11 +21,12 @@ service, interleaved so drift hits all sides equally:
   no histograms, no spans, the shared no-op.
 
 Each ratio is the **median of paired A/B/A rounds** (the B state
-bracketed by two A runs, ratio against their mean) rather than a
-best-of quotient: on a throttled 1-core container single runs swing
-±10% and drift over a bench's lifetime, so independent minima compare
-two states' luck, while bracketing cancels drift to first order and
-the median rejects throttling outliers.  (A profile of both states
+bracketed by two A runs, ratio against their mean;
+``_common.paired_medians``, which ``bench_obs.py`` uses too) rather
+than a best-of quotient: on a throttled 1-core container single runs
+swing ±10% and drift over a bench's lifetime, so independent minima
+compare two states' luck, while bracketing cancels drift to first order
+and the median rejects throttling outliers.  (A profile of both states
 shows identical work — 33 calls of span machinery out of ~370k — so
 what this protects is the measurement, not the claim.)
 
@@ -88,16 +89,9 @@ def batch_lookup_overhead(num_keys: int, num_probes: int,
             seconds[state].append(elapsed)
             return elapsed
 
-        overhead, disabled = [], []
-        for _ in range(repeat):
-            before = timed("untraced")
-            traced = timed("traced")
-            after = timed("untraced")
-            overhead.append(2 * traced / (before + after))
-            before = timed("off")
-            untraced = timed("untraced")
-            after = timed("off")
-            disabled.append(2 * untraced / (before + after))
+        overhead, disabled = _common.paired_medians(
+            [(lambda: timed("untraced"), lambda: timed("traced")),
+             (lambda: timed("off"), lambda: timed("untraced"))], repeat)
         obs.set_enabled(True)
         trace.set_sample_rate(1.0)
         hist = obs.get_registry().histogram("serve.lookup_many").snapshot()
@@ -118,8 +112,8 @@ def batch_lookup_overhead(num_keys: int, num_probes: int,
             num_probes / median["traced"], 1),
         "lookups_per_second_untraced": round(
             num_probes / median["untraced"], 1),
-        "overhead_x": round(statistics.median(overhead), 4),
-        "disabled_overhead_x": round(statistics.median(disabled), 4),
+        "overhead_x": round(overhead, 4),
+        "disabled_overhead_x": round(disabled, 4),
     }
 
 

@@ -110,26 +110,41 @@ def numeric_column(values) -> Optional[np.ndarray]:
 _FLOAT_RECORD = np.dtype([("kind", "u1"), ("value", "<f8")])
 
 
+#: Values per :mod:`marshal` call in :func:`_exact_floats`, so a call's
+#: blob (9 bytes per value) stays under 2.4 MB whatever the list's
+#: length.  A list this short is typed whole: slicing would cost an
+#: incref and a decref per value, 5 ms per million.
+_FLOAT_CHUNK = 1 << 18
+
+
 def _exact_floats(values: list) -> Optional[np.ndarray]:
     """``values`` as a ``float64`` column when every one is exactly a
-    Python ``float``, else ``None``, in one C-level pass over the
-    objects (a type pass plus :func:`numpy.fromiter` take two, each
-    touching every object).  :mod:`marshal` writes a list as a 5-byte
-    header and one record per value; an exact float's record is the 9
-    bytes of :data:`_FLOAT_RECORD`, and anything else — an ``int``, a
-    ``bool``, a numpy scalar or any other ``float`` subclass — gets a
-    record of another kind.  So when every 9-byte step after the header
-    starts with ``g``, every record is a float record."""
-    try:
-        blob = marshal.dumps(values, 2)
-    except ValueError:  # an object marshal cannot write
-        return None
-    if len(blob) != 5 + 9 * len(values):
-        return None
-    records = np.frombuffer(blob, _FLOAT_RECORD, offset=5)
-    if not (records["kind"] == ord("g")).all():
-        return None
-    return records["value"].astype(np.float64)
+    Python ``float``, else ``None``, with one C-level pass over each
+    slice of at most :data:`_FLOAT_CHUNK` values (a type pass plus
+    :func:`numpy.fromiter` take two, each touching every object).
+    :mod:`marshal` writes a list as a 5-byte header and one record per
+    value; an exact float's record is the 9 bytes of
+    :data:`_FLOAT_RECORD`, and anything else — an ``int``, a ``bool``, a
+    numpy scalar or any other ``float`` subclass — gets a record of
+    another kind.  So when every 9-byte step after a slice's header
+    starts with ``g``, every record of that slice is a float record, and
+    its values go straight into the preallocated column."""
+    n = len(values)
+    column = np.empty(n, dtype=np.float64)
+    for start in range(0, n, _FLOAT_CHUNK):
+        chunk = (values if n <= _FLOAT_CHUNK
+                 else values[start:start + _FLOAT_CHUNK])
+        try:
+            blob = marshal.dumps(chunk, 2)
+        except ValueError:  # an object marshal cannot write
+            return None
+        if len(blob) != 5 + 9 * len(chunk):
+            return None
+        records = np.frombuffer(blob, _FLOAT_RECORD, offset=5)
+        if not (records["kind"] == ord("g")).all():
+            return None
+        column[start:start + len(chunk)] = records["value"]
+    return column
 
 
 def payload_column(values) -> np.ndarray:

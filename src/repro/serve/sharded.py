@@ -286,7 +286,7 @@ class ShardedAlexIndex:
             raise ValueError(f"{len(parts)} parts for a "
                              f"{num_shards}-range router")
         # Every part becomes (keys, payload column) here, once, before a
-        # backend builds it or pickles it into a worker's load frame.
+        # backend builds it or sends it in a worker's load frame.
         parts = [shard_part(keys, payloads) for keys, payloads in parts]
         if durability is not None and durability_dir is not None:
             raise ValueError(
@@ -363,17 +363,16 @@ class ShardedAlexIndex:
         :class:`DuplicateKeyError` on repeated keys, like
         :meth:`AlexIndex.bulk_load`.  With ``backend="process"`` each
         shard bulk-loads inside its own worker process, and the builds
-        run in parallel: every worker starts, then every part is pickled
-        into its worker's load frame and sent, and only then is any
-        build awaited.
+        run in parallel: every worker starts, then every part is sent in
+        its worker's load frame, and only then is any build awaited.
         With ``durability_dir`` the shards' generation-zero checkpoints
         are written at once too, and with ``replicate`` every replica
         bootstraps before any is awaited.
         """
         # The payloads become one column, gathered in numpy with the key
         # order; each part is a slice of it, which the process backend
-        # pickles into a load frame (a typed slice's bytes go into the
-        # frame as they are) and the shard stores with its dtype.
+        # sends in a load frame (a large typed slice goes to the pipe
+        # from its own memory) and the shard stores with its dtype.
         keys, payloads = AlexIndex._normalize_batch(keys, payloads,
                                                     column=True)
         router = ShardRouter.fit(keys, num_shards)

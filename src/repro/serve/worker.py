@@ -25,13 +25,18 @@ NumPy kernels.  :class:`ProcessBackend` hosts each shard's ALEX tree in a
   its pipe; the next launch starts a new preloaded server;
 * workers live until the service closes or a shard split/merge
   re-provisions them;
-* every request and every reply travels by value in one pickled pipe
-  frame: the sub-batch a shard reads or writes and the result it
-  returns, and whole shards too — provisioning, respawn and split/merge
+* every request and every reply travels by value in one pipe frame of
+  one codec (:func:`_encode`, :func:`_send`, :func:`_decode`): the
+  sub-batch a shard reads or writes and the result it returns, and
+  whole shards too — provisioning, respawn and split/merge
   re-provisioning send a shard's ``(keys, payload column)``, and a
-  snapshot replies with it.  Frames are pickled with protocol 5
-  (:data:`_PICKLE_PROTOCOL`), which writes a numeric array's bytes
-  straight into the frame, and the receiver owns what it unpickles;
+  snapshot replies with it.  A frame is pickled with protocol 5
+  (:data:`_PICKLE_PROTOCOL`).  A small one is a single in-band
+  ``send_bytes``; in a large one each big numeric buffer goes out of
+  band, written to the pipe from the array's own memory after a header
+  that carries the sizes, and read into one preallocated buffer that
+  the unpickled arrays are views of.  The receiver owns what it
+  decodes;
 * the facade's two-phase write orchestration — validate on all involved
   workers, then apply — runs unchanged, so cross-shard batch writes stay
   all-or-nothing.
@@ -62,9 +67,13 @@ while shard split/merge decisions stay in the parent.
 
 from __future__ import annotations
 
+import io
 import itertools
 import multiprocessing as mp
 import os
+import pickle
+import socket
+import struct
 import threading
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -103,15 +112,127 @@ _PRELOAD = ("repro.serve.worker", "repro.replication.replica",
 _forkserver_lock = threading.Lock()
 
 #: The pickle protocol of every frame, both ways.  Protocol 5 (PEP 574)
-#: copies a contiguous numeric array's buffer into the frame once; the
-#: default protocol 4 builds a ``tobytes()`` copy first.  An array that
-#: was read-only arrives read-only.
+#: hands each contiguous numeric array's buffer to :func:`_encode`'s
+#: callback instead of copying it into the stream: a large one is sent
+#: out of band, straight from the array's memory, and a small one is
+#: written into the stream.  An array that was read-only arrives
+#: read-only either way.
 _PICKLE_PROTOCOL = 5
 
+#: Buffers of at least this many bytes travel out of band, and a pickle
+#: stream this long travels the same way; a frame with neither is one
+#: in-band ``send_bytes``, as cheap as a plain pickle.
+_OUT_OF_BAND_BYTES = 1 << 16
 
-def _dumps(message) -> bytes:
-    """One pickled pipe frame."""
-    return ForkingPickler.dumps(message, protocol=_PICKLE_PROTOCOL)
+#: Parts per :func:`os.readv` call, well under any platform's
+#: ``IOV_MAX``.
+_READV_PARTS = 64
+
+#: The first byte of an out-of-band frame's header.  An in-band frame is
+#: a pickle stream, which starts with the ``PROTO`` opcode ``0x80``.
+_HEADER_MARK = b"B"
+
+#: Each part of an out-of-band frame starts at a multiple of this many
+#: bytes into the receive buffer, so a decoded array is aligned.
+_PART_ALIGN = 64
+
+
+class _FramePickler(pickle.Pickler):
+    """:class:`~multiprocessing.reduction.ForkingPickler`'s reducers
+    (connections, sockets, bound methods) with a ``buffer_callback``,
+    which that class does not take."""
+
+    def __init__(self, file, buffer_callback):
+        super().__init__(file, _PICKLE_PROTOCOL,
+                         buffer_callback=buffer_callback)
+        self.dispatch_table = ForkingPickler._copyreg_dispatch_table.copy()
+        self.dispatch_table.update(ForkingPickler._extra_reducers)
+
+
+def _encode(message) -> Tuple[bytes, tuple]:
+    """One frame of ``message``: ``(header, parts)``.
+
+    Pickling happens here, so an unpicklable message raises before any
+    byte is sent.  A small frame is its pickle stream alone, with no
+    parts.  Otherwise the header is :data:`_HEADER_MARK` and the sizes
+    of the parts, little-endian ``uint64``: the pickle stream, then each
+    out-of-band buffer — a view of the array's own memory, not a copy,
+    so the message must not change until :func:`_send` returns."""
+    buffers = []
+
+    def out_of_band(buffer) -> bool:
+        raw = buffer.raw()
+        if raw.nbytes < _OUT_OF_BAND_BYTES:
+            return True  # stays in the stream
+        buffers.append(raw)
+        return False
+
+    stream = io.BytesIO()
+    _FramePickler(stream, out_of_band).dump(message)
+    body = stream.getbuffer()
+    if not buffers and body.nbytes < _OUT_OF_BAND_BYTES:
+        return body, ()
+    parts = (body, *buffers)
+    return (_HEADER_MARK + struct.pack(f"<{len(parts)}Q",
+                                       *(part.nbytes for part in parts)),
+            parts)
+
+
+def _send(conn, frame: Tuple[bytes, tuple]) -> None:
+    """Write one :func:`_encode` frame: the header with ``send_bytes``,
+    then each part straight to the pipe's descriptor.  The caller holds
+    the connection's send side for the whole frame."""
+    header, parts = frame
+    conn.send_bytes(header)
+    if parts:
+        fd = conn.fileno()
+        for part in parts:
+            while part.nbytes:
+                part = part[os.write(fd, part):]
+
+
+def _decode(conn):
+    """Read and unpickle one frame that :func:`_send` wrote.
+
+    An out-of-band frame's parts are read with :func:`os.readv` into one
+    preallocated ``bytearray``, each part aligned, and every array
+    unpickled from them is a view of that buffer, which it keeps alive.
+    Raises :class:`EOFError` when the peer closes mid-frame and
+    :class:`ValueError` (or a pickle error) on a malformed frame; after
+    either the stream cannot be resynchronized."""
+    header = conn.recv_bytes()
+    if header[:1] != _HEADER_MARK:
+        return pickle.loads(header)
+    count, extra = divmod(len(header) - 1, 8)
+    if count == 0 or extra:
+        raise ValueError(f"malformed frame header of {len(header)} bytes")
+    sizes = struct.unpack(f"<{count}Q", header[1:])
+    offsets, total = [], 0
+    for size in sizes:
+        offsets.append(total)
+        total += -(-size // _PART_ALIGN) * _PART_ALIGN
+    view = memoryview(bytearray(total))
+    parts = [view[offset:offset + size]
+             for offset, size in zip(offsets, sizes)]
+    _read_into(conn.fileno(), parts)
+    return pickle.loads(parts[0], buffers=parts[1:])
+
+
+def _read_into(fd: int, parts: List[memoryview]) -> None:
+    """Fill every part from ``fd`` in order, with as few reads as the
+    pipe allows."""
+    pending = [part for part in parts if part.nbytes]
+    while pending:
+        got = os.readv(fd, pending[:_READV_PARTS])
+        if got == 0:
+            raise EOFError("the peer closed the pipe mid-frame")
+        while got:
+            head = pending[0]
+            if got < head.nbytes:
+                pending[0] = head[got:]
+                break
+            got -= head.nbytes
+            del pending[0]
 
 
 def _forkserver_running() -> bool:
@@ -181,8 +302,8 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
     requests), installed as this dispatch's ambient context so every
     span the op records (shard-op, replica-read, WAL, checkpoint) joins
     the request's cross-process tree — and every reply echoes the id:
-    ``(req_id, "ok", result)`` or ``(req_id, "err", exc)``, pickled
-    whole into the pipe.  Requests execute strictly in arrival order —
+    ``(req_id, "ok", result)`` or ``(req_id, "err", exc)``, one frame
+    each way.  Requests execute strictly in arrival order —
     the pipelining lives in the *parent*, which no longer waits for one
     reply before sending the next request.
 
@@ -227,7 +348,7 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
                           policy=policy).start()
     while True:
         try:
-            message = conn.recv()
+            message = _decode(conn)
         except (EOFError, OSError):  # parent died; daemon exit
             break
         req_id, tctx, op = message[0], message[1], message[2]
@@ -263,14 +384,14 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
                     reply = (req_id, "ok", replica.applied_lsn)
                     replica = None
                 elif op == "close":
-                    conn.send_bytes(_dumps((req_id, "ok", None)))
+                    _send(conn, _encode((req_id, "ok", None)))
                     break
                 else:
                     raise ValueError(f"unknown worker op {op!r}")
             except BaseException as exc:
                 reply = (req_id, "err", exc)
-        conn.send_bytes(_dumps(reply))
-        del reply  # a snapshot's arrays, freed before the next recv
+        _send(conn, _encode(reply))
+        del reply  # a snapshot's arrays, freed before the next frame
     if replica is not None:
         replica.stop()
     conn.close()
@@ -300,17 +421,17 @@ class _WorkerHandle:
 
     # -- requests --------------------------------------------------------
 
-    def frame(self, body: tuple, tctx) -> Tuple[int, bytes]:
-        """A fresh request id and the pickled frame ``(req_id, tctx) +
+    def frame(self, body: tuple, tctx) -> Tuple[int, tuple]:
+        """A fresh request id and the encoded frame ``(req_id, tctx) +
         body`` — the caller's trace context (or ``None``) rides in slot
         1, so worker-side spans join the request's tree.  An unpicklable
         argument raises here, before any slot is taken or byte sent; an
         id whose frame is never sent is simply skipped."""
         req_id = next(self._ids)
-        return req_id, _dumps((req_id, tctx) + body)
+        return req_id, _encode((req_id, tctx) + body)
 
-    def send(self, req_id: int, blob: bytes) -> Future:
-        """Push one pickled frame down the pipe without waiting for its
+    def send(self, req_id: int, frame: tuple) -> Future:
+        """Push one encoded frame down the pipe without waiting for its
         reply: acquire an in-flight slot (the admission budget — this is
         where backpressure blocks), register the future, send.  The
         reply-reader settles the future whenever the worker gets to it;
@@ -323,7 +444,7 @@ class _WorkerHandle:
             self.pending[req_id] = future
         try:
             with self.send_lock:
-                self.conn.send_bytes(blob)
+                _send(self.conn, frame)
         except OSError as exc:
             self.settle(req_id, WorkerDiedError(
                 self.shard, f"on send ({exc!r})"), is_error=True)
@@ -348,14 +469,35 @@ class _WorkerHandle:
 
     def _read_replies(self) -> None:
         """Drain the pipe until it dies, demultiplexing replies to their
-        futures."""
+        futures.  A frame that does not decode leaves the stream out of
+        step, so the pipe is shut down — later sends fail at once
+        instead of waiting on a reader that is gone — and it counts as
+        dead."""
         while True:
             try:
-                req_id, status, value = self.conn.recv()
-            except (EOFError, OSError, ValueError) as exc:
+                req_id, status, value = _decode(self.conn)
+            except (EOFError, OSError) as exc:
+                self._fail_all_pending(exc)
+                return
+            except Exception as exc:
+                self._shutdown()
                 self._fail_all_pending(exc)
                 return
             self.settle(req_id, value, is_error=(status == "err"))
+
+    def _shutdown(self) -> None:
+        """Shut both directions of the live pipe down, leaving its
+        descriptor open for :meth:`ProcessBackend._reap` to close (a
+        descriptor closed here could be reused under a concurrent
+        sender).  The worker reads end-of-file and exits."""
+        if self.closing:
+            return
+        try:
+            with socket.fromfd(self.conn.fileno(), socket.AF_UNIX,
+                               socket.SOCK_STREAM) as peer:
+                peer.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
 
     def _fail_all_pending(self, exc: Exception) -> None:
         """The pipe is gone: every outstanding request on this worker —
@@ -442,11 +584,12 @@ class ProcessBackend(ExecutionBackend):
         ``parts[i]`` (with counter seed ``seeds[i]``), or for a replica
         tailing ``roots[i]`` the ``rstatus`` bootstrap barrier; then wait
         on every reply.  The processes boot and build (or bootstrap) in
-        parallel, and each worker builds while the parent pickles and
-        sends the next part, so one part's frame is in the parent at a
-        time.  On any failure — a process that will not start, a payload
-        that does not pickle, a load the worker rejects — every started
-        worker is released before the first error propagates.
+        parallel, and each worker builds while the parent sends the next
+        part, which goes to the pipe from the part's own arrays (only an
+        object column is pickled into a copy).  On any failure — a
+        process that will not start, a payload that does not pickle, a
+        load the worker rejects — every started worker is released
+        before the first error propagates.
         """
         workers: List[_WorkerHandle] = []
         try:

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -35,3 +36,29 @@ def leak_guard():
     if workers or segments:
         pytest.fail(f"leaked worker processes {workers} and shared-memory "
                     f"segments {segments}")
+
+
+@pytest.fixture
+def wire():
+    """``wire(message)`` sends ``message`` through the process backend's
+    frame codec over a real socket pair and returns what the far end
+    decodes.  The send runs on a thread, since a large frame's send
+    returns only once the far end has read it."""
+    from repro.serve.worker import _decode, _encode, _send
+
+    sender, receiver = multiprocessing.Pipe()
+
+    def round_trip(message):
+        thread = threading.Thread(target=_send,
+                                  args=(sender, _encode(message)))
+        thread.start()
+        try:
+            assert receiver.poll(30), "no frame arrived"
+            return _decode(receiver)
+        finally:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
+    yield round_trip
+    sender.close()
+    receiver.close()

@@ -7,17 +7,18 @@ the replies of primary and replica reads included."""
 
 import gc
 import math
-import pickle
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.adaptive import merge_leaves
 from repro.core.alex import AlexIndex
 from repro.core.batch import export_arrays
 from repro.core.config import AlexConfig, ga_armi
-from repro.core.data_node import numeric_column
+from repro.core.data_node import (_FLOAT_CHUNK, _exact_floats,
+                                  numeric_column, payload_column)
 from repro.core.policy import AdaptationPolicy
 from repro.core.introspect import format_report, structure_report
 from repro.core.kernels import available_backends
@@ -27,7 +28,6 @@ from repro.replication.replica import Replica
 from repro.serve import ReadOptions, ShardedAlexIndex
 from repro.serve.backend import build_shard, shard_part
 from repro.serve.router import ShardRouter
-from repro.serve.worker import _dumps
 
 BACKENDS = ["thread", "process"]
 N = 240
@@ -117,16 +117,20 @@ def test_every_part_form_provisions_and_snapshots_exactly(backend,
 
 class TestShardFrame:
     """The single-process contract of a whole-shard move: a part is
-    normalized by :func:`shard_part`, pickled into one frame by the
-    worker's ``_dumps``, bulk-loaded by :func:`build_shard` on the far
-    side, and snapshotted back by ``export_arrays`` in another frame —
-    the path ``load`` and ``snapshot`` take, without the processes."""
+    normalized by :func:`shard_part`, sent through the worker's frame
+    codec over a real socket pair, bulk-loaded by :func:`build_shard` on
+    the far side, and snapshotted back by ``export_arrays`` in another
+    frame — the path ``load`` and ``snapshot`` take, without the
+    processes."""
 
-    @staticmethod
-    def _round_trip(keys, payloads):
-        received = pickle.loads(_dumps(shard_part(keys, payloads)))
+    @pytest.fixture(autouse=True)
+    def _wire(self, wire):
+        self.wire = wire
+
+    def _round_trip(self, keys, payloads):
+        received = self.wire(shard_part(keys, payloads))
         index = build_shard(*received, AlexConfig(), AdaptationPolicy())
-        return pickle.loads(_dumps(export_arrays(index)))
+        return self.wire(export_arrays(index))
 
     def test_none_payloads(self):
         keys, column = self._round_trip([1.0, 2.0, 3.0], None)
@@ -158,15 +162,33 @@ class TestShardFrame:
         assert len(keys) == 0 and len(column) == 0
 
     def test_received_arrays_are_independent_of_the_sender(self):
-        keys = np.arange(32, dtype=np.float64)
-        column = np.arange(32, dtype=np.int64)
-        got_keys, got_column = pickle.loads(
-            _dumps(shard_part(keys, column)))
-        keys[7] = -1.0
-        column[7] = -1
-        assert got_keys[7] == 7.0 and got_column[7] == 7
-        got_keys[8] = -2.0
-        assert keys[8] == 8.0
+        """Small parts travel in the pickle stream, large ones out of
+        band; either way the far end owns what it decoded."""
+        for n in (32, 1 << 19):
+            keys = np.arange(n, dtype=np.float64)
+            column = np.arange(n, dtype=np.int64)
+            got_keys, got_column = self.wire(shard_part(keys, column))
+            keys[7] = -1.0
+            column[7] = -1
+            assert got_keys[7] == 7.0 and got_column[7] == 7
+            got_keys[8] = -2.0
+            got_column[8] = -2
+            assert keys[8] == 8.0 and column[8] == 8
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, object])
+    def test_a_multi_mib_part_round_trips(self, dtype):
+        """A 4 MiB key array beside a 4 MiB column (or a pickled object
+        column of the same length) goes out in a load frame and comes
+        back in a snapshot reply exactly."""
+        n = 1 << 19
+        keys = np.arange(n, dtype=np.float64) * 0.5
+        column = (np.arange(n) - n // 2).astype(dtype)
+        got_keys, got_column = self.wire(self.wire(shard_part(keys, column)))
+        assert got_keys.tobytes() == keys.tobytes()
+        assert got_column.dtype == column.dtype
+        assert exact(got_column[::997].tolist()) == exact(
+            column[::997].tolist())
+        assert np.array_equal(got_column, column)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -207,6 +229,58 @@ class TestExactFloats:
     def test_any_other_value_means_no_column(self, tail):
         for values in ([1.0, tail], [1.0] * 5 + [tail] + [2.0] * 5):
             assert numeric_column(values) is None
+
+    @pytest.mark.parametrize("n, index", [
+        (n, index) for n in (1, _FLOAT_CHUNK, _FLOAT_CHUNK + 1)
+        for index in sorted({0, _FLOAT_CHUNK - 1, _FLOAT_CHUNK, n - 1})
+        if index < n])
+    @pytest.mark.parametrize("intruder", [
+        2, True, np.float64(2.0), FloatSubclass(2.0), b"1234"],
+        ids=lambda value: type(value).__name__)
+    def test_an_intruder_at_a_chunk_edge_means_no_column(self, n, index,
+                                                          intruder):
+        """The list is typed one slice of :data:`_FLOAT_CHUNK` values at
+        a time; a value that is not exactly a float, on either side of a
+        slice edge or at either end, still leaves no column.  (``b"1234"``
+        has a 9-byte marshal record, as a float does, so only the record
+        kinds reject it.  A one-value list is the intruder alone, which
+        an ``int`` column may hold: only the float typing is asked
+        there.)"""
+        values = [0.5] * n
+        values[index] = intruder
+        assert _exact_floats(values) is None
+        if n > 1:
+            assert numeric_column(values) is None
+            column = payload_column(values)
+            assert column.dtype == object and len(column) == n
+            assert column[index] is intruder
+
+    @pytest.mark.parametrize("n", [0, 1, _FLOAT_CHUNK, _FLOAT_CHUNK + 1])
+    def test_every_length_is_bit_exact(self, n):
+        specials = [-0.0, math.nan, math.inf, -math.inf]
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n).tolist()
+        for offset, special in enumerate(specials):
+            for index in (offset, _FLOAT_CHUNK - 1 - offset,
+                          _FLOAT_CHUNK + offset, n - 1 - offset):
+                if 0 <= index < n:
+                    values[index] = special
+        column = _exact_floats(values)
+        assert column.dtype == np.float64 and len(column) == n
+        assert column.tobytes() == np.array(values,
+                                            dtype=np.float64).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 2 * _FLOAT_CHUNK + 2),
+           at=st.floats(0, 1, exclude_max=True),
+           intruder=st.sampled_from([2, True, np.float64(2.0),
+                                     FloatSubclass(2.0), b"1234", None]))
+    def test_any_position_is_checked(self, n, at, intruder):
+        values = [1.5] * n
+        assert _exact_floats(values).tobytes() == np.full(
+            n, 1.5).tobytes()
+        values[int(at * n)] = intruder
+        assert _exact_floats(values) is None
 
     def test_column_is_bit_exact(self):
         rng = np.random.default_rng(9)

@@ -3,7 +3,7 @@
 The process backend keeps several request frames in flight per worker
 and completes them out of order relative to other workers; every
 request and reply, whole shards included, travels by value in one
-pickled pipe frame.  None of that may be observable through the facade:
+pipe frame.  None of that may be observable through the facade:
 results must stay bit-identical to the synchronous call-and-wait
 discipline (``max_inflight=1``) and to the thread backend, read-only
 key arrays included, counter totals must agree, no request or shard
@@ -14,7 +14,6 @@ all-or-nothing across shards.
 """
 
 import os
-import pickle
 import signal
 import threading
 import time
@@ -31,7 +30,6 @@ from repro.core.config import ga_armi
 from repro.core.stats import Counters
 from repro.serve import ShardedAlexIndex
 from repro.serve.backend import WorkerDiedError
-from repro.serve.worker import _dumps
 
 #: Thread backend covers the cheap sweep; the process backend is the
 #: subject under test (workers are expensive to spawn on CI, so it
@@ -347,14 +345,16 @@ def _read_only(values) -> np.ndarray:
     return array
 
 
-def test_read_only_key_arrays_match_the_thread_backend(leak_guard):
-    """A read-only key array arrives read-only in a worker (protocol 5
-    pickles it as immutable bytes), as the thread backend hands it to
-    its shards.  Bulk load, batch reads and writes, range queries, a
-    split and a merge over read-only arrays give identical results on
-    both backends."""
-    probe = pickle.loads(_dumps(_read_only([1.0, 2.0])))
-    assert not probe.flags.writeable
+def test_read_only_key_arrays_match_the_thread_backend(leak_guard, wire):
+    """A read-only key array arrives read-only in a worker, in the
+    pickle stream or out of band, as the thread backend hands it to its
+    shards.  Bulk load, batch reads and writes, range queries, a split
+    and a merge over read-only arrays give identical results on both
+    backends."""
+    for n in (2, 1 << 17):
+        probe = wire(_read_only(np.arange(float(n))))
+        assert not probe.flags.writeable
+        assert probe.tolist() == list(range(n))
     rng = np.random.default_rng(_seed("read-only"))
     keys = _read_only(np.unique(rng.uniform(0, 1e6, 6000))[:5000])
     fresh = _read_only(np.setdiff1d(rng.uniform(0, 1e6, 2500), keys)[:2000])
