@@ -5,7 +5,7 @@ Three questions, recorded to ``BENCH_durability.json``:
 * **Logged-write overhead** — wall-clock cost of batch inserts through
   a durable one-shard :class:`~repro.serve.ShardedAlexIndex` (validate +
   WAL append + apply) over the same batches into an in-memory one-shard
-  service, per fsync policy.  Both sides pay the same facade,
+  service, per fsync policy, as the median of paired A/B/A rounds.  Both sides pay the same facade,
   validation and locking cost, so ``off`` isolates the logging code
   path itself; ``batch`` and ``always`` add the group-commit and
   per-append fsync costs, which are hardware-dependent (absolute seconds
@@ -36,6 +36,7 @@ Run: ``python benchmarks/bench_durability.py [--keys N] [--ops M]
 import argparse
 import os
 import shutil
+import statistics
 import tempfile
 import time
 from typing import Optional
@@ -77,44 +78,53 @@ def _one_shard(init: np.ndarray, root: Optional[str] = None,
 
 
 def measure_logged_write_overhead(tmp: str, num_keys: int, num_ops: int,
-                                  seed: int, repeats: int = 3) -> dict:
+                                  seed: int, rounds: int = 7) -> dict:
     """Batch-insert wall clock: a durable one-shard service (per fsync
     mode) vs an in-memory one over the same batches.
 
-    Every configuration is measured ``repeats`` times over a fresh index
-    (inserts mutate, so each sample rebuilds) and the *minimum* is kept:
-    the gated ``overhead_x`` ratio divides two small measurements, and a
-    single noisy sample on a shared CI runner must not flip the gate.
+    Inserts mutate, so every run inserts into a freshly built service.
+    The gated ``overhead_x`` ratio divides two runs of about 20 ms, so
+    each fsync mode is timed as the B side of ``rounds`` paired A/B/A
+    rounds (:func:`_common.paired_medians`) whose A side is the
+    in-memory service: the median of the bracketed ratios cancels drift
+    and rejects outliers, where the minimum of a few samples per side
+    would compare the two sides' luck.  The seconds recorded beside the
+    ratios are each side's median run.
     """
     rng = np.random.default_rng(seed)
     init = np.unique(rng.uniform(0, 1e6, num_keys))
     fresh = np.unique(rng.uniform(2e6, 3e6, num_ops))
     batches = np.array_split(fresh, max(1, len(fresh) // 1024))
+    plain_seconds = []
+    mode_seconds = {mode: [] for mode in FSYNC_MODES}
 
-    def run(service: ShardedAlexIndex) -> float:
+    def run(service: ShardedAlexIndex, out: list) -> float:
         with service:
-            return _timed(lambda: [service.insert_many(b) for b in batches])
+            seconds = _timed(lambda: [service.insert_many(b)
+                                      for b in batches])
+        out.append(seconds)
+        return seconds
 
     def plain_run() -> float:
-        return run(_one_shard(init))
+        return run(_one_shard(init), plain_seconds)
 
-    def durable_run(mode: str, sample: int) -> float:
-        root = os.path.join(tmp, f"overhead-{mode}-{sample}")
-        return run(_one_shard(init, root, fsync=mode))
+    def durable_run(mode: str) -> float:
+        samples = mode_seconds[mode]
+        root = os.path.join(tmp, f"overhead-{mode}-{len(samples)}")
+        return run(_one_shard(init, root, fsync=mode), samples)
 
-    plain_seconds = min(plain_run() for _ in range(repeats))
-    mode_seconds = {mode: min(durable_run(mode, i)
-                              for i in range(repeats))
-                    for mode in FSYNC_MODES}
+    ratios = _common.paired_medians(
+        [(plain_run, lambda mode=mode: durable_run(mode))
+         for mode in FSYNC_MODES], rounds)
     return {
         "inserted_keys": int(len(fresh)),
         "batches": len(batches),
-        "repeats": repeats,
-        "plain_seconds": round(plain_seconds, 4),
-        "durable_seconds": {m: round(s, 4)
+        "rounds": rounds,
+        "plain_seconds": round(statistics.median(plain_seconds), 4),
+        "durable_seconds": {m: round(statistics.median(s), 4)
                             for m, s in mode_seconds.items()},
-        "overhead_x": {m: round(s / plain_seconds, 3)
-                       for m, s in mode_seconds.items()},
+        "overhead_x": {m: round(r, 3)
+                       for m, r in zip(FSYNC_MODES, ratios)},
     }
 
 

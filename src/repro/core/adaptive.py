@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import AlexConfig
 from .data_node import DataNode
-from .kernels import KernelBackend, get_kernels
+from .kernels import get_kernels
 from .linear_model import LinearModel
 from .policy import DEFAULT_POLICY
 from .rmi import InnerNode, build_leaves, link_leaves, partition_by_model
@@ -33,91 +33,46 @@ def build_adaptive_rmi(keys: np.ndarray, payloads: np.ndarray,
                        counters: Counters, policy=None):
     """Algorithm 4: build an adaptively-shaped RMI over sorted ``keys``.
 
-    Returns ``(root, leaves)``.  The fanout of each inner node is chosen
-    by the adaptation ``policy`` (heuristic default: enough root
-    partitions that each holds ``max_keys_per_node`` keys in expectation,
-    the fixed ``config.inner_partitions`` below the root).  Oversized
-    partitions recurse into a deeper inner node; undersized partitions are
-    merged with their successors until just below the bound.
+    Returns ``(root, leaves)``.  The root's fanout is the adaptation
+    ``policy``'s (heuristic default: enough partitions that each holds
+    ``max_keys_per_node`` keys in expectation); every inner node below
+    it has ``config.inner_partitions`` slots, which is the fanout
+    contract of :meth:`AdaptationPolicy.initial_fanout
+    <repro.core.policy.AdaptationPolicy.initial_fanout>`.  Oversized
+    partitions recurse into a deeper inner node; undersized partitions
+    are merged with their successors until just below the bound.
 
-    The recursion only plans the leaves (it records where each one's key
-    run starts); one :func:`build_leaves` call then fits and places all
-    of them, and the inner nodes' placeholder slots are pointed at them.
+    One ``plan_adaptive`` kernel call runs that whole recursion and
+    returns the plan as flat arrays (:class:`~repro.core.kernels.AdaptivePlan`):
+    where each leaf's key run starts, and one row per inner node of
+    slope, intercept and slot table.  One :func:`build_leaves` call then
+    fits and places every leaf, and the inner nodes are created from the
+    table, children before parents.
     """
     keys = np.asarray(keys, dtype=np.float64)
     policy = policy or DEFAULT_POLICY
     kernels = get_kernels(config.kernel_backend)
-    starts: List[int] = []
-    inners: List[InnerNode] = []
-    root = _initialize(keys, 0, config, counters, policy, kernels, starts,
-                       inners, depth=0)
-    leaves = build_leaves(keys, payloads, starts + [len(keys)], config,
-                          counters, policy)
-    for inner in inners:
-        inner.children = [leaves[child] if isinstance(child, int) else child
-                          for child in inner.children]
-    link_leaves(leaves)
-    return (leaves[root] if isinstance(root, int) else root), leaves
-
-
-def _initialize(keys: np.ndarray, offset: int, config: AlexConfig,
-                counters: Counters, policy, kernels: KernelBackend,
-                starts: List[int], inners: List[InnerNode], depth: int):
-    """Recursive body of Algorithm 4 over ``keys``, a view of the whole
-    key array starting at ``offset``.
-
-    A planned leaf is its ordinal in ``starts``, where its run's offset
-    is appended (runs come in key order); a new inner node is appended
-    to ``inners`` with those ordinals in its slots.  Returns the subtree
-    root: an ordinal or an :class:`InnerNode`.
-    """
-    n = len(keys)
     max_keys = config.max_keys_per_node
-    if n <= max_keys or depth >= _MAX_DEPTH:
-        return _plan_leaf(offset, starts)
-
-    num_partitions = policy.initial_fanout(n, depth, config)
-    model = LinearModel(*kernels.fit_cdf(keys, num_partitions))
-    counters.retrains += 1
-    bounds = partition_by_model(keys, model, num_partitions, kernels)
-    sizes = np.diff(bounds).tolist()
-    if max(sizes) == n:
-        # Degenerate: the model routes every key to one partition, so
-        # recursing cannot make progress.  Accept an oversized leaf.
-        return _plan_leaf(offset, starts)
-
-    bounds = bounds.tolist()
-    children: List[object] = [None] * num_partitions
-    s = 0
-    while s < num_partitions:
-        size = sizes[s]
-        if size > max_keys:
-            lo, hi = bounds[s], bounds[s + 1]
-            children[s] = _initialize(keys[lo:hi], offset + lo, config,
-                                      counters, policy, kernels, starts,
-                                      inners, depth + 1)
-            s += 1
-            continue
-        # Merge this partition with its successors until just below the
-        # bound (Algorithm 4's accumulate-then-drop loop).
-        e = s + 1
-        acc = size
-        while e < num_partitions and acc + sizes[e] <= max_keys:
-            acc += sizes[e]
-            e += 1
-        leaf = _plan_leaf(offset + bounds[s], starts)
-        for slot in range(s, e):
-            children[slot] = leaf
-        s = e
-    inner = InnerNode(model, children, counters, kernels=kernels)
-    inners.append(inner)
-    return inner
-
-
-def _plan_leaf(offset: int, starts: List[int]) -> int:
-    """Record a leaf whose key run starts at ``offset``; its ordinal."""
-    starts.append(offset)
-    return len(starts) - 1
+    # The policy is asked only when the root is an inner node.
+    root_fanout = (policy.initial_fanout(len(keys), 0, config)
+                   if len(keys) > max_keys else 0)
+    plan = kernels.plan_adaptive(keys, root_fanout, config.inner_partitions,
+                                 max_keys, _MAX_DEPTH)
+    counters.retrains += plan.retrains
+    leaves = build_leaves(keys, payloads, plan.starts.tolist() + [len(keys)],
+                          config, counters, policy)
+    # Leaf j is nodes[j] and inner node k is nodes[~k], as the plan's
+    # slots refer to them; each inner node is created after its children.
+    slopes, intercepts = plan.slopes.tolist(), plan.intercepts.tolist()
+    offsets, children = plan.offsets.tolist(), plan.children.tolist()
+    nodes: List[object] = leaves + [None] * len(slopes)
+    for k in reversed(range(len(slopes))):
+        nodes[~k] = InnerNode(LinearModel(slopes[k], intercepts[k]),
+                              [nodes[c] for c in
+                               children[offsets[k]:offsets[k + 1]]],
+                              counters, kernels=kernels)
+    link_leaves(leaves)
+    return nodes[-1], leaves
 
 
 def split_until_fits(leaf: DataNode, parent: Optional[InnerNode],

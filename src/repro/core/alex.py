@@ -56,6 +56,7 @@ from .config import ADAPTIVE_RMI, AlexConfig
 from .data_node import (DataNode, blank_column, object_column, payload_column,
                         payload_fits)
 from .errors import DuplicateKeyError, KeyNotFoundError
+from .kernels import KernelBackend, get_kernels
 from .policy import (AdaptationPolicy, EV_DELETE, EV_INSERT, EV_READ,
                      HeuristicPolicy, PressureEvent, SMO_EXPAND, SMO_MERGE,
                      SMO_NONE, SMO_RETRAIN, SMO_SPLIT_DOWN,
@@ -113,7 +114,9 @@ class AlexIndex:
         :attr:`payload_dtype`).  Raises :class:`DuplicateKeyError` on
         repeated keys and :class:`ValueError` on NaN or infinite keys.
         """
-        keys, column = cls._normalize_batch(keys, payloads, column=True)
+        kernels = get_kernels(config.kernel_backend if config else None)
+        keys, column = cls._normalize_batch(keys, payloads, column=True,
+                                            kernels=kernels)
         return cls._build(keys, column, config, policy)
 
     @classmethod
@@ -202,7 +205,8 @@ class AlexIndex:
         return route_batch(self._root, sorted_keys)
 
     @staticmethod
-    def _normalize_batch(keys, payloads, column: bool = False):
+    def _normalize_batch(keys, payloads, column: bool = False,
+                         kernels: Optional[KernelBackend] = None):
         """Normalize a write batch: float64 keys sorted with their payloads
         aligned in a list (``None``-filled when omitted), raising on
         non-finite keys, length mismatch or in-batch duplicates.  Shared
@@ -213,8 +217,9 @@ class AlexIndex:
         ``recover()`` hands in sorted parts — skip the sort and the
         payload gather entirely.  With ``column=True`` the payloads
         come back as the column :func:`~repro.core.data_node.payload_column`
-        makes of them, gathered in numpy (the index stores it; the
-        sharded bulk load ships its slices to the shards as is)."""
+        makes of them with ``kernels`` (default: the process default
+        backend), gathered in numpy (the index stores it; the sharded
+        bulk load ships its slices to the shards as is)."""
         keys = np.asarray(keys, dtype=np.float64)
         if payloads is not None and len(payloads) != len(keys):
             raise ValueError("payloads length must match keys length")
@@ -222,7 +227,7 @@ class AlexIndex:
         n = len(keys)
         if column:
             payloads = (blank_column(n, object) if payloads is None
-                        else payload_column(payloads))
+                        else payload_column(payloads, kernels))
             return keys, payloads if order is None else payloads[order]
         if payloads is None:
             payloads = [None] * n
@@ -566,7 +571,9 @@ class AlexIndex:
         (:func:`repro.core.adaptive.split_until_fits`) exactly as scalar
         inserts would split them.
         """
-        keys, payloads = self._normalize_batch(keys, payloads, column=True)
+        keys, payloads = self._normalize_batch(
+            keys, payloads, column=True,
+            kernels=get_kernels(self.config.kernel_backend))
         if len(keys) == 0:
             return
 
@@ -595,7 +602,8 @@ class AlexIndex:
         if len(keys) == 0:
             return
         payloads = (blank_column(len(keys), object) if payloads is None
-                    else payload_column(payloads))
+                    else payload_column(payloads,
+                                        get_kernels(self.config.kernel_backend)))
         self._apply_insert_groups(self._route_many(keys), keys, payloads)
 
     def _apply_insert_groups(self, groups, keys: np.ndarray,

@@ -18,8 +18,11 @@ Array — share everything implemented here:
   mixed ``1`` / ``1.0``, and ints numpy would widen to ``uint64``,
   ``float64`` (any value in ``[2**63, 2**64)``) or ``object`` — so
   every payload comes back with its exact Python type and value.  The
-  first written value that does not fit (:func:`payload_fits`)
-  upgrades the index's columns to ``object``, once.  Values leave only through ``item()`` or ``tolist()``, which
+  rule is the ``type_payloads`` kernel's: both kernel backends implement
+  it, the numpy one in Python and the compiled one in one C pass over
+  the list.  The first written value that does not fit
+  (:func:`payload_fits`) upgrades the index's columns to ``object``,
+  once.  Values leave only through ``item()`` or ``tolist()``, which
   return exactly the Python value stored, and shifts, rebalances and
   rebuilds move them with the same numpy slice operations on every
   dtype;
@@ -39,9 +42,7 @@ policy (GA: grow by ``1/d``; PMA: double).
 
 from __future__ import annotations
 
-import marshal
 import weakref
-from operator import countOf
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -84,70 +85,19 @@ def payload_fits(dtype: np.dtype, value) -> bool:
     return type(value) is int and _INT64_MIN <= value <= _INT64_MAX
 
 
-def numeric_column(values) -> Optional[np.ndarray]:
+def numeric_column(values, kernels: Optional[KernelBackend] = None
+                   ) -> Optional[np.ndarray]:
     """``values`` as a 1-D ``int64`` or ``float64`` array whose
     ``tolist()`` restores it exactly, or ``None`` when it has no such
     column: only a non-empty list of Python ``int`` only (and in int64
     range) or of Python ``float`` only qualifies (see the module
-    docstring's exact-kind rule)."""
-    if not isinstance(values, list) or not values:
-        return None
-    kind = type(values[0])
-    if kind is float:
-        return _exact_floats(values)
-    # One C-level pass over the types (identity compares, no hashing).
-    if kind is not int or countOf(map(type, values), int) != len(values):
-        return None
-    try:
-        return np.fromiter(values, dtype=np.int64, count=len(values))
-    except OverflowError:  # an int outside int64
-        return None
+    docstring's exact-kind rule).  One ``type_payloads`` call of
+    ``kernels`` (default: the process default backend) types it."""
+    return (kernels or get_kernels()).type_payloads(values)
 
 
-#: :mod:`marshal`'s record of one exact Python ``float`` in format
-#: version 2, which has no back-references: the type byte ``g`` and the
-#: IEEE double, little-endian.
-_FLOAT_RECORD = np.dtype([("kind", "u1"), ("value", "<f8")])
-
-
-#: Values per :mod:`marshal` call in :func:`_exact_floats`, so a call's
-#: blob (9 bytes per value) stays under 2.4 MB whatever the list's
-#: length.  A list this short is typed whole: slicing would cost an
-#: incref and a decref per value, 5 ms per million.
-_FLOAT_CHUNK = 1 << 18
-
-
-def _exact_floats(values: list) -> Optional[np.ndarray]:
-    """``values`` as a ``float64`` column when every one is exactly a
-    Python ``float``, else ``None``, with one C-level pass over each
-    slice of at most :data:`_FLOAT_CHUNK` values (a type pass plus
-    :func:`numpy.fromiter` take two, each touching every object).
-    :mod:`marshal` writes a list as a 5-byte header and one record per
-    value; an exact float's record is the 9 bytes of
-    :data:`_FLOAT_RECORD`, and anything else — an ``int``, a ``bool``, a
-    numpy scalar or any other ``float`` subclass — gets a record of
-    another kind.  So when every 9-byte step after a slice's header
-    starts with ``g``, every record of that slice is a float record, and
-    its values go straight into the preallocated column."""
-    n = len(values)
-    column = np.empty(n, dtype=np.float64)
-    for start in range(0, n, _FLOAT_CHUNK):
-        chunk = (values if n <= _FLOAT_CHUNK
-                 else values[start:start + _FLOAT_CHUNK])
-        try:
-            blob = marshal.dumps(chunk, 2)
-        except ValueError:  # an object marshal cannot write
-            return None
-        if len(blob) != 5 + 9 * len(chunk):
-            return None
-        records = np.frombuffer(blob, _FLOAT_RECORD, offset=5)
-        if not (records["kind"] == ord("g")).all():
-            return None
-        column[start:start + len(chunk)] = records["value"]
-    return column
-
-
-def payload_column(values) -> np.ndarray:
+def payload_column(values, kernels: Optional[KernelBackend] = None
+                   ) -> np.ndarray:
     """``values`` as a payload column: the ``int64`` or ``float64``
     column :func:`numeric_column` makes of them when the exact-kind rule
     admits them, else an ``object`` column holding each value whole (a
@@ -155,7 +105,7 @@ def payload_column(values) -> np.ndarray:
     scalars)."""
     if not isinstance(values, list):
         values = list(values)
-    column = numeric_column(values)
+    column = numeric_column(values, kernels)
     if column is None:
         column = np.fromiter(values, dtype=object, count=len(values))
     return column
@@ -194,8 +144,9 @@ def build_runs(nodes: list, keys: np.ndarray, payloads: Optional[np.ndarray],
     dtype every node's column takes, or any other sequence, which
     becomes an ``object`` column (typed columns come from an index's
     bulk load, which owns the one-way upgrade of its leaves).  Node
-    ``j`` gets ``capacities[j]`` slots (default: its build density), at
-    least :attr:`DataNode.MIN_CAPACITY` and at least its key count.  Each key
+    ``j`` gets ``capacities[j]`` slots (default: the build density of
+    the nodes' layout, which they share), at least
+    :attr:`DataNode.MIN_CAPACITY` and at least its key count.  Each key
     lands at its model-predicted slot in sorted order; when that slot is
     taken it spills to the first gap on the right, and trailing room is
     reserved so every key fits.  Segments below ``min_keys_for_model``
@@ -214,8 +165,7 @@ def build_runs(nodes: list, keys: np.ndarray, payloads: Optional[np.ndarray],
     bounds = np.asarray(bounds, dtype=np.int64)
     sizes = np.diff(bounds)
     if capacities is None:
-        capacities = [node._initial_capacity(n)
-                      for node, n in zip(nodes, sizes.tolist())]
+        capacities = first._initial_capacities(sizes)
     capacities = np.maximum(np.maximum(capacities, sizes),
                             DataNode.MIN_CAPACITY)
     min_keys = config.min_keys_for_model
@@ -235,14 +185,15 @@ def build_runs(nodes: list, keys: np.ndarray, payloads: Optional[np.ndarray],
                                    count=len(payloads))
         arena = blank_column(offsets[-1], payloads.dtype)
         arena[occupied] = payloads
-    for j, node in enumerate(nodes):
-        node.keys = slot_keys[offsets[j]:offsets[j + 1]]
-        node.occupied = occupied[offsets[j]:offsets[j + 1]]
-        node.payloads = arena[offsets[j]:offsets[j + 1]]
-        node.model = (LinearModel(float(slopes[j]), float(intercepts[j]))
-                      if modeled[j] else None)
-        node.capacity = offsets[j + 1] - offsets[j]
-        node.num_keys = int(sizes[j])
+    rows = zip(nodes, offsets, offsets[1:], sizes.tolist(), modeled.tolist(),
+               slopes.tolist(), intercepts.tolist())
+    for node, lo, hi, n, has_model, slope, intercept in rows:
+        node.keys = slot_keys[lo:hi]
+        node.occupied = occupied[lo:hi]
+        node.payloads = arena[lo:hi]
+        node.model = LinearModel(slope, intercept) if has_model else None
+        node.capacity = hi - lo
+        node.num_keys = n
         # Every rebuild — bulk build, expansion, contraction, retrain,
         # batch merge-rebuild — lands here, so this is the one place the
         # adaptation policy's per-node drift window is invalidated.
@@ -297,9 +248,18 @@ class DataNode:
     # Building
     # ------------------------------------------------------------------
 
+    def _initial_capacities(self, sizes: np.ndarray) -> np.ndarray:
+        """Capacities for runs of ``sizes`` keys at the build density
+        ``d**2``: ``c * n`` slots (``c = 1/d**2``, Section 3.3.1), at
+        least :attr:`MIN_CAPACITY`.  Layouts with other sizes override
+        this."""
+        capacities = np.ceil(np.asarray(sizes, dtype=np.int64)
+                             * self.config.expansion_factor)
+        return np.maximum(capacities.astype(np.int64), self.MIN_CAPACITY)
+
     def _initial_capacity(self, n: int) -> int:
-        """Capacity for ``n`` keys at the build density ``d**2``."""
-        raise NotImplementedError
+        """:meth:`_initial_capacities` for one run of ``n`` keys."""
+        return int(self._initial_capacities(np.array([n]))[0])
 
     def build(self, keys: np.ndarray, payloads=None) -> None:
         """(Re)initialize this node with sorted, duplicate-free ``keys``

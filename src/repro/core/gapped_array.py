@@ -26,12 +26,6 @@ from .data_node import DataNode
 class GappedArrayNode(DataNode):
     """ALEX leaf node backed by a gapped array."""
 
-    def _initial_capacity(self, n: int) -> int:
-        """Allocate ``c * n`` slots (``c = 1/d**2``) so the build density is
-        ``d**2`` (Section 3.3.1)."""
-        return max(self.MIN_CAPACITY,
-                   int(math.ceil(n * self.config.expansion_factor)))
-
     def insert(self, key: float, payload=None) -> None:
         """Algorithm 1: expand if needed, find the corrected insert position,
         make a gap if the slot is occupied, and place the key.

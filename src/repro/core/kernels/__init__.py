@@ -1,14 +1,16 @@
-"""Pluggable compiled kernels for the four innermost hot loops.
+"""Pluggable compiled kernels for the innermost hot loops.
 
 The honest batch-vs-scalar ratio of the pure-NumPy engine is ~1.4x
 (BENCH_batch.json): interpreter dispatch, not memory bandwidth, is the
-ceiling on every read and write.  This package moves the four loops the
+ceiling on every read and write.  This package moves the loops the
 profile is made of — (1) linear-model predict + clamp, (2) lock-step
 exponential/binary search over leaf key arrays, (3) the gapped-array /
-PMA shift-and-insert, and (4) the leaf build every bulk load,
-expansion, contraction, retrain, split and merge runs (Algorithm 3): the
-CDF model fit plus the model-based placement, for all the leaves of one
-build in one call — behind one narrow kernel interface with two
+PMA shift-and-insert, (4) the leaf build every bulk load, expansion,
+contraction, retrain, split and merge runs (Algorithm 3): the CDF model
+fit plus the model-based placement, for all the leaves of one build in
+one call, (5) the typing of a bulk load's payload list into a numeric
+column, and (6) the plan of Algorithm 4's adaptive RMI, the whole
+recursion in one call — behind one narrow kernel interface with two
 implementations:
 
 ``numpy``
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +56,34 @@ from repro import obs
 
 #: Recognized ``kernel_backend`` spellings.
 BACKEND_NAMES = ("numpy", "cffi")
+
+
+#: What :meth:`KernelBackend.plan_adaptive` raises (``ValueError``) when
+#: a run it must split has a fanout below one.
+FANOUT_ERROR = "an inner node needs a fanout of at least 1"
+
+
+class AdaptivePlan(NamedTuple):
+    """Algorithm 4's plan of an adaptive RMI, as
+    :meth:`KernelBackend.plan_adaptive` returns it.
+
+    Leaves are numbered in key order: leaf ``j``'s run starts at
+    ``starts[j]`` and ends where the next one starts (the last at
+    ``len(keys)``).  Inner nodes are numbered in pre-order, so node 0 is
+    the root whenever there is an inner node at all, and every child
+    comes after its parent.  Node ``i`` has the model ``(slopes[i],
+    intercepts[i])`` and the slots ``children[offsets[i]:offsets[i +
+    1]]``; a slot holds a leaf number (``>= 0``) or ``~k`` (``< 0``) for
+    inner node ``k``.  With no inner node the tree is leaf 0 alone.
+    ``retrains`` counts the model fits the plan made.
+    """
+
+    starts: np.ndarray      # int64, one per leaf
+    slopes: np.ndarray      # float64, one per inner node
+    intercepts: np.ndarray  # float64, one per inner node
+    offsets: np.ndarray     # int64, one per inner node plus one
+    children: np.ndarray    # int64, one per slot
+    retrains: int
 
 
 class KernelBackend:
@@ -206,6 +236,45 @@ class KernelBackend:
         segment sits at the segment's ``i``-th set bit; no per-key
         position array is returned (it would add eight bytes per key at
         the build's memory peak).
+        """
+        raise NotImplementedError
+
+    # -- kernel 5: payload typing (bulk load) -------------------------
+
+    def type_payloads(self, values) -> Optional[np.ndarray]:
+        """``values`` as an ``int64`` or ``float64`` column whose
+        ``tolist()`` restores every value exactly, or ``None``.
+
+        The exact-kind rule: only a non-empty ``list`` of Python ``int``
+        only, each in int64 range, becomes an ``int64`` column, and only
+        one of Python ``float`` only a ``float64`` column (bit for bit:
+        ``-0.0`` and NaN payloads included).  ``bool``, numpy scalars,
+        ``float`` subclasses, a mix of ``1`` and ``1.0``, an int outside
+        int64, an empty list and any sequence that is not a list give
+        ``None``.
+        """
+        raise NotImplementedError
+
+    # -- kernel 6: Algorithm 4's plan (adaptive RMI) ------------------
+
+    def plan_adaptive(self, keys: np.ndarray, root_fanout: int,
+                      inner_fanout: int, max_keys: int,
+                      max_depth: int) -> AdaptivePlan:
+        """Algorithm 4 over sorted ``keys``: the shape of the adaptive
+        RMI, not yet its nodes.
+
+        A run of at most ``max_keys`` keys, or one at depth
+        ``max_depth``, is a leaf.  A larger run becomes an inner node:
+        the :meth:`fit_cdf` model over ``root_fanout`` slots at the root
+        (read only when ``len(keys) > max_keys``) and ``inner_fanout``
+        below it partitions the run through :meth:`predict_clamp`.  When
+        every key lands in one partition the run is a leaf after all
+        (the model cannot split it).  Otherwise each partition of more
+        than ``max_keys`` keys recurses one level deeper, and each
+        smaller one is merged with its successors while the merged run
+        stays within ``max_keys``; every slot of a merged run points at
+        the same leaf.  A run to split with a fanout below one raises
+        :class:`ValueError`.
         """
         raise NotImplementedError
 

@@ -1,8 +1,9 @@
-"""C kernel backend: the four hot loops compiled with the system C compiler.
+"""C kernel backend: the hot loops compiled with the system C compiler.
 
 The kernels — predict + clamp, exponential/binary search, shift-and-insert,
-and the leaf build (CDF model fit plus model-based placement, every
-segment of a multi-leaf build in one call) — are the per-lane scalar
+the leaf build (CDF model fit plus model-based placement, every
+segment of a multi-leaf build in one call), the payload typing and the
+plan of Algorithm 4's adaptive RMI — are the per-lane scalar
 algorithms (identical control flow to the extracted NumPy reference, so
 positions *and* counter charges match bit-for-bit; the placement runs
 the sequential loop the reference vectorizes, and the fit runs the same
@@ -14,6 +15,10 @@ compile flags (``$REPRO_KERNEL_CACHE`` or ``~/.cache/repro-kernels``)
 and loaded from there afterwards, so only the first process on a
 machine ever pays the compile; CFFI releases the GIL around every call,
 which lets the thread serving backend scale these kernels across cores.
+The payload typing alone reads Python objects: it takes the GIL back
+for its one pass over the list (``PyGILState_Ensure``), so the extension
+is built against the full C API, not cffi's default limited one, which
+lacks ``PyList_GET_ITEM`` and ``PyFloat_AS_DOUBLE``.
 
 Construction compiles/loads eagerly: if anything is missing (cffi, a C
 compiler) it raises and the registry degrades the caller to the numpy
@@ -28,19 +33,20 @@ import importlib.util
 import os
 import threading
 from pathlib import Path
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from . import KernelBackend, check_segments
+from . import FANOUT_ERROR, AdaptivePlan, KernelBackend, check_segments
 
 _CACHE_ENV = "REPRO_KERNEL_CACHE"
 
 #: Compile flags of the extension (part of its cache key).  Contraction
 #: of ``a * b + c`` into a fused multiply-add is off: the model fit must
 #: round every product exactly as the numpy reference does, whatever
-#: ``-march`` the environment's ``CFLAGS`` add.
-_CFLAGS = ("-O3", "-ffp-contract=off")
+#: ``-march`` the environment's ``CFLAGS`` add.  The full C API is on
+#: for the payload typing (see the module docstring).
+_CFLAGS = ("-O3", "-ffp-contract=off", "-D_CFFI_NO_LIMITED_API")
 
 _CDEF = """
 void k_predict_clamp(double slope, double intercept, const double *keys,
@@ -71,11 +77,25 @@ int64_t k_fit_place(const double *keys, const int64_t *bounds,
                     const int64_t *caps, int64_t m, int64_t min_keys,
                     double *slot_keys, uint8_t *occ, double *slopes,
                     double *intercepts);
+int k_type_floats(void *list, int64_t n, double *out);
+int k_type_ints(void *list, int64_t n, int64_t *out);
+typedef struct {
+    int64_t *starts, *offsets, *children;
+    double *slopes, *intercepts;
+    int64_t n_starts, n_inner, n_children, retrains;
+    int64_t cap_starts, cap_offsets, cap_children, cap_slopes, cap_intercepts;
+} plan_t;
+int k_plan_adaptive(const double *keys, int64_t n, int64_t root_fanout,
+                    int64_t inner_fanout, int64_t max_keys,
+                    int64_t max_depth, plan_t *p);
+void k_plan_free(plan_t *p);
 """
 
 _SOURCE = r"""
+#include <Python.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* Floor + clamp of the model prediction into [0, size - 1]; the !(p > 0)
@@ -382,6 +402,209 @@ int64_t k_fit_place(const double *keys, const int64_t *bounds,
     }
     return fills;
 }
+
+/* The exact-kind rule over a list of n values whose first is a float
+ * (or an int): 1 with every value written to out when each one is
+ * exactly a Python float (an int within int64), else 0.  cffi released
+ * the GIL around the call; the list is read with it taken back.  A list
+ * whose length is no longer n gives 0 too. */
+int k_type_floats(void *list, int64_t n, double *out)
+{
+    PyGILState_STATE gil = PyGILState_Ensure();
+    PyObject *values = (PyObject *)list;
+    int ok = PyList_GET_SIZE(values) == n;
+    int64_t i;
+    for (i = 0; ok && i < n; i++) {
+        PyObject *item = PyList_GET_ITEM(values, i);
+        if (PyFloat_CheckExact(item))
+            out[i] = PyFloat_AS_DOUBLE(item);
+        else
+            ok = 0;
+    }
+    PyGILState_Release(gil);
+    return ok;
+}
+
+int k_type_ints(void *list, int64_t n, int64_t *out)
+{
+    PyGILState_STATE gil = PyGILState_Ensure();
+    PyObject *values = (PyObject *)list;
+    int ok = PyList_GET_SIZE(values) == n, overflow = 0;
+    int64_t i;
+    for (i = 0; ok && i < n; i++) {
+        PyObject *item = PyList_GET_ITEM(values, i);
+        if (!PyLong_CheckExact(item)) {
+            ok = 0;
+        } else {
+            /* An exact int never raises here: out of range only sets
+             * overflow. */
+            out[i] = PyLong_AsLongLongAndOverflow(item, &overflow);
+            ok = !overflow;
+        }
+    }
+    PyGILState_Release(gil);
+    return ok;
+}
+
+typedef struct {
+    int64_t *starts, *offsets, *children;
+    double *slopes, *intercepts;
+    int64_t n_starts, n_inner, n_children, retrains;
+    int64_t cap_starts, cap_offsets, cap_children, cap_slopes, cap_intercepts;
+} plan_t;
+
+/* No child reference is INT64_MIN or INT64_MIN + 1 (leaves are >= 0,
+ * inner node k is ~k), so they mark a failed allocation and an inner
+ * node asked for fewer than one slot. */
+#define PLAN_FAIL INT64_MIN
+#define PLAN_BAD_FANOUT (INT64_MIN + 1)
+
+/* Grows *buf (NULL while *cap is 0) to hold at least need items of
+ * width bytes. */
+static int grow(void **buf, int64_t *cap, int64_t need, size_t width)
+{
+    int64_t c = *cap ? *cap : 16;
+    void *p;
+    if (need <= *cap)
+        return 0;
+    while (c < need)
+        c *= 2;
+    p = realloc(*buf, (size_t)c * width);
+    if (p == NULL)
+        return -1;
+    *buf = p;
+    *cap = c;
+    return 0;
+}
+
+static int64_t plan_leaf(plan_t *p, int64_t start)
+{
+    if (grow((void **)&p->starts, &p->cap_starts, p->n_starts + 1,
+             sizeof(int64_t)))
+        return PLAN_FAIL;
+    p->starts[p->n_starts] = start;
+    return p->n_starts++;
+}
+
+/* What the recursion shares: the keys, one slot per key (each node
+ * overwrites its own run's slots, which its parent no longer needs),
+ * the fixed parameters and the plan being written. */
+typedef struct {
+    const double *keys;
+    int64_t *slots;
+    int64_t inner_fanout, max_keys, max_depth;
+    plan_t *p;
+} planner_t;
+
+/* Algorithm 4 over keys[lo..hi) with the given fanout: the numpy
+ * backend's recursion step for step.  bounds[s] is the first key whose
+ * k_predict_clamp slot is at least s, as np.searchsorted finds it in the
+ * (non-decreasing) slots.  Returns the run's child reference. */
+static int64_t plan_node(const planner_t *c, int64_t lo, int64_t hi,
+                         int64_t fanout, int64_t depth)
+{
+    plan_t *p = c->p;
+    int64_t n = hi - lo, node, base, s, i, ref, *bounds;
+    double fit[2];
+    if (n <= c->max_keys || depth >= c->max_depth)
+        return plan_leaf(p, lo);
+    if (fanout < 1)
+        return PLAN_BAD_FANOUT;
+    k_fit_cdf(c->keys + lo, n, fanout, fit);
+    p->retrains++;
+    bounds = malloc((size_t)(fanout + 1) * sizeof(int64_t));
+    if (bounds == NULL)
+        return PLAN_FAIL;
+    k_predict_clamp(fit[0], fit[1], c->keys + lo, n, fanout, c->slots + lo);
+    for (i = 0, s = 0; i < n; i++)
+        while (s <= c->slots[lo + i])
+            bounds[s++] = i;
+    while (s <= fanout)
+        bounds[s++] = n;
+    for (s = 0; s < fanout && bounds[s + 1] - bounds[s] < n; s++)
+        ;
+    if (s < fanout) {
+        /* Degenerate: the model routes every key to one partition, so
+         * recursing cannot make progress.  Accept an oversized leaf. */
+        free(bounds);
+        return plan_leaf(p, lo);
+    }
+    if (grow((void **)&p->slopes, &p->cap_slopes, p->n_inner + 1,
+             sizeof(double))
+            || grow((void **)&p->intercepts, &p->cap_intercepts,
+                    p->n_inner + 1, sizeof(double))
+            || grow((void **)&p->offsets, &p->cap_offsets, p->n_inner + 2,
+                    sizeof(int64_t))
+            || grow((void **)&p->children, &p->cap_children,
+                    p->n_children + fanout, sizeof(int64_t))) {
+        free(bounds);
+        return PLAN_FAIL;
+    }
+    node = p->n_inner++;
+    p->slopes[node] = fit[0];
+    p->intercepts[node] = fit[1];
+    base = p->n_children;
+    p->n_children += fanout;
+    p->offsets[node + 1] = p->n_children;
+    for (s = 0; s < fanout;) {
+        int64_t e = s + 1, acc = bounds[s + 1] - bounds[s];
+        if (acc > c->max_keys) {
+            ref = plan_node(c, lo + bounds[s], lo + bounds[s + 1],
+                            c->inner_fanout, depth + 1);
+        } else {
+            /* Merge with the successors until just below the bound. */
+            while (e < fanout
+                   && acc + bounds[e + 1] - bounds[e] <= c->max_keys) {
+                acc += bounds[e + 1] - bounds[e];
+                e++;
+            }
+            ref = plan_leaf(p, lo + bounds[s]);
+        }
+        if (ref == PLAN_FAIL || ref == PLAN_BAD_FANOUT) {
+            free(bounds);
+            return ref;
+        }
+        /* Through p: the recursion may have moved p->children. */
+        for (; s < e; s++)
+            p->children[base + s] = ref;
+    }
+    free(bounds);
+    return ~node;
+}
+
+void k_plan_free(plan_t *p)
+{
+    free(p->starts);
+    free(p->slopes);
+    free(p->intercepts);
+    free(p->offsets);
+    free(p->children);
+    memset(p, 0, sizeof(*p));
+}
+
+/* Algorithm 4's whole plan in one call into growing buffers, which the
+ * caller copies out and releases with k_plan_free (also after a
+ * failure).  Returns 0, -1 when an allocation failed, or -2 when an
+ * inner node was asked for fewer than one slot. */
+int k_plan_adaptive(const double *keys, int64_t n, int64_t root_fanout,
+                    int64_t inner_fanout, int64_t max_keys,
+                    int64_t max_depth, plan_t *p)
+{
+    planner_t c = {keys, NULL, inner_fanout, max_keys, max_depth, p};
+    int64_t root;
+    memset(p, 0, sizeof(*p));
+    c.slots = malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
+    if (c.slots == NULL
+            || grow((void **)&p->offsets, &p->cap_offsets, 1,
+                    sizeof(int64_t))) {
+        free(c.slots);
+        return -1;
+    }
+    p->offsets[0] = 0;
+    root = plan_node(&c, 0, n, root_fanout, 0);
+    free(c.slots);
+    return root == PLAN_FAIL ? -1 : root == PLAN_BAD_FANOUT ? -2 : 0;
+}
 """
 
 
@@ -575,3 +798,60 @@ class CffiKernels(KernelBackend):
             min_keys_for_model, self._dbuf(slot_keys), self._obuf(occupied),
             self._dbuf(slopes), self._dbuf(intercepts))
         return slot_keys, occupied, slopes, intercepts, int(fills)
+
+    # -- kernel 5: payload typing (bulk load) -------------------------
+
+    def type_payloads(self, values) -> Optional[np.ndarray]:
+        if not isinstance(values, list) or not values:
+            return None
+        kind = type(values[0])
+        if kind is float:
+            column = np.empty(len(values), np.float64)
+            typed = self._lib.k_type_floats(self._list(values), len(values),
+                                            self._dbuf(column))
+        elif kind is int:
+            column = np.empty(len(values), np.int64)
+            typed = self._lib.k_type_ints(self._list(values), len(values),
+                                          self._ibuf(column))
+        else:
+            return None
+        return column if typed else None
+
+    def _list(self, values: list):
+        """The list itself, by address: the C side reads it under the
+        GIL while the caller's frame keeps it alive."""
+        return self._ffi.cast("void *", id(values))
+
+    # -- kernel 6: Algorithm 4's plan (adaptive RMI) ------------------
+
+    def plan_adaptive(self, keys: np.ndarray, root_fanout: int,
+                      inner_fanout: int, max_keys: int,
+                      max_depth: int) -> AdaptivePlan:
+        keys = np.ascontiguousarray(keys, dtype=np.float64)
+        plan = self._ffi.new("plan_t *")
+        try:
+            status = self._lib.k_plan_adaptive(
+                self._dbuf(keys), len(keys), root_fanout, inner_fanout,
+                max_keys, max_depth, plan)
+            if status == -2:
+                raise ValueError(FANOUT_ERROR)
+            if status:
+                raise MemoryError("out of memory planning the adaptive RMI")
+            m = plan.n_inner
+            return AdaptivePlan(
+                self._copy(plan.starts, plan.n_starts, np.int64),
+                self._copy(plan.slopes, m, np.float64),
+                self._copy(plan.intercepts, m, np.float64),
+                self._copy(plan.offsets, m + 1, np.int64),
+                self._copy(plan.children, plan.n_children, np.int64),
+                int(plan.retrains))
+        finally:
+            self._lib.k_plan_free(plan)
+
+    def _copy(self, pointer, count: int, dtype) -> np.ndarray:
+        """A numpy copy of the first ``count`` items of a C buffer (which
+        is ``NULL`` while it holds none)."""
+        if count == 0:
+            return np.empty(0, dtype)
+        return np.frombuffer(self._ffi.buffer(pointer, 8 * count),
+                             dtype).copy()

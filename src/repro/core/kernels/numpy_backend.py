@@ -10,16 +10,22 @@ charges returned instead of applied.  Kernel 4 fits each leaf with
 <repro.core.linear_model.LinearModel.train_cdf>` (sequential
 ``np.cumsum`` sums, which the C loop reproduces bit for bit) and then
 runs ``DataNode``'s former vectorized placement and full-array gap
-refill, one segment at a time.
+refill, one segment at a time.  Kernel 5 is the payload typing
+:func:`repro.core.data_node.payload_column` ran before it had a kernel,
+and kernel 6 is the recursion of Algorithm 4 that
+:func:`repro.core.adaptive.build_adaptive_rmi` ran, writing the plan
+into flat lists instead of creating nodes.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import marshal
+from operator import countOf
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import KernelBackend, check_segments
+from . import FANOUT_ERROR, AdaptivePlan, KernelBackend, check_segments
 from ..linear_model import LinearModel
 from ..search import (exponential_search_counted,
                       exponential_search_many_counted, lower_bound_counted,
@@ -36,6 +42,49 @@ def _predict_pos_scalar(slope: float, intercept: float, key: float,
     if pos >= size:
         return size - 1
     return int(pos)
+
+
+#: :mod:`marshal`'s record of one exact Python ``float`` in format
+#: version 2, which has no back-references: the type byte ``g`` and the
+#: IEEE double, little-endian.
+_FLOAT_RECORD = np.dtype([("kind", "u1"), ("value", "<f8")])
+
+
+#: Values per :mod:`marshal` call in :func:`_exact_floats`, so a call's
+#: blob (9 bytes per value) stays under 2.4 MB whatever the list's
+#: length.  A list this short is typed whole: slicing would cost an
+#: incref and a decref per value, 5 ms per million.
+_FLOAT_CHUNK = 1 << 18
+
+
+def _exact_floats(values: list) -> Optional[np.ndarray]:
+    """``values`` as a ``float64`` column when every one is exactly a
+    Python ``float``, else ``None``, with one C-level pass over each
+    slice of at most :data:`_FLOAT_CHUNK` values (a type pass plus
+    :func:`numpy.fromiter` take two, each touching every object).
+    :mod:`marshal` writes a list as a 5-byte header and one record per
+    value; an exact float's record is the 9 bytes of
+    :data:`_FLOAT_RECORD`, and anything else — an ``int``, a ``bool``, a
+    numpy scalar or any other ``float`` subclass — gets a record of
+    another kind.  So when every 9-byte step after a slice's header
+    starts with ``g``, every record of that slice is a float record, and
+    its values go straight into the preallocated column."""
+    n = len(values)
+    column = np.empty(n, dtype=np.float64)
+    for start in range(0, n, _FLOAT_CHUNK):
+        chunk = (values if n <= _FLOAT_CHUNK
+                 else values[start:start + _FLOAT_CHUNK])
+        try:
+            blob = marshal.dumps(chunk, 2)
+        except ValueError:  # an object marshal cannot write
+            return None
+        if len(blob) != 5 + 9 * len(chunk):
+            return None
+        records = np.frombuffer(blob, _FLOAT_RECORD, offset=5)
+        if not (records["kind"] == ord("g")).all():
+            return None
+        column[start:start + len(chunk)] = records["value"]
+    return column
 
 
 class NumpyKernels(KernelBackend):
@@ -237,3 +286,90 @@ class NumpyKernels(KernelBackend):
         filled = np.where(suffix < capacity, slot_keys[src], np.inf)
         slot_keys[:] = np.where(occupied, slot_keys, filled)
         return capacity - n
+
+    # -- kernel 5: payload typing (bulk load) -------------------------
+
+    def type_payloads(self, values) -> Optional[np.ndarray]:
+        if not isinstance(values, list) or not values:
+            return None
+        kind = type(values[0])
+        if kind is float:
+            return _exact_floats(values)
+        # One C-level pass over the types (identity compares, no hashing).
+        if kind is not int or countOf(map(type, values), int) != len(values):
+            return None
+        try:
+            return np.fromiter(values, dtype=np.int64, count=len(values))
+        except OverflowError:  # an int outside int64
+            return None
+
+    # -- kernel 6: Algorithm 4's plan (adaptive RMI) ------------------
+
+    def plan_adaptive(self, keys: np.ndarray, root_fanout: int,
+                      inner_fanout: int, max_keys: int,
+                      max_depth: int) -> AdaptivePlan:
+        keys = np.ascontiguousarray(keys, dtype=np.float64)
+        starts: List[int] = []
+        slopes: List[float] = []
+        intercepts: List[float] = []
+        offsets = [0]
+        children: List[int] = []
+        retrains = 0
+
+        def leaf(start: int) -> int:
+            starts.append(start)
+            return len(starts) - 1
+
+        def plan(lo: int, hi: int, fanout: int, depth: int) -> int:
+            """Plan ``keys[lo:hi]``; returns its child reference."""
+            nonlocal retrains
+            n = hi - lo
+            if n <= max_keys or depth >= max_depth:
+                return leaf(lo)
+            if fanout < 1:
+                raise ValueError(FANOUT_ERROR)
+            run = keys[lo:hi]
+            slope, intercept = self.fit_cdf(run, fanout)
+            retrains += 1
+            slots = self.predict_clamp(slope, intercept, run, fanout)
+            bounds = np.searchsorted(slots, np.arange(fanout + 1))
+            sizes = np.diff(bounds).tolist()
+            if max(sizes) == n:
+                # Degenerate: the model routes every key to one partition,
+                # so recursing cannot make progress.  Accept an oversized
+                # leaf.
+                return leaf(lo)
+            bounds = bounds.tolist()
+            node = len(slopes)
+            slopes.append(slope)
+            intercepts.append(intercept)
+            base = len(children)
+            children.extend([0] * fanout)
+            offsets.append(len(children))
+            s = 0
+            while s < fanout:
+                size = sizes[s]
+                if size > max_keys:
+                    children[base + s] = plan(lo + bounds[s],
+                                              lo + bounds[s + 1],
+                                              inner_fanout, depth + 1)
+                    s += 1
+                    continue
+                # Merge this partition with its successors until just
+                # below the bound (Algorithm 4's accumulate-then-drop
+                # loop).
+                e = s + 1
+                acc = size
+                while e < fanout and acc + sizes[e] <= max_keys:
+                    acc += sizes[e]
+                    e += 1
+                children[base + s:base + e] = [leaf(lo + bounds[s])] * (e - s)
+                s = e
+            return ~node
+
+        plan(0, len(keys), root_fanout, 0)
+        return AdaptivePlan(np.array(starts, dtype=np.int64),
+                            np.array(slopes, dtype=np.float64),
+                            np.array(intercepts, dtype=np.float64),
+                            np.array(offsets, dtype=np.int64),
+                            np.array(children, dtype=np.int64), retrains)

@@ -35,12 +35,13 @@ def next_power_of_two(n: int) -> int:
 class PMANode(DataNode):
     """ALEX leaf node backed by a Packed Memory Array."""
 
-    def _initial_capacity(self, n: int) -> int:
-        """Power-of-two capacity targeting the same ``c = 1/d**2`` space
-        budget as the gapped array (for a fair space comparison)."""
-        target = max(self.MIN_CAPACITY,
-                     int(math.ceil(n * self.config.expansion_factor)))
-        return next_power_of_two(target)
+    def _initial_capacities(self, sizes: np.ndarray) -> np.ndarray:
+        """Power-of-two capacities targeting the same ``c = 1/d**2`` space
+        budget as the gapped array (for a fair space comparison):
+        :func:`next_power_of_two` of each, through the exponent
+        :func:`numpy.frexp` gives ``target - 1`` (its bit length)."""
+        targets = super()._initial_capacities(sizes)
+        return np.left_shift(1, np.frexp(targets - 1)[1].astype(np.int64))
 
     # ------------------------------------------------------------------
     # Implicit tree geometry

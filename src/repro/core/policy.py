@@ -312,7 +312,14 @@ class AdaptationPolicy:
 
     def initial_fanout(self, n: int, depth: int, config: AlexConfig) -> int:
         """Partitions an adaptive-RMI inner node creates over ``n`` keys at
-        ``depth`` during initialization (Algorithm 4's fanout choice)."""
+        ``depth`` during initialization (Algorithm 4's fanout choice).
+
+        The contract: only the root's fanout (``depth == 0``) is the
+        policy's to choose, and below the root the answer must be
+        ``config.inner_partitions``.  The bulk load asks once, at the
+        root, and its compiled plan
+        (:meth:`~repro.core.kernels.KernelBackend.plan_adaptive`) gives
+        every deeper inner node ``config.inner_partitions`` slots."""
         raise NotImplementedError
 
     def max_merged_keys(self, config: AlexConfig) -> int:

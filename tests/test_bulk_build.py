@@ -10,7 +10,9 @@ tests pin that this is only a faster way to build the same tree:
   planned leaf on its own through the one-segment path;
 * writes to one leaf never reach its neighbours' slots in the shared
   buffers, and a checkpoint round trip still works;
-* keys of extreme magnitude build flat models with no warning.
+* keys of extreme magnitude build flat models with no warning;
+* a bulk load types its payloads in one ``type_payloads`` call and
+  plans the whole tree in one ``plan_adaptive`` call.
 """
 
 import warnings
@@ -130,6 +132,41 @@ def test_writes_to_one_leaf_leave_neighbours_untouched(backend, tmp_path):
     restored = load_index(path)
     restored.validate()
     assert list(restored.items()) == list(index.items())
+
+
+BULK_KERNELS = ("type_payloads", "plan_adaptive", "fit_place", "fit_cdf",
+                "predict_clamp")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind", ["float", "int", "object"])
+def test_one_typing_and_one_planning_call_per_bulk_load(backend, kind,
+                                                        monkeypatch):
+    kernels = K.get_kernels(backend)
+    calls = []
+    for name in BULK_KERNELS:
+        def counted(*args, _name=name, _kernel=getattr(kernels, name)):
+            calls.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    keys = np.sort(load("lognormal", 20_000, seed=3))
+    payloads = {"float": (keys * 2.0).tolist(),
+                "int": list(range(len(keys))),
+                "object": [f"v{i}" for i in range(len(keys))]}[kind]
+    config = ga_armi(max_keys_per_node=256, kernel_backend=backend)
+    index = AlexIndex.bulk_load(keys, payloads, config=config)
+    assert sum(isinstance(node, InnerNode) for node in index.nodes()) > 4
+    assert index.payload_dtype == np.dtype(kind if kind != "int"
+                                           else np.int64)
+    assert calls.count("type_payloads") == calls.count("plan_adaptive") == 1
+    # One fit_place for the empty leaf a new index starts with, one for
+    # every planned leaf.
+    assert calls.count("fit_place") == 2
+    # The numpy reference runs Algorithm 4's recursion in Python, through
+    # its own fit and predict kernels; the compiled plan makes none.
+    if kernels.compiled:
+        assert calls.count("fit_cdf") == calls.count("predict_clamp") == 0
+    index.validate()
 
 
 EXTREME = {

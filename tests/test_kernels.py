@@ -14,8 +14,10 @@ Three concerns:
   on the request path (the serving tier warms kernels at provisioning).
 """
 
+import bisect
 import math
 import re
+import struct
 import sys
 import warnings
 
@@ -27,7 +29,10 @@ from repro.core.alex import AlexIndex
 from repro.core.config import AlexConfig, ga_armi
 from repro.core.data_node import GAP_SENTINEL
 from repro.core.gapped_array import GappedArrayNode
+from repro.core.policy import HeuristicPolicy
 from repro.core.stats import Counters
+from repro.datasets.generators import load
+from test_payload_column import FloatSubclass
 
 NUMPY = K.get_kernels("numpy")
 AVAILABLE = K.available_backends()
@@ -424,6 +429,268 @@ class TestFitPlaceParity:
                                    ([0, 5], [8, 8])):
             with pytest.raises(ValueError):
                 backend.fit_place(keys, bounds, capacities, 16)
+
+
+def float_bits(bits: int) -> float:
+    """The Python float with the given IEEE bits (NaN payloads kept)."""
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+class ListSubclass(list):
+    pass
+
+
+#: ``(values, dtype of the column or None)`` for the exact-kind rule.
+TYPING_CASES = {
+    "floats and specials": ([0.5, math.nan, math.inf, -math.inf, -0.0, 0.0,
+                             float_bits(0x7FF4000000000001),
+                             float_bits(0xFFF8000000000123), 5e-324],
+                            np.float64),
+    "one float": ([-0.0], np.float64),
+    "int64 bounds": ([-2 ** 63, 2 ** 63 - 1, 0, -1], np.int64),
+    "one int": ([7], np.int64),
+    "one past int64 max": ([0, 2 ** 63], None),
+    "one past int64 min": ([0, -2 ** 63 - 1], None),
+    "int64 max first, then past": ([2 ** 63 - 1, 2 ** 64], None),
+    "only past int64": ([2 ** 63], None),
+    "bool": ([True, False], None),
+    "int then bool": ([1, True], None),
+    "float then bool": ([1.0, False], None),
+    "np.float64": ([np.float64(1.5), np.float64(2.5)], None),
+    "float then np.float64": ([1.5, np.float64(2.5)], None),
+    "np.int64": ([np.int64(1)], None),
+    "int then np.int64": ([1, np.int64(2)], None),
+    "float subclass": ([FloatSubclass(1.0)], None),
+    "float then float subclass": ([1.0, FloatSubclass(2.0)], None),
+    "int then float": ([1, 2.0], None),
+    "float then int": ([1.0, 2], None),
+    "float then None": ([1.0, None], None),
+    "strings": (["a", "b"], None),
+    "empty": ([], None),
+    "tuple": ((1.0, 2.0), None),
+    "ndarray": (np.arange(3.0), None),
+    "range": (range(3), None),
+    "list subclass": (ListSubclass([1, 2, 3]), np.int64),
+}
+
+
+@backend_params()
+class TestTypePayloadsParity:
+    """Kernel 5 (payload typing) on both backends: the same dtype, the
+    same bits and the same ``None`` decisions."""
+
+    def check(self, backend, values, dtype):
+        got, ref = backend.type_payloads(values), NUMPY.type_payloads(values)
+        if dtype is None:
+            assert got is None and ref is None
+            return None
+        assert got.dtype == ref.dtype == dtype
+        assert got.tobytes() == ref.tobytes()
+        assert got.tobytes() == np.array(list(values), dtype).tobytes()
+        return got
+
+    @pytest.mark.parametrize("case", sorted(TYPING_CASES))
+    def test_exact_kind_rule(self, backend, case):
+        values, dtype = TYPING_CASES[case]
+        self.check(backend, values, dtype)
+
+    def test_random_columns(self, backend):
+        rng = np.random.default_rng(17)
+        bits = rng.integers(0, 2 ** 63, 20_000, dtype=np.uint64)
+        bits[::5] |= np.uint64(1) << np.uint64(63)
+        floats = bits.view(np.float64).tolist()
+        self.check(backend, floats, np.float64)
+        ints = bits.view(np.int64).tolist()
+        self.check(backend, ints, np.int64)
+        for position in (1, 9_999, 19_999):
+            for intruder in (True, np.float64(1.0), 2 ** 63, None):
+                for values in (floats, ints):
+                    spoiled = list(values)
+                    spoiled[position] = intruder
+                    self.check(backend, spoiled, None)
+
+
+def sequential_plan(keys, root_fanout, inner_fanout, max_keys, max_depth):
+    """``plan_adaptive`` as plain Python over floats: the
+    :func:`sequential_fit` model, slots by the clamped prediction,
+    partitions by bisection over the sorted slots."""
+    keys = [float(key) for key in keys]
+    starts, slopes, intercepts, offsets, children = [], [], [], [0], []
+    retrains = 0
+
+    def leaf(start):
+        starts.append(start)
+        return len(starts) - 1
+
+    def plan(lo, hi, fanout, depth):
+        nonlocal retrains
+        n = hi - lo
+        if n <= max_keys or depth >= max_depth:
+            return leaf(lo)
+        slope, intercept = sequential_fit(keys[lo:hi], fanout)
+        retrains += 1
+        slots = []
+        for key in keys[lo:hi]:
+            pred = slope * key + intercept
+            slots.append(0 if not pred > 0 else
+                         fanout - 1 if pred > fanout - 1 else int(pred))
+        bounds = [bisect.bisect_left(slots, s) for s in range(fanout + 1)]
+        sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+        if max(sizes) == n:
+            return leaf(lo)
+        node = len(slopes)
+        slopes.append(slope)
+        intercepts.append(intercept)
+        base = len(children)
+        children.extend([None] * fanout)
+        offsets.append(len(children))
+        s = 0
+        while s < fanout:
+            if sizes[s] > max_keys:
+                children[base + s] = plan(lo + bounds[s], lo + bounds[s + 1],
+                                          inner_fanout, depth + 1)
+                s += 1
+                continue
+            e, acc = s + 1, sizes[s]
+            while e < fanout and acc + sizes[e] <= max_keys:
+                acc += sizes[e]
+                e += 1
+            ref = leaf(lo + bounds[s])
+            for slot in range(s, e):
+                children[base + slot] = ref
+            s = e
+        return ~node
+
+    plan(0, len(keys), root_fanout, 0)
+    return starts, slopes, intercepts, offsets, children, retrains
+
+
+def check_plan_shape(plan, n, max_keys):
+    """The plan is a tree: leaves in key order, inner nodes in
+    pre-order, every node below the root referenced by one run of its
+    parent's slots, and every leaf reached."""
+    starts, offsets, children = (plan.starts.tolist(), plan.offsets.tolist(),
+                                 plan.children.tolist())
+    assert starts[0] == 0 and starts == sorted(starts) and starts[-1] <= n
+    m = len(plan.slopes)
+    assert len(plan.intercepts) == m and len(offsets) == m + 1
+    assert offsets[0] == 0 and offsets[-1] == len(children)
+    parents = {}
+    for k in range(m):
+        slots = children[offsets[k]:offsets[k + 1]]
+        assert slots, "an inner node has no slots"
+        for i, ref in enumerate(slots):
+            if i and ref == slots[i - 1]:
+                continue
+            assert ref not in parents, "a node is reached twice"
+            parents[ref] = k
+            assert ref >= 0 or ~ref > k, "a child precedes its parent"
+    reached = set(range(len(starts))) if m == 0 else {
+        ref for ref in parents if ref >= 0}
+    assert reached == set(range(len(starts)))
+    assert {~ref for ref in parents if ref < 0} == set(range(1, m))
+
+
+@backend_params()
+class TestPlanAdaptiveParity:
+    """Kernel 6 (Algorithm 4's plan) on both backends against a plain
+    Python reference: bit-identical models, identical leaf starts and
+    child references, the same retrain count."""
+
+    def check(self, backend, keys, root_fanout=None, inner_fanout=16,
+              max_keys=256, max_depth=32):
+        keys = np.asarray(keys, dtype=np.float64)
+        if root_fanout is None:
+            root_fanout = max(2, -(-len(keys) // max_keys))
+        plan = backend.plan_adaptive(keys, root_fanout, inner_fanout,
+                                     max_keys, max_depth)
+        starts, slopes, intercepts, offsets, children, retrains = (
+            sequential_plan(keys, root_fanout, inner_fanout, max_keys,
+                            max_depth))
+        assert plan.starts.dtype == plan.offsets.dtype == np.int64
+        assert plan.children.dtype == np.int64
+        assert plan.slopes.dtype == plan.intercepts.dtype == np.float64
+        assert plan.starts.tolist() == starts
+        assert hexes(plan.slopes) == hexes(slopes)
+        assert hexes(plan.intercepts) == hexes(intercepts)
+        assert plan.offsets.tolist() == offsets
+        assert plan.children.tolist() == children
+        assert plan.retrains == retrains
+        ref = NUMPY.plan_adaptive(keys, root_fanout, inner_fanout, max_keys,
+                                  max_depth)
+        for got, want in zip(plan, ref):
+            if isinstance(got, np.ndarray):
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert got == want
+        check_plan_shape(plan, len(keys), max_keys)
+        return plan
+
+    @pytest.mark.parametrize("dataset,seed", [("longitudes", 1),
+                                              ("lognormal", 2),
+                                              ("ycsb", 3)])
+    def test_fingerprint_datasets(self, backend, dataset, seed):
+        keys = np.unique(load(dataset, 8000, seed=seed))
+        plan = self.check(backend, keys)
+        assert len(plan.slopes) > 1
+        policy = HeuristicPolicy()
+        config = ga_armi(max_keys_per_node=64)
+        plan = self.check(backend, keys,
+                          policy.initial_fanout(len(keys), 0, config),
+                          config.inner_partitions, 64)
+        assert len(plan.slopes) > 10
+
+    def test_a_deep_skewed_tree(self, backend):
+        keys = np.unique(np.random.default_rng(4).lognormal(0, 3, 60_000))
+        plan = self.check(backend, keys, max_keys=128)
+        assert len(plan.slopes) > 30
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256])
+    def test_a_run_within_the_bound_is_one_leaf(self, backend, n):
+        plan = self.check(backend, np.arange(float(n)))
+        assert plan.starts.tolist() == [0] and plan.retrains == 0
+        assert len(plan.slopes) == 0 and len(plan.children) == 0
+
+    def test_one_past_the_bound(self, backend):
+        plan = self.check(backend, np.arange(257.0) ** 2)
+        assert len(plan.slopes) == 1 and plan.retrains == 1
+        assert len(plan.children) == 2 and len(plan.starts) == 2
+
+    @pytest.mark.parametrize("case", ["overflow", "spread overflow"])
+    def test_keys_one_model_cannot_split(self, backend, case):
+        # Squares that overflow give the flat model: every key routes to
+        # one partition, and the run stays one (oversized) leaf.
+        keys = {"overflow": 1e300 * (1.0 + np.arange(600) * 2.0 ** -50),
+                "spread overflow": np.linspace(-1e300, 1e300, 600)}[case]
+        plan = self.check(backend, keys)
+        assert plan.starts.tolist() == [0] and plan.retrains == 1
+        assert len(plan.slopes) == 0
+
+    def test_a_subtree_one_model_cannot_split(self, backend):
+        # Subnormal keys whose squares underflow: the root splits them
+        # off, and their own fit is flat, so they stay one leaf below it.
+        keys = np.concatenate([np.arange(1, 601) * 5e-324,
+                               np.arange(1.0, 1001.0)])
+        plan = self.check(backend, keys)
+        sizes = np.diff(np.append(plan.starts, len(keys)))
+        assert sizes.max() == 600 and plan.retrains >= 2
+
+    @pytest.mark.parametrize("max_depth", [0, 1, 2])
+    def test_the_depth_cap(self, backend, max_depth):
+        keys = np.unique(np.random.default_rng(6).lognormal(0, 3, 20_000))
+        plan = self.check(backend, keys, inner_fanout=2, max_keys=64,
+                          max_depth=max_depth)
+        sizes = np.diff(np.append(plan.starts, len(keys)))
+        assert sizes.max() > 64  # the cap left an oversized leaf
+
+    def test_a_fanout_below_one_raises(self, backend):
+        keys = np.arange(1000.0) ** 2
+        for root, inner in ((0, 16), (-3, 16), (40, 0)):
+            with pytest.raises(ValueError, match="fanout"):
+                backend.plan_adaptive(keys, root, inner, 8, 32)
+        # An unused fanout is never read.
+        plan = backend.plan_adaptive(keys[:8], 0, 0, 8, 32)
+        assert plan.starts.tolist() == [0]
 
 
 class TestKernelCache:

@@ -17,11 +17,11 @@ from repro.core.adaptive import merge_leaves
 from repro.core.alex import AlexIndex
 from repro.core.batch import export_arrays
 from repro.core.config import AlexConfig, ga_armi
-from repro.core.data_node import (_FLOAT_CHUNK, _exact_floats,
-                                  numeric_column, payload_column)
+from repro.core.data_node import numeric_column, payload_column
 from repro.core.policy import AdaptationPolicy
 from repro.core.introspect import format_report, structure_report
-from repro.core.kernels import available_backends
+from repro.core.kernels import available_backends, get_kernels
+from repro.core.kernels.numpy_backend import _FLOAT_CHUNK
 from repro.core.rmi import InnerNode
 from repro.durability.persistence import load_index, save_index
 from repro.replication.replica import Replica
@@ -218,45 +218,44 @@ class FloatSubclass(float):
     pass
 
 
+@pytest.mark.parametrize("kernels", available_backends())
 class TestExactFloats:
     """A list starting with a float gets a float64 column only when every
-    value is exactly a Python ``float``, and the column is bit-exact."""
+    value is exactly a Python ``float``, and the column is bit-exact, on
+    every kernel backend."""
 
     @pytest.mark.parametrize("tail", [
         2, True, None, np.float64(2.0), FloatSubclass(2.0), "x", b"1234",
         b"12345678", (2.0,), [2.0], 2 ** 70, 1 + 2j, {2.0: 1},
         lambda: 2.0], ids=lambda value: type(value).__name__)
-    def test_any_other_value_means_no_column(self, tail):
+    def test_any_other_value_means_no_column(self, kernels, tail):
+        backend = get_kernels(kernels)
         for values in ([1.0, tail], [1.0] * 5 + [tail] + [2.0] * 5):
-            assert numeric_column(values) is None
+            assert numeric_column(values, backend) is None
 
     @pytest.mark.parametrize("n, index", [
-        (n, index) for n in (1, _FLOAT_CHUNK, _FLOAT_CHUNK + 1)
-        for index in sorted({0, _FLOAT_CHUNK - 1, _FLOAT_CHUNK, n - 1})
+        (n, index) for n in (2, _FLOAT_CHUNK, _FLOAT_CHUNK + 1)
+        for index in sorted({0, 1, _FLOAT_CHUNK - 1, _FLOAT_CHUNK, n - 1})
         if index < n])
     @pytest.mark.parametrize("intruder", [
         2, True, np.float64(2.0), FloatSubclass(2.0), b"1234"],
         ids=lambda value: type(value).__name__)
-    def test_an_intruder_at_a_chunk_edge_means_no_column(self, n, index,
-                                                          intruder):
-        """The list is typed one slice of :data:`_FLOAT_CHUNK` values at
-        a time; a value that is not exactly a float, on either side of a
-        slice edge or at either end, still leaves no column.  (``b"1234"``
-        has a 9-byte marshal record, as a float does, so only the record
-        kinds reject it.  A one-value list is the intruder alone, which
-        an ``int`` column may hold: only the float typing is asked
-        there.)"""
+    def test_an_intruder_at_a_chunk_edge_means_no_column(
+            self, kernels, n, index, intruder):
+        """The numpy backend types the list one slice of
+        :data:`_FLOAT_CHUNK` values at a time; a value that is not exactly
+        a float, on either side of a slice edge or at either end, still
+        leaves no column.  (``b"1234"`` has a 9-byte marshal record, as a
+        float does, so only the record kinds reject it there.)"""
         values = [0.5] * n
         values[index] = intruder
-        assert _exact_floats(values) is None
-        if n > 1:
-            assert numeric_column(values) is None
-            column = payload_column(values)
-            assert column.dtype == object and len(column) == n
-            assert column[index] is intruder
+        assert numeric_column(values, get_kernels(kernels)) is None
+        column = payload_column(values, get_kernels(kernels))
+        assert column.dtype == object and len(column) == n
+        assert column[index] is intruder
 
-    @pytest.mark.parametrize("n", [0, 1, _FLOAT_CHUNK, _FLOAT_CHUNK + 1])
-    def test_every_length_is_bit_exact(self, n):
+    @pytest.mark.parametrize("n", [1, _FLOAT_CHUNK, _FLOAT_CHUNK + 1])
+    def test_every_length_is_bit_exact(self, kernels, n):
         specials = [-0.0, math.nan, math.inf, -math.inf]
         rng = np.random.default_rng(n)
         values = rng.standard_normal(n).tolist()
@@ -265,31 +264,32 @@ class TestExactFloats:
                           _FLOAT_CHUNK + offset, n - 1 - offset):
                 if 0 <= index < n:
                     values[index] = special
-        column = _exact_floats(values)
+        column = numeric_column(values, get_kernels(kernels))
         assert column.dtype == np.float64 and len(column) == n
         assert column.tobytes() == np.array(values,
                                             dtype=np.float64).tobytes()
 
     @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(1, 2 * _FLOAT_CHUNK + 2),
+    @given(n=st.integers(2, 2 * _FLOAT_CHUNK + 2),
            at=st.floats(0, 1, exclude_max=True),
            intruder=st.sampled_from([2, True, np.float64(2.0),
                                      FloatSubclass(2.0), b"1234", None]))
-    def test_any_position_is_checked(self, n, at, intruder):
+    def test_any_position_is_checked(self, kernels, n, at, intruder):
+        backend = get_kernels(kernels)
         values = [1.5] * n
-        assert _exact_floats(values).tobytes() == np.full(
+        assert numeric_column(values, backend).tobytes() == np.full(
             n, 1.5).tobytes()
         values[int(at * n)] = intruder
-        assert _exact_floats(values) is None
+        assert numeric_column(values, backend) is None
 
-    def test_column_is_bit_exact(self):
+    def test_column_is_bit_exact(self, kernels):
         rng = np.random.default_rng(9)
         bits = rng.integers(0, 2 ** 63, 5000, dtype=np.uint64)
         bits[::7] |= np.uint64(1) << np.uint64(63)
         values = bits.view(np.float64).tolist() + [-0.0, math.inf]
         shared = values[3]
         values += [shared, shared]  # one object stored twice
-        column = numeric_column(values)
+        column = numeric_column(values, get_kernels(kernels))
         assert column.dtype == np.float64
         assert column.tobytes() == np.array(values).tobytes()
 

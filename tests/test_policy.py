@@ -306,6 +306,22 @@ class TestHeuristicEquivalence:
         assert policy.choose_shard_smo(cold, 0.5, 100) is None  # no merges
 
 
+@pytest.mark.parametrize("policy", [HeuristicPolicy(), CostModelPolicy()],
+                         ids=["heuristic", "cost-model"])
+def test_only_the_root_fanout_is_the_policys(policy):
+    """The fanout contract: below the root every inner node gets
+    ``config.inner_partitions`` slots, whatever the run's size, because
+    the compiled bulk-load plan asks the policy only at the root."""
+    for config in (ga_armi(max_keys_per_node=64),
+                   dataclasses.replace(pma_armi(max_keys_per_node=1024),
+                                       inner_partitions=7)):
+        for n in (config.max_keys_per_node + 1, 10 ** 4, 10 ** 8):
+            assert policy.initial_fanout(n, 0, config) >= 2
+            for depth in (1, 2, 31):
+                assert (policy.initial_fanout(n, depth, config)
+                        == config.inner_partitions)
+
+
 class TestCostModelDecisions:
     def test_pressure_ema_tracks_mix(self):
         pressure = NodePressure()
