@@ -66,6 +66,12 @@ from .rmi import (InnerNode, NODE_METADATA_BYTES, build_static_rmi,
 from .stats import Counters
 
 
+def strictly_increasing(keys: np.ndarray) -> bool:
+    """Whether ``keys`` is sorted without repeats: a sorted batch skips
+    its sort and gathers."""
+    return len(keys) < 2 or bool((keys[1:] > keys[:-1]).all())
+
+
 class AlexIndex:
     """An updatable adaptive learned index (paper Section 3).
 
@@ -85,10 +91,7 @@ class AlexIndex:
 
     def __init__(self, config: Optional[AlexConfig] = None,
                  policy: Optional[AdaptationPolicy] = None):
-        self.config = config or AlexConfig()
-        self.policy = policy or HeuristicPolicy()
-        self.counters = Counters()
-        self._num_keys = 0
+        self._setup(config, policy)
         leaf = make_data_node(self.config, self.counters, self.policy)
         leaf.build(np.empty(0))
         self._root: object = leaf
@@ -97,6 +100,14 @@ class AlexIndex:
         # A cold-started adaptive index must be able to grow by splitting
         # even when the config leaves splitting off for bulk-loaded runs.
         self._cold_start = True
+
+    def _setup(self, config: Optional[AlexConfig],
+               policy: Optional[AdaptationPolicy]) -> None:
+        """Everything an index holds before it has a tree."""
+        self.config = config or AlexConfig()
+        self.policy = policy or HeuristicPolicy()
+        self.counters = Counters()
+        self._num_keys = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -132,15 +143,18 @@ class AlexIndex:
         for shard splits and merges, respawns and recovery."""
         if len(column) != len(keys):
             raise ValueError("payloads length must match keys length")
-        keys, order = cls._sort_unique(keys)
-        return cls._build(keys, column if order is None else column[order],
-                          config, policy)
+        keys, column = cls._sort_column(keys, column)
+        return cls._build(keys, column, config, policy)
 
     @classmethod
     def _build(cls, keys: np.ndarray, column: np.ndarray,
                config: Optional[AlexConfig],
                policy: Optional[AdaptationPolicy]) -> "AlexIndex":
-        index = cls(config, policy=policy)
+        # Not through __init__: the tree built here replaces the empty
+        # cold-start leaf a new index starts with, so that leaf is never
+        # built.
+        index = cls.__new__(cls)
+        index._setup(config, policy)
         if index.config.rmi_mode == ADAPTIVE_RMI:
             root, _ = build_adaptive_rmi(keys, column, index.config,
                                          index.counters, index.policy)
@@ -213,53 +227,65 @@ class AlexIndex:
         by bulk load and the single-index and sharded batch-insert
         paths.
 
-        Strictly increasing keys — every worker load and every
-        ``recover()`` hands in sorted parts — skip the sort and the
-        payload gather entirely.  With ``column=True`` the payloads
-        come back as the column :func:`~repro.core.data_node.payload_column`
-        makes of them with ``kernels`` (default: the process default
-        backend), gathered in numpy (the index stores it; the sharded
-        bulk load ships its slices to the shards as is)."""
+        Strictly increasing keys skip the sort and the payload gather
+        entirely.  With ``column=True`` the payloads come back as the
+        column :func:`~repro.core.data_node.payload_column` makes of them
+        with ``kernels`` (default: the process default backend), typed
+        before the sort, so the gather moves the column and never a
+        list."""
         keys = np.asarray(keys, dtype=np.float64)
         if payloads is not None and len(payloads) != len(keys):
             raise ValueError("payloads length must match keys length")
-        keys, order = AlexIndex._sort_unique(keys)
-        n = len(keys)
+        # Each column goes to the sort as a bare argument: the sort's
+        # reference is then the only one, so the unsorted column is freed
+        # as soon as its gathered copy exists.
         if column:
-            payloads = (blank_column(n, object) if payloads is None
-                        else payload_column(payloads, kernels))
-            return keys, payloads if order is None else payloads[order]
-        if payloads is None:
-            payloads = [None] * n
-        elif order is not None:
+            keys, payloads = AlexIndex._sort_column(
+                keys, None if payloads is None
+                else payload_column(payloads, kernels))
+            return keys, (blank_column(len(keys), object)
+                          if payloads is None else payloads)
+        AlexIndex._check_finite(keys)
+        if not strictly_increasing(keys):
             # One gather through an object array, not a list indexed by n
             # numpy ints (or by n Python ints, which would briefly hold a
             # second n-element list of ints beside the payloads).
-            payloads = np.fromiter(payloads, dtype=object,
-                                   count=n)[order].tolist()
+            keys, objects = AlexIndex._sort_column(
+                keys, None if payloads is None
+                else np.fromiter(payloads, dtype=object, count=len(keys)))
+            payloads = None if objects is None else objects.tolist()
+        if payloads is None:
+            payloads = [None] * len(keys)
         elif not isinstance(payloads, list):
             payloads = list(payloads)
         return keys, payloads
 
     @staticmethod
-    def _sort_unique(keys) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Write-batch keys as a sorted float64 array plus the argsort
-        order (``None`` when already strictly increasing), raising on
-        non-finite keys and in-batch duplicates."""
+    def _sort_column(keys, column: Optional[np.ndarray]
+                     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Write-batch keys as a sorted float64 array with ``column``
+        (or ``None``) in the same order, raising on non-finite keys and
+        in-batch duplicates.  Strictly increasing keys come back with
+        the column as they are; otherwise both are fresh arrays, so a
+        caller that drops its own references frees the unsorted pair."""
         keys = np.asarray(keys, dtype=np.float64)
         AlexIndex._check_finite(keys)
-        if len(keys) < 2 or bool((keys[1:] > keys[:-1]).all()):
-            return keys, None
+        if strictly_increasing(keys):
+            return keys, column
         # Introsort, not stable: duplicates raise below, so stability
-        # buys nothing here (see _sort_batch).
+        # buys nothing here (see _sort_batch).  The column is gathered
+        # before the keys and the order dies before the duplicate check,
+        # so beside the caller's arrays at most three n-item arrays are
+        # alive at once.
         order = np.argsort(keys)
+        if column is not None:
+            column = column[order]
         keys = keys[order]
-        # Before any payload gather, so no gathered copy is alive beside
-        # np.diff's temporaries.
-        dup = np.flatnonzero(np.diff(keys) == 0)
+        del order
+        dup = np.flatnonzero(keys[1:] == keys[:-1])
         if len(dup):
             raise DuplicateKeyError(float(keys[dup[0]]))
-        return keys, order
+        return keys, column
 
     @staticmethod
     def _check_finite(keys: np.ndarray) -> None:

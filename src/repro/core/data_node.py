@@ -200,11 +200,24 @@ def build_runs(nodes: list, keys: np.ndarray, payloads: Optional[np.ndarray],
         node.policy.note_smo(node, "rebuild")
 
 
+def _frozen_empty(dtype) -> np.ndarray:
+    array = np.empty(0, dtype)
+    array.flags.writeable = False
+    return array
+
+
 class DataNode:
     """Base class for ALEX leaf nodes (gapped key array + bitmap + model)."""
 
     #: minimum capacity a node is ever allocated
     MIN_CAPACITY = 8
+
+    #: A new leaf's arrays until :func:`build_runs` gives it its own views
+    #: (every leaf is built right after it is made): empty, read-only
+    #: and shared by all leaves, so making a leaf allocates no array.
+    keys = _frozen_empty(np.float64)
+    payloads = _frozen_empty(object)
+    occupied = _frozen_empty(bool)
 
     def __init__(self, config: AlexConfig, counters: Counters,
                  policy: Optional[AdaptationPolicy] = None,
@@ -223,9 +236,6 @@ class DataNode:
         self.pressure = None
         self.capacity = 0
         self.num_keys = 0
-        self.keys = np.empty(0, dtype=np.float64)
-        self.payloads = np.empty(0, dtype=object)
-        self.occupied = np.zeros(0, dtype=bool)
         self.model: Optional[LinearModel] = None
         # Doubly-linked leaf chain in key order, used by range scans.
         self.next_leaf: Optional["DataNode"] = None

@@ -9,9 +9,10 @@ PMA shift-and-insert, (4) the leaf build every bulk load, expansion,
 contraction, retrain, split and merge runs (Algorithm 3): the CDF model
 fit plus the model-based placement, for all the leaves of one build in
 one call, (5) the typing of a bulk load's payload list into a numeric
-column, and (6) the plan of Algorithm 4's adaptive RMI, the whole
-recursion in one call — behind one narrow kernel interface with two
-implementations:
+column, (6) the plan of Algorithm 4's adaptive RMI, the whole
+recursion in one call, and (7) the partition of a sharded bulk load's
+``(key, payload)`` pairs into the shards' key ranges — behind one
+narrow kernel interface with two implementations:
 
 ``numpy``
     The existing pure-NumPy/pure-Python code, extracted verbatim.  Always
@@ -277,6 +278,52 @@ class KernelBackend:
         :class:`ValueError`.
         """
         raise NotImplementedError
+
+    # -- kernel 7: shard partition (sharded bulk load) ----------------
+
+    def partition_pairs(self, keys: np.ndarray, column: np.ndarray,
+                        boundaries: np.ndarray) -> np.ndarray:
+        """Move the pairs ``(keys[i], column[i])`` in place so that the
+        keys of shard ``s``, the range ``[boundaries[s - 1],
+        boundaries[s])`` (unbounded at both ends), are contiguous and the
+        shards follow each other in order; a key equal to a boundary
+        goes right, as in :meth:`ShardRouter.shard_for_many
+        <repro.serve.router.ShardRouter.shard_for_many>`, and NaN goes to
+        the last shard.  Returns the ``int64`` key count of every shard.
+
+        ``keys`` is a writeable contiguous ``float64`` array and
+        ``column`` a writeable contiguous array of 8-byte slots of the
+        same length (``int64``, ``float64`` or ``object``: an object
+        column's pointers move without any reference count changing, so
+        the caller must own it).  The order within a shard is the
+        backend's own: a stable one on numpy, Hoare's on cffi.
+        """
+        raise NotImplementedError
+
+
+def check_pairs(keys: np.ndarray, column: np.ndarray,
+                boundaries) -> np.ndarray:
+    """Validate :meth:`KernelBackend.partition_pairs`'s arguments.
+
+    Returns the boundaries as a contiguous ``float64`` array; raises
+    :class:`ValueError` when an array cannot be moved in place or the
+    boundaries are not finite and strictly increasing.
+    """
+    for name, array in (("keys", keys), ("column", column)):
+        if (not isinstance(array, np.ndarray) or array.ndim != 1
+                or array.dtype.itemsize != 8
+                or not array.flags.c_contiguous
+                or not array.flags.writeable):
+            raise ValueError(f"{name} must be a writeable contiguous 1-D "
+                             f"array of 8-byte items")
+    if keys.dtype != np.float64 or len(column) != len(keys):
+        raise ValueError("keys must be float64 and as long as the column")
+    boundaries = np.ascontiguousarray(boundaries, dtype=np.float64)
+    if (boundaries.ndim != 1 or not np.isfinite(boundaries).all()
+            or not (boundaries[1:] > boundaries[:-1]).all()):
+        raise ValueError("boundaries must be finite and strictly "
+                         "increasing")
+    return boundaries
 
 
 def check_segments(keys: np.ndarray, bounds, capacities

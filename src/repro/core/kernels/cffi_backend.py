@@ -9,7 +9,10 @@ positions *and* counter charges match bit-for-bit; the placement runs
 the sequential loop the reference vectorizes, and the fit runs the same
 sequential sums as the reference's ``np.cumsum``, compiled with
 ``-ffp-contract=off`` so no product is fused into a multiply-add),
-compiled through :mod:`cffi` in API mode.  The extension is built once
+compiled through :mod:`cffi` in API mode.  The shard partition of a
+sharded bulk load is a Hoare pass instead of the reference's stable
+sort, so it matches the reference in every shard's pairs and count,
+not in their order within a shard.  The extension is built once
 per machine into a cache directory keyed by a hash of the C source and
 compile flags (``$REPRO_KERNEL_CACHE`` or ``~/.cache/repro-kernels``)
 and loaded from there afterwards, so only the first process on a
@@ -37,7 +40,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import FANOUT_ERROR, AdaptivePlan, KernelBackend, check_segments
+from . import (FANOUT_ERROR, AdaptivePlan, KernelBackend, check_pairs,
+               check_segments)
 
 _CACHE_ENV = "REPRO_KERNEL_CACHE"
 
@@ -89,6 +93,8 @@ int k_plan_adaptive(const double *keys, int64_t n, int64_t root_fanout,
                     int64_t inner_fanout, int64_t max_keys,
                     int64_t max_depth, plan_t *p);
 void k_plan_free(plan_t *p);
+void k_partition_pairs(double *keys, uint64_t *slots, int64_t n,
+                       const double *bounds, int64_t m, int64_t *counts);
 """
 
 _SOURCE = r"""
@@ -605,6 +611,56 @@ int k_plan_adaptive(const double *keys, int64_t n, int64_t root_fanout,
     free(c.slots);
     return root == PLAN_FAIL ? -1 : root == PLAN_BAD_FANOUT ? -2 : 0;
 }
+
+/* Hoare's two-way pass over the pairs of [lo, hi): every key below pivot
+ * moves before every other key (NaN included), each payload slot moving
+ * with its key.  Returns where the right side starts. */
+static int64_t split_pairs(double *keys, uint64_t *slots, int64_t lo,
+                           int64_t hi, double pivot)
+{
+    int64_t i = lo, j = hi - 1;
+    for (;;) {
+        while (i <= j && keys[i] < pivot)
+            i++;
+        while (i <= j && !(keys[j] < pivot))
+            j--;
+        if (i > j)
+            return i;
+        double key = keys[i];
+        uint64_t slot = slots[i];
+        keys[i] = keys[j];
+        slots[i] = slots[j];
+        keys[j] = key;
+        slots[j] = slot;
+        i++;
+        j--;
+    }
+}
+
+/* Shards first..last over the pairs of [lo, hi): split at the middle
+ * boundary, then partition each side among its own shards. */
+static void partition_range(double *keys, uint64_t *slots, int64_t lo,
+                            int64_t hi, const double *bounds, int64_t first,
+                            int64_t last, int64_t *counts)
+{
+    if (first == last) {
+        counts[first] = hi - lo;
+        return;
+    }
+    int64_t mid = first + (last - first) / 2;
+    int64_t cut = split_pairs(keys, slots, lo, hi, bounds[mid]);
+    partition_range(keys, slots, lo, cut, bounds, first, mid, counts);
+    partition_range(keys, slots, cut, hi, bounds, mid + 1, last, counts);
+}
+
+/* The m + 1 shards the m increasing bounds cut: a payload slot is any 8
+ * bytes, an object column's pointers included, moved without touching
+ * the objects, so the GIL stays released. */
+void k_partition_pairs(double *keys, uint64_t *slots, int64_t n,
+                       const double *bounds, int64_t m, int64_t *counts)
+{
+    partition_range(keys, slots, 0, n, bounds, 0, m, counts);
+}
 """
 
 
@@ -855,3 +911,17 @@ class CffiKernels(KernelBackend):
             return np.empty(0, dtype)
         return np.frombuffer(self._ffi.buffer(pointer, 8 * count),
                              dtype).copy()
+
+    # -- kernel 7: shard partition (sharded bulk load) ----------------
+
+    def partition_pairs(self, keys: np.ndarray, column: np.ndarray,
+                        boundaries: np.ndarray) -> np.ndarray:
+        boundaries = check_pairs(keys, column, boundaries)
+        counts = np.zeros(len(boundaries) + 1, dtype=np.int64)
+        # By address: numpy exports no buffer of an object column.  The
+        # caller's references keep both arrays alive through the call.
+        self._lib.k_partition_pairs(
+            self._dbuf(keys), self._ffi.cast("uint64_t *", column.ctypes.data),
+            len(keys), self._dbuf(boundaries), len(boundaries),
+            self._ibuf(counts))
+        return counts

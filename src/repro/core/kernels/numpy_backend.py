@@ -12,9 +12,10 @@ charges returned instead of applied.  Kernel 4 fits each leaf with
 runs ``DataNode``'s former vectorized placement and full-array gap
 refill, one segment at a time.  Kernel 5 is the payload typing
 :func:`repro.core.data_node.payload_column` ran before it had a kernel,
-and kernel 6 is the recursion of Algorithm 4 that
+kernel 6 is the recursion of Algorithm 4 that
 :func:`repro.core.adaptive.build_adaptive_rmi` ran, writing the plan
-into flat lists instead of creating nodes.
+into flat lists instead of creating nodes, and kernel 7 partitions by
+a stable sort of the pairs' shard ids.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import FANOUT_ERROR, AdaptivePlan, KernelBackend, check_segments
+from . import (FANOUT_ERROR, AdaptivePlan, KernelBackend, check_pairs,
+               check_segments)
 from ..linear_model import LinearModel
 from ..search import (exponential_search_counted,
                       exponential_search_many_counted, lower_bound_counted,
@@ -373,3 +375,17 @@ class NumpyKernels(KernelBackend):
                             np.array(intercepts, dtype=np.float64),
                             np.array(offsets, dtype=np.int64),
                             np.array(children, dtype=np.int64), retrains)
+
+    # -- kernel 7: shard partition (sharded bulk load) ----------------
+
+    def partition_pairs(self, keys: np.ndarray, column: np.ndarray,
+                        boundaries: np.ndarray) -> np.ndarray:
+        boundaries = check_pairs(keys, column, boundaries)
+        shards = np.searchsorted(boundaries, keys, side="right")
+        # Narrow ids make the stable sort a radix sort, and a small one.
+        shards = shards.astype(np.min_scalar_type(len(boundaries)))
+        order = np.argsort(shards, kind="stable")
+        keys[:] = keys[order]
+        column[:] = column[order]
+        return np.bincount(shards, minlength=len(boundaries) + 1).astype(
+            np.int64)

@@ -192,7 +192,16 @@ def shard_part(keys, payloads) -> Tuple[np.ndarray, np.ndarray]:
 def build_shard(keys: np.ndarray, payloads: np.ndarray,
                 config: AlexConfig, policy: AdaptationPolicy) -> AlexIndex:
     """Bulk-load one shard from its keys and payload column, which
-    keeps its dtype (empty parts become empty indexes)."""
+    keeps its dtype (empty parts become empty indexes).
+
+    The part need not be sorted: a sharded bulk load only partitions its
+    pairs into the shards' key ranges, and the shard sorts its own part
+    here (:meth:`AlexIndex.from_column`), raising
+    :class:`~repro.core.errors.DuplicateKeyError` on a repeated key.  On
+    the thread backend the part is a slice of the facade's partitioned
+    arrays, which the sort leaves as they are; a process-backend worker
+    owns its decoded load frame and sorts it before this call, so it can
+    drop the frame before the build."""
     if len(keys) == 0:
         return AlexIndex(config, policy=policy)
     return AlexIndex.from_column(keys, payloads, config=config,

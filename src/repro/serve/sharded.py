@@ -70,10 +70,11 @@ import numpy as np
 
 from repro import obs
 from repro.obs import trace
-from repro.core.alex import AlexIndex
+from repro.core.alex import AlexIndex, strictly_increasing
 from repro.core.batch import export_arrays
 from repro.core.config import AlexConfig
-from repro.core.data_node import concat_columns
+from repro.core.data_node import blank_column, concat_columns, payload_column
+from repro.core.kernels import get_kernels
 from repro.core.errors import (DuplicateKeyError, KeyNotFoundError,
                                PersistenceError, ReplicaStaleError,
                                ReplicaUnavailableError)
@@ -360,7 +361,8 @@ class ShardedAlexIndex:
 
         The router's boundaries are fitted from the keys' empirical CDF, so
         skewed distributions still produce balanced shards.  Raises
-        :class:`DuplicateKeyError` on repeated keys, like
+        :class:`ValueError` on NaN or infinite keys before any shard
+        exists, and :class:`DuplicateKeyError` on repeated keys, like
         :meth:`AlexIndex.bulk_load`.  With ``backend="process"`` each
         shard bulk-loads inside its own worker process, and the builds
         run in parallel: every worker starts, then every part is sent in
@@ -368,18 +370,43 @@ class ShardedAlexIndex:
         With ``durability_dir`` the shards' generation-zero checkpoints
         are written at once too, and with ``replicate`` every replica
         bootstraps before any is awaited.
+
+        Nothing here sorts (a sample sort whose splitters are the
+        router's boundaries): unsorted keys are copied once and moved
+        with their payloads into the shards' key ranges by one
+        ``partition_pairs`` kernel call, and each shard sorts its own
+        part where it builds (:func:`~repro.serve.backend.build_shard`),
+        a process-backend worker in parallel with the others.  A
+        duplicate key therefore raises from the shard that holds it;
+        the shards are tried in key order, so the error names the
+        smallest duplicated key.  Strictly increasing keys are sliced
+        into parts as they are.
         """
-        # The payloads become one column, gathered in numpy with the key
-        # order; each part is a slice of it, which the process backend
-        # sends in a load frame (a large typed slice goes to the pipe
-        # from its own memory) and the shard stores with its dtype.
-        keys, payloads = AlexIndex._normalize_batch(keys, payloads,
-                                                    column=True)
+        kernels = get_kernels(config.kernel_backend if config else None)
+        source = keys
+        keys = np.asarray(keys, dtype=np.float64)
+        if payloads is not None and len(payloads) != len(keys):
+            raise ValueError("payloads length must match keys length")
+        AlexIndex._check_finite(keys)
+        # Fitted before the copy below, so its selection's scratch copy
+        # is gone by then.
         router = ShardRouter.fit(keys, num_shards)
-        edges = ([0] + np.searchsorted(keys, router.boundaries,
-                                       side="left").tolist() + [len(keys)])
-        parts = [(keys[edges[s]:edges[s + 1]],
-                  payloads[edges[s]:edges[s + 1]])
+        # One typed column, which each part slices: the process backend
+        # sends a slice in a load frame (a large typed one goes to the
+        # pipe from its own memory) and the shard stores its dtype.
+        column = (blank_column(len(keys), object) if payloads is None
+                  else payload_column(payloads, kernels))
+        if strictly_increasing(keys):
+            cuts = np.searchsorted(keys, router.boundaries, side="left")
+        else:
+            # The partition moves the keys in place: into a copy, unless
+            # asarray made one already.
+            if keys is source or not keys.flags.owndata:
+                keys = keys.copy()
+            cuts = np.cumsum(kernels.partition_pairs(keys, column,
+                                                     router.boundaries))[:-1]
+        edges = [0] + cuts.tolist() + [len(keys)]
+        parts = [(keys[edges[s]:edges[s + 1]], column[edges[s]:edges[s + 1]])
                  for s in range(router.num_shards)]
         return cls(config=config, router=router, max_workers=max_workers,
                    policy=policy, backend=backend, parts=parts,

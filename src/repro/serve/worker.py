@@ -359,10 +359,17 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
             try:
                 if op == "load":
                     keys, payloads, seed = message[3:]
+                    del message
+                    # The part is this worker's own (a sharded bulk load
+                    # sends it unsorted): sorting it into fresh arrays
+                    # frees the decoded frame before the build, so the
+                    # frame and the leaves' arenas are never resident
+                    # together.
+                    keys, payloads = AlexIndex._sort_column(keys, payloads)
                     index = build_shard(keys, payloads, config, policy)
                     # The leaves copied the part into their own arenas;
                     # free it now, not when the next frame arrives.
-                    del keys, payloads, message
+                    del keys, payloads
                     if seed is not None:
                         index.counters.merge(seed)
                     reply = (req_id, "ok", None)
@@ -586,10 +593,14 @@ class ProcessBackend(ExecutionBackend):
         on every reply.  The processes boot and build (or bootstrap) in
         parallel, and each worker builds while the parent sends the next
         part, which goes to the pipe from the part's own arrays (only an
-        object column is pickled into a copy).  On any failure — a
-        process that will not start, a payload that does not pickle, a
-        load the worker rejects — every started worker is released
-        before the first error propagates.
+        object column is pickled into a copy).  A part may be unsorted
+        (a sharded bulk load's partition): the worker owns the decoded
+        frame and sorts it itself, so the parts sort in parallel too.
+        On any failure — a process that will not start, a payload that
+        does not pickle, a load the worker rejects (a duplicate key
+        raises in the worker whose part holds it) — every started
+        worker is released before the first error, in ``shards`` order,
+        propagates.
         """
         workers: List[_WorkerHandle] = []
         try:

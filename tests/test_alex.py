@@ -1,6 +1,7 @@
 """Integration-level tests for the AlexIndex public API (all four variants)."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,26 @@ class TestBulkLoad:
         index = AlexIndex.bulk_load([])
         assert len(index) == 0
         index.validate()
+
+    @pytest.mark.parametrize("kind", ["none", "float", "object"])
+    def test_unsorted_load_holds_at_most_three_columns(self, kind):
+        # Typed first, gathered column then keys, the order dropped
+        # before the duplicate check: never four n-item arrays at once.
+        n = 200_000
+        keys = np.random.default_rng(8).permutation(n) * 0.5
+        payloads = {"none": None, "float": (keys * 2.0).tolist(),
+                    "object": [(i,) for i in range(n)]}[kind]
+        tracemalloc.start()
+        try:
+            sorted_keys, column = AlexIndex._normalize_batch(
+                keys, payloads, column=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted_keys.tolist() == (np.arange(n) * 0.5).tolist()
+        if kind == "float":
+            assert column.tolist() == (sorted_keys * 2.0).tolist()
+        assert peak <= 3.1 * 8 * n
 
 
 class TestLookup:

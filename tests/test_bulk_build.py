@@ -11,8 +11,10 @@ tests pin that this is only a faster way to build the same tree:
 * writes to one leaf never reach its neighbours' slots in the shared
   buffers, and a checkpoint round trip still works;
 * keys of extreme magnitude build flat models with no warning;
-* a bulk load types its payloads in one ``type_payloads`` call and
-  plans the whole tree in one ``plan_adaptive`` call.
+* a bulk load types its payloads in one ``type_payloads`` call, plans
+  the whole tree in one ``plan_adaptive`` call and builds it in one
+  ``fit_place`` call, with no empty cold-start leaf built first;
+* a new leaf allocates no array before its build.
 """
 
 import warnings
@@ -25,7 +27,9 @@ from repro.core import adaptive, rmi
 from repro.core import kernels as K
 from repro.core.alex import AlexIndex
 from repro.core.config import ga_armi, ga_srmi, pma_armi
+from repro.core.data_node import DataNode
 from repro.core.rmi import InnerNode, make_data_node
+from repro.core.stats import Counters
 from repro.datasets.generators import load
 from repro.durability.persistence import load_index, save_index
 
@@ -159,14 +163,27 @@ def test_one_typing_and_one_planning_call_per_bulk_load(backend, kind,
     assert index.payload_dtype == np.dtype(kind if kind != "int"
                                            else np.int64)
     assert calls.count("type_payloads") == calls.count("plan_adaptive") == 1
-    # One fit_place for the empty leaf a new index starts with, one for
-    # every planned leaf.
-    assert calls.count("fit_place") == 2
+    # One fit_place builds every planned leaf; the empty leaf a new index
+    # starts with is never built.
+    assert calls.count("fit_place") == 1
     # The numpy reference runs Algorithm 4's recursion in Python, through
     # its own fit and predict kernels; the compiled plan makes none.
     if kernels.compiled:
         assert calls.count("fit_cdf") == calls.count("predict_clamp") == 0
     index.validate()
+
+
+def test_new_leaves_allocate_no_arrays():
+    # Every leaf is built right after it is made, so until then it
+    # shares the class's empty, read-only arrays.
+    leaves = rmi.make_leaves(3, ga_armi(), Counters())
+    for leaf in leaves:
+        for name in ("keys", "payloads", "occupied"):
+            assert name not in vars(leaf)
+            assert getattr(leaf, name) is getattr(DataNode, name)
+            assert not getattr(leaf, name).flags.writeable
+    leaves[0].build(np.arange(10.0))
+    assert len(leaves[0].keys) >= 10 and len(leaves[1].keys) == 0
 
 
 EXTREME = {

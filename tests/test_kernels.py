@@ -693,6 +693,114 @@ class TestPlanAdaptiveParity:
         assert plan.starts.tolist() == [0]
 
 
+def pair_column(kind: str, n: int) -> np.ndarray:
+    """A fresh payload column of ``n`` distinct values."""
+    if kind == "object":
+        column = np.empty(n, dtype=object)
+        column[:] = [f"p{i}" for i in range(n)]
+        return column
+    return np.arange(n, dtype=kind) * (3 if kind == "int64" else 0.5)
+
+
+def slot_ids(column: np.ndarray) -> list:
+    """What identifies each payload slot: its bits, or its object."""
+    if column.dtype.kind == "O":
+        return [id(value) for value in column]
+    return column.view(np.int64).tolist()
+
+
+def shard_pairs(keys, column, bounds) -> list:
+    """Each shard's pairs as a sorted list of ``(key bits, slot id)``,
+    each key's shard found by a plain bisect."""
+    shards = [[] for _ in range(len(bounds) + 1)]
+    for key, bits, slot in zip(keys.tolist(), keys.view(np.int64).tolist(),
+                               slot_ids(column)):
+        # NaN belongs after every boundary, like searchsorted puts it.
+        s = (len(bounds) if math.isnan(key)
+             else bisect.bisect_right(bounds.tolist(), key))
+        shards[s].append((bits, slot))
+    return [sorted(pairs) for pairs in shards]
+
+
+@backend_params()
+class TestPartitionPairsParity:
+    """Kernel 7 (the shard partition) on both backends against a plain
+    bisect: the same pairs in every shard and the same counts, whatever
+    order each backend leaves inside a shard."""
+
+    def check(self, backend, keys, kind, bounds):
+        keys = np.array(keys, dtype=np.float64)
+        bounds = np.array(bounds, dtype=np.float64)
+        column = pair_column(kind, len(keys))
+        expected = shard_pairs(keys, column, bounds)
+        counts = backend.partition_pairs(keys, column, bounds)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [len(pairs) for pairs in expected]
+        edges = np.concatenate([[0], np.cumsum(counts)])
+        ids = np.array(slot_ids(column), dtype=np.int64)
+        for s, pairs in enumerate(expected):
+            lo, hi = edges[s], edges[s + 1]
+            got = sorted(zip(keys[lo:hi].view(np.int64).tolist(),
+                             ids[lo:hi].tolist()))
+            assert got == pairs
+        return keys, column, counts
+
+    @pytest.mark.parametrize("kind", ["int64", "float64", "object"])
+    @pytest.mark.parametrize("shards", [1, 2, 3, 8])
+    def test_random_keys(self, backend, shards, kind):
+        rng = np.random.default_rng(shards)
+        keys = rng.permutation(np.unique(rng.lognormal(0, 2, 5000)))
+        bounds = np.sort(rng.choice(keys, shards - 1, replace=False))
+        self.check(backend, keys, kind, bounds)
+
+    @pytest.mark.parametrize("kind", ["int64", "float64", "object"])
+    def test_boundary_keys_go_right(self, backend, kind):
+        keys = [5.0, 1.0, 3.0, 3.0, 7.0, 1.0, 0.0, -0.0, 9.0, 5.0, 2.0]
+        _, _, counts = self.check(backend, keys, kind, [0.0, 1.0, 3.0, 5.0])
+        assert counts.tolist() == [0, 2, 3, 2, 4]
+
+    @pytest.mark.parametrize("kind", ["int64", "float64", "object"])
+    def test_empty_shards_and_edges(self, backend, kind):
+        keys = np.arange(40.0)[::-1]
+        # Boundaries below, between and above every key.
+        _, _, counts = self.check(backend, keys, kind,
+                                  [-5.0, -1.0, 10.5, 10.6, 50.0, 60.0])
+        assert counts.tolist() == [0, 0, 11, 0, 29, 0, 0]
+        for n in (0, 1):
+            self.check(backend, keys[:n], kind, [0.5, 20.0])
+            self.check(backend, keys[:n], kind, [])
+
+    def test_nan_goes_to_the_last_shard(self, backend):
+        keys = [np.nan, 4.0, -np.inf, np.inf, 1.0, np.nan]
+        _, _, counts = self.check(backend, keys, "float64", [0.0, 2.0])
+        assert counts.tolist() == [1, 1, 4]
+
+    def test_object_payloads_keep_their_reference_counts(self, backend):
+        values = [object() for _ in range(7)]
+        column = np.empty(7000, dtype=object)
+        column[:] = values * 1000
+        before = [sys.getrefcount(value) for value in values]
+        keys = np.random.default_rng(4).permutation(7000).astype(np.float64)
+        counts = backend.partition_pairs(keys, column, [1000.5, 5000.0])
+        assert counts.tolist() == [1001, 3999, 2000]
+        assert [sys.getrefcount(value) for value in values] == before
+        assert sorted(map(id, column)) == sorted(map(id, values * 1000))
+
+    def test_bad_arguments_raise(self, backend):
+        keys, column = np.arange(4.0), np.arange(4)
+        for bounds in ([2.0, 1.0], [1.0, 1.0], [np.nan], [[1.0]]):
+            with pytest.raises(ValueError, match="boundaries"):
+                backend.partition_pairs(keys, column, bounds)
+        frozen = np.arange(4.0)
+        frozen.flags.writeable = False
+        for bad_keys, bad_column in ((frozen, column), (keys, column[:3]),
+                                     (keys, np.arange(4, dtype=np.int32)),
+                                     (np.arange(8.0)[::2], column),
+                                     (np.arange(4), column)):
+            with pytest.raises(ValueError):
+                backend.partition_pairs(bad_keys, bad_column, [1.0])
+
+
 class TestKernelCache:
     def test_compile_flags_are_part_of_the_module_name(self, monkeypatch):
         from repro.core.kernels import cffi_backend

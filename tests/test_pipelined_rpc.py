@@ -13,6 +13,7 @@ one of those futures — never hang one — while logged writes stay
 all-or-nothing across shards.
 """
 
+import contextlib
 import os
 import signal
 import threading
@@ -263,7 +264,8 @@ def _kill(pid: int) -> None:
         try:
             with open(f"/proc/{pid}/stat") as fh:
                 return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
-        except FileNotFoundError:
+        except (FileNotFoundError, ProcessLookupError):
+            # Reaped before the open, or between the open and the read.
             return True
     _wait_for(gone)
 
@@ -404,7 +406,9 @@ class TestWorkerDeathMidPipeline:
                            for _ in range(5)]
             finally:
                 os.kill(pid, signal.SIGKILL)
-                os.kill(pid, signal.SIGCONT)
+                # The forkserver may reap the killed worker before this.
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGCONT)
             done, not_done = wait_futures(futures, timeout=30)
             assert not not_done, "a future outlived its worker"
             for future in futures:

@@ -1,17 +1,22 @@
 """Service provisioning: every shard worker, checkpoint and replica comes
 up at once, a failed provisioning leaves nothing behind, a failed batch
 write leaves no WAL frame, and a bulk load gives the same index whatever
-the input order."""
+the input order, partitioning unsorted keys in the parent and sorting
+each part in its shard."""
 
 import multiprocessing
 import os
 import pickle
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from conftest import live_workers
+from repro.core import kernels as K
 from repro.core.alex import AlexIndex
+from repro.core.config import AlexConfig
 from repro.core.errors import DuplicateKeyError
 from repro.serve import ShardedAlexIndex
 from repro.serve.router import ShardRouter
@@ -149,6 +154,135 @@ class TestBulkLoadEquivalence:
                 with pytest.raises(ValueError):
                     load([1.0, 3.0, 5.0, bad] if order == "sorted"
                          else [5.0, bad, 1.0, 3.0])
+
+
+class TestShardParallelBulkLoad:
+    """A sharded bulk load of unsorted keys partitions them once in the
+    parent and lets every shard sort its own part."""
+
+    N = 3000
+
+    def shuffled(self, seed: int = 11) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        return rng.permutation(np.unique(rng.lognormal(0, 2, self.N)))
+
+    @pytest.mark.parametrize("payload_kind", ["float", "mixed"])
+    @pytest.mark.parametrize("kernel", K.available_backends())
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_shuffled_and_sorted_input_build_the_same_shards(
+            self, backend, kernel, payload_kind, leak_guard):
+        keys = self.shuffled()
+        payloads = ((keys * 2.0).tolist() if payload_kind == "float"
+                    else mixed_payloads(len(keys)))
+        order = np.argsort(keys)
+        runs = []
+        for k, p in ((keys, payloads),
+                     (keys[order], [payloads[i] for i in order])):
+            service = ShardedAlexIndex.bulk_load(
+                k, p, num_shards=3, config=AlexConfig(kernel_backend=kernel),
+                backend=backend)
+            with service:
+                runs.append(([service.backend.snapshot(s)
+                              for s in range(service.num_shards)],
+                             service.shard_counters()))
+        (shuffled, shuffled_counters), (ordered, ordered_counters) = runs
+        assert len(shuffled) == len(ordered) == 3
+        for (k1, c1), (k2, c2) in zip(shuffled, ordered):
+            assert k1.tobytes() == k2.tobytes()
+            assert c1.dtype == c2.dtype
+            assert typed(zip(k1.tolist(), c1.tolist())) == typed(
+                zip(k2.tolist(), c2.tolist()))
+        assert shuffled_counters == ordered_counters
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_duplicate_names_the_smallest_repeated_key(self, backend,
+                                                         leak_guard):
+        keys = np.random.default_rng(3).permutation(np.arange(3000.0))
+        # 2700 repeats in the last shard, 500 in the first, 1500 alone in
+        # the middle one.
+        for repeats, smallest in (((2700.0, 500.0), 500.0),
+                                  ((1500.0,), 1500.0)):
+            spoiled = np.concatenate([keys, repeats])
+            spoiled = spoiled[np.random.default_rng(5).permutation(
+                len(spoiled))]
+            with pytest.raises(DuplicateKeyError) as info:
+                ShardedAlexIndex.bulk_load(spoiled, num_shards=3,
+                                           backend=backend)
+            assert info.value.key == smallest
+            assert not live_workers()
+
+    def test_a_nan_key_raises_before_any_worker_starts(self, monkeypatch,
+                                                       leak_guard):
+        started = []
+        monkeypatch.setattr(ProcessBackend, "_start_handle",
+                            lambda self, *args: started.append(args))
+        keys = self.shuffled()
+        keys[len(keys) // 2] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            ShardedAlexIndex.bulk_load(keys, num_shards=2,
+                                       backend="process")
+        assert started == []
+
+    @pytest.mark.parametrize("kernel", K.available_backends())
+    def test_the_parent_partitions_once_and_sorts_nothing(
+            self, kernel, monkeypatch, leak_guard):
+        kernels = K.get_kernels(kernel)
+        partitions, sorts, inside = [], [], []
+        partition = kernels.partition_pairs
+
+        def counted_partition(keys, *args):
+            partitions.append(len(keys))
+            inside.append(True)  # the numpy reference sorts shard ids
+            try:
+                return partition(keys, *args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(kernels, "partition_pairs", counted_partition)
+        for name in ("argsort", "sort", "lexsort"):
+            def counted_sort(array, *args, _sort=getattr(np, name),
+                             **kwargs):
+                if not inside:
+                    sorts.append(len(array))
+                return _sort(array, *args, **kwargs)
+            monkeypatch.setattr(np, name, counted_sort)
+        keys = self.shuffled()
+        service = ShardedAlexIndex.bulk_load(
+            keys, (keys * 2.0).tolist(), num_shards=2,
+            config=AlexConfig(kernel_backend=kernel), backend="process")
+        with service:
+            assert partitions == [len(keys)]
+            assert sorts == []
+            # The partition moved a copy: the caller's keys are as given.
+            assert keys.tobytes() == self.shuffled().tobytes()
+            assert service.get_many(keys[:5].tolist()) == (
+                keys[:5] * 2.0).tolist()
+
+    @pytest.mark.skipif("cffi" not in K.available_backends(),
+                        reason="needs the compiled partition")
+    def test_the_parent_holds_only_the_keys_and_one_column(self,
+                                                           leak_guard):
+        n = 200_000
+        keys = np.random.default_rng(9).permutation(n) * 0.75 + 1.0
+        payloads = (keys * 2.0).tolist()
+        config = AlexConfig(kernel_backend="cffi")
+        # The first launch in a process starts the forkserver, whose
+        # imports are no part of a bulk load.
+        ShardedAlexIndex.bulk_load(np.arange(9.0), num_shards=2,
+                                   config=config, backend="process").close()
+        tracemalloc.start()
+        try:
+            service = ShardedAlexIndex.bulk_load(
+                keys, payloads, num_shards=2, config=config,
+                backend="process")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with service:
+            assert len(service) == n
+        # A copy of the keys and the typed payload column, with no sort
+        # order, no gathered copy and no scratch array beside them.
+        assert peak <= 2.2 * 8 * n
 
 
 class SubmitSpy:
