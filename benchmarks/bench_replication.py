@@ -12,10 +12,12 @@ cost, in three measurements on the process backend.
   cross-core-count comparisons).
 
 * **staleness** — while a writer streams ``insert_many`` batches, the
-  replicas' observable staleness (seconds since the last applied frame
-  was appended, from ``replica_status``) is sampled on a side thread:
-  the p50/p99/max the ``replica_ok(max_staleness_s=...)`` contract
-  actually delivers.
+  replicas' observable staleness is sampled on a side thread through
+  ``replica_status``: the seconds from the status request's send stamp
+  to the moment the replica dequeues it, behind every frame pushed
+  before it, so it is the apply backlog a ``replica_ok`` read would
+  queue behind — the p50/p99/max the ``replica_ok(max_staleness_s=...)``
+  contract actually delivers.
 
 * **failover** — grow a long WAL tail past the last checkpoint
   (``checkpoint_every`` effectively infinite), SIGKILL the primary, and

@@ -46,7 +46,6 @@ from repro.core.kernels import get_kernels
 from repro.core.linear_model import LinearModel
 from repro.core.policy import AdaptationPolicy
 from repro.core.rmi import InnerNode, link_leaves, make_data_node
-from repro.core.stats import Counters
 
 #: Identifies our archives among arbitrary ``.npz`` files (stamped into
 #: the JSON header alongside the version).
@@ -198,8 +197,11 @@ def load_index(path: str,
                 f"{header.get('version')!r} (supported: "
                 f"{', '.join(map(str, SUPPORTED_VERSIONS))})")
         config = AlexConfig(**header["config"])
-        index = AlexIndex(config, policy=policy)
-        counters = Counters()
+        # Not through __init__, whose empty cold-start leaf the loaded
+        # tree would replace (as AlexIndex._build does).
+        index = AlexIndex.__new__(AlexIndex)
+        index._setup(config, policy)
+        counters = index.counters
         dtypes = set()
         leaves: List[DataNode] = []
         for meta, (keys, occupied, payloads) in zip(
@@ -232,7 +234,6 @@ def load_index(path: str,
         return node
 
     tree_spec = header["tree"]
-    index.counters = counters
     if tree_spec["kind"] == "leaf":
         index._root = leaves[tree_spec["leaf"]]
     else:

@@ -1,28 +1,24 @@
 """WAL-shipping replication for the sharded serving tier.
 
-Per-shard WALs (PR 5) were built as the unit a follower consumes; this
-package is the follower.  :class:`Replica` attaches to a shard's
-durability directory — or to a byte-level mirror maintained by
-:class:`LogShipper` — bootstraps from checkpoint + tail, and then
-replays the log continuously, serving prefix-consistent reads at a
-bounded, observable staleness and handing over a caught-up index on
-:meth:`~Replica.promote` when the primary dies.
+:class:`Replica` is a shard's follower: it bootstraps from the shard's
+durability directory (checkpoint + WAL tail), then applies each frame
+the shard's writer pushes it as the frame is logged, serving
+prefix-consistent reads at a bounded, observable staleness and handing
+over a caught-up index on :meth:`~Replica.promote` when the primary
+dies.
 
-The serving tier (``repro.serve``) hosts replicas beside primaries and
-routes reads to them by :class:`~repro.serve.options.ReadOptions`
-policy; this package itself depends only on ``core`` + ``durability``
-and can also be used standalone (e.g. an analytics follower tailing a
-production shard's log).
+The serving tier (``repro.serve``) hosts replicas beside primaries,
+pushes them the frames of every logged write, and routes reads to them
+by :class:`~repro.serve.options.ReadOptions` policy; this package
+itself depends only on ``core`` + ``durability``.
 """
 
 from repro.core.errors import (ReplicaStaleError, ReplicaUnavailableError,
                                ReplicationError)
 
 from .replica import REPLICA_READ_METHODS, Replica
-from .shipper import LogShipper
 
 __all__ = [
-    "LogShipper",
     "Replica",
     "REPLICA_READ_METHODS",
     "ReplicaStaleError",

@@ -66,12 +66,13 @@ every worker already runs: a worker imports nothing after its first
 reply.
 
 **Replication and consistency.**  With
-``ShardedAlexIndex(replicate=True)`` each shard hosts a WAL-following
-:class:`~repro.replication.Replica` beside its primary.  Every read
-entry point takes one ``options=`` — a :class:`ReadOptions` (or its
-consistency-level string): ``primary`` (default, exactly the old
-behavior), ``replica_ok(max_staleness_s=...)`` (lock-free replica reads
-at bounded observable staleness), or ``read_your_writes(token)`` where
+``ShardedAlexIndex(replicate=True)`` each shard hosts a
+:class:`~repro.replication.Replica` beside its primary, pushed every
+frame the shard logs.  Every read entry point takes one ``options=`` —
+a :class:`ReadOptions` (or its consistency-level string): ``primary``
+(default, exactly the old behavior), ``replica_ok(max_staleness_s=...)``
+(replica reads at bounded observable staleness, which on the process
+backend never wait on a primary's lock), or ``read_your_writes(token)`` where
 ``token`` is the :class:`WriteToken` acked by every write.  Replica
 reads that cannot meet their bound fall back to the primary; a dead
 *primary* is **failed over** — its caught-up replica promotes in place

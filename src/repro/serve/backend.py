@@ -28,6 +28,7 @@ byte-for-byte the same against either.
 from __future__ import annotations
 
 import abc
+import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from threading import Lock
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,6 +40,7 @@ from repro.core.alex import AlexIndex
 from repro.core.batch import export_arrays
 from repro.core.config import AlexConfig
 from repro.core.data_node import blank_column, payload_column
+from repro.core.errors import ReplicaUnavailableError
 from repro.core.introspect import payload_footprint
 from repro.core.kernels import get_kernels
 from repro.core.policy import AdaptationPolicy
@@ -60,18 +62,17 @@ Call = Tuple[int, str, tuple]
 
 
 class WorkerDiedError(RuntimeError):
-    """A shard executor's hosting process died mid-conversation.
+    """A shard executor died mid-conversation: a worker process, or a
+    thread-hosted replica that failed to apply a pushed frame.
 
     Carries the shard position (when known) so a durability-enabled
     facade can respawn exactly the dead executor from its last checkpoint
-    plus WAL tail instead of poisoning the whole service.  Only the
-    process backend raises it; in-process thread shards cannot die
-    independently of the facade.
+    plus WAL tail instead of poisoning the whole service.
     """
 
     def __init__(self, shard: Optional[int], detail: str):
         where = "shard executor" if shard is None else f"shard {shard}"
-        super().__init__(f"{where} worker process died: {detail}")
+        super().__init__(f"{where} died: {detail}")
         self.shard = shard
 
 
@@ -219,6 +220,11 @@ class ExecutionBackend(abc.ABC):
 
     name: str = "?"
 
+    #: Replicas live in the facade's process and apply pushes inside the
+    #: writer's critical section, so the facade reads them under the
+    #: shard's read lock, as it reads a primary.
+    in_process_replicas: bool = False
+
     @abc.abstractmethod
     def provision(self, parts: Sequence[tuple]) -> None:
         """Create one shard executor per ``(keys, payload column)``
@@ -281,17 +287,27 @@ class ExecutionBackend(abc.ABC):
 
     # -- replication (optional per-backend capability) -----------------
     #
-    # A backend may host one WAL-shipping replica beside each primary.
-    # The facade routes `replica_ok` / `read_your_writes` reads here and
-    # promotes on primary death; backends without the capability keep
-    # the defaults, which make every replica read fall back to primary.
+    # A backend may host one replica beside each primary, fed the frames
+    # the facade logs for that shard.  The facade routes `replica_ok` /
+    # `read_your_writes` reads here and promotes on primary death;
+    # backends without the capability keep the defaults, which make
+    # every replica read fall back to primary.
 
     def add_replicas(self, roots: Dict[int, str]) -> None:
-        """Attach a replica per ``{shard: durability dir}`` entry, each
-        tailing its directory.  Blocks until every replica has
-        bootstrapped."""
+        """Install a replica per ``{shard: durability dir}`` entry, each
+        bootstrapping from its directory (the caller holds those shards'
+        write locks and has flushed their WALs).  May return before the
+        bootstraps finish; :meth:`await_replicas` waits for them."""
         raise NotImplementedError(
             f"the {self.name!r} backend does not host replicas")
+
+    def await_replicas(self, shards: Sequence[int]) -> None:
+        """Block until ``shards``' replicas have bootstrapped."""
+
+    def push_frame(self, shard: int, frame) -> None:
+        """Hand ``shard``'s replica (if any) a frame just logged, without
+        waiting for it.  Never raises: a replica that cannot apply it
+        reads as dead (:meth:`dead_replicas`)."""
 
     def has_replica(self, shard: int) -> bool:
         return False
@@ -303,7 +319,6 @@ class ExecutionBackend(abc.ABC):
         raise ``ReplicaStaleError`` / ``ReplicaUnavailableError`` (or
         :class:`WorkerDiedError` for a process-hosted replica) — all of
         which the facade turns into a primary fallback."""
-        from repro.core.errors import ReplicaUnavailableError
         raise ReplicaUnavailableError(
             f"the {self.name!r} backend has no replica for shard {shard}")
 
@@ -317,7 +332,6 @@ class ExecutionBackend(abc.ABC):
         return its applied LSN.  The caller guarantees the shard's WAL
         is quiescent (it holds the shard write lock over a dead
         primary)."""
-        from repro.core.errors import ReplicaUnavailableError
         raise ReplicaUnavailableError(
             f"the {self.name!r} backend has no replica for shard {shard}")
 
@@ -325,8 +339,8 @@ class ExecutionBackend(abc.ABC):
         """Detach and release ``shard``'s replica (idempotent)."""
 
     def dead_replicas(self) -> List[int]:
-        """Shard positions whose *replica* executor died (always empty
-        for in-process replicas — they share the facade's fate)."""
+        """Shard positions whose *replica* executor died (for an
+        in-process replica: stopped applying the log)."""
         return []
 
     @property
@@ -377,6 +391,7 @@ class ThreadBackend(ExecutionBackend):
     """
 
     name = "thread"
+    in_process_replicas = True
 
     def __init__(self, config: AlexConfig, policy: AdaptationPolicy,
                  max_workers: int = 1):
@@ -409,8 +424,6 @@ class ThreadBackend(ExecutionBackend):
         self._replicas = [None] * len(self.indexes)
 
     def close(self) -> None:
-        for shard in range(len(self._replicas)):
-            self.drop_replica(shard)
         with self._pool_guard:
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
@@ -486,11 +499,8 @@ class ThreadBackend(ExecutionBackend):
             for old in sources:
                 index.counters.merge(self.indexes[old].counters)
             fresh.append(index)
-        # Outgoing replicas tail directories the SMO is about to delete;
-        # stop them before the splice (the facade re-attaches fresh ones
-        # once the rewritten durability dirs exist).
-        for shard in range(start, stop):
-            self.drop_replica(shard)
+        # Outgoing replicas follow shards the SMO retires; the facade
+        # attaches fresh ones once the rewritten durability dirs exist.
         self.indexes[start:stop] = fresh
         self._replicas[start:stop] = [None] * len(fresh)
 
@@ -502,43 +512,62 @@ class ThreadBackend(ExecutionBackend):
     def add_replicas(self, roots: Dict[int, str]) -> None:
         from repro.replication import Replica
         for shard, root in roots.items():
-            self.drop_replica(shard)
             self._replicas[shard] = Replica(root, config=self._config,
                                             policy=self._policy).start()
+
+    def push_frame(self, shard: int, frame) -> None:
+        replica = self._replicas[shard] if self.has_replica(shard) else None
+        if replica is None or not replica.serving:
+            return
+        replica.heard(time.monotonic())
+        try:
+            replica.apply(frame)
+        except Exception as exc:     # noqa: BLE001 - the replica is dead
+            obs.emit("replica.apply_failed", shard=shard, lsn=frame.lsn,
+                     error=repr(exc))
 
     def has_replica(self, shard: int) -> bool:
         return (shard < len(self._replicas)
                 and self._replicas[shard] is not None)
 
+    def _replica(self, shard: int):
+        """``shard``'s replica, stamped as reached now (an in-process
+        call sees every push that preceded it)."""
+        if not self.has_replica(shard):
+            raise ReplicaUnavailableError(f"shard {shard} has no replica")
+        replica = self._replicas[shard]
+        replica.heard(time.monotonic())
+        return replica
+
     def replica_read(self, shard: int, method: str, args: tuple = (),
                      min_lsn: int = 0,
                      max_staleness_s: Optional[float] = None):
-        replica = self._replicas[shard] if self.has_replica(shard) else None
-        if replica is None:
-            from repro.core.errors import ReplicaUnavailableError
-            raise ReplicaUnavailableError(f"shard {shard} has no replica")
+        replica = self._replica(shard)
+        if not replica.serving:
+            raise WorkerDiedError(shard, "its replica stopped applying "
+                                  "the log")
         return replica.read(method, args, min_lsn=min_lsn,
                             max_staleness_s=max_staleness_s)
 
     def replica_status(self, shard: int) -> Optional[dict]:
         if not self.has_replica(shard):
             return None
-        return self._replicas[shard].status()
+        return self._replica(shard).status()
 
     def promote_replica(self, shard: int) -> int:
-        if not self.has_replica(shard):
-            from repro.core.errors import ReplicaUnavailableError
-            raise ReplicaUnavailableError(f"shard {shard} has no replica")
-        replica = self._replicas[shard]
-        self._replicas[shard] = None
+        replica = self._replica(shard)
         self.indexes[shard] = replica.promote()
+        self._replicas[shard] = None
         return replica.applied_lsn
 
     def drop_replica(self, shard: int) -> None:
         if self.has_replica(shard):
-            replica = self._replicas[shard]
             self._replicas[shard] = None
-            replica.stop()
+
+    def dead_replicas(self) -> List[int]:
+        """Positions whose replica stopped applying the log."""
+        return [s for s, replica in enumerate(self._replicas)
+                if replica is not None and not replica.serving]
 
 
 def make_backend(backend, config: AlexConfig, policy: AdaptationPolicy,

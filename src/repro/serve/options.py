@@ -92,8 +92,9 @@ class ReadOptions:
     one instance can be shared across a whole batch/stream of requests.
 
     ``max_staleness_s`` bounds the replica's *observable* staleness (time
-    since it last confirmed it was at the WAL head); ``None`` means any
-    live replica qualifies.  ``token`` only matters for
+    since the newest writer send stamp it has dequeued; a replica whose
+    staleness reaches the bound falls back, so ``0`` always does);
+    ``None`` means any live replica qualifies.  ``token`` only matters for
     ``read_your_writes``; ``None`` there means "my writes so far are
     whatever the empty token records", i.e. nothing — equivalent to
     ``replica_ok``.

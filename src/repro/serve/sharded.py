@@ -63,6 +63,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -83,7 +84,8 @@ from repro.core.policy import (AdaptationPolicy, HeuristicPolicy,
 from repro.core.stats import Counters
 from repro.durability import (DEFAULT_CHECKPOINT_EVERY, OP_DELETE,
                               OP_ERASE, OP_INSERT, OP_UPSERT,
-                              ShardedDurability, encode_payloads)
+                              ShardedDurability, WALFrame,
+                              encode_payloads)
 from .rwlock import ReadWriteLock
 
 from .backend import (DEFAULT_MAX_INFLIGHT, ExecutionBackend,
@@ -246,12 +248,13 @@ class ShardedAlexIndex:
         thread backend ignores the knob.
     replicate:
         Host a WAL-shipping replica beside each shard's primary
-        (requires durability — replicas are log followers).  Reads
+        (requires durability — replicas bootstrap from the shard's
+        checkpoint and log, and every frame the shard logs afterwards
+        is pushed to its replica before the primary applies it).  Reads
         carrying ``options=ReadOptions.replica_ok(...)`` or
         ``read_your_writes`` route to the replicas, and a primary
-        worker death *promotes* the shard's replica (checkpoint +
-        continuously shipped tail) instead of cold-respawning, so
-        serving continues through the crash.
+        worker death *promotes* the shard's replica instead of
+        cold-respawning, so serving continues through the crash.
     """
 
     def __init__(self, config: Optional[AlexConfig] = None,
@@ -501,9 +504,10 @@ class ShardedAlexIndex:
                     payloads: Optional[list] = None) -> Dict[int, int]:
         """Append one WAL frame per written shard (step 3 of
         :meth:`_write`: after validation, before the apply, under the
-        shards' write locks).  Returns ``{shard: lsn}`` of the appended
-        frames (empty without durability) — the raw material of the
-        :class:`WriteToken` acked back to the client."""
+        shards' write locks) and push each to its shard's replica.
+        Returns ``{shard: lsn}`` of the appended frames (empty without
+        durability) — the raw material of the :class:`WriteToken` acked
+        back to the client."""
         lsns: Dict[int, int] = {}
         if self._durability is None:
             return lsns
@@ -514,6 +518,10 @@ class ShardedAlexIndex:
                      payloads[lo:hi]) for _, lo, hi in groups]
         for (s, lo, hi), blob in zip(groups, blobs):
             lsns[s] = self._durability.log(s, op, keys[lo:hi], blob)
+            if self._replicate:
+                self._backend.push_frame(s, WALFrame(
+                    lsns[s], op, keys[lo:hi],
+                    None if payloads is None else payloads[lo:hi]))
         return lsns
 
     def _persist_writer(self, shard: int):
@@ -588,11 +596,21 @@ class ShardedAlexIndex:
                 for s in range(self.num_shards)})
 
     def _attach_replicas(self, shards: Sequence[int]) -> None:
-        """Start (or restart) the replicas of ``shards``, each tailing
-        its shard's own durability directory.  Every replica bootstraps
-        before any is awaited."""
-        self._backend.add_replicas({s: self._durability.shard_dir(s)
-                                    for s in shards})
+        """Start (or restart) the replicas of ``shards``.  Each WAL is
+        flushed and its replica installed under the shard's write lock,
+        so every frame is either in the files the bootstrap reads (even
+        under ``fsync="off"``) or pushed after it.  The bootstraps run
+        outside the locks, all before any is awaited."""
+        shards = list(shards)
+        self._acquire_shards(shards, write=True)
+        try:
+            for s in shards:
+                self._durability.shard_state(s).wal.flush()
+            self._backend.add_replicas({s: self._durability.shard_dir(s)
+                                        for s in shards})
+        finally:
+            self._release_shards(shards, write=True)
+        self._backend.await_replicas(shards)
         obs.inc("serve.replica_attached", len(shards))
 
     def _replica_constraints(self, opts: ReadOptions,
@@ -612,8 +630,10 @@ class ShardedAlexIndex:
         dead replica worker additionally gets repaired in the background
         of the fallback (the primary is untouched either way)."""
         min_lsn, bound = self._replica_constraints(opts, shard)
+        guard = (self._shard_locks[shard].read()
+                 if self._backend.in_process_replicas else nullcontext())
         try:
-            with trace.span("serve.replica_read", shard=shard):
+            with guard, trace.span("serve.replica_read", shard=shard):
                 return self._backend.replica_read(
                     shard, method, args, min_lsn=min_lsn,
                     max_staleness_s=bound)
@@ -655,17 +675,18 @@ class ShardedAlexIndex:
         """Promote shard ``shard``'s replica over its dead primary
         (``shard``'s write lock held).  ``True`` on success; ``False``
         sends the caller down the cold checkpoint-replay respawn path.
-        The replica drains the complete WAL tail before taking over —
-        including the write-ahead frame of an interrupted apply — so the
-        promoted worker's state matches what cold recovery would build,
-        just without re-reading the checkpoint."""
+        The replica was pushed every logged frame — including the
+        write-ahead frame of an interrupted apply — and drains the WAL
+        tail once more before taking over, so the promoted worker's state
+        matches what cold recovery would build, just without re-reading
+        the checkpoint."""
         if not (self._replicate and self._backend.has_replica(shard)):
             return False
         try:
             with trace.span("serve.promote", shard=shard):
                 # The primary appended its frames through a buffered file
-                # handle; make every acked byte visible to the replica's
-                # reader before it drains.
+                # handle; make every logged byte visible to the replica's
+                # drain.
                 with trace.span("wal.flush"):
                     self._durability.shard_state(shard).wal.flush()
                 applied = self._backend.promote_replica(shard)
@@ -713,9 +734,9 @@ class ShardedAlexIndex:
             dead.add(suspect)
         repairable = sorted(dead & allowed)
         for s in repairable:
-            # Hot path: fail over to the shard's replica — it is already
-            # caught up to within its poll interval, so promotion skips
-            # the checkpoint reload entirely.
+            # Hot path: fail over to the shard's replica — it was pushed
+            # every frame the shard logged, so promotion skips the
+            # checkpoint reload entirely.
             if self._promote_replica_locked(s):
                 continue
             recovery = self._durability.recover_shard(

@@ -75,6 +75,7 @@ import pickle
 import socket
 import struct
 import threading
+import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import contextmanager
@@ -89,6 +90,7 @@ from repro.core.alex import AlexIndex
 from repro.obs import trace
 from repro.core.batch import export_arrays
 from repro.core.config import AlexConfig
+from repro.core.errors import ReplicaUnavailableError
 from repro.core.kernels import get_kernels
 from repro.core.policy import AdaptationPolicy
 from repro.core.stats import Counters
@@ -99,7 +101,7 @@ from .backend import (DEFAULT_MAX_INFLIGHT, BatchJob, Call,
 
 
 #: The modules the forkserver imports before it forks any worker: the
-#: shard RPC loop, the replica applier, the checkpoint writer and both
+#: shard RPC loop, the replica, the checkpoint writer and both
 #: kernel backends (which the kernel registry would otherwise import on
 #: each worker's first resolve), and with them numpy and every ``repro``
 #: module a primary or replica worker runs.  Importing them starts no
@@ -315,13 +317,16 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
     exits.
 
     With ``replica_root`` set the process is a **replica worker**: it
-    bootstraps a :class:`~repro.replication.Replica` tailing that
+    bootstraps a :class:`~repro.replication.Replica` from that
     durability directory before serving (so the parent's first request
     doubles as the bootstrap barrier) and answers the replica ops —
-    ``("rread", method, args, min_lsn, max_staleness_s)`` /
-    ``("rstatus",)`` — until a ``("promote",)`` drains the tail and
-    installs the caught-up index as this worker's shard, after which
-    every normal op works and the worker *is* the primary.
+    ``("rread", sent_at, method, args, min_lsn, max_staleness_s)`` /
+    ``("rstatus", sent_at)``, ``sent_at`` the parent's send stamp —
+    until a ``("promote",)`` drains the log's tail and installs the
+    caught-up index as this worker's shard, after which the worker *is*
+    the primary.  Each frame the shard logs arrives as ``(None, None,
+    "push", sent_at, frame)`` and gets no reply; one that fails to apply
+    ends the worker, so the replica reads as dead.
     """
     os.environ.clear()
     os.environ.update(environ)
@@ -352,6 +357,13 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
         except (EOFError, OSError):  # parent died; daemon exit
             break
         req_id, tctx, op = message[0], message[1], message[2]
+        if op == "push":
+            replica.heard(message[3])
+            try:
+                replica.apply(message[4])
+            except BaseException:
+                break
+            continue
         # The frame's trace context (None for untraced requests) becomes
         # ambient for the dispatch, so spans recorded inside the op land
         # in the originating request's cross-process tree.
@@ -380,11 +392,13 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
                 elif op == "snapshot":
                     reply = (req_id, "ok", export_arrays(index))
                 elif op == "rread":
-                    method, args, min_lsn, max_staleness_s = message[3:]
+                    sent_at, method, args, min_lsn, bound = message[3:]
+                    replica.heard(sent_at)
                     reply = (req_id, "ok",
                              replica.read(method, args, min_lsn=min_lsn,
-                                          max_staleness_s=max_staleness_s))
+                                          max_staleness_s=bound))
                 elif op == "rstatus":
+                    replica.heard(message[3])
                     reply = (req_id, "ok", replica.status())
                 elif op == "promote":
                     index = replica.promote()
@@ -399,8 +413,6 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
                 reply = (req_id, "err", exc)
         _send(conn, _encode(reply))
         del reply  # a snapshot's arrays, freed before the next frame
-    if replica is not None:
-        replica.stop()
     conn.close()
 
 
@@ -456,6 +468,13 @@ class _WorkerHandle:
             self.settle(req_id, WorkerDiedError(
                 self.shard, f"on send ({exc!r})"), is_error=True)
         return future
+
+    def post(self, frame: tuple) -> None:
+        """Push one encoded frame that gets no reply (a replica's pushed
+        WAL frame): no id, no in-flight slot, no future.  Raises
+        :class:`OSError` when the pipe is dead."""
+        with self.send_lock:
+            _send(self.conn, frame)
 
     def settle(self, req_id: int, value, is_error: bool) -> None:
         """Complete one request: resolve its future and release its
@@ -549,8 +568,9 @@ class ProcessBackend(ExecutionBackend):
         #: Per-shard replica worker slot, spliced in lockstep with
         #: ``_workers`` by :meth:`replace` so positions stay aligned
         #: across SMOs.  A replica worker is a full ``_WorkerHandle``
-        #: (own process, pipe, reader thread) whose process tails the
-        #: shard's durability dir instead of loading a part.
+        #: (own process, pipe, reader thread) whose process bootstraps
+        #: from the shard's durability dir instead of loading a part,
+        #: then applies the frames pushed down its pipe.
         self._replica_workers: List[Optional[_WorkerHandle]] = []
         self._respawn_guard = threading.Lock()
         self._closed = False
@@ -579,19 +599,17 @@ class ProcessBackend(ExecutionBackend):
             child_conn.close()
         return _WorkerHandle(process, parent_conn, shard, self.max_inflight)
 
-    def _launch(self, shards: Sequence[int],
-                parts: Optional[Sequence[tuple]] = None,
-                seeds: Optional[Sequence[Optional[Counters]]] = None,
-                roots: Optional[Sequence[str]] = None
+    def _launch(self, shards: Sequence[int], parts: Sequence[tuple],
+                seeds: Optional[Sequence[Optional[Counters]]] = None
                 ) -> List[_WorkerHandle]:
-        """Bring up one worker per position in ``shards``, all at once.
+        """Bring up one primary worker per position in ``shards``, all at
+        once.
 
         Three sweeps: start every process; then submit each its first
         request — a ``load`` of the ``(keys, payload column)`` part
-        ``parts[i]`` (with counter seed ``seeds[i]``), or for a replica
-        tailing ``roots[i]`` the ``rstatus`` bootstrap barrier; then wait
-        on every reply.  The processes boot and build (or bootstrap) in
-        parallel, and each worker builds while the parent sends the next
+        ``parts[i]`` (with counter seed ``seeds[i]``); then wait on every
+        reply.  The processes boot and build in parallel, and each
+        worker builds while the parent sends the next
         part, which goes to the pipe from the part's own arrays (only an
         object column is pickled into a copy).  A part may be unsorted
         (a sharded bulk load's partition): the worker owns the decoded
@@ -604,17 +622,11 @@ class ProcessBackend(ExecutionBackend):
         """
         workers: List[_WorkerHandle] = []
         try:
-            for i, shard in enumerate(shards):
-                workers.append(self._start_handle(
-                    shard, None if roots is None else roots[i]))
-            futures = []
-            for i, worker in enumerate(workers):
-                if parts is None:
-                    futures.append(self._submit(worker, ("rstatus",)))
-                    continue
-                futures.append(self._submit(worker, (
-                    "load", *parts[i], None if seeds is None else seeds[i])))
-            self._gather(futures)
+            for shard in shards:
+                workers.append(self._start_handle(shard))
+            self._gather([self._submit(worker, (
+                "load", *parts[i], None if seeds is None else seeds[i]))
+                for i, worker in enumerate(workers)])
         except BaseException:
             for worker in workers:
                 self._release(worker)
@@ -679,9 +691,8 @@ class ProcessBackend(ExecutionBackend):
         if self._closed:
             return
         self._closed = True
-        # Replica workers first: a replica retired after its primary is
-        # harmless, but the reverse could leave a replica tailing a WAL
-        # whose directory the caller deletes next.
+        # Replica workers first, so none is still reading a WAL (a
+        # bootstrap or a gap fill) when the caller deletes its directory.
         for worker in self._replica_workers:
             if worker is not None:
                 self._retire(worker)
@@ -844,7 +855,7 @@ class ProcessBackend(ExecutionBackend):
             seeds.append(seed if sources else None)
         fresh = self._launch(range(start, start + len(parts)), parts,
                              seeds=seeds)
-        # Outgoing replicas tail durability dirs the SMO deletes next;
+        # Outgoing replicas follow durability dirs the SMO deletes next;
         # retire them before the splice (the facade re-attaches fresh
         # ones once the rewritten dirs exist) and keep the replica list
         # position-aligned with the worker list.
@@ -926,21 +937,42 @@ class ProcessBackend(ExecutionBackend):
     # -- replication ---------------------------------------------------
 
     def add_replicas(self, roots: Dict[int, str]) -> None:
-        """Start a replica worker per ``{shard: durability dir}`` entry,
-        all at once.  The ``rstatus`` round trips are the bootstrap
-        barrier: when this returns, every replica has loaded checkpoint
-        + tail and is applying."""
-        for shard in roots:
+        """Start a replica worker per ``{shard: durability dir}`` entry
+        and install it; each bootstraps on its own while the parent
+        returns (pushes queue in its pipe behind the bootstrap)."""
+        for shard, root in roots.items():
             self.drop_replica(shard)
-        shards = list(roots)
-        workers = self._launch(shards, roots=[roots[s] for s in shards])
-        for shard, worker in zip(shards, workers):
+            worker = self._start_handle(shard, root)
             try:
                 self._replica_workers[shard] = worker
             except IndexError:
-                # close() emptied the slots while we bootstrapped (replica
-                # repair runs on a background thread); retire the orphan.
+                # close() emptied the slots first (replica repair runs on
+                # a background thread); retire the orphan.
                 self._retire(worker)
+
+    def await_replicas(self, shards: Sequence[int]) -> None:
+        """The bootstrap barrier: one ``rstatus`` per replica, all sent
+        before any reply is awaited, so the replicas bootstrap in
+        parallel.  If one failed, all of them are dropped."""
+        try:
+            self._gather([self._submit(self._replica_workers[s],
+                                       ("rstatus", time.monotonic()))
+                          for s in shards if self.has_replica(s)])
+        except BaseException:
+            for shard in shards:
+                self.drop_replica(shard)
+            raise
+
+    def push_frame(self, shard: int, frame) -> None:
+        worker = (self._replica_workers[shard]
+                  if self.has_replica(shard) else None)
+        if worker is None:
+            return
+        try:
+            worker.post(_encode((None, None, "push", time.monotonic(),
+                                 frame)))
+        except OSError:
+            pass  # a dead replica worker; dead_replicas() reports it
 
     def has_replica(self, shard: int) -> bool:
         return (shard < len(self._replica_workers)
@@ -952,22 +984,22 @@ class ProcessBackend(ExecutionBackend):
         worker = (self._replica_workers[shard]
                   if self.has_replica(shard) else None)
         if worker is None:
-            from repro.core.errors import ReplicaUnavailableError
             raise ReplicaUnavailableError(f"shard {shard} has no replica")
-        return self._request(
-            worker, ("rread", method, args, min_lsn, max_staleness_s))
+        return self._request(worker, ("rread", time.monotonic(), method,
+                                      args, min_lsn, max_staleness_s))
 
     def replica_status(self, shard: int) -> Optional[dict]:
         if not self.has_replica(shard):
             return None
         try:
             return self._request(self._replica_workers[shard],
-                                 ("rstatus",))
+                                 ("rstatus", time.monotonic()))
         except WorkerDiedError:
             return None
 
     def promote_replica(self, shard: int) -> int:
-        """Failover: the replica worker drains the (quiescent) WAL tail,
+        """Failover: the replica worker applies the frames still queued in
+        its pipe, drains the (quiescent) WAL tail once,
         installs its caught-up index as the shard, and takes the dead
         primary's slot; the corpse is reaped.  On any
         failure nothing has been swapped — the caller falls back to
@@ -976,7 +1008,6 @@ class ProcessBackend(ExecutionBackend):
             worker = (self._replica_workers[shard]
                       if self.has_replica(shard) else None)
             if worker is None:
-                from repro.core.errors import ReplicaUnavailableError
                 raise ReplicaUnavailableError(
                     f"shard {shard} has no replica")
             applied = self._request(worker, ("promote",))

@@ -134,7 +134,8 @@ drive(None, [("load", keys, keys.copy(), None),
              ("call", "trace_drain", ()),
              ("snapshot",),
              ("close",)])
-drive(replica_root, [("rstatus",), ("rread", "get", (3.0,), 0, None),
+drive(replica_root, [("rstatus", 0.0),
+                     ("rread", 0.0, "get", (3.0,), 0, None),
                      ("promote",), ("call", "num_keys", ()), ("close",)])
 print(sorted(m for m in set(sys.modules) - preloaded
              if m == "repro" or m.startswith("repro.")))

@@ -24,7 +24,6 @@ from repro.core.kernels import available_backends, get_kernels
 from repro.core.kernels.numpy_backend import _FLOAT_CHUNK
 from repro.core.rmi import InnerNode
 from repro.durability.persistence import load_index, save_index
-from repro.replication.replica import Replica
 from repro.serve import ReadOptions, ShardedAlexIndex
 from repro.serve.backend import build_shard, shard_part
 from repro.serve.router import ShardRouter
@@ -588,13 +587,20 @@ class TestLeafColumns:
         expected[N + 0.5] = payloads[9]
         durable.close()
         dtype = TYPED.get(name, object)
-        recovered = ShardedAlexIndex.recover(root, fsync="off")
+        recovered = ShardedAlexIndex.recover(root, fsync="off",
+                                             replicate=True)
         try:
+            assert_stores(recovered.shards[0], dtype, expected)
+            # Frames pushed to the replica the recovery bootstrapped: a
+            # batch and a scalar insert.
+            recovered.insert_many(keys[:8] + 0.25, payloads[:8])
+            recovered.insert(N + 0.25, payloads[9])
+            expected.update(zip((keys[:8] + 0.25).tolist(), payloads[:8]))
+            expected[N + 0.25] = payloads[9]
+            recovered.backend.promote_replica(0)
             assert_stores(recovered.shards[0], dtype, expected)
         finally:
             recovered.close()
-        replica = Replica(recovered.durability.shard_dir(0)).start()
-        assert_stores(replica.promote(), dtype, expected)
 
 
 def test_shard_introspection_reports_the_payload_column():

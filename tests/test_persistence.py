@@ -12,6 +12,7 @@ from repro.analysis import alex_prediction_errors
 from repro.core.alex import AlexIndex
 from repro.core.config import ga_armi, ga_srmi, pma_armi
 from repro.core.errors import PersistenceError
+from repro.core.kernels import get_kernels
 from repro.durability.persistence import (FORMAT_MAGIC, FORMAT_VERSION,
                                    load_index, save_index,
                                    save_load_roundtrip_equal)
@@ -123,6 +124,28 @@ class TestColumnLayout:
             assert np.array_equal(before.occupied, after.occupied)
             assert (before.capacity, before.num_keys) == (after.capacity,
                                                           after.num_keys)
+
+
+def test_load_builds_no_leaf(tmp_path, keys, monkeypatch):
+    """A load restores every leaf from the archive: it makes no
+    ``fit_place`` kernel call, not even for the empty cold-start leaf a
+    new index starts with."""
+    index = AlexIndex.bulk_load(keys, config=ga_armi(max_keys_per_node=256))
+    path = str(tmp_path / "index.npz")
+    save_index(index, path)
+    kernels = get_kernels(index.config.kernel_backend)
+    calls = []
+    real = kernels.fit_place
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "fit_place", counted)
+    loaded = load_index(path)
+    assert calls == []
+    assert list(loaded.items()) == list(index.items())
+    loaded.validate()
 
 
 class TestStructuralEdgeCases:

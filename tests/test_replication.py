@@ -1,7 +1,8 @@
 """WAL-shipping replication and the consistency-aware read API.
 
 Covers the :mod:`repro.replication` follower machinery (bootstrap,
-continuous replay, byte-level shipping, promotion), the
+pushed frames, gap fills, promotion), the facade's push of every
+logged frame, the
 :class:`~repro.serve.options.ReadOptions` / :class:`WriteToken` API
 threaded through the facade and ingress, and the failure semantics:
 stale replicas fall back to the primary, read-your-writes tokens
@@ -18,7 +19,8 @@ import pytest
 from repro import obs
 from repro.core.errors import (KeyNotFoundError, ReplicaStaleError,
                                ReplicaUnavailableError)
-from repro.replication import LogShipper, Replica
+from repro.durability import OP_DELETE, OP_INSERT, WALFrame
+from repro.replication import Replica
 from repro.serve import (IngressRunner, ReadOptions, ShardedAlexIndex,
                          WriteToken)
 
@@ -85,114 +87,282 @@ class TestOptions:
 # ---------------------------------------------------------------------------
 
 
+def _frame(lsn, keys, op=OP_INSERT, payloads=None):
+    """A frame as the facade pushes it: the keys it logged and, for an
+    insert, their payload list."""
+    keys = np.asarray(keys, dtype=np.float64)
+    if op == OP_INSERT and payloads is None:
+        payloads = [None] * len(keys)
+    return WALFrame(lsn, op, keys, payloads)
+
+
+def _replica_items(service, shard):
+    return service.backend.replica_read(shard, "items_list")
+
+
+def _primary_items(service, shard):
+    return service.backend.call(shard, "items_list")
+
+
 class TestReplica:
-    def test_bootstrap_and_continuous_replay(self, tmp_path):
+    """A standalone follower fed the frames a service logs, as the
+    facade pushes them."""
+
+    ROOT = "shard-00000000"
+
+    def test_pushed_frames_apply_in_order_and_held_ones_skip(self,
+                                                             tmp_path):
         service = _service(tmp_path, num_shards=1)
         try:
-            replica = Replica(str(tmp_path / "dur" / "shard-00000000"),
-                              config=service.config)
-            replica.start()
-            try:
-                assert replica.status()["num_keys"] == 2000
-                token = service.insert_many(
-                    np.arange(5000, 5100, dtype=np.float64))
-                lsn = token.lsn_for("shard-00000000")
-                assert lsn > 0
-                _wait_until(lambda: replica.applied_lsn >= lsn,
-                            message="replica catch-up")
-                assert replica.read("contains", (5050.0,), min_lsn=lsn)
-                assert replica.staleness_s() < 30.0
-            finally:
-                replica.stop()
+            replica = Replica(str(tmp_path / "dur" / self.ROOT),
+                              config=service.config).start()
+            assert replica.status()["num_keys"] == 2000
+            batches = [np.arange(5000 + 100 * b, 5100 + 100 * b,
+                                 dtype=np.float64) for b in range(3)]
+            lsns = [service.insert_many(batch).lsn_for(self.ROOT)
+                    for batch in batches]
+            for lsn, batch in zip(lsns, batches):
+                replica.apply(_frame(lsn, batch))
+            replica.apply(_frame(lsns[0], batches[0]))   # already held
+            status = replica.status()
+            assert status["applied_lsn"] == lsns[-1]
+            assert status["frames_applied"] == 3
+            assert status["num_keys"] == 2300
+            assert replica.read("contains", (5250.0,), min_lsn=lsns[-1])
+        finally:
+            service.close()
+
+    def test_staleness_counts_from_the_newest_stamp(self, tmp_path):
+        service = _service(tmp_path, num_shards=1)
+        try:
+            replica = Replica(str(tmp_path / "dur" / self.ROOT),
+                              config=service.config).start()
+            booted = replica.staleness_s()
+            assert 0.0 <= booted < 30.0
+            time.sleep(0.02)
+            assert replica.staleness_s() >= 0.02
+            replica.heard(time.monotonic())
+            assert replica.staleness_s() < 0.02
+            # An older stamp never makes the replica look staler.
+            replica.heard(time.monotonic() - 60.0)
+            assert replica.staleness_s() < 0.02
         finally:
             service.close()
 
     def test_read_constraints_raise(self, tmp_path):
         service = _service(tmp_path, num_shards=1)
         try:
-            replica = Replica(str(tmp_path / "dur" / "shard-00000000"),
-                              config=service.config)
-            replica.start()
-            try:
-                with pytest.raises(ReplicaStaleError):
-                    replica.read("contains", (1.0,), min_lsn=10**9)
-                with pytest.raises(ReplicaStaleError):
-                    replica.read("contains", (1.0,), max_staleness_s=0.0)
-                with pytest.raises(ReplicaUnavailableError):
-                    replica.read("insert", (1.0, None))  # not a read
-            finally:
-                replica.stop()
+            replica = Replica(str(tmp_path / "dur" / self.ROOT),
+                              config=service.config).start()
+            with pytest.raises(ReplicaStaleError):
+                replica.read("contains", (1.0,), min_lsn=10**9)
+            with pytest.raises(ReplicaStaleError):
+                replica.read("contains", (1.0,), max_staleness_s=0.0)
+            with pytest.raises(ReplicaUnavailableError):
+                replica.read("insert", (1.0, None))  # not a read
         finally:
             service.close()
 
     def test_promote_drains_the_tail(self, tmp_path):
         service = _service(tmp_path, num_shards=1)
         try:
+            replica = Replica(str(tmp_path / "dur" / self.ROOT),
+                              config=service.config).start()
+            # Logged but never pushed: promotion still finds it.
             token = service.insert_many(
                 np.arange(9000, 9200, dtype=np.float64))
             service.sync()
-            replica = Replica(str(tmp_path / "dur" / "shard-00000000"),
-                              config=service.config)
-            replica.start()
             index = replica.promote()
             assert replica.status()["promoted"]
             assert index.contains(9199.0)
-            assert replica.applied_lsn >= token.lsn_for("shard-00000000")
+            assert replica.applied_lsn == token.lsn_for(self.ROOT)
+            with pytest.raises(ReplicaUnavailableError):
+                replica.read("contains", (1.0,))
+        finally:
+            service.close()
+
+    def test_gap_is_filled_from_the_log(self, tmp_path, monkeypatch):
+        service = _service(tmp_path, num_shards=1)
+        try:
+            replica = Replica(str(tmp_path / "dur" / self.ROOT),
+                              config=service.config).start()
+            reads = _spy_log_reads(monkeypatch)
+            batches = [np.arange(6000 + 10 * b, 6010 + 10 * b,
+                                 dtype=np.float64) for b in range(4)]
+            lsns = [service.insert_many(batch).lsn_for(self.ROOT)
+                    for batch in batches]
+            replica.apply(_frame(lsns[-1], batches[-1]))
+            assert len(reads) == 1
+            status = replica.status()
+            assert status["applied_lsn"] == lsns[-1]
+            assert status["bootstraps"] == 1
+            assert status["num_keys"] == 2040
+        finally:
+            service.close()
+
+    def test_gap_across_a_checkpoint_rebootstraps_once(self, tmp_path):
+        service = _service(tmp_path, num_shards=1)
+        try:
+            replica = Replica(str(tmp_path / "dur" / self.ROOT),
+                              config=service.config).start()
+            service.insert_many(np.arange(7000, 7050, dtype=np.float64))
+            # The checkpoint truncates the log past the replica's LSN.
+            service.checkpoint()
+            batch = np.arange(8000, 8050, dtype=np.float64)
+            lsn = service.insert_many(batch).lsn_for(self.ROOT)
+            replica.apply(_frame(lsn, batch))
+            status = replica.status()
+            assert status["bootstraps"] == 2
+            assert status["applied_lsn"] == lsn
+            assert (replica.read("items_list")
+                    == service.backend.call(0, "items_list"))
+        finally:
+            service.close()
+
+    def test_a_frame_that_fails_ends_the_replica(self, tmp_path):
+        service = _service(tmp_path, num_shards=1)
+        try:
+            replica = Replica(str(tmp_path / "dur" / self.ROOT),
+                              config=service.config).start()
+            with pytest.raises(KeyNotFoundError):
+                replica.apply(_frame(1, [10.0 ** 9], op=OP_DELETE))
+            assert not replica.serving
             with pytest.raises(ReplicaUnavailableError):
                 replica.read("contains", (1.0,))
         finally:
             service.close()
 
 
-class TestLogShipper:
-    def test_mirror_feeds_a_remote_replica(self, tmp_path):
-        service = _service(tmp_path, num_shards=1)
+def _spy_log_reads(monkeypatch) -> list:
+    """Record every log read a replica makes after its bootstrap (the
+    bootstrap itself reads through recovery)."""
+    from repro.replication import replica as replica_module
+    reads = []
+    real = replica_module.iter_frames
+
+    def spy(*args, **kwargs):
+        reads.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(replica_module, "iter_frames", spy)
+    return reads
+
+
+# ---------------------------------------------------------------------------
+# Push: the facade feeds its replicas the frames it logs
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.usefixtures("leak_guard")
+class TestPush:
+    def test_an_idle_replica_reads_no_log(self, tmp_path, monkeypatch):
+        service = _service(tmp_path, num_shards=1, replicate=True)
         try:
-            source = str(tmp_path / "dur" / "shard-00000000")
-            mirror = str(tmp_path / "mirror")
-            shipper = LogShipper(source, mirror)
-            assert shipper.ship() > 0          # checkpoint + manifest
-            token = service.insert_many(
-                np.arange(7000, 7050, dtype=np.float64))
-            service.sync()
-            assert shipper.ship() > 0          # the WAL suffix
-            assert shipper.ship() == 0         # idempotent when current
-            replica = Replica(mirror, config=service.config)
-            replica.start()
-            try:
-                lsn = token.lsn_for("shard-00000000")
-                _wait_until(lambda: replica.applied_lsn >= lsn,
-                            message="mirror replica catch-up")
-                assert replica.read("contains", (7049.0,), min_lsn=lsn)
-            finally:
-                replica.stop()
+            reads = _spy_log_reads(monkeypatch)
+            batches = 12
+            for b in range(batches):
+                service.insert_many(
+                    np.arange(4000 + 10 * b, 4010 + 10 * b,
+                              dtype=np.float64))
+            time.sleep(0.05)   # ten intervals of a 5 ms log poll
+            assert reads == []
+            assert service.backend.replica_status(0)["frames_applied"] \
+                == batches
+            assert not [t for t in threading.enumerate()
+                        if t.name == "alex-replica"]
         finally:
             service.close()
 
-    def test_truncated_segments_are_dropped(self, tmp_path):
-        service = _service(tmp_path, num_shards=1,
-                           checkpoint_every=50)
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_an_idle_replica_stays_fresh(self, tmp_path, backend):
+        """With no writes to push, the send stamp a read carries keeps a
+        connected replica within a bound its bootstrap has outlived."""
+        service = _service(tmp_path, num_shards=1, backend=backend,
+                           replicate=True)
         try:
-            source = str(tmp_path / "dur" / "shard-00000000")
-            mirror = str(tmp_path / "mirror")
-            shipper = LogShipper(source, mirror)
-            shipper.ship()
-            # Enough batches to roll + truncate segments at checkpoints.
-            for i in range(6):
-                service.insert_many(
-                    np.arange(20000 + i * 100, 20000 + i * 100 + 60,
-                              dtype=np.float64))
-            service.checkpoint()
-            service.sync()
-            shipper.ship()
-            replica = Replica(mirror, config=service.config)
-            replica.start()
+            time.sleep(0.1)
+            assert service.backend.replica_read(
+                0, "get", (5.0,), max_staleness_s=0.05) == "v5"
+        finally:
+            service.close()
+
+    def test_process_replica_holds_every_acked_write(self, tmp_path):
+        service = _service(tmp_path, backend="process", replicate=True)
+        try:
+            for i in range(5):
+                service.insert(3000.5 + i, f"w{i}")
+                service.insert_many(np.arange(9000 + 10 * i,
+                                              9010 + 10 * i,
+                                              dtype=np.float64))
+                for s in range(service.num_shards):
+                    wal = service.durability.shard_state(s).wal
+                    assert (service.backend.replica_status(s)
+                            ["applied_lsn"]) == wal.last_lsn
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_attach_while_writes_stream(self, tmp_path, backend):
+        """Writes racing a replica's repair under ``fsync="off"``: the
+        frames logged around the attach are flushed before it, pushed
+        after it, and the replica ends equal to the primary."""
+        service = _service(tmp_path, num_shards=1, backend=backend,
+                           fsync="off", replicate=True)
+        stop = threading.Event()
+        errors = []
+
+        def writer():
+            fresh = 10_000.0
             try:
-                _wait_until(
-                    lambda: replica.status()["num_keys"] == 2360,
-                    message="mirror replay after truncation")
-            finally:
-                replica.stop()
+                while not stop.is_set():
+                    service.insert_many(
+                        fresh + np.arange(8, dtype=np.float64))
+                    service.insert(fresh + 8.5, "scalar")
+                    fresh += 16.0
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            for _ in range(3):
+                time.sleep(0.02)
+                service.backend.drop_replica(0)
+                service._repair_replica(0)
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+        try:
+            assert not errors, errors[0]
+            assert _replica_items(service, 0) == _primary_items(service, 0)
+            status = service.backend.replica_status(0)
+            assert status["bootstraps"] == 1
+            assert (status["applied_lsn"]
+                    == service.durability.shard_state(0).wal.last_lsn)
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_frame_that_fails_gets_the_replica_respawned(self, tmp_path,
+                                                           backend):
+        service = _service(tmp_path, num_shards=1, backend=backend,
+                           replicate=True)
+        try:
+            wal = service.durability.shard_state(0).wal
+            # A frame the replica cannot apply: its key is absent.
+            service.backend.push_frame(0, _frame(
+                wal.last_lsn + 1, [10.0 ** 9], op=OP_DELETE))
+            _wait_until(lambda: service.backend.dead_replicas() == [0],
+                        message="the replica to read as dead")
+            # The read falls back to the primary and repairs the replica.
+            assert service.lookup(5.0, options="replica_ok") == "v5"
+            _wait_until(lambda: service.backend.dead_replicas() == []
+                        and service.backend.has_replica(0),
+                        message="the replica's respawn")
+            service.insert(5.5, "after")
+            assert service.lookup(
+                5.5, options="replica_ok") == "after"
+            assert _replica_items(service, 0) == _primary_items(service, 0)
         finally:
             service.close()
 
