@@ -3,11 +3,14 @@
 Regenerates the paper's dataset summary with this reproduction's synthetic
 generators, plus the CDF-shape scores that justify the substitution
 (Appendix C): longlat must be far harder to model locally than longitudes,
-ycsb near-linear, lognormal skewed.
+ycsb near-linear, lognormal skewed.  The "gen peak / output" column is each
+generator's tracemalloc peak over its output's bytes, the transient-memory
+bound ``repro.datasets.generators`` promises (at most about 2.5).
 
 Run: ``pytest benchmarks/bench_table1_datasets.py --benchmark-only -s``
 """
 
+import tracemalloc
 
 from repro.datasets import (
     DATASETS,
@@ -24,7 +27,13 @@ SEED = 0
 def build_table():
     rows = []
     for name, spec in DATASETS.items():
-        keys = load(name, SIZE, seed=SEED)
+        load(name, 100, seed=SEED)  # import-time and first-call allocations
+        tracemalloc.start()
+        try:
+            keys = load(name, SIZE, seed=SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         rows.append((
             name,
             spec.paper_num_keys,
@@ -35,6 +44,7 @@ def build_table():
             f"{local_nonlinearity(keys):.4f}",
             f"{keys.min():.3g}",
             f"{keys.max():.3g}",
+            f"{peak / keys.nbytes:.2f}",
         ))
     return rows
 
@@ -44,7 +54,8 @@ def test_table1_dataset_characteristics(benchmark):
     print()
     print(format_table(
         ["dataset", "paper n", "repro n", "key type", "payload B",
-         "global nonlin", "local nonlin", "min", "max"],
+         "global nonlin", "local nonlin", "min", "max",
+         "gen peak / output"],
         rows, title="Table 1: Dataset characteristics (synthetic stand-ins)"))
     by_name = {row[0]: row for row in rows}
     # The substitution-preserving properties (Appendix C):

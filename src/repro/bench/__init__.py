@@ -10,7 +10,7 @@ from .harness import (
 )
 from .ascii_plot import ascii_chart, ascii_histogram
 from .suite import HEADLINE_DATASETS, HEADLINE_WORKLOADS, SuiteReport, run_headline_suite
-from .report import format_bytes, format_table, format_throughput, ratio
+from .report import format_table, ratio
 from .tuning import (
     LEARNED_INDEX_MIN_KEYS_PER_MODEL,
     MAX_KEYS_GRID,
@@ -36,9 +36,7 @@ __all__ = [
     "TuneResult",
     "best_alex_variant_for",
     "build_index",
-    "format_bytes",
     "format_table",
-    "format_throughput",
     "grid_search",
     "learned_index_model_grid",
     "ratio",

@@ -37,25 +37,6 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
-def format_throughput(ops_per_second: float) -> str:
-    """Human-scaled ops/s (e.g. ``12.3 Mops/s``)."""
-    if ops_per_second >= 1e6:
-        return f"{ops_per_second / 1e6:.2f} Mops/s"
-    if ops_per_second >= 1e3:
-        return f"{ops_per_second / 1e3:.2f} Kops/s"
-    return f"{ops_per_second:.1f} ops/s"
-
-
-def format_bytes(num_bytes: float) -> str:
-    """Human-scaled byte counts."""
-    value = float(num_bytes)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if value < 1024 or unit == "GiB":
-            return f"{value:.1f} {unit}" if unit != "B" else f"{int(value)} B"
-        value /= 1024
-    return f"{value:.1f} GiB"
-
-
 def ratio(numerator: float, denominator: float) -> str:
     """``12.3x``-style ratio string (safe against zero denominators)."""
     if denominator == 0:

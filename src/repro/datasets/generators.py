@@ -21,6 +21,17 @@ Datasets (all duplicate-free, float64):
   (the paper's recipe verbatim).
 * ``ycsb`` — uniform integer user IDs.  The paper uses 64-bit IDs; we bound
   them by 2**53 so they are exactly representable as float64.
+
+Two promises hold for every generator:
+
+* **Bounded memory.**  Random values are drawn in fixed-size slices into
+  one output buffer and transformed in place, so a generator's transient
+  memory is at most about 2.5x its output's ``nbytes`` (the buffer with
+  ~10% headroom, a one-byte-per-key mask, and the compacted keys).
+* **Stable keys.**  Every ``(size, seed)`` returns exactly the keys the
+  earlier whole-array implementation returned: the slices make the same
+  ``Generator`` calls in the same order, and the slice length changes no
+  value.
 """
 
 from __future__ import annotations
@@ -43,58 +54,115 @@ _LONGITUDE_CLUSTERS = (
 
 _YCSB_KEY_BOUND = float(2 ** 53)
 
+# The cluster table as the arrays ``_draw_locations`` indexes.
+_WEIGHTS = np.array([w for w, _, _ in _LONGITUDE_CLUSTERS])
+_CLUSTER_P = _WEIGHTS / _WEIGHTS.sum()
+_MEANS = np.array([m for _, m, _ in _LONGITUDE_CLUSTERS])
+_STDS = np.array([s for _, _, s in _LONGITUDE_CLUSTERS])
 
-def _dedupe_to_size(draw: Callable[[np.random.Generator, int], np.ndarray],
+#: Values per random draw: each generator fills its output in slices of
+#: this length, so its temporaries stay a fixed size whatever ``size`` is.
+_CHUNK = 1 << 13
+
+
+def _chunks(n: int):
+    """Consecutive slices of ``range(n)``, each at most ``_CHUNK`` long."""
+    for start in range(0, n, _CHUNK):
+        yield slice(start, min(start + _CHUNK, n))
+
+
+def _nth_true(mask: np.ndarray, n: int) -> int:
+    """Index of the ``n``-th (from 0) true entry of ``mask``, which has
+    more than ``n``; counted by slices, so no index array is made."""
+    seen = 0
+    for part in _chunks(len(mask)):
+        count = np.count_nonzero(mask[part])
+        if seen + count > n:
+            return part.start + int(np.flatnonzero(mask[part])[n - seen])
+        seen += count
+    raise ValueError(f"mask has only {seen} true entries")
+
+
+def _dedupe_to_size(fill: Callable[[np.random.Generator, np.ndarray], None],
                     size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw batches until ``size`` unique values are collected.
 
-    The paper's datasets contain no duplicates; drawing ~10% extra per round
-    converges in one or two rounds for every generator here.
+    ``fill(rng, out)`` overwrites ``out`` with one batch.  The result is the
+    ``size`` smallest distinct values drawn, shuffled.  The paper's datasets
+    contain no duplicates; drawing ~10% extra per round converges in one or
+    two rounds for every generator here.
     """
-    unique = np.empty(0, dtype=np.float64)
+    keys = np.empty(0, dtype=np.float64)
     want = size
-    while len(unique) < size:
-        batch = draw(rng, int(want * 1.1) + 16)
-        unique = np.unique(np.concatenate([unique, batch]))
-        want = size - len(unique) + 16
-    out = unique[:size].copy()
-    rng.shuffle(out)
-    return out
+    while len(keys) < size:
+        have = len(keys)
+        grown = np.empty(have + int(want * 1.1) + 16, dtype=np.float64)
+        grown[:have] = keys
+        del keys
+        fill(rng, grown[have:])
+        grown.sort()
+        first = np.empty(len(grown), dtype=bool)
+        first[0] = True
+        np.not_equal(grown[1:], grown[:-1], out=first[1:])
+        if np.count_nonzero(first) > size:
+            # Keep the ``size`` smallest by trimming the mask.  A trimmed
+            # copy would be one more output-sized allocation, and glibc
+            # puts it on the heap once the freed batch has raised its
+            # mmap threshold: 15 MB more peak RSS on embedded_write_heavy.
+            first[_nth_true(first, size):] = False
+        keys = grown[first]
+        del grown, first
+        want = size - len(keys) + 16
+    rng.shuffle(keys)
+    return keys
 
 
-def _draw_locations(rng: np.random.Generator, n: int):
-    """Synthetic world locations: clustered longitudes, banded latitudes."""
-    weights = np.array([w for w, _, _ in _LONGITUDE_CLUSTERS])
-    choices = rng.choice(len(_LONGITUDE_CLUSTERS), size=n, p=weights / weights.sum())
-    means = np.array([m for _, m, _ in _LONGITUDE_CLUSTERS])[choices]
-    stds = np.array([s for _, _, s in _LONGITUDE_CLUSTERS])[choices]
-    longitude = np.clip(rng.normal(means, stds), -180.0, 180.0)
-    # Latitudes concentrate in the temperate band.
-    latitude = np.clip(rng.normal(30.0, 25.0, size=n), -90.0, 90.0)
-    return longitude, latitude
+def _draw_locations(rng: np.random.Generator, longitude: np.ndarray,
+                    fold_latitude: bool) -> None:
+    """Synthetic world locations: clustered longitudes, banded latitudes.
+
+    Fills ``longitude`` in place, then draws one latitude per location:
+    with ``fold_latitude`` each key becomes ``180 * round(lon) + lat``,
+    otherwise the latitudes are drawn only to advance ``rng`` past them.
+    The draws come in the order of whole-array calls (every cluster
+    choice, then every longitude, then every latitude), so the keys do
+    not depend on ``_CHUNK``.
+    """
+    n = len(longitude)
+    cluster = np.empty(n, dtype=np.uint8)
+    for part in _chunks(n):
+        cluster[part] = rng.choice(len(_CLUSTER_P), size=part.stop - part.start,
+                                   p=_CLUSTER_P)
+    for part in _chunks(n):
+        lon = longitude[part]
+        np.take(_MEANS, cluster[part], out=lon)
+        lon[:] = rng.normal(lon, _STDS[cluster[part]])
+        np.clip(lon, -180.0, 180.0, out=lon)
+    del cluster
+    for part in _chunks(n):
+        # Latitudes concentrate in the temperate band.
+        latitude = rng.normal(30.0, 25.0, size=part.stop - part.start)
+        np.clip(latitude, -90.0, 90.0, out=latitude)
+        if fold_latitude:
+            lon = longitude[part]
+            np.round(lon, out=lon)
+            lon *= 180.0
+            lon += latitude
 
 
 def longitudes(size: int, seed: int = 0) -> np.ndarray:
     """Longitude keys: smooth, globally non-uniform CDF (Fig. 13/14 left)."""
     rng = np.random.default_rng(seed)
-
-    def draw(r: np.random.Generator, n: int) -> np.ndarray:
-        lon, _ = _draw_locations(r, n)
-        return lon
-
-    return _dedupe_to_size(draw, size, rng)
+    return _dedupe_to_size(
+        lambda r, out: _draw_locations(r, out, fold_latitude=False), size, rng)
 
 
 def longlat(size: int, seed: int = 0) -> np.ndarray:
     """Compound longitude-latitude keys: locally step-like CDF (Fig. 14
     right), the paper's hardest-to-model dataset."""
     rng = np.random.default_rng(seed)
-
-    def draw(r: np.random.Generator, n: int) -> np.ndarray:
-        lon, lat = _draw_locations(r, n)
-        return 180.0 * np.round(lon) + lat
-
-    return _dedupe_to_size(draw, size, rng)
+    return _dedupe_to_size(
+        lambda r, out: _draw_locations(r, out, fold_latitude=True), size, rng)
 
 
 def lognormal(size: int, seed: int = 0, mu: float = 0.0,
@@ -103,10 +171,14 @@ def lognormal(size: int, seed: int = 0, mu: float = 0.0,
     lognormal(0, 2) * 1e9, floored)."""
     rng = np.random.default_rng(seed)
 
-    def draw(r: np.random.Generator, n: int) -> np.ndarray:
-        return np.floor(r.lognormal(mu, sigma, size=n) * 1_000_000_000.0)
+    def fill(r: np.random.Generator, out: np.ndarray) -> None:
+        for part in _chunks(len(out)):
+            keys = out[part]
+            keys[:] = r.lognormal(mu, sigma, size=len(keys))
+            keys *= 1_000_000_000.0
+            np.floor(keys, out=keys)
 
-    return _dedupe_to_size(draw, size, rng)
+    return _dedupe_to_size(fill, size, rng)
 
 
 def ycsb(size: int, seed: int = 0) -> np.ndarray:
@@ -114,10 +186,13 @@ def ycsb(size: int, seed: int = 0) -> np.ndarray:
     exactness."""
     rng = np.random.default_rng(seed)
 
-    def draw(r: np.random.Generator, n: int) -> np.ndarray:
-        return np.floor(r.uniform(0.0, _YCSB_KEY_BOUND, size=n))
+    def fill(r: np.random.Generator, out: np.ndarray) -> None:
+        for part in _chunks(len(out)):
+            keys = out[part]
+            keys[:] = r.uniform(0.0, _YCSB_KEY_BOUND, size=len(keys))
+            np.floor(keys, out=keys)
 
-    return _dedupe_to_size(draw, size, rng)
+    return _dedupe_to_size(fill, size, rng)
 
 
 def sequential(size: int, seed: int = 0, start: float = 0.0,
@@ -163,7 +238,8 @@ def shifted_halves(size: int, seed: int = 0) -> tuple:
     the keys, shuffle each half independently, and return
     ``(first_half, second_half)`` — the init keys and the insert keys come
     from disjoint key domains."""
-    keys = np.sort(longitudes(size, seed=seed))
+    keys = longitudes(size, seed=seed)
+    keys.sort()
     half = size // 2
     rng = np.random.default_rng(seed + 1)
     first = keys[:half].copy()

@@ -8,9 +8,7 @@ from repro.bench import (
     SystemParams,
     best_alex_variant_for,
     build_index,
-    format_bytes,
     format_table,
-    format_throughput,
     grid_search,
     learned_index_model_grid,
     ratio,
@@ -121,16 +119,6 @@ class TestReport:
         lines = table.splitlines()
         assert len(lines) == 4
         assert "long-header" in lines[0]
-
-    def test_format_throughput_scales(self):
-        assert format_throughput(2.5e6) == "2.50 Mops/s"
-        assert format_throughput(3.2e3) == "3.20 Kops/s"
-        assert format_throughput(12.0) == "12.0 ops/s"
-
-    def test_format_bytes_scales(self):
-        assert format_bytes(512) == "512 B"
-        assert format_bytes(2048) == "2.0 KiB"
-        assert "MiB" in format_bytes(5 * 1024 * 1024)
 
     def test_ratio(self):
         assert ratio(10, 4) == "2.50x"

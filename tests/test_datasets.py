@@ -1,5 +1,7 @@
 """Tests for the dataset generators and CDF analysis (Table 1, Appendix C)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.datasets import (
     shifted_halves,
     ycsb,
 )
+from repro.datasets import generators
 
 GENERATORS = [longitudes, longlat, lognormal, ycsb]
 
@@ -92,6 +95,142 @@ class TestShiftedHalves:
         first, second = shifted_halves(2000, seed=0)
         assert not (np.diff(first) > 0).all()
         assert not (np.diff(second) > 0).all()
+
+
+# ----------------------------------------------------------------------
+# Reference: the whole-array generators the chunked ones must reproduce.
+# Compared at run time rather than against pinned digests, because
+# ``Generator`` streams may differ across the numpy versions supported.
+# ----------------------------------------------------------------------
+
+
+def _ref_dedupe_to_size(draw, size, rng):
+    unique = np.empty(0, dtype=np.float64)
+    want = size
+    while len(unique) < size:
+        batch = draw(rng, int(want * 1.1) + 16)
+        unique = np.unique(np.concatenate([unique, batch]))
+        want = size - len(unique) + 16
+    out = unique[:size].copy()
+    rng.shuffle(out)
+    return out
+
+
+def _ref_draw_locations(rng, n):
+    clusters = generators._LONGITUDE_CLUSTERS
+    weights = np.array([w for w, _, _ in clusters])
+    choices = rng.choice(len(clusters), size=n, p=weights / weights.sum())
+    means = np.array([m for _, m, _ in clusters])[choices]
+    stds = np.array([s for _, _, s in clusters])[choices]
+    longitude = np.clip(rng.normal(means, stds), -180.0, 180.0)
+    latitude = np.clip(rng.normal(30.0, 25.0, size=n), -90.0, 90.0)
+    return longitude, latitude
+
+
+def _ref_longitudes(size, seed):
+    return _ref_dedupe_to_size(
+        lambda r, n: _ref_draw_locations(r, n)[0], size,
+        np.random.default_rng(seed))
+
+
+def _ref_longlat(size, seed):
+    def draw(r, n):
+        lon, lat = _ref_draw_locations(r, n)
+        return 180.0 * np.round(lon) + lat
+    return _ref_dedupe_to_size(draw, size, np.random.default_rng(seed))
+
+
+def _ref_lognormal(size, seed):
+    return _ref_dedupe_to_size(
+        lambda r, n: np.floor(r.lognormal(0.0, 2.0, size=n) * 1_000_000_000.0),
+        size, np.random.default_rng(seed))
+
+
+def _ref_ycsb(size, seed):
+    return _ref_dedupe_to_size(
+        lambda r, n: np.floor(r.uniform(0.0, float(2 ** 53), size=n)),
+        size, np.random.default_rng(seed))
+
+
+def _ref_shifted_halves(size, seed):
+    keys = np.sort(_ref_longitudes(size, seed))
+    half = size // 2
+    rng = np.random.default_rng(seed + 1)
+    first = keys[:half].copy()
+    second = keys[half:].copy()
+    rng.shuffle(first)
+    rng.shuffle(second)
+    return first, second
+
+
+REFERENCES = [(longitudes, _ref_longitudes), (longlat, _ref_longlat),
+              (lognormal, _ref_lognormal), (ycsb, _ref_ycsb)]
+CHUNK = generators._CHUNK
+ORACLE_SIZES = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17]
+
+
+class TestSameKeysAsWholeArrayGenerators:
+    @pytest.mark.parametrize("size", ORACLE_SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("gen,ref", REFERENCES,
+                             ids=[g.__name__ for g, _ in REFERENCES])
+    def test_generator_matches_reference(self, gen, ref, seed, size):
+        assert np.array_equal(gen(size, seed=seed), ref(size, seed))
+
+    @pytest.mark.parametrize("size", ORACLE_SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_shifted_halves_matches_reference(self, seed, size):
+        first, second = shifted_halves(size, seed=seed)
+        ref_first, ref_second = _ref_shifted_halves(size, seed)
+        assert np.array_equal(first, ref_first)
+        assert np.array_equal(second, ref_second)
+
+    def test_duplicate_heavy_draw_over_several_rounds(self):
+        size = 5000
+        rounds = []
+
+        def draw(r, n):
+            rounds.append(n)
+            return np.floor(r.uniform(0.0, 1.25 * size, size=n))
+
+        def fill(r, out):
+            out[:] = draw(r, len(out))
+
+        expected = _ref_dedupe_to_size(draw, size, np.random.default_rng(3))
+        ref_rounds = list(rounds)
+        rounds.clear()
+        got = generators._dedupe_to_size(fill, size,
+                                         np.random.default_rng(3))
+        assert len(ref_rounds) >= 2
+        assert rounds == ref_rounds
+        assert np.array_equal(got, expected)
+
+    def test_benchmark_inputs_unchanged(self):
+        # The sizes and seed the repository benchmark generates.
+        assert np.array_equal(longitudes(2_200_000, seed=1),
+                              _ref_longitudes(2_200_000, 1))
+        assert np.array_equal(lognormal(1_000_000, seed=1),
+                              _ref_lognormal(1_000_000, 1))
+
+
+class TestGeneratorMemory:
+    @pytest.mark.parametrize("gen", GENERATORS)
+    def test_transient_memory_at_most_two_and_a_half_outputs(self, gen):
+        # numpy reports its buffers to tracemalloc, so this bound does not
+        # depend on the allocator.
+        gen(100, seed=0)
+        already = tracemalloc.is_tracing()
+        if not already:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            keys = gen(300_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not already:
+                tracemalloc.stop()
+        assert peak <= 2.5 * keys.nbytes
 
 
 class TestCdfTools:
