@@ -34,11 +34,6 @@ class FrontierPoint:
     direct_hit_fraction: float
     expected_probes: float
 
-    @property
-    def cost_score(self) -> float:
-        """Search cost proxy: probes (lower is better)."""
-        return self.expected_probes
-
 
 def _expected_probes(keys: np.ndarray, c: float) -> float:
     """Expected exponential-search probes at expansion factor ``c``.

@@ -4,7 +4,8 @@ Stand-in for the STX B+Tree of Section 5.1: a height-balanced tree with all
 records at the leaf level, leaves chained for range scans, and a single
 tunable — the page size — which determines the fanout of inner nodes and
 the record capacity of leaves.  The paper grid-searches the page size per
-benchmark; :mod:`repro.bench.tuning` does the same.
+benchmark; the benchmark harness fixes it through
+:attr:`repro.bench.SystemParams.page_size`.
 
 Instrumented with the shared :class:`~repro.core.stats.Counters`:
 binary-search comparisons inside nodes, pointer follows between levels

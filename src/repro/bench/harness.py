@@ -27,8 +27,6 @@ from repro.serve import ShardedAlexIndex
 from repro.workloads.runner import WorkloadRunner
 from repro.workloads.spec import WorkloadSpec
 
-from .tuning import LEARNED_INDEX_MIN_KEYS_PER_MODEL
-
 #: All systems the harness can build, in the paper's naming (plus the
 #: delta-buffer Learned Index of Section 2.3 and the scatter-gather
 #: sharded service of :mod:`repro.serve`).
@@ -46,7 +44,9 @@ class SystemParams:
     page_size: int = 256               # B+Tree page bytes
     space_overhead: Optional[float] = None  # ALEX data-space overhead (0.43 default)
     split_on_inserts: bool = False
-    learned_keys_per_model: int = LEARNED_INDEX_MIN_KEYS_PER_MODEL
+    # The Learned Index may not exceed roughly one model per this many
+    # keys (the paper's "model sizes reported in [17]" constraint).
+    learned_keys_per_model: int = 2000
     num_shards: int = 4                # ShardedALEX partition count
     shard_workers: Optional[int] = None  # ShardedALEX scatter threads
     shard_backend: str = "thread"      # ShardedALEX executor: thread|process

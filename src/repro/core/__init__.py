@@ -37,7 +37,6 @@ from .policy import (
 from .rmi import InnerNode, build_static_rmi
 from .adaptive import (build_adaptive_rmi, merge_leaves, split_leaf,
                        split_leaf_sideways)
-from .batch import bulk_insert, merge_indexes
 from .cursor import Cursor, CursorInvalidatedError
 from .introspect import StructureReport, format_report, structure_report
 from .search import binary_search_bounded, exponential_search, lower_bound
@@ -81,13 +80,11 @@ __all__ = [
     "binary_search_bounded",
     "build_adaptive_rmi",
     "build_static_rmi",
-    "bulk_insert",
     "exponential_search",
     "format_report",
     "ga_armi",
     "ga_srmi",
     "lower_bound",
-    "merge_indexes",
     "merge_leaves",
     "next_power_of_two",
     "pma_armi",

@@ -53,8 +53,8 @@ from repro.obs import trace
 from .adaptive import (build_adaptive_rmi, merge_leaves, split_leaf,
                        split_leaf_sideways, split_until_fits)
 from .config import ADAPTIVE_RMI, AlexConfig
-from .data_node import (DataNode, blank_column, object_column, payload_column,
-                        payload_fits)
+from .data_node import (DataNode, blank_column, concat_columns, object_column,
+                        payload_column, payload_fits)
 from .errors import DuplicateKeyError, KeyNotFoundError
 from .kernels import KernelBackend, get_kernels
 from .policy import (AdaptationPolicy, EV_DELETE, EV_INSERT, EV_READ,
@@ -136,7 +136,7 @@ class AlexIndex:
                     policy: Optional[AdaptationPolicy] = None
                     ) -> "AlexIndex":
         """Like :meth:`bulk_load` over a payload column as
-        :func:`~repro.core.batch.export_arrays` returns it: the column
+        :func:`export_arrays` returns it: the column
         is stored with its own dtype, so an ``object`` column stays
         ``object`` and a typed one is not classified again.  Every
         whole-shard move builds through here: provisioning, snapshots
@@ -1002,3 +1002,13 @@ class AlexIndex:
             raise AssertionError(
                 f"leaf keys total {total}, index believes {self._num_keys}"
             )
+
+
+def export_arrays(index: AlexIndex) -> Tuple[np.ndarray, np.ndarray]:
+    """``(keys, payloads)`` of the whole index, the payloads a column of
+    the index's :attr:`~AlexIndex.payload_dtype`, via a leaf-chain walk
+    that concatenates each leaf's arrays directly (no per-item
+    iteration)."""
+    parts = [leaf.export_sorted() for leaf in index.leaves()]
+    return (np.concatenate([keys for keys, _ in parts]),
+            concat_columns(payloads for _, payloads in parts))

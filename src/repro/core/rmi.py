@@ -141,21 +141,6 @@ class InnerNode:
         if prev_child is not None:
             yield prev_child, prev_lo, prev_hi
 
-    def route_many(self, keys: np.ndarray):
-        """Batch routing: descend the subtree below this node for a whole
-        sorted key array in one pass per level.
-
-        Returns ``(leaves, boundaries)`` where ``leaves`` is the list of
-        distinct leaves hit (in key order) and ``boundaries`` has length
-        ``len(leaves) + 1`` such that ``keys[boundaries[i]:boundaries[i+1]]``
-        belong to ``leaves[i]``.
-        """
-        groups = route_batch(self, np.asarray(keys, dtype=np.float64))
-        leaves = [leaf for leaf, _, _, _ in groups]
-        boundaries = np.array([lo for _, _, lo, _ in groups] + [len(keys)],
-                              dtype=np.int64)
-        return leaves, boundaries
-
     def replace_child(self, old, new) -> None:
         """Redirect every slot pointing at ``old`` to ``new`` (used by node
         splitting on inserts)."""

@@ -243,14 +243,3 @@ def load_index(path: str,
     index._payload_dtype, = dtypes
     link_leaves(leaves)
     return index
-
-
-def save_load_roundtrip_equal(index: AlexIndex, path: str) -> bool:
-    """Convenience check used by tests: save, load, and compare contents
-    and structure."""
-    save_index(index, path)
-    loaded = load_index(path)
-    loaded.validate()
-    if len(loaded) != len(index):
-        return False
-    return list(loaded.items()) == list(index.items())

@@ -36,8 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.alex import AlexIndex
-from repro.core.batch import export_arrays
+from repro.core.alex import AlexIndex, export_arrays
 from repro.core.config import AlexConfig
 from repro.core.data_node import blank_column, payload_column
 from repro.core.errors import ReplicaUnavailableError

@@ -71,8 +71,7 @@ import numpy as np
 
 from repro import obs
 from repro.obs import trace
-from repro.core.alex import AlexIndex, strictly_increasing
-from repro.core.batch import export_arrays
+from repro.core.alex import AlexIndex, export_arrays, strictly_increasing
 from repro.core.config import AlexConfig
 from repro.core.data_node import blank_column, concat_columns, payload_column
 from repro.core.kernels import get_kernels

@@ -86,9 +86,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.alex import AlexIndex
+from repro.core.alex import AlexIndex, export_arrays
 from repro.obs import trace
-from repro.core.batch import export_arrays
 from repro.core.config import AlexConfig
 from repro.core.errors import ReplicaUnavailableError
 from repro.core.kernels import get_kernels

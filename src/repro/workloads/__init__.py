@@ -4,14 +4,10 @@ from .runner import WorkloadResult, WorkloadRunner, run_workload
 from .adaptation import (
     SCENARIOS,
     build_trace,
-    grow_then_shrink_trace,
-    replay_trace,
     run_adaptation_scenario,
-    shifting_hotspot_trace,
 )
 from .hotspot import HotspotGenerator, LatestGenerator
 from .recovery import CRASH_BACKENDS, run_crash_recovery_scenario
-from .trace import ReplayResult, Trace, TraceRecorder, record_workload, replay
 from .spec import (
     DELETE,
     DELETE_HEAVY,
@@ -37,19 +33,13 @@ __all__ = [
     "INSERT",
     "SCENARIOS",
     "build_trace",
-    "grow_then_shrink_trace",
-    "replay_trace",
     "run_adaptation_scenario",
-    "shifting_hotspot_trace",
     "LatestGenerator",
     "RANGE_SCAN",
     "READ",
     "READ_HEAVY",
     "READ_ONLY",
-    "ReplayResult",
     "SCAN",
-    "Trace",
-    "TraceRecorder",
     "WORKLOADS",
     "WRITE_HEAVY",
     "WRITE_ONLY",
@@ -57,8 +47,6 @@ __all__ = [
     "WorkloadRunner",
     "WorkloadSpec",
     "ZipfianGenerator",
-    "record_workload",
-    "replay",
     "run_crash_recovery_scenario",
     "run_workload",
     "scramble_ranks",

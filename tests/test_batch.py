@@ -1,10 +1,9 @@
-"""Tests for batch operations (bulk_insert, merge_indexes)."""
+"""Tests for batch inserts (``AlexIndex.insert_many``)."""
 
 import numpy as np
 import pytest
 
 from repro.core.alex import AlexIndex
-from repro.core.batch import bulk_insert, merge_indexes
 from repro.core.config import ga_armi, ga_srmi, pma_armi
 from repro.core.errors import DuplicateKeyError
 
@@ -20,7 +19,7 @@ def base():
 class TestBulkInsert:
     def test_all_keys_present_after(self, base):
         index, init, batch = base
-        bulk_insert(index, batch, [f"b{i}" for i in range(len(batch))])
+        index.insert_many(batch, [f"b{i}" for i in range(len(batch))])
         assert len(index) == len(init) + len(batch)
         for i, key in enumerate(batch[::37]):
             assert index.lookup(float(key)) == f"b{int(37 * i)}"
@@ -30,20 +29,20 @@ class TestBulkInsert:
         index, init, batch = base
         shuffled = batch.copy()
         np.random.default_rng(1).shuffle(shuffled)
-        bulk_insert(index, shuffled)
+        index.insert_many(shuffled)
         assert len(index) == len(init) + len(batch)
         index.validate()
 
     def test_empty_batch_is_noop(self, base):
         index, init, _ = base
-        bulk_insert(index, [])
+        index.insert_many([])
         assert len(index) == len(init)
 
     def test_duplicate_within_batch_rejected_before_mutation(self, base):
         index, init, batch = base
         bad = np.concatenate([batch[:10], batch[:1]])
         with pytest.raises(DuplicateKeyError):
-            bulk_insert(index, bad)
+            index.insert_many(bad)
         assert len(index) == len(init)
         index.validate()
 
@@ -51,18 +50,18 @@ class TestBulkInsert:
         index, init, batch = base
         bad = np.concatenate([batch[:10], init[:1]])
         with pytest.raises(DuplicateKeyError):
-            bulk_insert(index, bad)
+            index.insert_many(bad)
         assert len(index) == len(init)
         index.validate()
 
     def test_payload_length_mismatch(self, base):
         index, _, batch = base
         with pytest.raises(ValueError):
-            bulk_insert(index, batch[:5], ["only-one"])
+            index.insert_many(batch[:5], ["only-one"])
 
     def test_small_batch_uses_plain_inserts(self, base):
         index, init, batch = base
-        bulk_insert(index, batch[:2])
+        index.insert_many(batch[:2])
         assert len(index) == len(init) + 2
         index.validate()
 
@@ -72,7 +71,7 @@ class TestBulkInsert:
         keys = np.unique(np.random.default_rng(142).uniform(0, 1e4, 1500))
         index = AlexIndex.bulk_load(keys[:1000], config=factory(
             num_models=8, max_keys_per_node=512))
-        bulk_insert(index, keys[1000:])
+        index.insert_many(keys[1000:])
         assert len(index) == len(keys)
         index.validate()
 
@@ -86,7 +85,7 @@ class TestBulkInsert:
         loop_work = loop_index.counters.shifts
 
         batch_index = AlexIndex.bulk_load(keys, config=ga_srmi(num_models=8))
-        bulk_insert(batch_index, batch)
+        batch_index.insert_many(batch)
         batch_work = batch_index.counters.shifts
 
         assert batch_work < loop_work
@@ -95,7 +94,7 @@ class TestBulkInsert:
 
 class TestBulkInsertSplits:
     """Regression: a rebuilt leaf used to bypass the node-size limit —
-    ``bulk_insert`` called ``_model_based_build`` directly and never split,
+    ``insert_many`` called ``_model_based_build`` directly and never split,
     so a merged leaf could exceed ``max_keys_per_node`` even with node
     splitting enabled."""
 
@@ -106,17 +105,17 @@ class TestBulkInsertSplits:
         index = AlexIndex.bulk_load(np.arange(0.0, 64.0), config=config)
         # The whole batch routes beyond the last leaf's key range, merging
         # into a single leaf ~10x over the bound.
-        bulk_insert(index, np.arange(1000.0, 1600.0))
+        index.insert_many(np.arange(1000.0, 1600.0))
         assert len(index) == 664
         assert index.leaf_sizes().max() <= 64
         index.validate()
         assert index.lookup(1234.0) is None
         assert index.contains(63.0)
 
-    def test_cold_start_bulk_insert_splits(self):
+    def test_cold_start_insert_many_splits(self):
         index = AlexIndex(ga_armi(max_keys_per_node=64))
         keys = np.random.default_rng(9).permutation(np.arange(500.0))
-        bulk_insert(index, keys)
+        index.insert_many(keys)
         assert len(index) == 500
         assert index.leaf_sizes().max() <= 64
         index.validate()
@@ -126,43 +125,6 @@ class TestBulkInsertSplits:
         # behavior is intentional: the merged leaf may exceed the bound.
         config = ga_armi(max_keys_per_node=64, split_on_inserts=False)
         index = AlexIndex.bulk_load(np.arange(0.0, 64.0), config=config)
-        bulk_insert(index, np.arange(1000.0, 1600.0))
+        index.insert_many(np.arange(1000.0, 1600.0))
         assert index.leaf_sizes().max() > 64
         index.validate()
-
-
-class TestMergeIndexes:
-    def test_disjoint_merge(self):
-        left = AlexIndex.bulk_load(np.arange(0.0, 100.0),
-                                   [f"l{i}" for i in range(100)])
-        right = AlexIndex.bulk_load(np.arange(100.0, 150.0),
-                                    [f"r{i}" for i in range(50)])
-        merged = merge_indexes(left, right)
-        assert len(merged) == 150
-        assert merged.lookup(42.0) == "l42"
-        assert merged.lookup(120.0) == "r20"
-        merged.validate()
-
-    def test_interleaved_keys(self):
-        left = AlexIndex.bulk_load(np.arange(0.0, 100.0, 2.0))
-        right = AlexIndex.bulk_load(np.arange(1.0, 100.0, 2.0))
-        merged = merge_indexes(left, right)
-        assert list(merged.keys()) == [float(i) for i in range(100)]
-
-    def test_overlapping_keys_rejected(self):
-        left = AlexIndex.bulk_load([1.0, 2.0])
-        right = AlexIndex.bulk_load([2.0, 3.0])
-        with pytest.raises(DuplicateKeyError):
-            merge_indexes(left, right)
-
-    def test_config_override(self):
-        left = AlexIndex.bulk_load(np.arange(50.0), config=ga_srmi())
-        right = AlexIndex.bulk_load(np.arange(50.0, 100.0), config=ga_srmi())
-        merged = merge_indexes(left, right, config=pma_armi())
-        assert merged.variant_name == "ALEX-PMA-ARMI"
-
-    def test_merge_with_empty(self):
-        left = AlexIndex.bulk_load(np.arange(20.0))
-        right = AlexIndex.bulk_load([])
-        merged = merge_indexes(left, right)
-        assert len(merged) == 20

@@ -5,7 +5,7 @@ point reads) must produce results *identical* to the scalar code paths.
 These tests drive seeded-random scenarios across both node layouts, both
 RMI modes, cold-started and bulk-loaded indexes, and batch sizes
 {1, 7, 1000}, checking `lookup_many` / `get_many` / `contains_many` /
-`route_many` / the vectorized model-based build against scalar execution.
+`_route_many` / the vectorized model-based build against scalar execution.
 
 The whole module additionally runs once per *available kernel backend*
 (numpy always; cffi when its toolchain works): the autouse
@@ -20,13 +20,11 @@ import numpy as np
 import pytest
 
 from repro.core.alex import AlexIndex
-from repro.core.batch import bulk_insert
 from repro.core.config import ga_armi, ga_srmi, pma_armi, pma_srmi
 from repro.core.errors import KeyNotFoundError
 from repro.core.gapped_array import GappedArrayNode
 from repro.core.kernels import available_backends
 from repro.core.pma import PMANode
-from repro.core.rmi import InnerNode
 from repro.core.stats import Counters
 
 
@@ -131,19 +129,6 @@ class TestRouteManyEquivalence:
                 assert scalar_parent is parent
         assert expected_lo == len(probes)
 
-    def test_inner_node_route_many_boundaries(self, variant):
-        rng = np.random.default_rng(51)
-        index, keys = build_bulk_loaded(CONFIGS[variant](), rng)
-        if not isinstance(index._root, InnerNode):
-            pytest.skip("root is a single leaf")
-        probes = np.sort(rng.choice(keys, 300, replace=True))
-        leaves, bounds = index._root.route_many(probes)
-        assert len(bounds) == len(leaves) + 1
-        assert bounds[0] == 0 and bounds[-1] == len(probes)
-        for leaf, lo, hi in zip(leaves, bounds[:-1], bounds[1:]):
-            for key in probes[lo:hi:11]:
-                assert index._route(float(key))[0] is leaf
-
 
 class TestVectorizedBuildEquivalence:
     """The np.maximum.accumulate placement must reproduce the sequential
@@ -242,7 +227,7 @@ class TestBulkInsertEquivalence:
         rng.shuffle(batch)
 
         batched = AlexIndex.bulk_load(init, config=CONFIGS[variant]())
-        bulk_insert(batched, batch, [f"b{i}" for i in range(len(batch))])
+        batched.insert_many(batch, [f"b{i}" for i in range(len(batch))])
 
         scalar = AlexIndex.bulk_load(init, config=CONFIGS[variant]())
         for i, key in enumerate(batch):
@@ -255,7 +240,7 @@ class TestBulkInsertEquivalence:
 
 
 class TestInsertManyEquivalence:
-    """insert_many (the method bulk_insert now delegates to) must leave the
+    """insert_many must leave the
     index identical to a scalar insert loop, split handling included."""
 
     @pytest.mark.parametrize("variant", CONFIGS, ids=list(CONFIGS))

@@ -1,4 +1,4 @@
-"""Tests for the benchmark harness, tuning, and reporting modules."""
+"""Tests for the benchmark harness and reporting modules."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,9 @@ from repro.bench import (
     best_alex_variant_for,
     build_index,
     format_table,
-    grid_search,
-    learned_index_model_grid,
     ratio,
     run_experiment,
-    static_model_grid,
 )
-from repro.baselines.bptree import BPlusTree
 from repro.workloads import RANGE_SCAN, READ_HEAVY, READ_ONLY, WRITE_HEAVY
 
 
@@ -76,41 +72,6 @@ class TestVariantSelection:
         assert best_alex_variant_for(READ_HEAVY) == "ALEX-GA-ARMI"
         assert best_alex_variant_for(WRITE_HEAVY) == "ALEX-GA-ARMI"
         assert best_alex_variant_for(READ_HEAVY, shifting=True) == "ALEX-PMA-ARMI"
-
-
-class TestTuning:
-    def test_grid_search_returns_best_param(self):
-        keys = np.unique(np.random.default_rng(92).uniform(0, 1e6, 3000))
-        init, inserts = keys[:2500], keys[2500:]
-
-        def build(page_size):
-            return BPlusTree.bulk_load(init, page_size=page_size)
-
-        result = grid_search(build, (128, 1024), init, inserts, READ_HEAVY,
-                             300, seed=5)
-        assert result.parameter in (128, 1024)
-        assert result.throughput > 0
-
-    def test_grid_search_tunes_alex_max_keys(self):
-        from repro.bench import build_index
-        keys = np.unique(np.random.default_rng(93).uniform(0, 1e6, 4000))
-        init, inserts = keys[:3000], keys[3000:]
-
-        def build(max_keys):
-            return build_index("ALEX-GA-ARMI", init,
-                               SystemParams(max_keys_per_node=max_keys))
-
-        result = grid_search(build, (256, 1024), init, inserts,
-                             WRITE_HEAVY, 400, seed=6)
-        assert result.parameter in (256, 1024)
-
-    def test_learned_index_grid_respects_cap(self):
-        grid = learned_index_model_grid(100_000)
-        assert max(grid) <= 100_000 // 2000
-        assert min(grid) >= 1
-
-    def test_static_model_grid_scales_with_n(self):
-        assert max(static_model_grid(64_000)) == 1000
 
 
 class TestReport:

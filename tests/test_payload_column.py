@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.adaptive import merge_leaves
-from repro.core.alex import AlexIndex
-from repro.core.batch import export_arrays
-from repro.core.config import AlexConfig, ga_armi
+from repro.core.alex import AlexIndex, export_arrays
+from repro.core.config import ALL_VARIANTS, AlexConfig, ga_armi
 from repro.core.data_node import numeric_column, payload_column
 from repro.core.policy import AdaptationPolicy
 from repro.core.introspect import format_report, structure_report
@@ -560,6 +559,19 @@ class TestLeafColumns:
         path = str(tmp_path / "index.npz")
         save_index(index, path)
         assert_stores(load_index(path), TYPED.get(name, object), expected)
+
+    @pytest.mark.parametrize("variant", sorted(ALL_VARIANTS))
+    @pytest.mark.parametrize("name", ["int64", "tuple"])
+    def test_export_arrays_round_trips_through_from_column(self, variant,
+                                                           name):
+        config = ALL_VARIANTS[variant](max_keys_per_node=64, num_models=4)
+        index = AlexIndex.bulk_load(np.arange(N, dtype=np.float64),
+                                    PAYLOADS[name], config=config)
+        rebuilt = AlexIndex.from_column(*export_arrays(index), config=config)
+        assert rebuilt.variant_name == variant
+        assert list(rebuilt.items()) == list(index.items())
+        assert_stores(rebuilt, TYPED.get(name, object),
+                      dict(zip(range(N), PAYLOADS[name])))
 
     def test_checkpoint_of_an_upgraded_index_stays_object(self, tmp_path):
         index, expected = small_index("int64")

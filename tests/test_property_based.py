@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.baselines.bptree import BPlusTree
 from repro.baselines.learned_index import LearnedIndex
 from repro.core.alex import AlexIndex
-from repro.core.batch import bulk_insert
 from repro.core.config import AlexConfig, ga_armi, ga_srmi, pma_armi
 from repro.core.cursor import Cursor
 from repro.core.errors import DuplicateKeyError, KeyNotFoundError
@@ -230,7 +229,7 @@ class TestBulkInsertProperties:
         config = ga_armi(max_keys_per_node=64, num_models=4)
         bulk = AlexIndex.bulk_load(np.array(initial, dtype=np.float64),
                                    config=config)
-        bulk_insert(bulk, np.array(batch, dtype=np.float64))
+        bulk.insert_many(np.array(batch, dtype=np.float64))
         loop = AlexIndex.bulk_load(np.array(initial, dtype=np.float64),
                                    config=config)
         for key in batch:

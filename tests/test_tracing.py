@@ -2,10 +2,8 @@
 recorder, histogram exemplars, cross-process assembly, ingress fan-in
 links, and the failover acceptance path — one trace id, pulled off a
 histogram exemplar, naming a causal tree that spans ingress, facade,
-worker RPC, replica promotion, and the WAL across processes.
-
-(``tests/test_trace.py`` is the *workload* trace-driver suite; this
-file covers ``repro.obs.trace``.)
+worker RPC, replica promotion, and the WAL across processes: the
+``repro.obs.trace`` module.
 """
 
 import os
