@@ -14,11 +14,10 @@ adds the classic log + checkpoint layer:
   publication through that format, a JSON manifest as the single source
   of recovery truth, and WAL truncation past the checkpoint LSN;
 * :mod:`~repro.durability.recover` — load the latest checkpoint, replay
-  the WAL tail through the batch engine;
+  the WAL tail through the batch engine, where the shard lives;
 * :mod:`~repro.durability.service` — per-shard durability plus the
   transactional topology manifest behind
-  :class:`repro.serve.sharded.ShardedAlexIndex`'s ``durability_dir``
-  mode and the process backend's worker crash respawn.
+  :class:`repro.serve.sharded.ShardedAlexIndex`'s ``durability_dir``.
 
 There is one durable index: the service.  A single-node durable index
 is a one-shard service —

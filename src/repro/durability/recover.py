@@ -17,12 +17,18 @@ Replay goes through the same batch engine live traffic uses —
 10k-key logged batch recovers with one routed traversal, and replay doubles
 as a validation pass: a frame that does not apply cleanly against the
 reconstructed state raises instead of corrupting silently.
+
+A shard is rebuilt only by its owner (a process worker, the thread
+backend, a replica bootstrap) with :func:`rebuild_shard`.  Every frame,
+read from the log by :func:`iter_frames` or pushed to a replica and read
+by :func:`~repro.durability.wal.decode_frame`, goes through
+:func:`apply_frame`.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro import obs
@@ -30,6 +36,7 @@ from repro.core.alex import AlexIndex
 from repro.core.config import AlexConfig
 from repro.core.errors import PersistenceError
 from repro.core.policy import AdaptationPolicy
+from repro.core.stats import Counters
 from repro.obs import trace
 
 from .checkpoint import CheckpointManager
@@ -41,15 +48,22 @@ from .wal import (OP_DELETE, OP_ERASE, OP_INSERT, OP_UPSERT, WALFrame,
 class RecoveryResult:
     """What :func:`recover_index` reconstructed."""
 
-    index: AlexIndex
     checkpoint_lsn: int      #: LSN of the checkpoint loaded (0 = none)
     last_lsn: int            #: LSN of the last frame replayed
     frames_replayed: int     #: WAL frames applied past the checkpoint
     ops_replayed: int        #: logical operations inside those frames
+    num_keys: int            #: keys in the recovered index
+    config: AlexConfig       #: the recovered index's configuration
+    index: Optional[AlexIndex] = None  #: ``None`` once reported
 
-    @property
-    def num_keys(self) -> int:
-        return len(self.index)
+    def detached(self) -> "RecoveryResult":
+        """This result without its index, as a shard's owner reports it."""
+        return replace(self, index=None)
+
+    def count(self) -> None:
+        """Add this replay to this process's ``recover.*`` counters."""
+        obs.inc("recover.frames_replayed", self.frames_replayed)
+        obs.inc("recover.ops_replayed", self.ops_replayed)
 
 
 def apply_frame(index, frame: WALFrame) -> int:
@@ -77,12 +91,33 @@ def recover_index(root: str, config: Optional[AlexConfig] = None,
                   ) -> RecoveryResult:
     """Reconstruct the index persisted under durability directory
     ``root``: load the manifest's checkpoint (or start empty) and replay
-    the WAL frames past its LSN.
+    the WAL frames past its LSN, counted in this process's registry.
 
     ``config`` only matters when there is no checkpoint to load (the
     checkpoint archive carries its own config); ``policy`` drives the
     recovered index and every one of its leaves either way.
     """
+    result = _replay(root, config, policy)
+    result.count()
+    return result
+
+
+def rebuild_shard(root: str, config: Optional[AlexConfig] = None,
+                  policy: Optional[AdaptationPolicy] = None
+                  ) -> RecoveryResult:
+    """:func:`recover_index` where the shard will live, with its work
+    counters seeded from the checkpoint's saved ones (so tallies stay
+    monotone across a restart, respawn or replica bootstrap).  Not
+    counted: the process that reports the result counts it."""
+    result = _replay(root, config, policy)
+    saved = CheckpointManager(root).saved_counters()
+    if saved:
+        result.index.counters.merge(Counters(**saved))
+    return result
+
+
+def _replay(root: str, config: Optional[AlexConfig],
+            policy: Optional[AdaptationPolicy]) -> RecoveryResult:
     if not os.path.isdir(root):
         raise PersistenceError(f"{root}: no such durability directory")
     manager = CheckpointManager(root)
@@ -105,8 +140,7 @@ def recover_index(root: str, config: Optional[AlexConfig] = None,
             ops += apply_frame(index, frame)
             frames += 1
             last_lsn = frame.lsn
-    obs.inc("recover.frames_replayed", frames)
-    obs.inc("recover.ops_replayed", ops)
-    return RecoveryResult(index=index, checkpoint_lsn=checkpoint_lsn,
-                          last_lsn=last_lsn, frames_replayed=frames,
-                          ops_replayed=ops)
+    return RecoveryResult(checkpoint_lsn=checkpoint_lsn, last_lsn=last_lsn,
+                          frames_replayed=frames, ops_replayed=ops,
+                          num_keys=len(index), config=index.config,
+                          index=index)

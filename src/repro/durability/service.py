@@ -32,14 +32,13 @@ from __future__ import annotations
 import os
 import shutil
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.errors import PersistenceError
 
 from .checkpoint import (MANIFEST_MAGIC, MANIFEST_VERSION,
                          CheckpointManager, read_json, write_json_atomic)
-from .recover import RecoveryResult, recover_index
 from .wal import WriteAheadLog
 
 SERVICE_MANIFEST_NAME = "SERVICE_MANIFEST.json"
@@ -192,13 +191,15 @@ class ShardedDurability:
     # Logging and checkpoints
     # ------------------------------------------------------------------
 
-    def log(self, shard: int, op: int, keys, payloads=None) -> int:
-        """Append one frame to the shard's WAL; returns its LSN.
-        ``payloads`` may be pre-encoded (see :func:`.wal.encode_payloads`)."""
+    def log(self, shard: int, op: int, keys,
+            payloads=None) -> Tuple[int, bytes]:
+        """Append one frame to the shard's WAL; returns its LSN and the
+        record's bytes.  ``payloads`` may be pre-encoded (see
+        :func:`.wal.encode_payloads`)."""
         state = self._shards[shard]
-        lsn = state.wal.append(op, keys, payloads)
+        record = state.wal.append_record(op, keys, payloads)
         state.ops_since_checkpoint += len(keys)
-        return lsn
+        return state.wal.last_lsn, record
 
     def should_checkpoint(self, shard: int) -> bool:
         return (self._shards[shard].ops_since_checkpoint
@@ -224,17 +225,6 @@ class ShardedDurability:
         checkpoint (the dashboard's "how much replay a crash would cost"
         column)."""
         return [state.ops_since_checkpoint for state in self._shards]
-
-    def recover_shard(self, shard: int, config=None,
-                      policy=None) -> RecoveryResult:
-        """Rebuild one shard's contents from its checkpoint + WAL tail
-        (both the whole-service recovery path and a single worker's
-        crash respawn run through here).  The live WAL handle is flushed
-        first so frames buffered in this process are visible to the
-        replay."""
-        self._shards[shard].wal.flush()
-        return recover_index(self.shard_dir(shard), config=config,
-                             policy=policy)
 
     # ------------------------------------------------------------------
     # Topology changes (shard split / merge)

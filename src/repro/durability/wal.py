@@ -125,7 +125,9 @@ def encode_payloads(payloads) -> bytes:
     return pickle.dumps(payloads, protocol=-1)
 
 
-def _encode_frame(lsn: int, op: int, keys: np.ndarray, payloads) -> bytes:
+def encode_frame(lsn: int, op: int, keys: np.ndarray, payloads) -> bytes:
+    """One frame's record: the bytes the log appends and a writer pushes
+    to its replica (:func:`decode_frame` reads them back)."""
     keys = np.ascontiguousarray(keys, dtype=np.float64)
     blob = encode_payloads(payloads)
     header = np.zeros(1, dtype=_FRAME_HEADER)
@@ -168,6 +170,15 @@ def _decode_frame(buf: memoryview, offset: int) -> Optional[Tuple[WALFrame,
                 if payload_bytes else None)
     return WALFrame(int(header["lsn"][0]), int(header["op"][0]),
                     keys, payloads), end
+
+
+def decode_frame(record) -> WALFrame:
+    """The frame one whole record holds, read by the log's CRC-checked
+    decoder; :class:`WALCorruptionError` unless it is one valid frame."""
+    decoded = _decode_frame(memoryview(record), 0)
+    if decoded is None or decoded[1] != len(record):
+        raise WALCorruptionError("a record is not one valid WAL frame")
+    return decoded[0]
 
 
 def _read_segment(path: str, tolerate_torn_header: bool = False
@@ -394,13 +405,21 @@ class WriteAheadLog:
         the OS (policies ``always``/``batch``) and on stable storage
         (policy ``always``, or ``batch`` at a group-commit boundary).
         """
+        self.append_record(op, keys, payloads)
+        return self.last_lsn
+
+    def append_record(self, op: int, keys,
+                      payloads: Optional[list] = None) -> bytes:
+        """:meth:`append`, returning the appended record's bytes (which
+        hold its LSN): what a writer pushes to its replica."""
         if self._fh is None:
             raise ValueError("write-ahead log is closed")
         if op not in OP_NAMES:
             raise ValueError(f"unknown WAL op {op!r}")
         with trace.span("wal.append"):
             lsn = self.last_lsn + 1
-            self._fh.write(_encode_frame(lsn, op, keys, payloads))
+            record = encode_frame(lsn, op, keys, payloads)
+            self._fh.write(record)
             self.last_lsn = lsn
             if self._tail_first_lsn is None:
                 self._tail_first_lsn = lsn
@@ -420,7 +439,7 @@ class WriteAheadLog:
                     self._unsynced = 0
             if self._fh.tell() >= self.segment_bytes:
                 self.roll()
-        return lsn
+        return record
 
     def flush(self) -> None:
         """Push buffered frames into the OS (no fsync) — enough for an

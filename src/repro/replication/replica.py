@@ -1,30 +1,29 @@
-"""A replica: a second live index of one shard, fed the frames its
+"""A replica: a second live index of one shard, fed the records its
 writer logs, that serves reads at a bounded, observable staleness — and
 takes over as primary on failover.
 
-A :class:`Replica` bootstraps like crash recovery (latest checkpoint +
-WAL tail, :func:`~repro.durability.recover.recover_index`).  After that
-the writer *pushes* it each frame it appends to the shard's WAL, under
-the shard's write lock and before the primary applies it, and the
-replica applies the frames in LSN order through
-:func:`~repro.durability.recover.apply_frame`.  A replica is not
-thread-safe: a replica worker handles one message at a time, and the
-thread backend pushes under the shard's write lock and reads under its
-read lock.  So every read sees the checkpoint plus a *prefix* of the
-logged operations.  A pushed frame the replica already holds is skipped;
-one past ``applied_lsn + 1`` first fills the gap from the log with
-:func:`~repro.durability.wal.iter_frames`, or re-bootstraps when a
-checkpoint has truncated the log past the replica.  A frame that fails
-to apply ends the replica (it stops :attr:`~Replica.serving`) rather
-than serve a prefix with a hole.  An idle replica reads nothing.
+A :class:`Replica` bootstraps as a shard's owner recovers it
+(:func:`~repro.durability.recover.rebuild_shard`).  After that the
+writer *pushes* it the bytes of each record it appends to the shard's
+WAL, under the shard's write lock and before the primary applies it, and
+the replica reads them with the log's own CRC-checked decoder
+(:func:`~repro.durability.wal.decode_frame`) and applies the frames in
+LSN order through :func:`~repro.durability.recover.apply_frame`, as
+recovery does.  A replica is not thread-safe: a replica worker handles
+one message at a time, and the thread backend pushes under the shard's
+write lock and reads under its read lock, so every read sees the
+checkpoint plus a *prefix* of the logged operations.  A pushed frame the
+replica already holds is skipped; one past ``applied_lsn + 1`` first
+fills the gap from the log, or re-bootstraps when a checkpoint has
+truncated the log past the replica.  A record that does not decode or
+apply ends the replica (it stops :attr:`~Replica.serving`) rather than
+serve a prefix with a hole.  An idle replica reads nothing.
 
-Every message the writer sends a replica (a push, a read, a status
-request) carries the writer's ``time.monotonic()`` send stamp, and
-:meth:`Replica.heard` keeps the newest.  Any write acked before a stamp
-was pushed ahead of that message on the same FIFO channel, so
-``staleness_s()`` counts from the newest stamp, and a replica cut off
-from its writer ages.  ``read()`` raises :class:`ReplicaStaleError`
-outside the caller's ``min_lsn`` / ``max_staleness_s``.
+Every message the writer sends a replica carries the writer's
+``time.monotonic()`` send stamp, and :meth:`Replica.heard` keeps the
+newest.  Any write acked before a stamp was pushed ahead of that message
+on the same FIFO channel, so ``staleness_s()`` counts from the newest
+stamp, and a replica cut off from its writer ages.
 """
 
 from __future__ import annotations
@@ -36,10 +35,9 @@ from repro import obs
 from repro.obs import trace
 from repro.core.errors import (ReplicaStaleError, ReplicaUnavailableError,
                                ReplicationError)
-from repro.core.stats import Counters
 from repro.durability.checkpoint import CheckpointManager
-from repro.durability.recover import apply_frame, recover_index
-from repro.durability.wal import WALFrame, iter_frames
+from repro.durability.recover import apply_frame, rebuild_shard
+from repro.durability.wal import WALFrame, decode_frame, iter_frames
 
 #: Read-side shard ops a replica may serve.  Mutations and persistence
 #: ops are excluded by construction — a replica's only writer is the
@@ -54,16 +52,9 @@ REPLICA_READ_METHODS = frozenset({
 
 
 class Replica:
-    """Follows one shard: bootstraps from its durability directory, then
-    applies the frames its writer pushes.
-
-    Parameters
-    ----------
-    root:
-        The shard's durability directory.
-    config / policy:
-        Passed through to recovery for the no-checkpoint-yet case.
-    """
+    """Follows one shard: bootstraps from its durability directory
+    ``root`` (``config`` and ``policy`` go to the rebuild), then applies
+    the records its writer pushes."""
 
     def __init__(self, root: str, config=None, policy=None):
         self.root = root
@@ -112,10 +103,11 @@ class Replica:
         if self._fresh_as_of is None or sent_at > self._fresh_as_of:
             self._fresh_as_of = sent_at
 
-    def apply(self, frame: WALFrame) -> None:
-        """Apply one pushed frame (see the module docstring).  Any
+    def apply(self, record: bytes) -> None:
+        """Apply one pushed WAL record (see the module docstring).  Any
         failure leaves the replica not :attr:`serving` and raises."""
         try:
+            frame = decode_frame(record)
             if frame.lsn > self._applied_lsn + 1:
                 self._catch_up()
             if frame.lsn > self._applied_lsn + 1:
@@ -139,16 +131,13 @@ class Replica:
         obs.inc("repl.frames_applied")
 
     def _bootstrap(self) -> None:
-        """(Re)load checkpoint + tail, seeding counters from the
-        checkpoint (like crash respawn).  The load's start is a
-        freshness stamp: a write acked before it is in the files the
-        load reads (the attach flushed them) or is pushed after."""
+        """(Re)load checkpoint + tail, as a shard's owner does.  The
+        load's start is a freshness stamp: a write acked before it is in
+        the files the load reads (the attach flushed them) or pushed
+        after."""
         t0 = time.monotonic()
-        recovery = recover_index(self.root, config=self._config,
+        recovery = rebuild_shard(self.root, config=self._config,
                                  policy=self._policy)
-        saved = self._manager.saved_counters()
-        if saved:
-            recovery.index.counters.merge(Counters(**saved))
         self._index = recovery.index
         self._applied_lsn = recovery.last_lsn
         self.heard(t0)

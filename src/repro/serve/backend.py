@@ -18,11 +18,11 @@ shard operation goes through an :class:`ExecutionBackend`, which decides
   the workers execute truly in parallel — real multi-core wall clock
   for Python-heavy batch work.
 
-The backend contract is deliberately narrow — provision, RPC (``call`` /
-``scatter`` / ``scatter_batch``), snapshot, and replace — so the facade's
-locking, routing, statistics, and all-or-nothing write orchestration are
-*identical* under both backends, and the equivalence test suite runs
-byte-for-byte the same against either.
+The backend contract is deliberately narrow — provision or recover, RPC
+(``call`` / ``scatter`` / ``scatter_batch``), snapshot, and replace — so
+the facade's locking, routing, statistics, and all-or-nothing write
+orchestration are *identical* under both backends, and the equivalence
+test suite runs byte-for-byte the same against either.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from repro.core.introspect import payload_footprint
 from repro.core.kernels import get_kernels
 from repro.core.policy import AdaptationPolicy
 from repro.core.stats import Counters
+from repro.durability.recover import RecoveryResult, rebuild_shard
 from repro.obs import trace
 
 #: Default per-worker in-flight request budget of the process backend
@@ -219,6 +220,9 @@ class ExecutionBackend(abc.ABC):
 
     name: str = "?"
 
+    #: The configuration new shards are built with.
+    config: AlexConfig
+
     #: Replicas live in the facade's process and apply pushes inside the
     #: writer's critical section, so the facade reads them under the
     #: shard's read lock, as it reads a primary.
@@ -228,6 +232,12 @@ class ExecutionBackend(abc.ABC):
     def provision(self, parts: Sequence[tuple]) -> None:
         """Create one shard executor per ``(keys, payload column)``
         part."""
+
+    @abc.abstractmethod
+    def recover(self, roots: Sequence[str]) -> List[RecoveryResult]:
+        """Create one shard executor per durability directory, each
+        rebuilding its shard from it; returns their reports, without
+        the indexes (:func:`~repro.durability.recover.rebuild_shard`)."""
 
     @abc.abstractmethod
     def adopt(self, indexes: List[AlexIndex]) -> None:
@@ -277,10 +287,11 @@ class ExecutionBackend(abc.ABC):
         dead primary triggers failover."""
         return []
 
-    def respawn(self, shard: int, keys: np.ndarray, payloads: np.ndarray,
-                seed: Optional[Counters] = None) -> None:
-        """Re-provision one dead executor over recovered contents (the
-        crash-recovery half of :class:`WorkerDiedError`)."""
+    def respawn(self, shard: int, root: str) -> RecoveryResult:
+        """Replace one dead executor with one that rebuilds the shard
+        from its (flushed) durability directory ``root``, and return the
+        rebuild's report (the crash-recovery half of
+        :class:`WorkerDiedError`)."""
         raise NotImplementedError(
             f"the {self.name!r} backend has no executor to respawn")
 
@@ -303,10 +314,11 @@ class ExecutionBackend(abc.ABC):
     def await_replicas(self, shards: Sequence[int]) -> None:
         """Block until ``shards``' replicas have bootstrapped."""
 
-    def push_frame(self, shard: int, frame) -> None:
-        """Hand ``shard``'s replica (if any) a frame just logged, without
-        waiting for it.  Never raises: a replica that cannot apply it
-        reads as dead (:meth:`dead_replicas`)."""
+    def push_frame(self, shard: int, record: bytes) -> None:
+        """Hand ``shard``'s replica (if any) the bytes of a WAL record
+        just appended, without waiting for it.  Never raises: a replica
+        that cannot decode or apply it reads as dead
+        (:meth:`dead_replicas`)."""
 
     def has_replica(self, shard: int) -> bool:
         return False
@@ -394,7 +406,7 @@ class ThreadBackend(ExecutionBackend):
 
     def __init__(self, config: AlexConfig, policy: AdaptationPolicy,
                  max_workers: int = 1):
-        self._config = config
+        self.config = config
         self._policy = policy
         self.max_workers = max(1, max_workers)
         self.indexes: List[AlexIndex] = []
@@ -414,9 +426,15 @@ class ThreadBackend(ExecutionBackend):
     def provision(self, parts: Sequence[tuple]) -> None:
         self.indexes = []
         for keys, payloads in parts:
-            self.indexes.append(build_shard(keys, payloads, self._config,
+            self.indexes.append(build_shard(keys, payloads, self.config,
                                             self._policy))
         self._replicas = [None] * len(self.indexes)
+
+    def recover(self, roots: Sequence[str]) -> List[RecoveryResult]:
+        recoveries = [rebuild_shard(root, self.config, self._policy)
+                      for root in roots]
+        self.adopt([recovery.index for recovery in recoveries])
+        return [recovery.detached() for recovery in recoveries]
 
     def adopt(self, indexes: List[AlexIndex]) -> None:
         self.indexes = list(indexes)
@@ -494,7 +512,7 @@ class ThreadBackend(ExecutionBackend):
                 inherit: Sequence[Sequence[int]]) -> None:
         fresh = []
         for (keys, payloads), sources in zip(parts, inherit):
-            index = build_shard(keys, payloads, self._config, self._policy)
+            index = build_shard(keys, payloads, self.config, self._policy)
             for old in sources:
                 index.counters.merge(self.indexes[old].counters)
             fresh.append(index)
@@ -511,19 +529,18 @@ class ThreadBackend(ExecutionBackend):
     def add_replicas(self, roots: Dict[int, str]) -> None:
         from repro.replication import Replica
         for shard, root in roots.items():
-            self._replicas[shard] = Replica(root, config=self._config,
+            self._replicas[shard] = Replica(root, config=self.config,
                                             policy=self._policy).start()
 
-    def push_frame(self, shard: int, frame) -> None:
+    def push_frame(self, shard: int, record: bytes) -> None:
         replica = self._replicas[shard] if self.has_replica(shard) else None
         if replica is None or not replica.serving:
             return
         replica.heard(time.monotonic())
         try:
-            replica.apply(frame)
+            replica.apply(record)
         except Exception as exc:     # noqa: BLE001 - the replica is dead
-            obs.emit("replica.apply_failed", shard=shard, lsn=frame.lsn,
-                     error=repr(exc))
+            obs.emit("replica.apply_failed", shard=shard, error=repr(exc))
 
     def has_replica(self, shard: int) -> bool:
         return (shard < len(self._replicas)

@@ -71,7 +71,7 @@ import numpy as np
 
 from repro import obs
 from repro.obs import trace
-from repro.core.alex import AlexIndex, export_arrays, strictly_increasing
+from repro.core.alex import AlexIndex, strictly_increasing
 from repro.core.config import AlexConfig
 from repro.core.data_node import blank_column, concat_columns, payload_column
 from repro.core.kernels import get_kernels
@@ -83,8 +83,7 @@ from repro.core.policy import (AdaptationPolicy, HeuristicPolicy,
 from repro.core.stats import Counters
 from repro.durability import (DEFAULT_CHECKPOINT_EVERY, OP_DELETE,
                               OP_ERASE, OP_INSERT, OP_UPSERT,
-                              ShardedDurability, WALFrame,
-                              encode_payloads)
+                              ShardedDurability, encode_payloads)
 from .rwlock import ReadWriteLock
 
 from .backend import (DEFAULT_MAX_INFLIGHT, ExecutionBackend,
@@ -246,13 +245,11 @@ class ShardedAlexIndex:
         (default 8).  ``1`` restores strict call-and-wait RPC; the
         thread backend ignores the knob.
     replicate:
-        Host a WAL-shipping replica beside each shard's primary
-        (requires durability — replicas bootstrap from the shard's
-        checkpoint and log, and every frame the shard logs afterwards
-        is pushed to its replica before the primary applies it).  Reads
-        carrying ``options=ReadOptions.replica_ok(...)`` or
-        ``read_your_writes`` route to the replicas, and a primary
-        worker death *promotes* the shard's replica instead of
+        Host a replica beside each shard's primary (requires
+        durability): it bootstraps from the shard's directory and is
+        pushed every record the shard logs before the primary applies
+        it.  ``replica_ok`` and ``read_your_writes`` reads route to it,
+        and a primary worker death *promotes* it instead of
         cold-respawning, so serving continues through the crash.
     """
 
@@ -309,7 +306,8 @@ class ShardedAlexIndex:
         self._structure_lock = ReadWriteLock()
         self.stats: List[ShardStats] = [ShardStats()
                                         for _ in range(num_shards)]
-        #: How each shard was reconstructed (set by :meth:`recover`).
+        #: Each shard's :class:`~repro.durability.recover.RecoveryResult`,
+        #: without its index (set by :meth:`recover`).
         self.last_recovery = None
         self._durability = durability
         self._replicate = bool(replicate)
@@ -321,8 +319,20 @@ class ShardedAlexIndex:
                                      max_inflight=max_inflight)
         try:
             # Every shard executor starts at once: the process backend
-            # boots and loads all its workers in parallel.
-            if shards is not None:
+            # boots and loads (or recovers) all its workers in parallel.
+            if durability is not None:
+                # Each executor rebuilds its shard from the shard's own
+                # directory; this process counts every replay once.
+                self.last_recovery = self._backend.recover(
+                    [durability.shard_dir(s) for s in range(num_shards)])
+                for recovery in self.last_recovery:
+                    recovery.count()
+                if config is None:
+                    # The checkpoints carry the AlexConfig the service was
+                    # built with: build later shards under it too.
+                    self.config = self.last_recovery[0].config
+                    self._backend.config = self.config
+            elif shards is not None:
                 self._backend.adopt(shards)
             else:
                 self._backend.provision(parts)
@@ -427,37 +437,22 @@ class ShardedAlexIndex:
                 replicate: bool = False
                 ) -> "ShardedAlexIndex":
         """Reconstruct a durable sharded service from its directory tree:
-        attach the topology manifest, recover every shard (latest
-        checkpoint + WAL tail replay), and provision executors over the
-        recovered contents on whichever backend is requested.
+        attach the topology manifest and start the executors, each
+        rebuilding its own shard from the shard's directory, in parallel.
 
-        The per-shard :class:`~repro.durability.recover.RecoveryResult`
-        list lands in :attr:`last_recovery`.  A ``durability_dir`` that
-        holds no service manifest raises :class:`PersistenceError`.
+        Each shard's :class:`~repro.durability.recover.RecoveryResult`
+        lands in :attr:`last_recovery`.  Without ``config`` the service
+        takes its checkpoints'.  A ``durability_dir`` that holds no
+        service manifest raises :class:`PersistenceError`.
         """
         durability = ShardedDurability(durability_dir, fsync=fsync,
                                        checkpoint_every=checkpoint_every)
         durability.attach()
-        policy = policy or HeuristicPolicy()
-        parts, recoveries = [], []
-        for s in range(durability.num_shards):
-            recovery = durability.recover_shard(s, config=config,
-                                                policy=policy)
-            parts.append(export_arrays(recovery.index))
-            recoveries.append(recovery)
-        if config is None and recoveries:
-            # The checkpoint archives carry the per-shard AlexConfig the
-            # service was built with; re-provision under it rather than
-            # silently rebuilding every shard with defaults.
-            config = recoveries[0].index.config
         router = ShardRouter(np.asarray(durability.boundaries,
                                         dtype=np.float64))
-        service = cls(config=config, router=router,
-                      max_workers=max_workers, policy=policy,
-                      backend=backend, parts=parts, durability=durability,
-                      replicate=replicate)
-        service.last_recovery = recoveries
-        return service
+        return cls(config=config, router=router, max_workers=max_workers,
+                   policy=policy, backend=backend, durability=durability,
+                   replicate=replicate)
 
     # ------------------------------------------------------------------
     # Scatter-gather plumbing
@@ -503,7 +498,8 @@ class ShardedAlexIndex:
                     payloads: Optional[list] = None) -> Dict[int, int]:
         """Append one WAL frame per written shard (step 3 of
         :meth:`_write`: after validation, before the apply, under the
-        shards' write locks) and push each to its shard's replica.
+        shards' write locks) and push each record's bytes to its
+        shard's replica.
         Returns ``{shard: lsn}`` of the appended frames (empty without
         durability) — the raw material of the :class:`WriteToken` acked
         back to the client."""
@@ -516,11 +512,9 @@ class ShardedAlexIndex:
         blobs = [None if payloads is None else encode_payloads(
                      payloads[lo:hi]) for _, lo, hi in groups]
         for (s, lo, hi), blob in zip(groups, blobs):
-            lsns[s] = self._durability.log(s, op, keys[lo:hi], blob)
+            lsns[s], record = self._durability.log(s, op, keys[lo:hi], blob)
             if self._replicate:
-                self._backend.push_frame(s, WALFrame(
-                    lsns[s], op, keys[lo:hi],
-                    None if payloads is None else payloads[lo:hi]))
+                self._backend.push_frame(s, record)
         return lsns
 
     def _persist_writer(self, shard: int):
@@ -597,9 +591,8 @@ class ShardedAlexIndex:
     def _attach_replicas(self, shards: Sequence[int]) -> None:
         """Start (or restart) the replicas of ``shards``.  Each WAL is
         flushed and its replica installed under the shard's write lock,
-        so every frame is either in the files the bootstrap reads (even
-        under ``fsync="off"``) or pushed after it.  The bootstraps run
-        outside the locks, all before any is awaited."""
+        so every frame is in the files the bootstrap reads or pushed
+        after it; the bootstraps run outside the locks, all at once."""
         shards = list(shards)
         self._acquire_shards(shards, write=True)
         try:
@@ -644,10 +637,8 @@ class ShardedAlexIndex:
                 f"replica for shard {shard} died") from None
 
     def _repair_replica_async(self, shard: int) -> None:
-        """Respawn shard ``shard``'s replica off the request path: the
-        fresh follower's bootstrap replays checkpoint + WAL tail, which
-        can take as long as a cold recovery — no client read (nor the
-        promotion that just failed over) should wait on it."""
+        """Respawn shard ``shard``'s replica off the request path: its
+        bootstrap can take as long as a cold recovery."""
         threading.Thread(target=self._repair_replica, args=(shard,),
                          name="alex-replica-repair", daemon=True).start()
 
@@ -672,22 +663,15 @@ class ShardedAlexIndex:
 
     def _promote_replica_locked(self, shard: int) -> bool:
         """Promote shard ``shard``'s replica over its dead primary
-        (``shard``'s write lock held).  ``True`` on success; ``False``
-        sends the caller down the cold checkpoint-replay respawn path.
+        (``shard``'s write lock held, its WAL flushed).  ``True`` on
+        success; ``False`` sends the caller down the cold respawn path.
         The replica was pushed every logged frame — including the
         write-ahead frame of an interrupted apply — and drains the WAL
-        tail once more before taking over, so the promoted worker's state
-        matches what cold recovery would build, just without re-reading
-        the checkpoint."""
+        tail once more, so it holds what a cold respawn would build."""
         if not (self._replicate and self._backend.has_replica(shard)):
             return False
         try:
             with trace.span("serve.promote", shard=shard):
-                # The primary appended its frames through a buffered file
-                # handle; make every logged byte visible to the replica's
-                # drain.
-                with trace.span("wal.flush"):
-                    self._durability.shard_state(shard).wal.flush()
                 applied = self._backend.promote_replica(shard)
         except Exception as exc:      # noqa: BLE001 - any failure → cold path
             obs.emit("replica.promote_failed", shard=shard,
@@ -709,20 +693,16 @@ class ShardedAlexIndex:
         WAL tails; ``True`` when at least one worker was respawned.
 
         Repair is restricted to ``suspect`` (the shard whose pipe just
-        broke — its process may not be reaped yet, but a broken pipe is
-        definitive) plus the dead members of ``involved``, the shards
-        whose locks the *caller* holds.  A dead shard outside that set
-        is left for whoever holds (or next takes) its lock: replaying
-        its WAL here would race an in-flight two-phase write that has
-        appended its frame but not yet applied — the replay would apply
-        the frame and the owner's apply scatter would then double-apply
-        it through the unchecked path.
+        broke, which is definitive) plus the dead members of
+        ``involved``, the shards whose locks the *caller* holds.  Any
+        other dead shard is left to whoever holds its lock: replaying
+        its WAL here could apply the frame of an in-flight two-phase
+        write whose owner is about to apply it too.
 
-        The respawned worker's state is exactly what recovery after a
-        full restart would rebuild — including any write-ahead frame
-        whose apply the crash interrupted — so the caller can treat an
-        interrupted *apply* as completed and must re-run an interrupted
-        *read or validate* (which mutated nothing).
+        The repaired shard holds what a full restart would rebuild —
+        including a write-ahead frame whose apply the crash interrupted
+        — so the caller treats an interrupted *apply* as completed and
+        re-runs an interrupted *read or validate*.
         """
         if self._durability is None:
             return False
@@ -733,19 +713,18 @@ class ShardedAlexIndex:
             dead.add(suspect)
         repairable = sorted(dead & allowed)
         for s in repairable:
-            # Hot path: fail over to the shard's replica — it was pushed
-            # every frame the shard logged, so promotion skips the
-            # checkpoint reload entirely.
+            # A promotion's drain and a respawned worker's replay read
+            # the log from disk: make every frame appended here visible.
+            with trace.span("wal.flush"):
+                self._durability.shard_state(s).wal.flush()
+            # Hot path: the replica was pushed every frame the shard
+            # logged, so promotion skips the checkpoint reload.
             if self._promote_replica_locked(s):
                 continue
-            recovery = self._durability.recover_shard(
-                s, config=self.config, policy=self.policy)
-            keys, payloads = export_arrays(recovery.index)
-            saved = self._durability.shard_state(s).manager.saved_counters()
-            seed = Counters(**saved) if saved else None
-            self._backend.respawn(s, keys, payloads, seed)
+            recovery = self._backend.respawn(s, self._durability.shard_dir(s))
+            recovery.count()
             obs.inc("serve.worker_respawns")
-            obs.emit("worker.respawn", shard=s, keys=len(keys))
+            obs.emit("worker.respawn", shard=s, keys=recovery.num_keys)
         return bool(repairable)
 
     def _retry_dead(self, thunk, retry: bool = True,

@@ -1,68 +1,58 @@
 """Process-hosted shards: pipelined multi-core RPC for the service.
 
 The thread backend's scatter-gather is GIL-serialized for Python-level
-work, so its critical-path speedups only materialize as wall clock inside
-NumPy kernels.  :class:`ProcessBackend` hosts each shard's ALEX tree in a
-**long-lived worker process** instead:
+work, so its speedups only show as wall clock inside NumPy kernels.
+:class:`ProcessBackend` hosts each shard's ALEX tree in a **long-lived
+worker process** instead:
 
-* workers fork from one **preloaded forkserver** (``multiprocessing``
-  *forkserver* context): the server is an interpreter started lazily on
-  the first launch that imports :data:`_PRELOAD` — numpy and every
-  ``repro`` module a worker runs — once, and each primary, replica,
-  respawn and split/merge worker is a fork of it, so none pays an
-  interpreter boot or those imports.  The server is single-threaded and
-  never touches the parent's locks or arenas; it idles (about 36 MB
-  resident) until the parent exits.  A fork inherits the *server's*
-  environment and module state, so every launch ships the parent's
-  ``os.environ`` and the worker installs it, then re-derives the obs and
-  trace state that depends on it or on the pid, before anything else.
-  The preload is an optimization only: a parent run under ``-E`` or
-  ``-I`` (whose server then ignores ``PYTHONPATH``), or a forkserver that
-  other code in the process started first, leaves workers to import what
-  they run after the fork — correct, only slower.  The server reports
-  its workers' exit status, so if it dies every worker it forked reads
-  as dead to :meth:`ProcessBackend.dead_shards` while still serving over
-  its pipe; the next launch starts a new preloaded server;
+* workers fork from one **preloaded forkserver**, an interpreter started
+  on the first launch that imports :data:`_PRELOAD` (numpy and every
+  ``repro`` module a worker runs) once, so no primary, replica, respawn
+  or split/merge worker boots an interpreter or imports anything.  The
+  server is single-threaded, never touches the parent's locks or arenas,
+  and idles (about 36 MB resident) until the parent exits.  A fork
+  inherits the *server's* environment and module state, so every launch
+  ships the parent's ``os.environ``, which the worker installs before it
+  re-derives its obs and trace state.  The preload is an optimization
+  only: under ``-E``/``-I``, or with a forkserver other code started
+  first, workers import what they run after the fork.  If the server
+  dies, every worker it forked reads as dead to
+  :meth:`ProcessBackend.dead_shards`, and the next launch starts a new
+  one;
 * workers live until the service closes or a shard split/merge
-  re-provisions them;
+  re-provisions them.  A durable shard is rebuilt by its own worker,
+  from the shard's directory (a ``recover`` request), never in the
+  parent;
 * every request and every reply travels by value in one pipe frame of
-  one codec (:func:`_encode`, :func:`_send`, :func:`_decode`): the
-  sub-batch a shard reads or writes and the result it returns, and
-  whole shards too — provisioning, respawn and split/merge
-  re-provisioning send a shard's ``(keys, payload column)``, and a
-  snapshot replies with it.  A frame is pickled with protocol 5
-  (:data:`_PICKLE_PROTOCOL`).  A small one is a single in-band
-  ``send_bytes``; in a large one each big numeric buffer goes out of
-  band, written to the pipe from the array's own memory after a header
-  that carries the sizes, and read into one preallocated buffer that
-  the unpickled arrays are views of.  The receiver owns what it
-  decodes;
+  one codec (:func:`_encode`, :func:`_send`, :func:`_decode`), pickled
+  with protocol 5 (:data:`_PICKLE_PROTOCOL`): sub-batches, results, and
+  whole shards' ``(keys, payload column)`` for provisioning, split/merge
+  and snapshots.  A small frame is one in-band ``send_bytes``; in a large
+  one each big numeric buffer goes out of band, straight from the
+  array's memory, and is read into one preallocated buffer the
+  unpickled arrays are views of;
 * the facade's two-phase write orchestration — validate on all involved
   workers, then apply — runs unchanged, so cross-shard batch writes stay
   all-or-nothing.
 
-RPC discipline (the open-loop serving rework)
----------------------------------------------
+RPC discipline
+--------------
 
 Every frame carries a **request id**, and each worker keeps **multiple
 requests in flight** (bounded by a per-worker admission semaphore,
 ``max_inflight``): the parent sends ``(req_id, tctx, op, ...)`` without
-waiting, and a dedicated *reply-reader thread per worker* demultiplexes
-``(req_id, status, value)`` replies to per-request futures, so requests
-issued by different client threads complete **out of order** relative to
-each other — no pairing lock ever serializes a whole round trip.  When a
-worker's pipe dies, the reader fails *every* outstanding future for that
-worker with :class:`~repro.serve.backend.WorkerDiedError` (not just the
-oldest), so concurrent callers all reach the durability respawn path.
+waiting, and a *reply-reader thread per worker* demultiplexes ``(req_id,
+status, value)`` replies to per-request futures, so requests from
+different client threads complete **out of order**.  When a worker's
+pipe dies, the reader fails *every* outstanding future for that worker
+with :class:`~repro.serve.backend.WorkerDiedError`, so concurrent callers
+all reach the durability respawn path.
 
-The worker executes shard methods through the same
-:func:`repro.serve.backend.run_shard_op` dispatcher the thread backend
-uses, so both backends run identical shard code.  Each worker receives a
-pickled *copy* of the facade's configured
-:class:`~repro.core.policy.AdaptationPolicy` (same class, same knobs —
-cost model, drift factors, reserves — with the decision log cleared):
-leaf/tree SMO decisions are per-shard state and live with the shard,
-while shard split/merge decisions stay in the parent.
+The worker runs shard methods through the thread backend's
+:func:`repro.serve.backend.run_shard_op` dispatcher, and each receives a
+pickled *copy* of the facade's :class:`~repro.core.policy.AdaptationPolicy`
+with its decision log cleared: leaf/tree SMO decisions live with the
+shard, shard split/merge decisions in the parent.
 """
 
 from __future__ import annotations
@@ -93,6 +83,7 @@ from repro.core.errors import ReplicaUnavailableError
 from repro.core.kernels import get_kernels
 from repro.core.policy import AdaptationPolicy
 from repro.core.stats import Counters
+from repro.durability.recover import RecoveryResult, rebuild_shard
 
 from .backend import (DEFAULT_MAX_INFLIGHT, BatchJob, Call,
                       ExecutionBackend, WorkerDiedError, build_shard,
@@ -292,40 +283,37 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
                  replica_root: Optional[str] = None) -> None:
     """One shard's RPC loop (the process target; runs until ``close``).
 
-    ``environ`` is the parent's environment at launch.  The worker forked
-    from the preloaded server, whose environment and env- or pid-derived
-    module state it inherited, so it installs ``environ`` first and has
-    :mod:`repro.obs` and :mod:`repro.obs.trace` re-derive their state
-    from it (kill switch, registry, sampling, the pid on span records).
+    The worker installs ``environ``, the parent's environment at launch,
+    before anything else, and has :mod:`repro.obs` and
+    :mod:`repro.obs.trace` re-derive their state from it: it forked from
+    the preloaded server and inherited *its* environment and state.
 
-    Every request frame is ``(req_id, tctx, op, ...)`` — ``tctx`` the
-    sender's trace context in wire form (``None`` for untraced
-    requests), installed as this dispatch's ambient context so every
-    span the op records (shard-op, replica-read, WAL, checkpoint) joins
-    the request's cross-process tree — and every reply echoes the id:
-    ``(req_id, "ok", result)`` or ``(req_id, "err", exc)``, one frame
-    each way.  Requests execute strictly in arrival order —
-    the pipelining lives in the *parent*, which no longer waits for one
-    reply before sending the next request.
+    Every request frame is ``(req_id, tctx, op, ...)``, ``tctx`` the
+    sender's trace context in wire form (or ``None``), installed as the
+    dispatch's ambient context so every span the op records joins the
+    request's cross-process tree.  Every reply echoes the id: ``(req_id,
+    "ok", result)`` or ``(req_id, "err", exc)``.  Requests execute in
+    arrival order; the pipelining lives in the parent.
 
     Ops: ``("load", keys, payloads, seed_counters)`` builds the index
-    from a shard's keys and payload column; ``("call", method, args)``
-    runs a shard op (a batch method's sub-batch arrives by value as the
-    first argument, the worker's own copy); ``("snapshot",)`` replies
-    with the shard's ``(keys, payload column)``; ``("close",)`` acks and
-    exits.
+    from a shard's keys and payload column; ``("recover", root)``
+    rebuilds it from the shard's durability directory
+    (:func:`~repro.durability.recover.rebuild_shard`) and replies with
+    the report, without the index; ``("call", method, args)`` runs a
+    shard op (a batch method's sub-batch arrives by value as the first
+    argument); ``("snapshot",)`` replies with the shard's ``(keys,
+    payload column)``; ``("close",)`` acks and exits.
 
     With ``replica_root`` set the process is a **replica worker**: it
-    bootstraps a :class:`~repro.replication.Replica` from that
-    durability directory before serving (so the parent's first request
-    doubles as the bootstrap barrier) and answers the replica ops —
-    ``("rread", sent_at, method, args, min_lsn, max_staleness_s)`` /
-    ``("rstatus", sent_at)``, ``sent_at`` the parent's send stamp —
-    until a ``("promote",)`` drains the log's tail and installs the
-    caught-up index as this worker's shard, after which the worker *is*
-    the primary.  Each frame the shard logs arrives as ``(None, None,
-    "push", sent_at, frame)`` and gets no reply; one that fails to apply
-    ends the worker, so the replica reads as dead.
+    bootstraps a :class:`~repro.replication.Replica` from that directory
+    before serving (so the first request doubles as the bootstrap
+    barrier) and answers ``("rread", sent_at, method, args, min_lsn,
+    max_staleness_s)`` and ``("rstatus", sent_at)``, ``sent_at`` the
+    parent's send stamp, until a ``("promote",)`` drains the log's tail
+    and makes the worker the primary.  Each record the shard logs
+    arrives as its bytes in ``(None, None, "push", sent_at, record)``
+    and gets no reply; one that does not decode or apply ends the
+    worker, so the replica reads as dead.
     """
     os.environ.clear()
     os.environ.update(environ)
@@ -371,19 +359,20 @@ def _worker_main(conn, environ: Dict[str, str], config: AlexConfig,
                 if op == "load":
                     keys, payloads, seed = message[3:]
                     del message
-                    # The part is this worker's own (a sharded bulk load
-                    # sends it unsorted): sorting it into fresh arrays
-                    # frees the decoded frame before the build, so the
-                    # frame and the leaves' arenas are never resident
-                    # together.
+                    # Sorting the worker's own part into fresh arrays
+                    # frees the decoded frame before the build, and the
+                    # part goes once the leaves copied it: no two are
+                    # ever resident together.
                     keys, payloads = AlexIndex._sort_column(keys, payloads)
                     index = build_shard(keys, payloads, config, policy)
-                    # The leaves copied the part into their own arenas;
-                    # free it now, not when the next frame arrives.
                     del keys, payloads
                     if seed is not None:
                         index.counters.merge(seed)
                     reply = (req_id, "ok", None)
+                elif op == "recover":
+                    recovery = rebuild_shard(message[3], config, policy)
+                    index = recovery.index
+                    reply = (req_id, "ok", recovery.detached())
                 elif op == "call":
                     method, args = message[3], message[4]
                     reply = (req_id, "ok",
@@ -470,7 +459,7 @@ class _WorkerHandle:
 
     def post(self, frame: tuple) -> None:
         """Push one encoded frame that gets no reply (a replica's pushed
-        WAL frame): no id, no in-flight slot, no future.  Raises
+        WAL record): no id, no in-flight slot, no future.  Raises
         :class:`OSError` when the pipe is dead."""
         with self.send_lock:
             _send(self.conn, frame)
@@ -556,7 +545,7 @@ class ProcessBackend(ExecutionBackend):
 
     def __init__(self, config: AlexConfig, policy: AdaptationPolicy,
                  max_inflight: int = DEFAULT_MAX_INFLIGHT):
-        self._config = config
+        self.config = config
         # The configured policy instance itself travels to every worker
         # (each launch pickles it; AdaptationPolicy excludes its lock), so
         # cost-model parameters, drift factors, and reserves survive the
@@ -565,11 +554,9 @@ class ProcessBackend(ExecutionBackend):
         self.max_inflight = max_inflight
         self._workers: List[_WorkerHandle] = []
         #: Per-shard replica worker slot, spliced in lockstep with
-        #: ``_workers`` by :meth:`replace` so positions stay aligned
-        #: across SMOs.  A replica worker is a full ``_WorkerHandle``
-        #: (own process, pipe, reader thread) whose process bootstraps
-        #: from the shard's durability dir instead of loading a part,
-        #: then applies the frames pushed down its pipe.
+        #: ``_workers`` by :meth:`replace`.  A replica worker is a full
+        #: ``_WorkerHandle`` whose process bootstraps from the shard's
+        #: directory, then applies the records pushed down its pipe.
         self._replica_workers: List[Optional[_WorkerHandle]] = []
         self._respawn_guard = threading.Lock()
         self._closed = False
@@ -579,12 +566,13 @@ class ProcessBackend(ExecutionBackend):
     def _start_handle(self, shard: int,
                       replica_root: Optional[str] = None) -> _WorkerHandle:
         """Start one worker process (primary or replica) and its
-        parent-side handle; primaries still need their ``load``."""
+        parent-side handle; primaries still need their ``load`` or
+        ``recover``."""
         ctx = _forkserver_context()
         parent_conn, child_conn = ctx.Pipe()
         process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, dict(os.environ), self._config, self._policy,
+            args=(child_conn, dict(os.environ), self.config, self._policy,
                   replica_root),
             daemon=True,
             name=("alex-replica-worker" if replica_root
@@ -598,39 +586,34 @@ class ProcessBackend(ExecutionBackend):
             child_conn.close()
         return _WorkerHandle(process, parent_conn, shard, self.max_inflight)
 
-    def _launch(self, shards: Sequence[int], parts: Sequence[tuple],
-                seeds: Optional[Sequence[Optional[Counters]]] = None
-                ) -> List[_WorkerHandle]:
+    def _launch(self, shards: Sequence[int], requests: Sequence[tuple]
+                ) -> Tuple[List[_WorkerHandle], list]:
         """Bring up one primary worker per position in ``shards``, all at
-        once.
+        once, and return the workers and their first replies.
 
-        Three sweeps: start every process; then submit each its first
-        request — a ``load`` of the ``(keys, payload column)`` part
-        ``parts[i]`` (with counter seed ``seeds[i]``); then wait on every
-        reply.  The processes boot and build in parallel, and each
-        worker builds while the parent sends the next
-        part, which goes to the pipe from the part's own arrays (only an
-        object column is pickled into a copy).  A part may be unsorted
-        (a sharded bulk load's partition): the worker owns the decoded
-        frame and sorts it itself, so the parts sort in parallel too.
-        On any failure — a process that will not start, a payload that
-        does not pickle, a load the worker rejects (a duplicate key
-        raises in the worker whose part holds it) — every started
-        worker is released before the first error, in ``shards`` order,
-        propagates.
+        Three sweeps: start every process, submit each its first
+        request ``requests[i]`` (a ``load`` of a ``(keys, payload
+        column)`` part and counter seed, which goes to the pipe from the
+        part's own arrays, or a ``recover`` of a durability directory),
+        then wait on every reply, so the workers boot, sort their parts
+        and build in parallel.  On any failure — a process that will not
+        start, a payload that does not pickle, a request the worker
+        rejects (a duplicate key raises in the worker whose part holds
+        it) — every started worker is released before the first error,
+        in ``shards`` order, propagates.
         """
         workers: List[_WorkerHandle] = []
         try:
             for shard in shards:
                 workers.append(self._start_handle(shard))
-            self._gather([self._submit(worker, (
-                "load", *parts[i], None if seeds is None else seeds[i]))
-                for i, worker in enumerate(workers)])
+            replies = self._gather([self._submit(worker, request)
+                                    for worker, request
+                                    in zip(workers, requests)])
         except BaseException:
             for worker in workers:
                 self._release(worker)
             raise
-        return workers
+        return workers, replies
 
     def _renumber(self) -> None:
         """Refresh each handle's shard position after the worker list
@@ -644,15 +627,24 @@ class ProcessBackend(ExecutionBackend):
         self._replica_workers = [None] * len(workers)
 
     def provision(self, parts: Sequence[tuple]) -> None:
-        self._install(self._launch(range(len(parts)), parts))
+        self._install(self._launch(
+            range(len(parts)),
+            [("load", *part, None) for part in parts])[0])
+
+    def recover(self, roots: Sequence[str]) -> List[RecoveryResult]:
+        workers, recoveries = self._launch(
+            range(len(roots)), [("recover", root) for root in roots])
+        self._install(workers)
+        return recoveries
 
     def adopt(self, indexes: List[AlexIndex]) -> None:
         # Prebuilt in-process shards move wholesale into workers; their
         # work-counter history seeds the workers' counters so aggregate
         # tallies stay monotone across the handoff.
         self._install(self._launch(
-            range(len(indexes)), [export_arrays(i) for i in indexes],
-            seeds=[index.counters.snapshot() for index in indexes]))
+            range(len(indexes)),
+            [("load", *export_arrays(index), index.counters.snapshot())
+             for index in indexes])[0])
 
     def _retire(self, worker: _WorkerHandle) -> None:
         """Ask one worker to exit and reap its process and reader
@@ -798,30 +790,21 @@ class ProcessBackend(ExecutionBackend):
         these to exercise crash recovery)."""
         return [worker.process.pid for worker in self._workers]
 
-    def respawn(self, shard: int, keys: np.ndarray,
-                payloads: np.ndarray,
-                seed: Optional[Counters] = None) -> None:
-        """Replace a broken worker with a fresh one provisioned over the
-        recovered ``(keys, payloads)`` contents.
+    def respawn(self, shard: int, root: str) -> RecoveryResult:
+        """Replace a broken worker with a fresh one that rebuilds the
+        shard from its durability directory ``root``.
 
-        The caller observed the worker's *pipe* fail, which is
-        definitive — a worker whose protocol is dead cannot serve its
-        shard even if its process lingers (a corpse slow to reap, or a
-        process wedged past a transient pipe error).  Skipping it here
-        while reporting the shard repaired would let a logged batch
-        write acknowledge without its apply ever landing, so a process
-        that outlives a short join is forced out and replaced
-        unconditionally.  The respawn guard serializes concurrent
-        repairs; a second repair of the same shard wastefully but
-        harmlessly re-provisions from the same durable state.  The old
-        handle's reader thread has already failed (or is failing) every
-        future that was in flight on the dead pipe — replacement does
-        not orphan any of them.
+        A failed *pipe* is definitive: a process that outlives a short
+        join is forced out, since skipping it would let a logged write
+        acknowledge without its apply.  The respawn guard serializes
+        repairs (a second one harmlessly rebuilds the same state), and
+        the old reader has failed every request in flight on the pipe.
         """
         with self._respawn_guard:
             self._reap(self._workers[shard])
-            self._workers[shard] = self._launch(
-                [shard], [(keys, payloads)], seeds=[seed])[0]
+            (self._workers[shard],), (recovery,) = self._launch(
+                [shard], [("recover", root)])
+            return recovery
 
     def _reap(self, old: _WorkerHandle) -> None:
         """Force out a worker observed dead (no close handshake: the
@@ -852,8 +835,9 @@ class ProcessBackend(ExecutionBackend):
             for old in sources:
                 seed.merge(self.counters(old))
             seeds.append(seed if sources else None)
-        fresh = self._launch(range(start, start + len(parts)), parts,
-                             seeds=seeds)
+        fresh = self._launch(
+            range(start, start + len(parts)),
+            [("load", *part, seed) for part, seed in zip(parts, seeds)])[0]
         # Outgoing replicas follow durability dirs the SMO deletes next;
         # retire them before the splice (the facade re-attaches fresh
         # ones once the rewritten dirs exist) and keep the replica list
@@ -874,10 +858,8 @@ class ProcessBackend(ExecutionBackend):
     def _tag_replica_snapshot(snap: Optional[dict],
                               shard: int) -> Optional[dict]:
         """Prefix a replica worker's metric names with
-        ``replica.shardN.`` so its registry merges into the service view
-        without colliding with (and silently inflating) the primary's
-        identically named metrics.  Events pass through untouched — they
-        interleave by timestamp and carry their own fields."""
+        ``replica.shardN.`` so they never inflate the primary's in the
+        merged view.  Events, which carry their own fields, pass as is."""
         if snap is None:
             return None
         prefix = f"replica.shard{shard}."
@@ -888,50 +870,35 @@ class ProcessBackend(ExecutionBackend):
                                                          {}).items()}
         return tagged
 
+    def _poll(self, method: str) -> Tuple[list, list]:
+        """Shard op ``method``'s result from every primary worker, and
+        ``(shard, result)`` from every replica worker; ``None`` for a
+        dead worker (gathering must never trip crash repair)."""
+        def ask(worker):
+            try:
+                return self._request(worker, ("call", method, ()))
+            except Exception:
+                return None
+        return ([ask(worker) for worker in self._workers],
+                [(shard, ask(worker))
+                 for shard, worker in enumerate(self._replica_workers)
+                 if worker is not None])
+
     def obs_snapshots(self) -> list:
-        """Every worker's metrics-registry snapshot (``None`` for a dead
-        worker — metrics gathering must never trip crash repair).
-        Replica workers' registries ride along after the primaries',
-        tagged ``replica.shardN.*``, so replica-side replay counters and
-        read latencies reach the merged service view under their own
+        """Every worker's metrics-registry snapshot.  Replica workers'
+        follow the primaries', tagged ``replica.shardN.*``, so their
+        replay counters and read latencies merge under their own
         names."""
-        snapshots = []
-        for shard in range(len(self._workers)):
-            try:
-                snapshots.append(self.call(shard, "obs_snapshot"))
-            except Exception:
-                snapshots.append(None)
-        for shard, worker in enumerate(self._replica_workers):
-            if worker is None:
-                continue
-            try:
-                snapshots.append(self._tag_replica_snapshot(
-                    self._request(worker, ("call", "obs_snapshot", ())),
-                    shard))
-            except Exception:
-                snapshots.append(None)
-        return snapshots
+        primaries, replicas = self._poll("obs_snapshot")
+        return primaries + [self._tag_replica_snapshot(snap, shard)
+                            for shard, snap in replicas]
 
     def trace_snapshots(self) -> list:
-        """Every worker's flight-recorder drain (primaries then replica
-        workers; ``None`` for a dead worker — trace gathering must never
-        trip crash repair).  Drains, not snapshots: each span ships to
-        the facade exactly once."""
-        snapshots = []
-        for shard in range(len(self._workers)):
-            try:
-                snapshots.append(self.call(shard, "trace_drain"))
-            except Exception:
-                snapshots.append(None)
-        for worker in self._replica_workers:
-            if worker is None:
-                continue
-            try:
-                snapshots.append(
-                    self._request(worker, ("call", "trace_drain", ())))
-            except Exception:
-                snapshots.append(None)
-        return snapshots
+        """Every worker's flight-recorder drain, primaries then replica
+        workers.  Drains, not snapshots: each span ships to the facade
+        exactly once."""
+        primaries, replicas = self._poll("trace_drain")
+        return primaries + [snap for _, snap in replicas]
 
     # -- replication ---------------------------------------------------
 
@@ -962,14 +929,14 @@ class ProcessBackend(ExecutionBackend):
                 self.drop_replica(shard)
             raise
 
-    def push_frame(self, shard: int, frame) -> None:
+    def push_frame(self, shard: int, record: bytes) -> None:
         worker = (self._replica_workers[shard]
                   if self.has_replica(shard) else None)
         if worker is None:
             return
         try:
             worker.post(_encode((None, None, "push", time.monotonic(),
-                                 frame)))
+                                 record)))
         except OSError:
             pass  # a dead replica worker; dead_replicas() reports it
 
@@ -997,12 +964,10 @@ class ProcessBackend(ExecutionBackend):
             return None
 
     def promote_replica(self, shard: int) -> int:
-        """Failover: the replica worker applies the frames still queued in
-        its pipe, drains the (quiescent) WAL tail once,
-        installs its caught-up index as the shard, and takes the dead
-        primary's slot; the corpse is reaped.  On any
-        failure nothing has been swapped — the caller falls back to
-        respawn-from-checkpoint."""
+        """Failover: the replica worker applies the records queued in its
+        pipe, drains the (quiescent) WAL tail once and takes the dead
+        primary's slot, whose corpse is reaped.  On any failure nothing
+        is swapped, and the caller falls back to a cold respawn."""
         with self._respawn_guard:
             worker = (self._replica_workers[shard]
                       if self.has_replica(shard) else None)

@@ -128,6 +128,21 @@ class TestRecover:
         assert "recovered 2-shard service" in out
         assert "validated" in out
 
+    def test_recover_on_the_process_backend(self, tmp_path, capsys):
+        durable = str(tmp_path / "dur")
+        assert main(["shards", "--init", "2000", "--ops", "500",
+                     "--shards", "2", "--durable", durable,
+                     "--fsync", "off"]) == 0
+        capsys.readouterr()
+        assert main(["recover", "--dir", f"{durable}/shards-2",
+                     "--backend", "process", "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert "recovered 2-shard service" in out
+        assert "[process backend] (validated)" in out
+        rows = [line.split() for line in out.splitlines()
+                if line.split()[:1] in (["0"], ["1"])]
+        assert sum(int(row[1].replace(",", "")) for row in rows) >= 2000
+
     def test_recover_single_node_directory(self, tmp_path, capsys):
         import numpy as np
         from repro.serve import ShardedAlexIndex

@@ -2,6 +2,7 @@
 injection on both execution backends, worker kill + respawn, and
 transactional topology rewrites across shard split/merge."""
 
+import hashlib
 import os
 import re
 import signal
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.core.errors import PersistenceError
-from repro.durability import ShardedDurability
+from repro.durability import ShardedDurability, recover_index
+from repro.durability.persistence import load_index
 from repro.serve import ShardedAlexIndex
 from repro.workloads import run_crash_recovery_scenario
 
@@ -168,6 +170,84 @@ class TestRecoveredConfigAndLog:
         service.close()
 
 
+def leaf_digest(index) -> str:
+    """Every leaf's slots, payloads, capacity, key count and model."""
+    digest = hashlib.sha256()
+    for leaf in index.leaves():
+        model = (None if leaf.model is None
+                 else (leaf.model.slope, leaf.model.intercept))
+        digest.update(leaf.keys.tobytes())
+        digest.update(leaf.occupied.tobytes())
+        digest.update(repr((leaf.payloads.tolist(), leaf.capacity,
+                            leaf.num_keys, model)).encode())
+    return digest.hexdigest()
+
+
+def shard_digest(service, shard, tmp_path) -> str:
+    """A live shard's :func:`leaf_digest` on either backend, read back
+    through a checkpoint archive (which loads the exact layout it
+    saved)."""
+    path = str(tmp_path / f"probe-{shard}.npz")
+    service.backend.call(shard, "persist_to", path)
+    return leaf_digest(load_index(path))
+
+
+def crashed_tree(tmp_path, backend="thread"):
+    """A two-shard durable tree whose WAL tails hold mixed writes past the
+    generation-zero checkpoints, abandoned without a checkpoint."""
+    service, keys = make_service(tmp_path, backend, num_shards=2, n=3000)
+    reference = {float(k): None for k in keys}
+    random_mutations(service, reference, np.random.default_rng(11),
+                     rounds=16)
+    service.sync()
+    return service, reference
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestOwnerRebuildsShard:
+    """A shard is rebuilt only by its owner, from its own directory: the
+    layout is what :func:`recover_index` builds, not a bulk load of the
+    exported contents, and its counters continue from the checkpoint."""
+
+    def test_recover_builds_the_recover_index_layout(self, tmp_path,
+                                                     backend):
+        service, reference = crashed_tree(tmp_path)
+        dirs = [service.durability.shard_dir(s) for s in range(2)]
+        service.backend.close()
+        expected = [leaf_digest(recover_index(root).index) for root in dirs]
+        recovered = ShardedAlexIndex.recover(str(tmp_path / "svc"),
+                                             backend=backend, fsync="off")
+        try:
+            assert [shard_digest(recovered, s, tmp_path)
+                    for s in range(2)] == expected
+            assert dict(recovered.items()) == reference
+            assert ([r.num_keys for r in recovered.last_recovery]
+                    == [recovered.backend.call(s, "num_keys")
+                        for s in range(2)])
+        finally:
+            recovered.close()
+
+    def test_counters_continue_from_the_checkpoint(self, tmp_path,
+                                                   backend):
+        service, _ = crashed_tree(tmp_path)
+        service.checkpoint()
+        saved = [service.durability.shard_state(s).manager.saved_counters()
+                 for s in range(2)]
+        service.close()
+        recovered = ShardedAlexIndex.recover(str(tmp_path / "svc"),
+                                             backend=backend, fsync="off")
+        try:
+            assert all(r.frames_replayed == 0
+                       for r in recovered.last_recovery)
+            # Loading a checkpoint does no counted work, so a recovery
+            # that replays nothing holds exactly the saved counters.
+            for counters, seed in zip(recovered.shard_counters(), saved):
+                assert seed["build_moves"] > 0
+                assert counters.as_dict() == seed
+        finally:
+            recovered.close()
+
+
 class TestCrossBackendRecovery:
     def test_thread_tree_recovers_on_process_backend(self, tmp_path):
         service, keys = make_service(tmp_path, "thread")
@@ -238,6 +318,19 @@ class TestWorkerKillRespawn:
             kill_worker_at=0.5, seed=7)
         assert result["worker_killed"]
         assert result["contents_match"], result
+
+    def test_cold_respawn_builds_the_recover_index_layout(self, tmp_path):
+        service, reference = crashed_tree(tmp_path, backend="process")
+        try:
+            os.kill(service.backend.worker_pids()[1], signal.SIGKILL)
+            time.sleep(0.1)
+            assert dict(service.items()) == reference  # respawns shard 1
+            service.sync()
+            expected = recover_index(service.durability.shard_dir(1)).index
+            assert shard_digest(service, 1, tmp_path) == leaf_digest(
+                expected)
+        finally:
+            service.close()
 
     def test_broken_pipe_with_live_worker_is_forced_out(self, tmp_path):
         """Regression: a worker whose pipe broke but whose process still

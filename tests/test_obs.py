@@ -415,6 +415,33 @@ def test_recovery_spans(tmp_path, obs_on):
     assert snap["counters"]["recover.ops_replayed"] == 2
 
 
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_service_recovery_counts_each_replay_once(tmp_path, obs_on,
+                                                  backend):
+    """The shards' owners replay their logs, and this process's registry
+    counts each replay once: the service-wide view holds it once too.
+    Replica bootstraps count as ``repl.bootstraps``, not as recoveries."""
+    root = str(tmp_path / "svc")
+    service = ShardedAlexIndex.bulk_load(
+        np.arange(1000.0), num_shards=2, backend=backend,
+        durability_dir=root, fsync="off")
+    service.insert_many(np.array([2000.5, 3000.5]))
+    service.insert(-1.0, "x")
+    service.close()
+    obs.reset()
+    recovered = ShardedAlexIndex.recover(root, backend=backend,
+                                         fsync="off", replicate=True)
+    try:
+        assert [r.frames_replayed for r in recovered.last_recovery] == [1, 1]
+        own = obs.snapshot()["counters"]
+        merged = recovered.metrics_snapshot()["merged"]["counters"]
+        for counters in (own, merged):
+            assert counters["recover.frames_replayed"] == 2
+            assert counters["recover.ops_replayed"] == 3
+    finally:
+        recovered.close()
+
+
 # ---------------------------------------------------------------------------
 # Exposition
 # ---------------------------------------------------------------------------

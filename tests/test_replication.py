@@ -18,8 +18,9 @@ import pytest
 
 from repro import obs
 from repro.core.errors import (KeyNotFoundError, ReplicaStaleError,
-                               ReplicaUnavailableError)
-from repro.durability import OP_DELETE, OP_INSERT, WALFrame
+                               ReplicaUnavailableError, WALCorruptionError)
+from repro.durability import OP_DELETE, OP_INSERT
+from repro.durability.wal import decode_frame, encode_frame
 from repro.replication import Replica
 from repro.serve import (IngressRunner, ReadOptions, ShardedAlexIndex,
                          WriteToken)
@@ -88,12 +89,12 @@ class TestOptions:
 
 
 def _frame(lsn, keys, op=OP_INSERT, payloads=None):
-    """A frame as the facade pushes it: the keys it logged and, for an
-    insert, their payload list."""
+    """A record as the facade pushes it: the bytes the WAL appends for
+    the keys it logged and, for an insert, their payload list."""
     keys = np.asarray(keys, dtype=np.float64)
     if op == OP_INSERT and payloads is None:
         payloads = [None] * len(keys)
-    return WALFrame(lsn, op, keys, payloads)
+    return encode_frame(lsn, op, keys, payloads)
 
 
 def _replica_items(service, shard):
@@ -365,6 +366,64 @@ class TestPush:
             assert _replica_items(service, 0) == _primary_items(service, 0)
         finally:
             service.close()
+
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_record_with_a_flipped_byte_ends_the_replica(self, tmp_path,
+                                                           backend):
+        service = _service(tmp_path, num_shards=1, backend=backend,
+                           replicate=True)
+        try:
+            wal = service.durability.shard_state(0).wal
+            record = _frame(wal.last_lsn + 1, [10.0 ** 9])
+            assert decode_frame(record).keys.tolist() == [10.0 ** 9]
+            flipped = bytearray(record)
+            flipped[len(flipped) // 2] ^= 0x01
+            with pytest.raises(WALCorruptionError):
+                decode_frame(bytes(flipped))
+            service.backend.push_frame(0, bytes(flipped))
+            _wait_until(lambda: 0 in service.backend.dead_replicas(),
+                        message="the replica to read as dead")
+            # The read falls back to the primary, which never saw the key.
+            assert service.lookup(5.0, options="replica_ok") == "v5"
+            assert service.get(10.0 ** 9, "absent",
+                               options="replica_ok") == "absent"
+        finally:
+            service.close()
+
+
+class _CountedPickles:
+    """A payload that counts how often it is pickled; it unpickles as a
+    plain string, so a worker needs no test module to read it."""
+
+    pickled = 0
+
+    def __reduce__(self):
+        type(self).pickled += 1
+        return str, ("counted",)
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_replication_adds_no_payload_encoding(tmp_path, backend):
+    """The replica is pushed the bytes the WAL appended, so a replicated
+    write pickles its payloads as often as an unreplicated one: once for
+    the log, plus the process backend's apply request."""
+    pickles = {}
+    for replicate in (False, True):
+        service = _service(tmp_path / f"replicate-{replicate}",
+                           num_shards=1, backend=backend,
+                           replicate=replicate)
+        try:
+            _CountedPickles.pickled = 0
+            service.insert(-1.0, _CountedPickles())
+            pickles[replicate] = _CountedPickles.pickled
+            if replicate:
+                assert service.lookup(-1.0,
+                                      options="replica_ok") == "counted"
+        finally:
+            service.close()
+    assert pickles == {False: 1 if backend == "thread" else 2,
+                       True: 1 if backend == "thread" else 2}
 
 
 # ---------------------------------------------------------------------------
