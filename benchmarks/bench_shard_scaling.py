@@ -4,7 +4,8 @@ for both execution backends.
 Builds a :class:`repro.serve.ShardedAlexIndex` over the lognormal dataset
 (the skewed CDF where the router's equal-mass boundaries matter most) at
 several shard counts *and under each requested execution backend*
-(``thread`` — in-process scatter-gather, GIL-bound for Python-level work;
+(``thread`` — in-process shards run one after another on the caller's
+thread;
 ``process`` — one long-lived worker process per shard, batches sent in
 pickled pipe frames), drives one large batch read (``lookup_many``) and one
 large batch write (``insert_many``) through each, and records throughput
@@ -22,11 +23,12 @@ Three readings per operation, all from the same run:
   completes when the last shard finishes.  ``balance`` (mean/max
   per-shard time) shows how close the CDF-fitted boundaries get to the
   ideal ``1/shards`` split;
-* ``wall_seconds`` — honest wall clock.  Under the thread backend on one
-  core the GIL serializes the shards and wall clock stays flat; under the
-  process backend the workers run on real cores, so on a multi-core host
-  the critical-path scaling shows up as wall time (``cpu_count`` is
-  recorded so single-core results are not misread as a regression).
+* ``wall_seconds`` — honest wall clock.  The thread backend runs the
+  shards one after another on any core count, so wall clock stays flat;
+  under the process backend the workers run on real cores, so on a
+  multi-core host the critical-path scaling shows up as wall time
+  (``cpu_count`` is recorded so single-core results are not misread as a
+  regression).
 
 ``process_vs_thread`` summarizes the wall-clock ratio between the
 backends at the largest common shard count — the "did the GIL actually

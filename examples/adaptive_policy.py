@@ -81,8 +81,7 @@ def serving_tier():
     keys = np.unique(rng.lognormal(0, 2, 60_000) * 1e6)[:50_000]
     service = ShardedAlexIndex.bulk_load(keys, num_shards=4,
                                          config=ga_armi(),
-                                         policy=CostModelPolicy(),
-                                         max_workers=1)
+                                         policy=CostModelPolicy())
     sorted_keys = np.sort(keys)
 
     hot = sorted_keys[:5_000]  # hotspot on the low end of the key space

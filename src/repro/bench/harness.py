@@ -48,7 +48,6 @@ class SystemParams:
     # keys (the paper's "model sizes reported in [17]" constraint).
     learned_keys_per_model: int = 2000
     num_shards: int = 4                # ShardedALEX partition count
-    shard_workers: Optional[int] = None  # ShardedALEX scatter threads
     shard_backend: str = "thread"      # ShardedALEX executor: thread|process
     durability_dir: Optional[str] = None  # WAL+checkpoint root (None = off)
     fsync: str = "batch"               # WAL fsync policy: always|batch|off
@@ -122,7 +121,6 @@ def build_index(system: str, init_keys: np.ndarray,
         return ShardedAlexIndex.bulk_load(
             init_keys, config=config,
             num_shards=params.num_shards,
-            max_workers=params.shard_workers,
             backend=params.shard_backend,
             durability_dir=params.durability_dir,
             fsync=params.fsync,
@@ -188,8 +186,8 @@ def run_experiment(system: str, dataset: str, spec: WorkloadSpec,
     data_bytes = index.data_size_bytes()
     closer = getattr(index, "close", None)
     if closer is not None:
-        # Release the sharded service's executors (worker pool, or the
-        # process backend's shard worker processes).
+        # Release the sharded service's executors (the process
+        # backend's shard worker processes).
         closer()
     return ExperimentResult(
         system=system,

@@ -369,21 +369,6 @@ class DataNode:
         self.counters.probes += charge + probes
         return pos
 
-    def lookup(self, key: float):
-        """Return the payload stored for ``key``.
-
-        Raises :class:`KeyNotFoundError` when the key is absent.
-        """
-        pos = self.find_key(key)
-        if pos < 0:
-            raise KeyNotFoundError(key)
-        self.counters.lookups += 1
-        return self.payloads.item(pos)
-
-    def contains(self, key: float) -> bool:
-        """Whether ``key`` is present in this node."""
-        return self.find_key(key) >= 0
-
     # ------------------------------------------------------------------
     # Batch search (the node layer of the batch execution engine)
     # ------------------------------------------------------------------
@@ -421,14 +406,6 @@ class DataNode:
         self.counters.comparisons += charge
         self.counters.probes += charge + probes
         return result
-
-    def prediction_error(self, key: float) -> int:
-        """Distance between the model's predicted slot and the key's actual
-        slot (used by the Figure 7 study).  Raises if the key is absent."""
-        pos = self.find_key(key)
-        if pos < 0:
-            raise KeyNotFoundError(key)
-        return abs(self.predict_pos(key) - pos)
 
     # ------------------------------------------------------------------
     # Insert plumbing shared by both layouts

@@ -129,7 +129,7 @@ class TraceContext:
 
 #: The ambient context.  ``contextvars`` gives correct per-task
 #: isolation under asyncio (the ingress) for free; thread pools do NOT
-#: inherit it — cross-thread handoffs use :class:`attach` / :func:`bound`.
+#: inherit it — cross-thread handoffs use :class:`attach`.
 _current: ContextVar[Optional[TraceContext]] = ContextVar(
     "repro_trace_ctx", default=None)
 
@@ -170,21 +170,6 @@ class attach:
             _current.reset(self._token)
             self._token = None
         return False
-
-
-def bound(fn):
-    """Wrap a thunk so it runs under the *caller's* ambient context in
-    another thread (thread pools don't propagate contextvars).  Returns
-    ``fn`` unchanged when the caller is untraced."""
-    ctx = _current.get()
-    if ctx is None:
-        return fn
-
-    @functools.wraps(fn)
-    def runner(*args, **kwargs):
-        with attach(ctx):
-            return fn(*args, **kwargs)
-    return runner
 
 
 class FlightRecorder:

@@ -41,8 +41,8 @@ through the structure lock and preserve all contents.
 
 **Execution backends.**  Where the shards live is pluggable
 (``ShardedAlexIndex(backend="thread" | "process")``): the
-:class:`ThreadBackend` keeps them in-process behind a shared
-``ThreadPoolExecutor`` (GIL-bound for Python-level work), while the
+:class:`ThreadBackend` keeps them in-process and runs a batch's shard
+calls one after another on the caller's thread, while the
 :class:`ProcessBackend` hosts each shard in a long-lived worker process,
 so scatter-gather runs on real cores.  Every request and reply —
 sub-batch keys, payloads, results, and whole shards when a worker is

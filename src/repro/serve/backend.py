@@ -7,10 +7,10 @@ shard operation goes through an :class:`ExecutionBackend`, which decides
 *where the shard's ALEX tree lives and which parallelism executes it*:
 
 * :class:`ThreadBackend` — shards are in-process :class:`AlexIndex`
-  objects; scatter-gather fans out over a shared ``ThreadPoolExecutor``
-  (the original PR 2 design).  Cheap and zero-setup, but Python-level
-  work is GIL-serialized, so multi-core hardware only helps the NumPy
-  kernels.
+  objects, and a scatter runs their calls one after another on the
+  caller's thread.  Cheap and zero-setup; shard work is Python that holds
+  the GIL between short kernel calls, so a thread pool would add GIL
+  hand-offs, not parallelism.
 * :class:`~repro.serve.worker.ProcessBackend` — each shard lives in a
   long-lived worker process, forked from one preloaded
   ``multiprocessing`` forkserver.  Whole shards, carved sub-batches and
@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import abc
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
-from threading import Lock
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,6 +57,24 @@ BatchJob = Tuple[int, str, int, int, tuple]
 
 #: A plain RPC: ``(shard, method, args)``.
 Call = Tuple[int, str, tuple]
+
+
+def run_all(tasks: Sequence) -> list:
+    """Call every thunk in order and return the results in order.  Every
+    thunk runs before the first raised exception propagates, so a failing
+    shard call never skips the shards after it (the
+    :meth:`ExecutionBackend.scatter` contract)."""
+    results, first_error = [], None
+    for task in tasks:
+        try:
+            results.append(task())
+        except BaseException as exc:
+            if first_error is None:
+                first_error = exc
+            results.append(None)
+    if first_error is not None:
+        raise first_error
+    return results
 
 
 class WorkerDiedError(RuntimeError):
@@ -392,32 +408,24 @@ class ExecutionBackend(abc.ABC):
 
 
 class ThreadBackend(ExecutionBackend):
-    """In-process shards scattered over a shared thread pool.
+    """In-process shards run on the caller's thread.
 
-    The PR 2 scatter-gather, extracted behind the backend interface: one
-    :class:`AlexIndex` per shard, sub-batches submitted as lock-free
-    thunks to a lazily created ``ThreadPoolExecutor``.  With one worker
-    (or one task) everything runs inline — on a single core the fan-out
-    would be pure overhead.
+    One :class:`AlexIndex` per shard.  A scatter runs its calls one after
+    another, on any core count: shard work holds the GIL between short
+    kernel calls, so fanning it out over threads only adds hand-offs.
     """
 
     name = "thread"
     in_process_replicas = True
 
-    def __init__(self, config: AlexConfig, policy: AdaptationPolicy,
-                 max_workers: int = 1):
+    def __init__(self, config: AlexConfig, policy: AdaptationPolicy):
         self.config = config
         self._policy = policy
-        self.max_workers = max(1, max_workers)
         self.indexes: List[AlexIndex] = []
         #: Per-shard replica slot, spliced in lockstep with ``indexes``
         #: by :meth:`replace` so positions stay aligned across SMOs.
         self._replicas: List[Optional[object]] = []
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_guard = Lock()
-        # Kernel warmup belongs to provisioning, not the first request;
-        # GIL-releasing compiled kernels are also what lets this backend's pool
-        # actually scale across cores.
+        # Kernel warmup belongs to provisioning, not the first request.
         with trace.span("kernel.warm"):
             get_kernels(config.kernel_backend).warm()
 
@@ -440,12 +448,6 @@ class ThreadBackend(ExecutionBackend):
         self.indexes = list(indexes)
         self._replicas = [None] * len(self.indexes)
 
-    def close(self) -> None:
-        with self._pool_guard:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-
     # -- execution ----------------------------------------------------
 
     @property
@@ -455,41 +457,11 @@ class ThreadBackend(ExecutionBackend):
     def local_indexes(self) -> List[AlexIndex]:
         return self.indexes
 
-    def _executor(self) -> Optional[ThreadPoolExecutor]:
-        if self.max_workers <= 1:
-            return None
-        with self._pool_guard:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="alex-shard")
-        return self._pool
-
-    def _run_tasks(self, tasks: list) -> list:
-        """Run thunks, in parallel when a pool exists; gather in order.
-
-        Tasks must be lock-free: the facade acquires every involved shard
-        lock *before* scattering.  A task that blocked on a lock inside
-        the bounded shared pool could starve the very caller holding that
-        lock of pool slots — a deadlock.  All futures are awaited before
-        the first exception propagates, so no task is still touching a
-        shard when the caller releases the locks.
-        """
-        pool = self._executor() if len(tasks) > 1 else None
-        if pool is None:
-            return [task() for task in tasks]
-        # Pool threads don't inherit contextvars: re-bind each thunk to
-        # the caller's trace context so shard-op spans stay in the tree
-        # (trace.bound is the identity when the caller is untraced).
-        futures = [pool.submit(trace.bound(task)) for task in tasks]
-        wait(futures)
-        return [f.result() for f in futures]
-
     def call(self, shard: int, method: str, *args):
         return run_shard_op(self.indexes[shard], method, *args)
 
     def scatter(self, calls: Sequence[Call]) -> list:
-        return self._run_tasks([
+        return run_all([
             (lambda s=shard, m=method, a=args:
              run_shard_op(self.indexes[s], m, *a))
             for shard, method, args in calls
@@ -497,7 +469,7 @@ class ThreadBackend(ExecutionBackend):
 
     def scatter_batch(self, batch: np.ndarray,
                       jobs: Sequence[BatchJob]) -> list:
-        return self._run_tasks([
+        return run_all([
             (lambda s=shard, m=method, lo=lo, hi=hi, e=extra:
              run_shard_op(self.indexes[s], m, batch[lo:hi], *e))
             for shard, method, lo, hi, extra in jobs
@@ -587,21 +559,19 @@ class ThreadBackend(ExecutionBackend):
 
 
 def make_backend(backend, config: AlexConfig, policy: AdaptationPolicy,
-                 max_workers: int = 1,
                  max_inflight: int = DEFAULT_MAX_INFLIGHT
                  ) -> ExecutionBackend:
     """Resolve a backend spec — ``"thread"``, ``"process"``, or an
     already-constructed :class:`ExecutionBackend` — into an instance.
 
-    ``max_workers`` is the thread backend's pool width; the process
-    backend runs one worker process per shard.  ``max_inflight`` is the
-    process backend's per-worker in-flight request budget (pipelined RPC
-    admission control); the thread backend has no pipe to pipeline.
+    ``max_inflight`` is the process backend's per-worker in-flight
+    request budget (pipelined RPC admission control); the thread backend
+    has no pipe to pipeline.
     """
     if isinstance(backend, ExecutionBackend):
         return backend
     if backend == "thread":
-        return ThreadBackend(config, policy, max_workers=max_workers)
+        return ThreadBackend(config, policy)
     if backend == "process":
         from .worker import ProcessBackend
         return ProcessBackend(config, policy, max_inflight=max_inflight)

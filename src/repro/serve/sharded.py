@@ -10,8 +10,8 @@ the shards live and *what parallelism* executes the sub-batches is
 pluggable (``backend="thread" | "process"``):
 
 * the :class:`~repro.serve.backend.ThreadBackend` keeps shards in-process
-  and fans out over a ``ThreadPoolExecutor`` — cheap, but GIL-serialized
-  for Python-level work;
+  and runs each shard's sub-batch on the caller's thread, one after
+  another — cheap, and no GIL hand-offs;
 * the :class:`~repro.serve.worker.ProcessBackend` hosts each shard in a
   long-lived worker process, ships sub-batches, replies and whole shards
   by value in pickled pipe frames, and achieves real multi-core
@@ -60,7 +60,6 @@ evaluation is never biased by stale or wiped windows.
 
 from __future__ import annotations
 
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -223,12 +222,6 @@ class ShardedAlexIndex:
         ALEX with its own RMI).
     router:
         Key-space partitioner; defaults to a single shard.
-    max_workers:
-        Thread-backend scatter-gather thread count.  Defaults to one
-        worker per core (at most one per shard); with a single worker,
-        sub-batches execute inline — on a single-core host the fan-out is
-        then pure overhead, so the thread backend skips the pool entirely.
-        The process backend always runs one worker process per shard.
     shards:
         Prebuilt in-process shard indexes to take over (must match the
         router's shard count).  With the process backend their contents
@@ -255,7 +248,6 @@ class ShardedAlexIndex:
 
     def __init__(self, config: Optional[AlexConfig] = None,
                  router: Optional[ShardRouter] = None,
-                 max_workers: Optional[int] = None,
                  shards: Optional[List[AlexIndex]] = None,
                  policy: Optional[AdaptationPolicy] = None,
                  backend: "str | ExecutionBackend" = "thread",
@@ -272,9 +264,6 @@ class ShardedAlexIndex:
         self.policy = policy or HeuristicPolicy()
         self.router = router or ShardRouter(np.empty(0))
         num_shards = self.router.num_shards
-        if max_workers is None:
-            max_workers = min(num_shards, os.cpu_count() or 1)
-        self.max_workers = max(1, max_workers)
         if shards is not None and parts is not None:
             raise ValueError("pass prebuilt shards or raw parts, not both")
         if shards is not None and len(shards) != num_shards:
@@ -315,7 +304,6 @@ class ShardedAlexIndex:
         self._closing = False
         self._backend = make_backend(backend, config=self.config,
                                      policy=self.policy,
-                                     max_workers=self.max_workers,
                                      max_inflight=max_inflight)
         try:
             # Every shard executor starts at once: the process backend
@@ -359,7 +347,6 @@ class ShardedAlexIndex:
     def bulk_load(cls, keys, payloads: Optional[list] = None,
                   num_shards: int = 8,
                   config: Optional[AlexConfig] = None,
-                  max_workers: Optional[int] = None,
                   policy: Optional[AdaptationPolicy] = None,
                   backend: "str | ExecutionBackend" = "thread",
                   durability_dir: Optional[str] = None,
@@ -420,8 +407,8 @@ class ShardedAlexIndex:
         edges = [0] + cuts.tolist() + [len(keys)]
         parts = [(keys[edges[s]:edges[s + 1]], column[edges[s]:edges[s + 1]])
                  for s in range(router.num_shards)]
-        return cls(config=config, router=router, max_workers=max_workers,
-                   policy=policy, backend=backend, parts=parts,
+        return cls(config=config, router=router, policy=policy,
+                   backend=backend, parts=parts,
                    durability_dir=durability_dir, fsync=fsync,
                    checkpoint_every=checkpoint_every,
                    max_inflight=max_inflight, replicate=replicate)
@@ -429,7 +416,6 @@ class ShardedAlexIndex:
     @classmethod
     def recover(cls, durability_dir: str,
                 config: Optional[AlexConfig] = None,
-                max_workers: Optional[int] = None,
                 policy: Optional[AdaptationPolicy] = None,
                 backend: "str | ExecutionBackend" = "thread",
                 fsync: str = "batch",
@@ -450,8 +436,8 @@ class ShardedAlexIndex:
         durability.attach()
         router = ShardRouter(np.asarray(durability.boundaries,
                                         dtype=np.float64))
-        return cls(config=config, router=router, max_workers=max_workers,
-                   policy=policy, backend=backend, durability=durability,
+        return cls(config=config, router=router, policy=policy,
+                   backend=backend, durability=durability,
                    replicate=replicate)
 
     # ------------------------------------------------------------------
@@ -482,9 +468,9 @@ class ShardedAlexIndex:
         return self._durability
 
     def close(self) -> None:
-        """Shut down the execution backend — the thread backend's worker
-        pool, or the process backend's shard workers — and flush + close
-        the durability tree (idempotent)."""
+        """Shut down the execution backend — the process backend's shard
+        and replica workers — and flush + close the durability tree
+        (idempotent)."""
         self._closing = True
         self._backend.close()
         if self._durability is not None:

@@ -1,7 +1,7 @@
 """Process-hosted shards: pipelined multi-core RPC for the service.
 
-The thread backend's scatter-gather is GIL-serialized for Python-level
-work, so its speedups only show as wall clock inside NumPy kernels.
+The thread backend runs a batch's shard calls one after another on the
+caller's thread, so sharding never shortens its wall clock.
 :class:`ProcessBackend` hosts each shard's ALEX tree in a **long-lived
 worker process** instead:
 
@@ -87,7 +87,7 @@ from repro.durability.recover import RecoveryResult, rebuild_shard
 
 from .backend import (DEFAULT_MAX_INFLIGHT, BatchJob, Call,
                       ExecutionBackend, WorkerDiedError, build_shard,
-                      run_shard_op)
+                      run_all, run_shard_op)
 
 
 #: The modules the forkserver imports before it forks any worker: the
@@ -736,19 +736,8 @@ class ProcessBackend(ExecutionBackend):
 
     @staticmethod
     def _gather(futures: Sequence[Future]) -> list:
-        """Every future's result, in order; all are awaited before the
-        first exception propagates."""
-        results, first_error = [], None
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BaseException as exc:
-                if first_error is None:
-                    first_error = exc
-                results.append(None)
-        if first_error is not None:
-            raise first_error
-        return results
+        """Every future's result, in order (see :func:`run_all`)."""
+        return run_all([future.result for future in futures])
 
     # -- execution ----------------------------------------------------
 

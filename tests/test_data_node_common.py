@@ -47,7 +47,7 @@ class TestGapFillInvariant:
             op = rng.integers(0, 3)
             if op == 0:
                 key = float(rng.uniform(0, 500))
-                if not node.contains(key):
+                if node.find_key(key) < 0:
                     node.insert(key)
             elif op == 1 and node.num_keys > 0:
                 positions = np.flatnonzero(node.occupied)
@@ -195,16 +195,25 @@ class TestSizeAccounting:
         assert node.data_size_bytes() == node.capacity * 88 + (node.capacity + 7) // 8
 
 
+def prediction_error(node, key: float) -> int:
+    """Distance between the model's predicted slot and the key's actual
+    slot; raises if the key is absent."""
+    pos = node.find_key(key)
+    if pos < 0:
+        raise KeyNotFoundError(key)
+    return abs(node.predict_pos(key) - pos)
+
+
 class TestPredictionError:
     def test_zero_for_exact_placement(self):
         node = make_ga(np.arange(64, dtype=np.float64))
-        errors = [node.prediction_error(float(k)) for k in range(64)]
+        errors = [prediction_error(node, float(k)) for k in range(64)]
         assert min(errors) == 0
 
     def test_raises_for_missing_key(self, any_node):
         node, _ = any_node
         with pytest.raises(KeyNotFoundError):
-            node.prediction_error(-1e9)
+            prediction_error(node, -1e9)
 
 
 class TestCheckInvariantsCatchesCorruption:

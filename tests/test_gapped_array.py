@@ -33,7 +33,7 @@ class TestBuild:
     def test_all_keys_findable_after_build(self, node_100):
         node, keys = node_100
         for key in keys:
-            assert node.contains(float(key))
+            assert node.find_key(float(key)) >= 0
 
     def test_invariants_after_build(self, node_100):
         node, _ = node_100
@@ -43,28 +43,29 @@ class TestBuild:
         node = make_node([])
         assert node.num_keys == 0
         assert node.capacity >= node.MIN_CAPACITY
-        assert not node.contains(1.0)
+        assert node.find_key(1.0) < 0
 
     def test_model_based_placement_mostly_exact(self):
         # Uniform keys are perfectly linear: most keys should sit exactly at
         # their predicted slot (the paper's direct-hit argument).
         keys = np.arange(0, 1000, 10, dtype=np.float64)
         node = make_node(keys)
-        errors = [node.prediction_error(float(k)) for k in keys]
+        errors = [abs(node.predict_pos(float(k)) - node.find_key(float(k)))
+                  for k in keys]
         assert np.mean(np.array(errors) == 0) > 0.5
 
     def test_build_replaces_previous_content(self, node_100):
         node, _ = node_100
         node.build(np.array([1.0, 2.0, 3.0]))
         assert node.num_keys == 3
-        assert node.contains(2.0)
+        assert node.find_key(2.0) >= 0
 
 
 class TestInsert:
     def test_insert_then_lookup(self, node_100):
         node, keys = node_100
         node.insert(keys[0] + 0.5, "value")
-        assert node.lookup(keys[0] + 0.5) == "value"
+        assert node.payloads.item(node.find_key(keys[0] + 0.5)) == "value"
         node.check_invariants()
 
     def test_insert_below_min_and_above_max(self, node_100):
@@ -89,7 +90,7 @@ class TestInsert:
         node.check_invariants()
         assert node.num_keys == len(keys)
         for key in keys[::13]:
-            assert node.contains(float(key))
+            assert node.find_key(float(key)) >= 0
 
     def test_density_bound_respected(self):
         node = make_node(np.arange(50, dtype=np.float64))
@@ -114,8 +115,8 @@ class TestInsert:
     def test_cold_start_uses_binary_search(self):
         node = make_node([1.0, 2.0], min_keys_for_model=8)
         assert node.model is None
-        assert node.contains(1.0)
-        assert not node.contains(1.5)
+        assert node.find_key(1.0) >= 0
+        assert node.find_key(1.5) < 0
 
     def test_inserts_into_gapped_node_shift_little(self):
         # With ~30% gaps, the shift distance to the nearest gap stays tiny
@@ -140,7 +141,7 @@ class TestExpand:
         node.expand()
         node.check_invariants()
         for key in keys:
-            assert node.contains(float(key))
+            assert node.find_key(float(key)) >= 0
 
     def test_expand_retrains_model(self, node_100):
         node, _ = node_100
@@ -153,7 +154,7 @@ class TestDelete:
     def test_delete_then_absent(self, node_100):
         node, keys = node_100
         node.delete(float(keys[5]))
-        assert not node.contains(float(keys[5]))
+        assert node.find_key(float(keys[5])) < 0
         node.check_invariants()
 
     def test_delete_missing_raises(self, node_100):
@@ -180,14 +181,14 @@ class TestDelete:
         node, keys = node_100
         node.delete(float(keys[7]))
         node.insert(float(keys[7]), "back")
-        assert node.lookup(float(keys[7])) == "back"
+        assert node.payloads.item(node.find_key(float(keys[7]))) == "back"
 
 
 class TestUpdateAndPayloads:
     def test_update_replaces_payload(self, node_100):
         node, keys = node_100
         node.update(float(keys[3]), "new")
-        assert node.lookup(float(keys[3])) == "new"
+        assert node.payloads.item(node.find_key(float(keys[3]))) == "new"
 
     def test_update_missing_raises(self, node_100):
         node, _ = node_100
@@ -203,7 +204,7 @@ class TestUpdateAndPayloads:
         for key in np.arange(0.1, 20.1, 1.0):
             node.insert(float(key), f"n{key}")
         for key in keys:
-            assert node.lookup(float(key)) == f"p{key}"
+            assert node.payloads.item(node.find_key(float(key))) == f"p{key}"
 
 
 class TestPackedRegions:

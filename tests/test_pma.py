@@ -62,20 +62,20 @@ class TestBuildAndLookup:
         keys = np.sort(np.unique(rng.uniform(0, 1000, 200)))
         node = make_node(keys)
         for key in keys:
-            assert node.contains(float(key))
+            assert node.find_key(float(key)) >= 0
         node.check_invariants()
 
     def test_empty_build(self):
         node = make_node([])
         assert node.num_keys == 0
-        assert not node.contains(3.0)
+        assert node.find_key(3.0) < 0
 
 
 class TestInsert:
     def test_insert_lookup_roundtrip(self):
         node = make_node(np.arange(0, 100, 2, dtype=np.float64))
         node.insert(1.5, "x")
-        assert node.lookup(1.5) == "x"
+        assert node.payloads.item(node.find_key(1.5)) == "x"
         node.check_invariants()
         node.check_pma_invariants()
 
@@ -130,7 +130,7 @@ class TestExpand:
         # deviation from the standard uniform-redistribution PMA).
         node = make_node(np.arange(0, 2000, 2, dtype=np.float64))
         node.expand()
-        errors = [node.prediction_error(float(k))
+        errors = [abs(node.predict_pos(float(k)) - node.find_key(float(k)))
                   for k in range(0, 2000, 40)]
         assert np.mean(errors) < 4
 
@@ -140,7 +140,7 @@ class TestExpand:
         node = make_node(keys)
         start = node.gap_uniformity()
         for key in np.unique(rng.uniform(0, 1000, 2000)):
-            if not node.contains(float(key)):
+            if node.find_key(float(key)) < 0:
                 node.insert(float(key))
         # After many inserts + rebalances the spacing stays bounded (no
         # fully-packed blowup): the coefficient of variation is modest.
@@ -152,7 +152,7 @@ class TestDelete:
         keys = np.arange(0, 100, dtype=np.float64)
         node = make_node(keys)
         node.delete(50.0)
-        assert not node.contains(50.0)
+        assert node.find_key(50.0) < 0
         node.check_invariants()
 
     def test_delete_missing_raises(self):
@@ -167,7 +167,7 @@ class TestDelete:
             node.delete(float(key))
         assert node.num_keys == 0
         node.insert(5.0, "fresh")
-        assert node.lookup(5.0) == "fresh"
+        assert node.payloads.item(node.find_key(5.0)) == "fresh"
 
 
 class TestScan:

@@ -72,9 +72,9 @@ def _run_node_ops(node_cls, ops, config=None):
                     node.delete(key)
         else:
             if key in reference:
-                assert node.lookup(key) == reference[key]
+                assert node.payloads.item(node.find_key(key)) == reference[key]
             else:
-                assert not node.contains(key)
+                assert node.find_key(key) < 0
     return node, reference
 
 

@@ -5,8 +5,8 @@ A :class:`ShardedAlexIndex` must be observationally identical to a single
 scalar operation, and any interleaving of reads, writes, deletes, and range
 queries — regardless of the shard count *and of the execution backend*.
 These tests drive seeded-random scenarios across shard counts {1, 3, 8},
-skewed and uniform key sets, and both the threaded scatter-gather pool and
-the process backend's shared-memory workers, plus the router's
+skewed and uniform key sets, and both the thread backend's in-process
+shards and the process backend's worker processes, plus the router's
 partitioning and the hot-shard rebalance policy.
 """
 
@@ -464,8 +464,7 @@ class TestConcurrency:
         rng = np.random.default_rng(77)
         keys = np.unique(rng.uniform(0, 1e9, 6000))[:5000]
         service = ShardedAlexIndex.bulk_load(keys, num_shards=4,
-                                             config=ga_armi(),
-                                             max_workers=4)
+                                             config=ga_armi())
         lanes = np.setdiff1d(np.unique(rng.uniform(0, 1e9, 5000)),
                              keys)[:3200].reshape(4, 800)
         errors = []
@@ -500,6 +499,56 @@ class TestConcurrency:
         assert np.array_equal(np.fromiter(service.keys(), dtype=np.float64),
                               expected)
         service.validate()
+
+
+class TestThreadBackendInline:
+    """The thread backend runs every shard call on the caller's thread
+    and keeps the scatter contract: all calls run before an error
+    propagates."""
+
+    @staticmethod
+    def _spy(monkeypatch, service, raise_on=None):
+        """Record ``(shard, thread id)`` for every shard op; the op on
+        shard ``raise_on`` raises after it is recorded."""
+        from repro.serve import backend as backend_mod
+
+        real, seen = backend_mod.run_shard_op, []
+
+        def spy(index, method, *args):
+            shard = next(s for s, shard_index in enumerate(service.shards)
+                         if shard_index is index)
+            seen.append((shard, threading.get_ident()))
+            if shard == raise_on:
+                raise RuntimeError(f"shard {shard} failed")
+            return real(index, method, *args)
+
+        monkeypatch.setattr(backend_mod, "run_shard_op", spy)
+        return seen
+
+    def test_failing_first_call_still_runs_the_rest(self, monkeypatch):
+        keys = np.arange(300, dtype=np.float64)
+        service = ShardedAlexIndex.bulk_load(keys, num_shards=3)
+        seen = self._spy(monkeypatch, service, raise_on=0)
+        jobs = [(s, "contains_many", 100 * s, 100 * s + 100, ())
+                for s in range(3)]
+        with pytest.raises(RuntimeError, match="shard 0 failed"):
+            service.backend.scatter_batch(keys, jobs)
+        assert [shard for shard, _ in seen] == [0, 1, 2]
+        service.close()
+
+    def test_shard_ops_run_on_the_caller_thread(self, monkeypatch):
+        keys = np.arange(0, 4000, 2, dtype=np.float64)
+        service = ShardedAlexIndex.bulk_load(keys, num_shards=4)
+        seen = self._spy(monkeypatch, service)
+        service.get_many(keys[::7])
+        service.contains_many(keys[::5])
+        service.range_query_many(keys[:-1:400], keys[1::400])
+        service.insert_many(keys[::9] + 1)
+        service.close()
+        assert {shard for shard, _ in seen} == set(range(4))
+        assert {ident for _, ident in seen} == {threading.get_ident()}
+        assert not [t.name for t in threading.enumerate()
+                    if t.name.startswith("alex-shard")]
 
 
 class TestWorkloadIntegration:
