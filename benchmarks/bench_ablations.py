@@ -61,7 +61,7 @@ def ablation_model_based_vs_uniform():
     for name, node in (("model-based", model_node), ("uniform", uniform_node)):
         counters_before = node.counters.snapshot()
         for key in keys[::4]:
-            node.lookup(float(key))
+            assert node.find_key(float(key)) >= 0
         work = node.counters.diff(counters_before)
         costs[name] = DEFAULT_COST_MODEL.simulated_nanos(work) / len(keys[::4])
     return costs

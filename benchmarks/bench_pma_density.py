@@ -88,7 +88,7 @@ def run_cell(segment: float, root: float, workload: str, n: int,
     probes_before = counters.probes
     all_keys = node.export_sorted()[0]
     for key in all_keys:
-        node.lookup(float(key))
+        assert node.find_key(float(key)) >= 0
     row["probes_per_lookup"] = round(
         (counters.probes - probes_before) / len(all_keys), 3)
     row["final_density"] = round(node.density, 3)

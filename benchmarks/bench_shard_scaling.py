@@ -24,7 +24,7 @@ Three readings per operation, all from the same run:
   per-shard time) shows how close the CDF-fitted boundaries get to the
   ideal ``1/shards`` split;
 * ``wall_seconds`` — honest wall clock.  The thread backend runs the
-  shards one after another on any core count, so wall clock stays flat;
+  shards one after another on the caller's thread, so wall clock stays flat;
   under the process backend the workers run on real cores, so on a
   multi-core host the critical-path scaling shows up as wall time
   (``cpu_count`` is recorded so single-core results are not misread as a

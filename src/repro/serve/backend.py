@@ -9,8 +9,8 @@ shard operation goes through an :class:`ExecutionBackend`, which decides
 * :class:`ThreadBackend` — shards are in-process :class:`AlexIndex`
   objects, and a scatter runs their calls one after another on the
   caller's thread.  Cheap and zero-setup; shard work is Python that holds
-  the GIL between short kernel calls, so a thread pool would add GIL
-  hand-offs, not parallelism.
+  the GIL between short kernel calls, so on the 2-core host where it was
+  measured a thread pool added GIL hand-offs, not parallelism.
 * :class:`~repro.serve.worker.ProcessBackend` — each shard lives in a
   long-lived worker process, forked from one preloaded
   ``multiprocessing`` forkserver.  Whole shards, carved sub-batches and
@@ -411,8 +411,11 @@ class ThreadBackend(ExecutionBackend):
     """In-process shards run on the caller's thread.
 
     One :class:`AlexIndex` per shard.  A scatter runs its calls one after
-    another, on any core count: shard work holds the GIL between short
-    kernel calls, so fanning it out over threads only adds hand-offs.
+    another.  Shard work holds the GIL between short kernel calls: on a
+    2-core host a thread pool over the shards was slower at every measured
+    batch size, 16 to 1M keys.  Hosts with more cores were not measured;
+    the cffi kernels release the GIL, so there very large batches might
+    overlap kernel time across shards.
     """
 
     name = "thread"

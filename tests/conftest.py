@@ -6,6 +6,26 @@ import threading
 
 import pytest
 
+from repro.core.errors import KeyNotFoundError
+
+
+def node_payload(node, key: float):
+    """The payload a data node stores for ``key``; raises if it is absent."""
+    pos = node.find_key(key)
+    if pos < 0:
+        raise KeyNotFoundError(key)
+    return node.payloads.item(pos)
+
+
+def prediction_error(node, key: float) -> int:
+    """Distance between the model's predicted slot and the key's actual
+    slot; raises if the key is absent."""
+    pos = node.find_key(key)
+    if pos < 0:
+        raise KeyNotFoundError(key)
+    return abs(node.predict_pos(key) - pos)
+
+
 #: Process names the process backend gives its shard and replica workers.
 WORKER_NAMES = ("alex-shard-worker", "alex-replica-worker")
 SHM_DIR = "/dev/shm"

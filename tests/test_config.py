@@ -1,6 +1,9 @@
 """Tests for AlexConfig validation and derived quantities."""
 
+import importlib
+import json
 import math
+import os
 
 import pytest
 
@@ -87,6 +90,27 @@ class TestTunedPMADensityBounds:
         config = AlexConfig()
         assert config.pma_segment_density == 0.95
         assert config.pma_root_density == 0.70
+
+    def test_sweep_reproduces_its_artifact_at_the_defaults(self,
+                                                          monkeypatch):
+        # The sweep is the defaults' provenance, so it must still run:
+        # its default cell re-measures every counter field it recorded.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.syspath_prepend(os.path.join(root, "benchmarks"))
+        sweep = importlib.import_module("bench_pma_density")
+        with open(os.path.join(root, "BENCH_pma_density.json")) as f:
+            artifact = json.load(f)
+        config = AlexConfig()
+        cell, = [c for c in artifact["cells"]
+                 if c["pma_segment_density"] == config.pma_segment_density
+                 and c["pma_root_density"] == config.pma_root_density]
+        for workload in artifact["workloads"]:
+            fresh = sweep.run_cell(config.pma_segment_density,
+                                   config.pma_root_density, workload,
+                                   artifact["keys_per_cell"], sweep.SEED)
+            for field, value in cell[workload].items():
+                if not field.startswith("micros"):
+                    assert fresh[field] == value, (workload, field)
 
     def test_ordering_still_validated(self):
         # The sweep-chosen pair must itself satisfy the config invariant

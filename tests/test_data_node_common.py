@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import prediction_error
 from repro.core.alex import AlexIndex
 from repro.core.config import AlexConfig, ga_armi
 from repro.core.data_node import GAP_SENTINEL, payload_column
@@ -193,15 +194,6 @@ class TestSizeAccounting:
     def test_payload_size_config_respected(self):
         node = make_ga(np.arange(10, dtype=np.float64), payload_size=80)
         assert node.data_size_bytes() == node.capacity * 88 + (node.capacity + 7) // 8
-
-
-def prediction_error(node, key: float) -> int:
-    """Distance between the model's predicted slot and the key's actual
-    slot; raises if the key is absent."""
-    pos = node.find_key(key)
-    if pos < 0:
-        raise KeyNotFoundError(key)
-    return abs(node.predict_pos(key) - pos)
 
 
 class TestPredictionError:

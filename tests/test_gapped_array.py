@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import node_payload, prediction_error
 from repro.core.config import AlexConfig, GAPPED_ARRAY, STATIC_RMI
 from repro.core.errors import DuplicateKeyError, KeyNotFoundError
 from repro.core.gapped_array import GappedArrayNode
@@ -50,8 +51,7 @@ class TestBuild:
         # their predicted slot (the paper's direct-hit argument).
         keys = np.arange(0, 1000, 10, dtype=np.float64)
         node = make_node(keys)
-        errors = [abs(node.predict_pos(float(k)) - node.find_key(float(k)))
-                  for k in keys]
+        errors = [prediction_error(node, float(k)) for k in keys]
         assert np.mean(np.array(errors) == 0) > 0.5
 
     def test_build_replaces_previous_content(self, node_100):
@@ -65,7 +65,7 @@ class TestInsert:
     def test_insert_then_lookup(self, node_100):
         node, keys = node_100
         node.insert(keys[0] + 0.5, "value")
-        assert node.payloads.item(node.find_key(keys[0] + 0.5)) == "value"
+        assert node_payload(node, keys[0] + 0.5) == "value"
         node.check_invariants()
 
     def test_insert_below_min_and_above_max(self, node_100):
@@ -181,14 +181,14 @@ class TestDelete:
         node, keys = node_100
         node.delete(float(keys[7]))
         node.insert(float(keys[7]), "back")
-        assert node.payloads.item(node.find_key(float(keys[7]))) == "back"
+        assert node_payload(node, float(keys[7])) == "back"
 
 
 class TestUpdateAndPayloads:
     def test_update_replaces_payload(self, node_100):
         node, keys = node_100
         node.update(float(keys[3]), "new")
-        assert node.payloads.item(node.find_key(float(keys[3]))) == "new"
+        assert node_payload(node, float(keys[3])) == "new"
 
     def test_update_missing_raises(self, node_100):
         node, _ = node_100
@@ -204,7 +204,7 @@ class TestUpdateAndPayloads:
         for key in np.arange(0.1, 20.1, 1.0):
             node.insert(float(key), f"n{key}")
         for key in keys:
-            assert node.payloads.item(node.find_key(float(key))) == f"p{key}"
+            assert node_payload(node, float(key)) == f"p{key}"
 
 
 class TestPackedRegions:

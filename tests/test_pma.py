@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import node_payload, prediction_error
 from repro.core.config import AlexConfig, PACKED_MEMORY_ARRAY, STATIC_RMI
 from repro.core.errors import DuplicateKeyError, KeyNotFoundError
 from repro.core.pma import PMANode, next_power_of_two
@@ -75,7 +76,7 @@ class TestInsert:
     def test_insert_lookup_roundtrip(self):
         node = make_node(np.arange(0, 100, 2, dtype=np.float64))
         node.insert(1.5, "x")
-        assert node.payloads.item(node.find_key(1.5)) == "x"
+        assert node_payload(node, 1.5) == "x"
         node.check_invariants()
         node.check_pma_invariants()
 
@@ -130,7 +131,7 @@ class TestExpand:
         # deviation from the standard uniform-redistribution PMA).
         node = make_node(np.arange(0, 2000, 2, dtype=np.float64))
         node.expand()
-        errors = [abs(node.predict_pos(float(k)) - node.find_key(float(k)))
+        errors = [prediction_error(node, float(k))
                   for k in range(0, 2000, 40)]
         assert np.mean(errors) < 4
 
@@ -167,7 +168,7 @@ class TestDelete:
             node.delete(float(key))
         assert node.num_keys == 0
         node.insert(5.0, "fresh")
-        assert node.payloads.item(node.find_key(5.0)) == "fresh"
+        assert node_payload(node, 5.0) == "fresh"
 
 
 class TestScan:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import node_payload
 from repro.baselines.bptree import BPlusTree
 from repro.baselines.learned_index import LearnedIndex
 from repro.core.alex import AlexIndex
@@ -72,7 +73,7 @@ def _run_node_ops(node_cls, ops, config=None):
                     node.delete(key)
         else:
             if key in reference:
-                assert node.payloads.item(node.find_key(key)) == reference[key]
+                assert node_payload(node, key) == reference[key]
             else:
                 assert node.find_key(key) < 0
     return node, reference
