@@ -52,6 +52,7 @@ import numpy as np
 
 import _common
 from repro.serve import IngressRunner, ServiceOverloadedError, ShardedAlexIndex
+from repro.serve.ingress import _SUBMIT_WORKERS
 
 SEED = 11
 
@@ -68,10 +69,11 @@ MODES = {
     "process_syncwait": ("process", 1),
 }
 
-#: Ingress submit-pool width for every mode (the downstream in-flight
-#: batch parallelism the pipelined RPC absorbs; call-and-wait workers
-#: serialize it at their pipes instead).
-SUBMIT_WORKERS = 4
+#: Ingress submit-pool width, fixed for every mode (the downstream
+#: in-flight batch parallelism the pipelined RPC absorbs; call-and-wait
+#: workers serialize it at their pipes instead).  Recorded in the
+#: artifact.
+SUBMIT_WORKERS = _SUBMIT_WORKERS
 
 
 def _percentiles(latencies_s: list) -> dict:
@@ -163,9 +165,7 @@ def _build(mode: str, keys: np.ndarray, payloads: list, shards: int,
     pipelining = {} if max_inflight is None else {"max_inflight": max_inflight}
     service = ShardedAlexIndex.bulk_load(
         keys, payloads, num_shards=shards, backend=backend, **pipelining)
-    runner = IngressRunner(service, window_s=window_s,
-                           submit_workers=SUBMIT_WORKERS,
-                           max_queue=1 << 17, overload="shed")
+    runner = IngressRunner(service, window_s=window_s, max_queue=1 << 17)
     return service, runner
 
 

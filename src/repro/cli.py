@@ -442,12 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="process-backend per-worker pipelining "
                             "budget (default 8; 1 = call-and-wait RPC)")
         p.add_argument("--replicas", action="store_true",
-                       help="host a WAL-following replica beside each "
-                            "shard primary (forces durability — a "
-                            "tempdir WAL unless --durable provides "
-                            "one); part of the driver's reads then "
-                            "route replica_ok and the repl.* panel "
-                            "lights up")
+                       help="host a WAL-following replica worker beside "
+                            "each shard primary (needs --backend "
+                            "process; forces durability — a tempdir "
+                            "WAL unless --durable provides one); part "
+                            "of the driver's reads then route "
+                            "replica_ok and the repl.* panel lights up")
 
     p_stats = sub.add_parser(
         "stats", help="drive a sharded service briefly and print its "
@@ -505,7 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point (``python -m repro ...``)."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "replicas", False) and args.backend != "process":
+        parser.error("--replicas needs --backend process (a replica lives "
+                     "in its own worker process)")
     return args.func(args)
 
 

@@ -182,11 +182,13 @@ def decode_frame(record) -> WALFrame:
 
 
 def _read_segment(path: str, tolerate_torn_header: bool = False
-                  ) -> Tuple[Optional[int], List[WALFrame], int]:
-    """``(first_lsn, frames, valid_bytes)`` of one segment file.
+                  ) -> Tuple[Optional[int], List[WALFrame], int, memoryview]:
+    """``(first_lsn, frames, valid_bytes, buf)`` of one segment file.
 
     ``valid_bytes`` is the offset just past the last decodable frame, so
-    a torn tail can be truncated away before appending resumes.
+    a torn tail can be truncated away before appending resumes.  ``buf``
+    holds the bytes read: a live writer may append past them, so only
+    they can tell a torn tail from mid-segment damage.
 
     ``tolerate_torn_header`` is set for the *final* segment: a crash
     while :meth:`WriteAheadLog.roll` was creating it can leave a short
@@ -201,12 +203,12 @@ def _read_segment(path: str, tolerate_torn_header: bool = False
     head_size = _SEGMENT_HEADER.itemsize
     if len(buf) < head_size:
         if tolerate_torn_header:
-            return None, [], 0
+            return None, [], 0, buf
         raise WALCorruptionError(f"{path}: shorter than a segment header")
     header = np.frombuffer(buf, dtype=_SEGMENT_HEADER, count=1)
     if int(header["magic"][0]) != _SEGMENT_MAGIC:
         if tolerate_torn_header:
-            return None, [], 0
+            return None, [], 0, buf
         raise WALCorruptionError(f"{path}: bad segment magic")
     if int(header["version"][0]) != WAL_VERSION:
         raise WALCorruptionError(
@@ -219,7 +221,7 @@ def _read_segment(path: str, tolerate_torn_header: bool = False
             break
         frame, offset = decoded
         frames.append(frame)
-    return int(header["first_lsn"][0]), frames, offset
+    return int(header["first_lsn"][0]), frames, offset, buf
 
 
 def _valid_frame_after(buf: memoryview, start: int) -> bool:
@@ -262,13 +264,12 @@ def iter_frames(directory: str, after_lsn: int = 0) -> Iterator[WALFrame]:
     expected: Optional[int] = None
     for i, path in enumerate(paths):
         final = i == len(paths) - 1
-        _, frames, valid = _read_segment(path, tolerate_torn_header=final)
-        if valid != os.path.getsize(path):
+        _, frames, valid, buf = _read_segment(path,
+                                              tolerate_torn_header=final)
+        if valid != len(buf):
             if not final:
                 raise WALCorruptionError(
                     f"{path}: undecodable frame before the log tail")
-            with open(path, "rb") as fh:
-                buf = memoryview(fh.read())
             if _valid_frame_after(buf, valid):
                 raise WALCorruptionError(
                     f"{path}: undecodable frame at byte {valid} with "
@@ -318,9 +319,9 @@ class WriteAheadLog:
         self._sealed = []
         for i, path in enumerate(paths):
             final = i == len(paths) - 1
-            first_lsn, frames, valid = _read_segment(
+            first_lsn, frames, valid, buf = _read_segment(
                 path, tolerate_torn_header=final)
-            if not final and valid != os.path.getsize(path):
+            if not final and valid != len(buf):
                 raise WALCorruptionError(
                     f"{path}: undecodable frame before the log tail")
             if first_lsn is not None:
@@ -344,9 +345,7 @@ class WriteAheadLog:
                 # destroying anything, prove the damage really is a
                 # tail: a valid frame past the break means mid-log
                 # corruption, and truncating would erase acked history.
-                if valid != os.path.getsize(path):
-                    with open(path, "rb") as fh:
-                        buf = memoryview(fh.read())
+                if valid != len(buf):
                     if _valid_frame_after(buf, valid):
                         raise WALCorruptionError(
                             f"{path}: undecodable frame at byte {valid} "

@@ -7,10 +7,12 @@ prefix-consistent reads at a bounded, observable staleness and handing
 over a caught-up index on :meth:`~Replica.promote` when the primary
 dies.
 
-The serving tier (``repro.serve``) hosts replicas beside primaries,
-pushes them the frames of every logged write, and routes reads to them
-by :class:`~repro.serve.options.ReadOptions` policy; this package
-itself depends only on ``core`` + ``durability``.
+The serving tier (``repro.serve``) hosts each replica in a worker
+process beside its primary's (the process backend only: a replica in
+the primary's process would fail with it), pushes it the frames of
+every logged write, and routes reads to it by
+:class:`~repro.serve.options.ReadOptions` policy; this package itself
+depends only on ``core`` + ``durability``.
 """
 
 from repro.core.errors import (ReplicaStaleError, ReplicaUnavailableError,

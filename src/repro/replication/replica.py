@@ -9,10 +9,10 @@ WAL, under the shard's write lock and before the primary applies it, and
 the replica reads them with the log's own CRC-checked decoder
 (:func:`~repro.durability.wal.decode_frame`) and applies the frames in
 LSN order through :func:`~repro.durability.recover.apply_frame`, as
-recovery does.  A replica is not thread-safe: a replica worker handles
-one message at a time, and the thread backend pushes under the shard's
-write lock and reads under its read lock, so every read sees the
-checkpoint plus a *prefix* of the logged operations.  A pushed frame the
+recovery does.  A replica is hosted by a replica worker process
+(:func:`repro.serve.worker._worker_main`), which handles one message at
+a time, so every read sees the checkpoint plus a *prefix* of the logged
+operations; the replica itself is not thread-safe.  A pushed frame the
 replica already holds is skipped; one past ``applied_lsn + 1`` first
 fills the gap from the log, or re-bootstraps when a checkpoint has
 truncated the log past the replica.  A record that does not decode or

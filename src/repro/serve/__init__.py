@@ -58,7 +58,7 @@ futures.
 turns many small concurrent client requests into the batch shapes this
 tier is fast at: arrivals coalesce inside a small time/size window
 (group-commit, read side), flush downstream on a thread pool without
-blocking the accept loop, and shed or block past an admission cap.
+blocking the accept loop, and are shed past an admission cap.
 :class:`IngressRunner` is its synchronous wrapper for thread-world
 callers.  Its miss sentinel :data:`MISSING` crosses the pipe inside
 every coalesced read, so it lives in :mod:`repro.serve.backend`, which
@@ -66,13 +66,17 @@ every worker already runs: a worker imports nothing after its first
 reply.
 
 **Replication and consistency.**  With
-``ShardedAlexIndex(replicate=True)`` each shard hosts a
-:class:`~repro.replication.Replica` beside its primary, pushed every
-frame the shard logs.  Every read entry point takes one ``options=`` —
+``ShardedAlexIndex(backend="process", replicate=True)`` each shard's
+primary worker gets a replica worker beside it, a
+:class:`~repro.replication.Replica` pushed every frame the shard logs.
+The thread backend hosts no replicas (one in the facade's process would
+die with its primary), so its replica-eligible reads go to the
+primaries, which satisfy every consistency level.  Every read entry
+point takes one ``options=`` —
 a :class:`ReadOptions` (or its consistency-level string): ``primary``
 (default, exactly the old behavior), ``replica_ok(max_staleness_s=...)``
-(replica reads at bounded observable staleness, which on the process
-backend never wait on a primary's lock), or ``read_your_writes(token)`` where
+(replica reads at bounded observable staleness, which never wait on a
+primary's lock), or ``read_your_writes(token)`` where
 ``token`` is the :class:`WriteToken` acked by every write.  Replica
 reads that cannot meet their bound fall back to the primary; a dead
 *primary* is **failed over** — its caught-up replica promotes in place

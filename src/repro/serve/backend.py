@@ -28,7 +28,6 @@ test suite runs byte-for-byte the same against either.
 from __future__ import annotations
 
 import abc
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,8 +77,8 @@ def run_all(tasks: Sequence) -> list:
 
 
 class WorkerDiedError(RuntimeError):
-    """A shard executor died mid-conversation: a worker process, or a
-    thread-hosted replica that failed to apply a pushed frame.
+    """A shard executor died mid-conversation: a primary or replica
+    worker process.
 
     Carries the shard position (when known) so a durability-enabled
     facade can respawn exactly the dead executor from its last checkpoint
@@ -239,11 +238,6 @@ class ExecutionBackend(abc.ABC):
     #: The configuration new shards are built with.
     config: AlexConfig
 
-    #: Replicas live in the facade's process and apply pushes inside the
-    #: writer's critical section, so the facade reads them under the
-    #: shard's read lock, as it reads a primary.
-    in_process_replicas: bool = False
-
     @abc.abstractmethod
     def provision(self, parts: Sequence[tuple]) -> None:
         """Create one shard executor per ``(keys, payload column)``
@@ -254,11 +248,6 @@ class ExecutionBackend(abc.ABC):
         """Create one shard executor per durability directory, each
         rebuilding its shard from it; returns their reports, without
         the indexes (:func:`~repro.durability.recover.rebuild_shard`)."""
-
-    @abc.abstractmethod
-    def adopt(self, indexes: List[AlexIndex]) -> None:
-        """Take ownership of prebuilt in-process shard indexes
-        (contents *and* work-counter history carry over)."""
 
     @abc.abstractmethod
     def call(self, shard: int, method: str, *args):
@@ -366,8 +355,7 @@ class ExecutionBackend(abc.ABC):
         """Detach and release ``shard``'s replica (idempotent)."""
 
     def dead_replicas(self) -> List[int]:
-        """Shard positions whose *replica* executor died (for an
-        in-process replica: stopped applying the log)."""
+        """Shard positions whose *replica* executor died."""
         return []
 
     @property
@@ -419,15 +407,11 @@ class ThreadBackend(ExecutionBackend):
     """
 
     name = "thread"
-    in_process_replicas = True
 
     def __init__(self, config: AlexConfig, policy: AdaptationPolicy):
         self.config = config
         self._policy = policy
         self.indexes: List[AlexIndex] = []
-        #: Per-shard replica slot, spliced in lockstep with ``indexes``
-        #: by :meth:`replace` so positions stay aligned across SMOs.
-        self._replicas: List[Optional[object]] = []
         # Kernel warmup belongs to provisioning, not the first request.
         with trace.span("kernel.warm"):
             get_kernels(config.kernel_backend).warm()
@@ -435,21 +419,15 @@ class ThreadBackend(ExecutionBackend):
     # -- lifecycle ----------------------------------------------------
 
     def provision(self, parts: Sequence[tuple]) -> None:
-        self.indexes = []
-        for keys, payloads in parts:
-            self.indexes.append(build_shard(keys, payloads, self.config,
-                                            self._policy))
-        self._replicas = [None] * len(self.indexes)
+        self.indexes = [build_shard(keys, payloads, self.config,
+                                    self._policy)
+                        for keys, payloads in parts]
 
     def recover(self, roots: Sequence[str]) -> List[RecoveryResult]:
         recoveries = [rebuild_shard(root, self.config, self._policy)
                       for root in roots]
-        self.adopt([recovery.index for recovery in recoveries])
+        self.indexes = [recovery.index for recovery in recoveries]
         return [recovery.detached() for recovery in recoveries]
-
-    def adopt(self, indexes: List[AlexIndex]) -> None:
-        self.indexes = list(indexes)
-        self._replicas = [None] * len(self.indexes)
 
     # -- execution ----------------------------------------------------
 
@@ -491,74 +469,10 @@ class ThreadBackend(ExecutionBackend):
             for old in sources:
                 index.counters.merge(self.indexes[old].counters)
             fresh.append(index)
-        # Outgoing replicas follow shards the SMO retires; the facade
-        # attaches fresh ones once the rewritten durability dirs exist.
         self.indexes[start:stop] = fresh
-        self._replicas[start:stop] = [None] * len(fresh)
 
     def counters(self, shard: int) -> Counters:
         return self.indexes[shard].counters.snapshot()
-
-    # -- replication ---------------------------------------------------
-
-    def add_replicas(self, roots: Dict[int, str]) -> None:
-        from repro.replication import Replica
-        for shard, root in roots.items():
-            self._replicas[shard] = Replica(root, config=self.config,
-                                            policy=self._policy).start()
-
-    def push_frame(self, shard: int, record: bytes) -> None:
-        replica = self._replicas[shard] if self.has_replica(shard) else None
-        if replica is None or not replica.serving:
-            return
-        replica.heard(time.monotonic())
-        try:
-            replica.apply(record)
-        except Exception as exc:     # noqa: BLE001 - the replica is dead
-            obs.emit("replica.apply_failed", shard=shard, error=repr(exc))
-
-    def has_replica(self, shard: int) -> bool:
-        return (shard < len(self._replicas)
-                and self._replicas[shard] is not None)
-
-    def _replica(self, shard: int):
-        """``shard``'s replica, stamped as reached now (an in-process
-        call sees every push that preceded it)."""
-        if not self.has_replica(shard):
-            raise ReplicaUnavailableError(f"shard {shard} has no replica")
-        replica = self._replicas[shard]
-        replica.heard(time.monotonic())
-        return replica
-
-    def replica_read(self, shard: int, method: str, args: tuple = (),
-                     min_lsn: int = 0,
-                     max_staleness_s: Optional[float] = None):
-        replica = self._replica(shard)
-        if not replica.serving:
-            raise WorkerDiedError(shard, "its replica stopped applying "
-                                  "the log")
-        return replica.read(method, args, min_lsn=min_lsn,
-                            max_staleness_s=max_staleness_s)
-
-    def replica_status(self, shard: int) -> Optional[dict]:
-        if not self.has_replica(shard):
-            return None
-        return self._replica(shard).status()
-
-    def promote_replica(self, shard: int) -> int:
-        replica = self._replica(shard)
-        self.indexes[shard] = replica.promote()
-        self._replicas[shard] = None
-        return replica.applied_lsn
-
-    def drop_replica(self, shard: int) -> None:
-        if self.has_replica(shard):
-            self._replicas[shard] = None
-
-    def dead_replicas(self) -> List[int]:
-        """Positions whose replica stopped applying the log."""
-        return [s for s, replica in enumerate(self._replicas)
-                if replica is not None and not replica.serving]
 
 
 def make_backend(backend, config: AlexConfig, policy: AdaptationPolicy,

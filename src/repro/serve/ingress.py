@@ -9,11 +9,11 @@ independent requests.  :class:`AsyncIngress` bridges the two with the
 for at most one *coalescing window* (``window_s``, a couple of
 milliseconds) while other arrivals pile in behind it, then the whole
 lane flushes downstream as one facade batch.  An early flush fires as
-soon as a lane reaches ``max_batch`` keys, so heavy load never waits
-out the window it no longer needs.
+soon as a lane reaches 4096 keys (the batch engine's sweet spot), so
+heavy load never waits out the window it no longer needs.
 
 The accept loop never blocks on the index: flushes are handed to a
-small thread pool (``submit_workers``) that drives the facade, so
+small thread pool (four threads) that drives the facade, so
 several coalesced batches are in flight at once — which is exactly the
 shape the process backend's pipelined RPC (multiple requests
 outstanding per worker pipe, replies demultiplexed out of order) is
@@ -21,11 +21,9 @@ built to absorb.  Results come back to the event loop via
 ``call_soon_threadsafe`` and resolve one future per request.
 
 Admission control bounds the damage under overload: at most
-``max_queue`` keys may be queued or in flight, and beyond that the
-``overload`` policy either **sheds** (fail fast with
-:class:`ServiceOverloadedError` — the open-loop default, keeping
-latency of admitted requests bounded) or **blocks** (awaiting a slot —
-closed-loop clients that prefer backpressure to errors).
+``max_queue`` keys may be queued or in flight, and beyond that arrivals
+are **shed** (fail fast with :class:`ServiceOverloadedError`), which
+keeps the latency of admitted requests bounded under open-loop load.
 
 Writes pass through without coalescing: a write batch is all-or-nothing
 on the facade (two-phase validate-then-apply), so coalescing unrelated
@@ -74,11 +72,17 @@ from .backend import MISSING
 from .options import (READ_YOUR_WRITES, ReadOptions, WriteToken,
                       resolve_read_options)
 
+#: Lane size (keys) that triggers an immediate flush.
+_MAX_BATCH = 4096
+
+#: Threads driving flushed batches into the facade: the downstream
+#: in-flight parallelism the pipelined process backend absorbs.
+_SUBMIT_WORKERS = 4
+
 
 class ServiceOverloadedError(RuntimeError):
-    """Admission control shed this request (queue at ``max_queue`` under
-    the ``"shed"`` overload policy).  Open-loop clients should treat it
-    as a 503: back off and retry."""
+    """Admission control shed this request (queue at ``max_queue``).
+    Open-loop clients should treat it as a 503: back off and retry."""
 
 
 class _Request:
@@ -139,34 +143,18 @@ class AsyncIngress:
         Coalescing window: the longest a request waits for company
         before its lane flushes (default 2 ms).  ``0`` flushes on the
         next loop tick — minimum latency, minimum coalescing.
-    max_batch:
-        Lane size that triggers an immediate flush (default 4096 keys,
-        the batch engine's sweet spot).
     max_queue:
-        Admission cap: maximum keys queued-or-in-flight (default 16384).
-    overload:
-        ``"shed"`` (default) fails excess arrivals with
-        :class:`ServiceOverloadedError`; ``"block"`` awaits a slot.
-    submit_workers:
-        Threads driving flushed batches into the facade (default 4):
-        the downstream in-flight parallelism the pipelined process
-        backend absorbs.  ``1`` serializes flushes — the call-and-wait
-        comparator in the serving benchmark.
+        Admission cap: maximum keys queued-or-in-flight (default 16384);
+        arrivals past it fail with :class:`ServiceOverloadedError`.
     """
 
     def __init__(self, service, *, window_s: float = 0.002,
-                 max_batch: int = 4096, max_queue: int = 16384,
-                 overload: str = "shed", submit_workers: int = 4):
-        if overload not in ("shed", "block"):
-            raise ValueError(f"unknown overload policy {overload!r}; "
-                             "choose 'shed' or 'block'")
+                 max_queue: int = 16384):
         self.service = service
         self.window_s = float(window_s)
-        self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)
-        self.overload = overload
         self._pool = ThreadPoolExecutor(
-            max_workers=max(1, submit_workers),
+            max_workers=_SUBMIT_WORKERS,
             thread_name_prefix="alex-ingress")
         # Lanes are keyed ``(family, consistency)`` and created on
         # demand: requests only coalesce with requests whose
@@ -176,7 +164,6 @@ class AsyncIngress:
         # time (tightest staleness bound, union of write tokens).
         self._lanes: dict = {}
         self._outstanding = 0             # admitted keys not yet replied
-        self._blocked: deque = deque()    # admission waiters (block mode)
         self._drained: deque = deque()    # aclose() waiters
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._closed = False
@@ -196,33 +183,20 @@ class AsyncIngress:
 
     # -- admission ------------------------------------------------------
 
-    async def _admit(self, n: int) -> None:
+    def _admit(self, n: int) -> None:
         if self._closed:
             raise RuntimeError("ingress is closed")
-        if self.overload == "shed":
-            if self._outstanding + n > self.max_queue:
-                obs.inc("ingress.shed", n)
-                raise ServiceOverloadedError(
-                    f"{self._outstanding} keys in flight "
-                    f"(cap {self.max_queue})")
-        else:
-            while self._outstanding + n > self.max_queue:
-                gate = self._loop.create_future()
-                self._blocked.append(gate)
-                await gate
-                if self._closed:
-                    raise RuntimeError("ingress closed while blocked "
-                                       "on admission")
+        if self._outstanding + n > self.max_queue:
+            obs.inc("ingress.shed", n)
+            raise ServiceOverloadedError(
+                f"{self._outstanding} keys in flight "
+                f"(cap {self.max_queue})")
         self._outstanding += n
         obs.set_gauge("ingress.in_flight", self._outstanding)
 
     def _release(self, n: int) -> None:
         self._outstanding -= n
         obs.set_gauge("ingress.in_flight", self._outstanding)
-        while self._blocked:
-            gate = self._blocked.popleft()
-            if not gate.done():
-                gate.set_result(None)
         if self._outstanding == 0:
             while self._drained:
                 gate = self._drained.popleft()
@@ -235,7 +209,7 @@ class AsyncIngress:
                        default=None, strict: bool = False,
                        single: bool = False, options=None):
         loop = self._bind_loop()
-        await self._admit(len(keys))
+        self._admit(len(keys))
         obs.inc("ingress.requests", len(keys))
         opts = (resolve_read_options(options)
                 if options is not None else None)
@@ -253,7 +227,7 @@ class AsyncIngress:
                                    keys=len(keys))
         lane.requests.append(request)
         lane.size += len(keys)
-        if lane.size >= self.max_batch:
+        if lane.size >= _MAX_BATCH:
             self._flush(lane_name)
         elif lane.timer is None:
             if self.window_s > 0:
@@ -442,7 +416,7 @@ class AsyncIngress:
 
     async def _passthrough(self, n: int, fn, *args):
         loop = self._bind_loop()
-        await self._admit(n)
+        self._admit(n)
         obs.inc("ingress.requests", n)
         root = trace.start("ingress.request", family="write", keys=n)
         if root is not None:
@@ -507,8 +481,6 @@ class AsyncIngress:
             gate = asyncio.get_running_loop().create_future()
             self._drained.append(gate)
             await gate
-        # Unblock (with an error) anything still parked on admission.
-        self._release(0)
         self._pool.shutdown(wait=True)
 
 

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -86,7 +85,8 @@ from repro.durability import (DEFAULT_CHECKPOINT_EVERY, OP_DELETE,
 from .rwlock import ReadWriteLock
 
 from .backend import (DEFAULT_MAX_INFLIGHT, ExecutionBackend,
-                      WorkerDiedError, make_backend, shard_part)
+                      ThreadBackend, WorkerDiedError, make_backend,
+                      shard_part)
 from .options import (READ_YOUR_WRITES, ReadOptions, WriteToken,
                       resolve_read_options)
 from .router import ShardRouter
@@ -120,6 +120,19 @@ def _expect(present: bool, error):
 #: Inserts need every key absent, deletes and updates every key present.
 _all_absent = _expect(False, DuplicateKeyError)
 _all_present = _expect(True, KeyNotFoundError)
+
+
+def _check_replicate(backend, durable: bool) -> None:
+    """Refuse ``replicate=True`` before anything is built or opened: a
+    replica follows a WAL, and lives in a worker process so that it can
+    outlive its primary."""
+    if not durable:
+        raise ValueError("replicate=True needs durability (a replica is a "
+                         "WAL follower — pass durability_dir=)")
+    if backend == "thread" or isinstance(backend, ThreadBackend):
+        raise ValueError("replicate=True needs backend='process' (a "
+                         "replica in the facade's own process cannot "
+                         "outlive its primary)")
 
 
 def _present_groups(keys: np.ndarray, groups: list, hits: list) -> list:
@@ -222,10 +235,6 @@ class ShardedAlexIndex:
         ALEX with its own RMI).
     router:
         Key-space partitioner; defaults to a single shard.
-    shards:
-        Prebuilt in-process shard indexes to take over (must match the
-        router's shard count).  With the process backend their contents
-        and counter history migrate into the workers.
     policy:
         The adaptation policy consulted for every structural decision,
         from leaf SMOs inside the shards up to shard split/merge.
@@ -238,17 +247,19 @@ class ShardedAlexIndex:
         (default 8).  ``1`` restores strict call-and-wait RPC; the
         thread backend ignores the knob.
     replicate:
-        Host a replica beside each shard's primary (requires
-        durability): it bootstraps from the shard's directory and is
-        pushed every record the shard logs before the primary applies
-        it.  ``replica_ok`` and ``read_your_writes`` reads route to it,
-        and a primary worker death *promotes* it instead of
-        cold-respawning, so serving continues through the crash.
+        Host a replica worker beside each shard's primary (requires
+        durability and ``backend="process"``): it bootstraps from the
+        shard's directory and is pushed every record the shard logs
+        before the primary applies it.  ``replica_ok`` and
+        ``read_your_writes`` reads route to it, and a primary worker
+        death *promotes* it instead of cold-respawning, so serving
+        continues through the crash.  A replica in the facade's own
+        process would share its primary's fate, so the thread backend
+        has none: its replica-eligible reads go to the primaries.
     """
 
     def __init__(self, config: Optional[AlexConfig] = None,
                  router: Optional[ShardRouter] = None,
-                 shards: Optional[List[AlexIndex]] = None,
                  policy: Optional[AdaptationPolicy] = None,
                  backend: "str | ExecutionBackend" = "thread",
                  parts: Optional[list] = None,
@@ -264,11 +275,6 @@ class ShardedAlexIndex:
         self.policy = policy or HeuristicPolicy()
         self.router = router or ShardRouter(np.empty(0))
         num_shards = self.router.num_shards
-        if shards is not None and parts is not None:
-            raise ValueError("pass prebuilt shards or raw parts, not both")
-        if shards is not None and len(shards) != num_shards:
-            raise ValueError(f"{len(shards)} shards for a "
-                             f"{num_shards}-range router")
         if parts is None:
             parts = [(np.empty(0), None)] * num_shards
         elif len(parts) != num_shards:
@@ -285,10 +291,9 @@ class ShardedAlexIndex:
             raise PersistenceError(
                 f"durability tree holds {durability.num_shards} "
                 f"shards but the router expects {num_shards}")
-        if replicate and durability is None and durability_dir is None:
-            raise ValueError(
-                "replicate=True needs durability (a replica is a "
-                "WAL follower — pass durability_dir=)")
+        if replicate:
+            _check_replicate(backend, durability is not None
+                             or durability_dir is not None)
         self._shard_locks: List[ReadWriteLock] = [
             ReadWriteLock() for _ in range(num_shards)
         ]
@@ -320,8 +325,6 @@ class ShardedAlexIndex:
                     # built with: build later shards under it too.
                     self.config = self.last_recovery[0].config
                     self._backend.config = self.config
-            elif shards is not None:
-                self._backend.adopt(shards)
             else:
                 self._backend.provision(parts)
             if durability_dir is not None:
@@ -431,6 +434,8 @@ class ShardedAlexIndex:
         takes its checkpoints'.  A ``durability_dir`` that holds no
         service manifest raises :class:`PersistenceError`.
         """
+        if replicate:
+            _check_replicate(backend, durable=True)
         durability = ShardedDurability(durability_dir, fsync=fsync,
                                        checkpoint_every=checkpoint_every)
         durability.attach()
@@ -471,8 +476,12 @@ class ShardedAlexIndex:
         """Shut down the execution backend — the process backend's shard
         and replica workers — and flush + close the durability tree
         (idempotent)."""
-        self._closing = True
-        self._backend.close()
+        # Under the repair lock: a replica repair either finished its
+        # attach before the backend closes, or sees `_closing` and starts
+        # no worker.
+        with self._replica_repair_lock:
+            self._closing = True
+            self._backend.close()
         if self._durability is not None:
             self._durability.close()
 
@@ -608,10 +617,8 @@ class ShardedAlexIndex:
         dead replica worker additionally gets repaired in the background
         of the fallback (the primary is untouched either way)."""
         min_lsn, bound = self._replica_constraints(opts, shard)
-        guard = (self._shard_locks[shard].read()
-                 if self._backend.in_process_replicas else nullcontext())
         try:
-            with guard, trace.span("serve.replica_read", shard=shard):
+            with trace.span("serve.replica_read", shard=shard):
                 return self._backend.replica_read(
                     shard, method, args, min_lsn=min_lsn,
                     max_staleness_s=bound)

@@ -637,15 +637,6 @@ class ProcessBackend(ExecutionBackend):
         self._install(workers)
         return recoveries
 
-    def adopt(self, indexes: List[AlexIndex]) -> None:
-        # Prebuilt in-process shards move wholesale into workers; their
-        # work-counter history seeds the workers' counters so aggregate
-        # tallies stay monotone across the handoff.
-        self._install(self._launch(
-            range(len(indexes)),
-            [("load", *export_arrays(index), index.counters.snapshot())
-             for index in indexes])[0])
-
     def _retire(self, worker: _WorkerHandle) -> None:
         """Ask one worker to exit and reap its process and reader
         thread (shared by :meth:`close` and the split/merge
@@ -897,13 +888,7 @@ class ProcessBackend(ExecutionBackend):
         returns (pushes queue in its pipe behind the bootstrap)."""
         for shard, root in roots.items():
             self.drop_replica(shard)
-            worker = self._start_handle(shard, root)
-            try:
-                self._replica_workers[shard] = worker
-            except IndexError:
-                # close() emptied the slots first (replica repair runs on
-                # a background thread); retire the orphan.
-                self._retire(worker)
+            self._replica_workers[shard] = self._start_handle(shard, root)
 
     def await_replicas(self, shards: Sequence[int]) -> None:
         """The bootstrap barrier: one ``rstatus`` per replica, all sent

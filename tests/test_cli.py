@@ -20,6 +20,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--dataset", "nope"])
 
+    @pytest.mark.parametrize("command", ["stats", "top"])
+    def test_replicas_need_the_process_backend(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--replicas"])
+        assert exc.value.code == 2
+        assert "--backend process" in capsys.readouterr().err
+
 
 class TestInfo:
     def test_lists_variants_and_systems(self, capsys):

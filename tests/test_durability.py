@@ -138,6 +138,34 @@ class TestWALTornTail:
         # Nothing was destructively truncated by the failed opens.
         assert os.path.getsize(tail) == size_before
 
+    def test_a_tail_finished_while_it_is_read_stays_a_torn_tail(
+            self, tmp_path, monkeypatch):
+        """A reader of a live log (a replica bootstrapping while writes
+        stream) can read the final frame half-written.  The bytes it read
+        decide: it stops at the break, although by the time it checks the
+        writer has finished that frame and appended another."""
+        from repro.durability import wal as wal_module
+        tail = self._fill(tmp_path)
+        with open(tail, "rb") as fh:
+            six = fh.read()
+        with WriteAheadLog(wal_dir(tmp_path), fsync="off") as wal:
+            wal.append(OP_INSERT, np.array([6.0]), ["p6"])
+        with open(tail, "rb") as fh:
+            seven = fh.read()
+        with open(tail, "wb") as fh:
+            fh.write(six[:-7])
+        read = wal_module._read_segment
+
+        def read_then_write(path, *args, **kwargs):
+            result = read(path, *args, **kwargs)
+            with open(path, "wb") as fh:
+                fh.write(seven)
+            return result
+
+        monkeypatch.setattr(wal_module, "_read_segment", read_then_write)
+        frames = list(iter_frames(wal_dir(tmp_path)))
+        assert [f.lsn for f in frames] == [1, 2, 3, 4, 5]
+
     def test_bitflip_detected_by_crc(self, tmp_path):
         tail = self._fill(tmp_path, n=3)
         size = os.path.getsize(tail)

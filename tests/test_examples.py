@@ -1,8 +1,9 @@
-"""Every import at the top of ``examples/*.py`` resolves.
+"""Every import at the top of ``examples/*.py`` and ``benchmarks/*.py``
+resolves.
 
-The examples are not run here (some take minutes); their top-level
+The scripts are not run here (some take minutes); their top-level
 imports are read from the AST and performed one by one, so deleting or
-renaming a public name an example uses fails this test."""
+renaming a name an example or a benchmark imports fails this test."""
 
 import ast
 import glob
@@ -11,9 +12,10 @@ import os
 
 import pytest
 
-EXAMPLES = sorted(glob.glob(os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "examples", "*.py")))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCHMARKS = os.path.join(ROOT, "benchmarks")
+EXAMPLES = sorted(glob.glob(os.path.join(ROOT, "examples", "*.py")))
+SCRIPTS = EXAMPLES + sorted(glob.glob(os.path.join(BENCHMARKS, "*.py")))
 
 
 def top_level_imports(path):
@@ -33,10 +35,13 @@ def top_level_imports(path):
 
 def test_examples_are_found():
     assert EXAMPLES
+    assert len(SCRIPTS) > len(EXAMPLES)
 
 
-@pytest.mark.parametrize("path", EXAMPLES, ids=os.path.basename)
-def test_top_level_imports_resolve(path):
+@pytest.mark.parametrize("path", SCRIPTS, ids=os.path.basename)
+def test_top_level_imports_resolve(path, monkeypatch):
+    # The benchmarks import their shared helpers as ``_common``.
+    monkeypatch.syspath_prepend(BENCHMARKS)
     for module_name, name in top_level_imports(path):
         module = importlib.import_module(module_name)
         if name is None or hasattr(module, name):

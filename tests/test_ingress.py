@@ -2,7 +2,7 @@
 
 Correctness of the coalesced read API against a real sharded service
 (both backends), the miss-sentinel's cross-process identity, admission
-control under both overload policies (against a controllable fake
+control (against a controllable fake
 service), lifecycle draining, and the synchronous ``IngressRunner``
 mirrors — plus the obs surface ``repro top`` renders.
 """
@@ -156,8 +156,7 @@ class TestAdmissionControl:
         :class:`ServiceOverloadedError` while admitted work completes."""
         fake = FakeService(delay=0.2)
         before = dict(obs.snapshot().get("counters", {}))
-        with IngressRunner(fake, window_s=0.0, max_queue=8,
-                           overload="shed") as runner:
+        with IngressRunner(fake, window_s=0.0, max_queue=8) as runner:
             admitted = runner.asubmit(
                 runner.ingress.get_many(np.arange(8.0)))
             time.sleep(0.05)  # let the first request admit and flush
@@ -168,31 +167,9 @@ class TestAdmissionControl:
         after = dict(obs.snapshot().get("counters", {}))
         assert after.get("ingress.shed", 0) > before.get("ingress.shed", 0)
 
-    def test_block_policy_waits_for_a_slot(self):
-        """Under ``overload="block"`` an over-cap arrival parks on the
-        admission gate and completes once in-flight work drains."""
-        fake = FakeService(delay=0.25)
-        with IngressRunner(fake, window_s=0.0, max_queue=8,
-                           overload="block") as runner:
-            first = runner.asubmit(
-                runner.ingress.get_many(np.arange(8.0)))
-            time.sleep(0.05)
-            start = time.monotonic()
-            second = runner.asubmit(
-                runner.ingress.get_many(100.0 + np.arange(4.0)))
-            result = second.result(timeout=30)
-            blocked_for = time.monotonic() - start
-            assert result == [(100.0 + k) * 2.0 for k in range(4)]
-            assert blocked_for >= 0.1  # waited out the in-flight batch
-            first.result(timeout=30)
-            assert runner.ingress.outstanding == 0
-        # The two batches were never entangled by the gate.
-        assert [len(b) for b in fake.batches] == [8, 4]
-
     def test_oversized_request_sheds_even_when_idle(self):
         fake = FakeService()
-        with IngressRunner(fake, window_s=0.0, max_queue=4,
-                           overload="shed") as runner:
+        with IngressRunner(fake, window_s=0.0, max_queue=4) as runner:
             with pytest.raises(ServiceOverloadedError):
                 runner.get_many(np.arange(5.0))
 

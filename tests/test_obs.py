@@ -306,17 +306,13 @@ def test_metrics_snapshot_service_wide(backend, obs_on):
         assert "shard.op.lookup_many" in names
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_replica_metrics_reach_the_service_snapshot(backend, obs_on,
-                                                    tmp_path):
+def test_replica_metrics_reach_the_service_snapshot(obs_on, tmp_path):
     """With replication on, the replicas' replay counters surface in
-    the merged view: the thread backend's in-process replicas record
-    straight into the facade registry (``repl.*``), while a process
-    backend's replica workers ship their own registries, tagged
-    ``replica.shardN.*`` so they never inflate the primaries'."""
+    the merged view: the replica workers ship their own registries,
+    tagged ``replica.shardN.*`` so they never inflate the primaries'."""
     keys = np.arange(2000, dtype=np.float64)
     service = ShardedAlexIndex.bulk_load(
-        keys, num_shards=2, backend=backend,
+        keys, num_shards=2, backend="process",
         durability_dir=str(tmp_path / "dur"), fsync="batch",
         replicate=True)
     try:
@@ -324,15 +320,10 @@ def test_replica_metrics_reach_the_service_snapshot(backend, obs_on,
         merged = service.metrics_snapshot()["merged"]
     finally:
         service.close()
-    counters = set(merged["counters"])
-    if backend == "thread":
-        assert "repl.bootstraps" in counters
-        assert not any(n.startswith("replica.shard") for n in counters)
-    else:
-        tagged = {n for n in counters if n.startswith("replica.shard")}
-        # Both shards' replica workers report, under their own prefix.
-        assert any(n.startswith("replica.shard0.repl.") for n in tagged)
-        assert any(n.startswith("replica.shard1.repl.") for n in tagged)
+    tagged = {n for n in merged["counters"] if n.startswith("replica.shard")}
+    # Both shards' replica workers report, under their own prefix.
+    assert any(n.startswith("replica.shard0.repl.") for n in tagged)
+    assert any(n.startswith("replica.shard1.repl.") for n in tagged)
 
 
 def test_event_ring_capacity_env_and_drop_counter(monkeypatch):
@@ -420,7 +411,8 @@ def test_service_recovery_counts_each_replay_once(tmp_path, obs_on,
                                                   backend):
     """The shards' owners replay their logs, and this process's registry
     counts each replay once: the service-wide view holds it once too.
-    Replica bootstraps count as ``repl.bootstraps``, not as recoveries."""
+    Replica bootstraps (process backend) count as ``repl.bootstraps``,
+    not as recoveries."""
     root = str(tmp_path / "svc")
     service = ShardedAlexIndex.bulk_load(
         np.arange(1000.0), num_shards=2, backend=backend,
@@ -430,7 +422,8 @@ def test_service_recovery_counts_each_replay_once(tmp_path, obs_on,
     service.close()
     obs.reset()
     recovered = ShardedAlexIndex.recover(root, backend=backend,
-                                         fsync="off", replicate=True)
+                                         fsync="off",
+                                         replicate=backend == "process")
     try:
         assert [r.frames_replayed for r in recovered.last_recovery] == [1, 1]
         own = obs.snapshot()["counters"]

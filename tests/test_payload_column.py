@@ -23,6 +23,7 @@ from repro.core.kernels import available_backends, get_kernels
 from repro.core.kernels.numpy_backend import _FLOAT_CHUNK
 from repro.core.rmi import InnerNode
 from repro.durability.persistence import load_index, save_index
+from repro.replication import Replica
 from repro.serve import ReadOptions, ShardedAlexIndex
 from repro.serve.backend import build_shard, shard_part
 from repro.serve.router import ShardRouter
@@ -599,18 +600,31 @@ class TestLeafColumns:
         expected[N + 0.5] = payloads[9]
         durable.close()
         dtype = TYPED.get(name, object)
-        recovered = ShardedAlexIndex.recover(root, fsync="off",
-                                             replicate=True)
+        recovered = ShardedAlexIndex.recover(root, fsync="off")
         try:
             assert_stores(recovered.shards[0], dtype, expected)
-            # Frames pushed to the replica the recovery bootstrapped: a
-            # batch and a scalar insert.
+            # A replica bootstrapped from the recovered directory, then
+            # applying the records the log appends for a batch and a
+            # scalar insert, as a replica worker is pushed them.
+            replica = Replica(recovered.durability.shard_dir(0),
+                              config=recovered.config).start()
+            records = []
+            log = recovered.durability.log
+
+            def spy(*args):
+                lsn, record = log(*args)
+                records.append(record)
+                return lsn, record
+
+            recovered.durability.log = spy
             recovered.insert_many(keys[:8] + 0.25, payloads[:8])
             recovered.insert(N + 0.25, payloads[9])
             expected.update(zip((keys[:8] + 0.25).tolist(), payloads[:8]))
             expected[N + 0.25] = payloads[9]
-            recovered.backend.promote_replica(0)
-            assert_stores(recovered.shards[0], dtype, expected)
+            assert len(records) == 2
+            for record in records:
+                replica.apply(record)
+            assert_stores(replica.promote(), dtype, expected)
         finally:
             recovered.close()
 

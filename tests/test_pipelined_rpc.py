@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.alex import AlexIndex
 from repro.core.config import ga_armi
 from repro.core.stats import Counters
 from repro.serve import ShardedAlexIndex
@@ -276,7 +275,7 @@ def test_requests_create_no_shared_memory(monkeypatch, tmp_path,
     On a durable, replicated process service, reads and batch writes of
     every size, the bulk load, a split and a merge, a replica promotion
     over a SIGKILLed primary, the replica attach behind it, a SIGKILL
-    respawn from checkpoint and WAL, ``recover`` and ``adopt`` open no
+    respawn from checkpoint and WAL, and ``recover`` open no
     shared-memory segment in this process and leave ``/dev/shm`` as it
     was."""
     before = sorted(os.listdir("/dev/shm"))
@@ -331,12 +330,6 @@ def test_requests_create_no_shared_memory(monkeypatch, tmp_path,
                                          replicate=True)
     with recovered:
         assert dict(recovered.items()) == reference
-        adopted = ShardedAlexIndex(
-            router=recovered.router, backend="process",
-            shards=[AlexIndex.from_column(*recovered.backend.snapshot(s))
-                    for s in range(recovered.num_shards)])
-        with adopted:
-            assert dict(adopted.items()) == reference
     assert _CountingSharedMemory.opened == []
     assert sorted(os.listdir("/dev/shm")) == before
 

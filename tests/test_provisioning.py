@@ -48,18 +48,6 @@ class TestFailedProvisioning:
                                        num_shards=2, backend="process")
         assert (children(), segments()) == before
 
-    def test_adopting_an_unpicklable_payload_leaks_nothing(self,
-                                                          leak_guard):
-        # The adopted shard's object column pickles into its load frame;
-        # the frame fails in this process, before anything is sent.
-        before = children(), segments()
-        shards = [AlexIndex.bulk_load(np.arange(5.0)),
-                  AlexIndex.bulk_load([8.0, 9.0], [1, unpicklable()])]
-        with pytest.raises(UNPICKLABLE):
-            ShardedAlexIndex(router=ShardRouter(np.array([7.0])),
-                             shards=shards, backend="process")
-        assert (children(), segments()) == before
-
     def test_worker_side_load_failure_leaks_nothing(self, leak_guard):
         # Both loads reach their workers and the second one rejects its
         # part: the first worker built fine and must be retired too.
@@ -331,17 +319,6 @@ class TestEverythingInFlightBeforeAnyWait:
             spy.assert_all_submitted_first("load", 2)
             spy.assert_all_submitted_first("rstatus", 2)
             assert len(service) == 3000
-
-    def test_adopt(self, monkeypatch, leak_guard):
-        spy = SubmitSpy(monkeypatch, {"load"})
-        shards = [AlexIndex.bulk_load(np.arange(lo, lo + 100.0))
-                  for lo in (0.0, 100.0, 200.0)]
-        service = ShardedAlexIndex(router=ShardRouter(np.array([100.0,
-                                                                200.0])),
-                                   shards=shards, backend="process")
-        with service:
-            spy.assert_all_submitted_first("load", 3)
-            assert list(service.keys()) == np.arange(300.0).tolist()
 
     def test_replace_on_forced_split(self, monkeypatch, leak_guard):
         service = ShardedAlexIndex.bulk_load(np.arange(400.0), num_shards=2,

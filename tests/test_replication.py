@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import live_workers
 from repro import obs
 from repro.core.errors import (KeyNotFoundError, ReplicaStaleError,
                                ReplicaUnavailableError, WALCorruptionError)
@@ -41,6 +42,10 @@ def _service(tmp_path, n: int = 2000, num_shards: int = 2, **kwargs):
     payloads = [f"v{i}" for i in range(n)]
     kwargs.setdefault("durability_dir", str(tmp_path / "dur"))
     kwargs.setdefault("fsync", "batch")
+    if kwargs.get("replicate"):
+        # Replicas live in worker processes: only the process backend
+        # hosts them.
+        kwargs.setdefault("backend", "process")
     return ShardedAlexIndex.bulk_load(keys, payloads,
                                       num_shards=num_shards, **kwargs)
 
@@ -111,13 +116,14 @@ class TestReplica:
 
     ROOT = "shard-00000000"
 
-    def test_pushed_frames_apply_in_order_and_held_ones_skip(self,
-                                                             tmp_path):
+    def test_pushed_frames_apply_in_order_and_held_ones_skip(
+            self, tmp_path, monkeypatch):
         service = _service(tmp_path, num_shards=1)
         try:
             replica = Replica(str(tmp_path / "dur" / self.ROOT),
                               config=service.config).start()
             assert replica.status()["num_keys"] == 2000
+            reads = _spy_log_reads(monkeypatch)
             batches = [np.arange(5000 + 100 * b, 5100 + 100 * b,
                                  dtype=np.float64) for b in range(3)]
             lsns = [service.insert_many(batch).lsn_for(self.ROOT)
@@ -130,6 +136,8 @@ class TestReplica:
             assert status["frames_applied"] == 3
             assert status["num_keys"] == 2300
             assert replica.read("contains", (5250.0,), min_lsn=lsns[-1])
+            # Frames pushed without a gap never send it to the log.
+            assert reads == []
         finally:
             service.close()
 
@@ -257,29 +265,40 @@ def _spy_log_reads(monkeypatch) -> list:
 @pytest.mark.usefixtures("leak_guard")
 class TestPush:
     def test_an_idle_replica_reads_no_log(self, tmp_path, monkeypatch):
+        """The facade pushes every frame it logs, in LSN order with no
+        gap, so the replica never has a reason to read the log (a
+        standalone replica fed gap-free frames reads none:
+        ``TestReplica``)."""
         service = _service(tmp_path, num_shards=1, replicate=True)
         try:
-            reads = _spy_log_reads(monkeypatch)
+            pushed = []
+            push = service.backend.push_frame
+
+            def spy(shard, record):
+                pushed.append(decode_frame(record).lsn)
+                push(shard, record)
+
+            monkeypatch.setattr(service.backend, "push_frame", spy)
             batches = 12
             for b in range(batches):
                 service.insert_many(
                     np.arange(4000 + 10 * b, 4010 + 10 * b,
                               dtype=np.float64))
             time.sleep(0.05)   # ten intervals of a 5 ms log poll
-            assert reads == []
-            assert service.backend.replica_status(0)["frames_applied"] \
-                == batches
+            last = service.durability.shard_state(0).wal.last_lsn
+            assert pushed == list(range(last - batches + 1, last + 1))
+            status = service.backend.replica_status(0)
+            assert status["frames_applied"] == batches
+            assert status["applied_lsn"] == last
             assert not [t for t in threading.enumerate()
                         if t.name == "alex-replica"]
         finally:
             service.close()
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_an_idle_replica_stays_fresh(self, tmp_path, backend):
+    def test_an_idle_replica_stays_fresh(self, tmp_path):
         """With no writes to push, the send stamp a read carries keeps a
         connected replica within a bound its bootstrap has outlived."""
-        service = _service(tmp_path, num_shards=1, backend=backend,
-                           replicate=True)
+        service = _service(tmp_path, num_shards=1, replicate=True)
         try:
             time.sleep(0.1)
             assert service.backend.replica_read(
@@ -288,7 +307,7 @@ class TestPush:
             service.close()
 
     def test_process_replica_holds_every_acked_write(self, tmp_path):
-        service = _service(tmp_path, backend="process", replicate=True)
+        service = _service(tmp_path, replicate=True)
         try:
             for i in range(5):
                 service.insert(3000.5 + i, f"w{i}")
@@ -302,13 +321,12 @@ class TestPush:
         finally:
             service.close()
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_attach_while_writes_stream(self, tmp_path, backend):
+    def test_attach_while_writes_stream(self, tmp_path):
         """Writes racing a replica's repair under ``fsync="off"``: the
         frames logged around the attach are flushed before it, pushed
         after it, and the replica ends equal to the primary."""
-        service = _service(tmp_path, num_shards=1, backend=backend,
-                           fsync="off", replicate=True)
+        service = _service(tmp_path, num_shards=1, fsync="off",
+                           replicate=True)
         stop = threading.Event()
         errors = []
 
@@ -343,11 +361,8 @@ class TestPush:
         finally:
             service.close()
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_a_frame_that_fails_gets_the_replica_respawned(self, tmp_path,
-                                                           backend):
-        service = _service(tmp_path, num_shards=1, backend=backend,
-                           replicate=True)
+    def test_a_frame_that_fails_gets_the_replica_respawned(self, tmp_path):
+        service = _service(tmp_path, num_shards=1, replicate=True)
         try:
             wal = service.durability.shard_state(0).wal
             # A frame the replica cannot apply: its key is absent.
@@ -367,12 +382,8 @@ class TestPush:
         finally:
             service.close()
 
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_a_record_with_a_flipped_byte_ends_the_replica(self, tmp_path,
-                                                           backend):
-        service = _service(tmp_path, num_shards=1, backend=backend,
-                           replicate=True)
+    def test_a_record_with_a_flipped_byte_ends_the_replica(self, tmp_path):
+        service = _service(tmp_path, num_shards=1, replicate=True)
         try:
             wal = service.durability.shard_state(0).wal
             record = _frame(wal.last_lsn + 1, [10.0 ** 9])
@@ -403,15 +414,14 @@ class _CountedPickles:
         return str, ("counted",)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_replication_adds_no_payload_encoding(tmp_path, backend):
+def test_replication_adds_no_payload_encoding(tmp_path):
     """The replica is pushed the bytes the WAL appended, so a replicated
     write pickles its payloads as often as an unreplicated one: once for
-    the log, plus the process backend's apply request."""
+    the log, plus the apply request to the primary worker."""
     pickles = {}
     for replicate in (False, True):
         service = _service(tmp_path / f"replicate-{replicate}",
-                           num_shards=1, backend=backend,
+                           num_shards=1, backend="process",
                            replicate=replicate)
         try:
             _CountedPickles.pickled = 0
@@ -422,8 +432,7 @@ def test_replication_adds_no_payload_encoding(tmp_path, backend):
                                       options="replica_ok") == "counted"
         finally:
             service.close()
-    assert pickles == {False: 1 if backend == "thread" else 2,
-                       True: 1 if backend == "thread" else 2}
+    assert pickles == {False: 2, True: 2}
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +447,26 @@ class TestFacadeRouting:
             ShardedAlexIndex.bulk_load(
                 np.arange(100, dtype=np.float64), num_shards=1,
                 replicate=True)
+
+    def test_replicate_requires_the_process_backend(self, tmp_path,
+                                                    monkeypatch):
+        """A replica in the facade's process would die with its primary,
+        so the thread backend refuses ``replicate=True`` before it builds
+        a shard or writes a directory."""
+        from repro.serve import sharded
+        _service(tmp_path, num_shards=1).close()
+        root = str(tmp_path / "dur")
+        opened = []
+        monkeypatch.setattr(sharded, "make_backend",
+                            lambda *a, **k: opened.append("backend"))
+        monkeypatch.setattr(sharded, "ShardedDurability",
+                            lambda *a, **k: opened.append("durability"))
+        with pytest.raises(ValueError, match="process"):
+            _service(tmp_path / "fresh", backend="thread", replicate=True)
+        with pytest.raises(ValueError, match="process"):
+            ShardedAlexIndex.recover(root, replicate=True)
+        assert opened == []
+        assert not (tmp_path / "fresh").exists()
 
     def test_replica_ok_reads_whole_api(self, tmp_path):
         service = _service(tmp_path, replicate=True)
@@ -618,7 +647,7 @@ class TestPrefixConsistency:
 
 class TestLifecycle:
     def test_replica_workers_cleaned_up_on_close(self, tmp_path):
-        service = _service(tmp_path, backend="process", replicate=True)
+        service = _service(tmp_path, replicate=True)
         backend = service._backend
         pids = [pid for pid in backend.replica_pids() if pid is not None]
         assert len(pids) == service.num_shards
@@ -627,6 +656,43 @@ class TestLifecycle:
         service.close()
         assert all(not process.is_alive() for process in processes)
         assert backend.replica_pids() == []
+
+    @pytest.mark.usefixtures("leak_guard")
+    def test_close_waits_for_a_replica_repair_in_flight(self, tmp_path,
+                                                        monkeypatch):
+        """A repair that started its replica worker before ``close()``
+        finishes first, and ``close()`` retires that worker: none is
+        alive when ``close()`` returns."""
+        service = _service(tmp_path, num_shards=1, replicate=True)
+        backend = service._backend
+        started, release = threading.Event(), threading.Event()
+        start_handle = backend._start_handle
+
+        def held(*args, **kwargs):
+            handle = start_handle(*args, **kwargs)
+            started.set()
+            release.wait(timeout=30)
+            return handle
+
+        monkeypatch.setattr(backend, "_start_handle", held)
+        backend.drop_replica(0)
+        repair = threading.Thread(target=service._repair_replica, args=(0,))
+        repair.start()
+        assert started.wait(timeout=30)
+        alive_at_close = []
+
+        def close():
+            service.close()
+            alive_at_close.extend(live_workers())
+
+        closer = threading.Thread(target=close)
+        closer.start()
+        time.sleep(0.1)     # close() is now waiting on, or past, the repair
+        release.set()
+        closer.join(timeout=30)
+        repair.join(timeout=30)
+        assert not closer.is_alive() and not repair.is_alive()
+        assert alive_at_close == []
 
     def test_dead_replicas_reported_separately(self, tmp_path):
         service = _service(tmp_path, replicate=True)

@@ -326,8 +326,9 @@ class TestServiceTracing:
             self, obs_on, tmp_path):
         keys = np.arange(1000, dtype=np.float64)
         service = ShardedAlexIndex.bulk_load(
-            keys, num_shards=1, durability_dir=str(tmp_path / "dur"),
-            fsync="batch", replicate=True)
+            keys, num_shards=1, backend="process",
+            durability_dir=str(tmp_path / "dur"), fsync="batch",
+            replicate=True)
         try:
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
